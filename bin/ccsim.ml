@@ -106,6 +106,16 @@ let engine_arg =
    explicitly). *)
 let cli_pack_cap = 1 lsl 20
 
+(* The tables bit-pack configurations of at most 16 processes, so the
+   build fails beyond that; the command then keeps the guard closures (as
+   [Smc.Runner.try_pack] does) and says so. *)
+let try_pack build =
+  match build () with
+  | pk -> Some pk
+  | exception Failure _ ->
+    Format.printf "engine: closure (packed tables need n <= 16)@.";
+    None
+
 module Cursor_off = struct
   let cursor = false
 end
@@ -304,20 +314,20 @@ let run_cmd topo algo_name daemon_name workload_name steps seed disc random_init
        the packed engine is requested *)
     match (engine, algo_name) with
     | `Packed, "cc1" ->
-      let pk = Pk_cc1.build ~cap:cli_pack_cap h in
-      coverage := Some (Pk_cc1.coverage pk);
+      let pk = try_pack (fun () -> Pk_cc1.build ~cap:cli_pack_cap h) in
+      coverage := Option.map Pk_cc1.coverage pk;
       X.Run_cc1.run ~seed ~init ?faults ?telemetry ~record_trace
-        ~packed:(Pk_cc1.hooks pk) ~daemon ~workload ~steps h
+        ?packed:(Option.map Pk_cc1.hooks pk) ~daemon ~workload ~steps h
     | `Packed, "cc2" ->
-      let pk = Pk_cc2.build ~cap:cli_pack_cap h in
-      coverage := Some (Pk_cc2.coverage pk);
+      let pk = try_pack (fun () -> Pk_cc2.build ~cap:cli_pack_cap h) in
+      coverage := Option.map Pk_cc2.coverage pk;
       X.Run_cc2.run ~seed ~init ?faults ?telemetry ~record_trace
-        ~packed:(Pk_cc2.hooks pk) ~daemon ~workload ~steps h
+        ?packed:(Option.map Pk_cc2.hooks pk) ~daemon ~workload ~steps h
     | `Packed, "cc3" ->
-      let pk = Pk_cc3.build ~cap:cli_pack_cap h in
-      coverage := Some (Pk_cc3.coverage pk);
+      let pk = try_pack (fun () -> Pk_cc3.build ~cap:cli_pack_cap h) in
+      coverage := Option.map Pk_cc3.coverage pk;
       X.Run_cc3.run ~seed ~init ?faults ?telemetry ~record_trace
-        ~packed:(Pk_cc3.hooks pk) ~daemon ~workload ~steps h
+        ?packed:(Option.map Pk_cc3.hooks pk) ~daemon ~workload ~steps h
     | _ ->
       runner.X.run ~seed ~init ?faults ?telemetry ~record_trace ~daemon
         ~workload ~steps h
@@ -423,13 +433,19 @@ let mp_cmd topo algo_name workload_name steps seed disc random_init bias engine
   match (algo_name, engine) with
   | "cc1", `Packed ->
     let module R = Run (X.Cc1) in
-    R.go (Some (Pk_cc1.hooks (Pk_cc1.build ~cap:cli_pack_cap h)))
+    R.go
+      (Option.map Pk_cc1.hooks
+         (try_pack (fun () -> Pk_cc1.build ~cap:cli_pack_cap h)))
   | "cc2", `Packed ->
     let module R = Run (X.Cc2) in
-    R.go (Some (Pk_cc2.hooks (Pk_cc2.build ~cap:cli_pack_cap h)))
+    R.go
+      (Option.map Pk_cc2.hooks
+         (try_pack (fun () -> Pk_cc2.build ~cap:cli_pack_cap h)))
   | "cc3", `Packed ->
     let module R = Run (X.Cc3) in
-    R.go (Some (Pk_cc3.hooks (Pk_cc3.build ~cap:cli_pack_cap h)))
+    R.go
+      (Option.map Pk_cc3.hooks
+         (try_pack (fun () -> Pk_cc3.build ~cap:cli_pack_cap h)))
   | "cc1", `Closure -> let module R = Run (X.Cc1) in R.go None
   | "cc2", `Closure -> let module R = Run (X.Cc2) in R.go None
   | "cc3", `Closure -> let module R = Run (X.Cc3) in R.go None

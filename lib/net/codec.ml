@@ -334,10 +334,19 @@ let decode ?expect body =
 
 let corrupt_body rng body =
   let b = Bytes.of_string body in
-  let flips = 1 + Random.State.int rng 4 in
-  for _ = 1 to flips do
-    let i = Random.State.int rng (Bytes.length b) in
-    let bit = 1 lsl Random.State.int rng 8 in
-    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor bit))
-  done;
+  (* a repeated (byte, bit) draw would flip its bit back and could leave
+     the frame unchanged; redrawing only on such a collision keeps the
+     pairs distinct and every collision-free draw sequence as it was *)
+  let rec flip seen k =
+    if k > 0 then begin
+      let i = Random.State.int rng (Bytes.length b) in
+      let bit = Random.State.int rng 8 in
+      if List.mem (i, bit) seen then flip seen k
+      else begin
+        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
+        flip ((i, bit) :: seen) (k - 1)
+      end
+    end
+  in
+  flip [] (1 + Random.State.int rng 4);
   Bytes.to_string b

@@ -126,6 +126,6 @@ val crc32 : string -> int32
 (** CRC-32 (IEEE 802.3), exposed for tests. *)
 
 val corrupt_body : Random.State.t -> string -> string
-(** Flip one to four random bytes of a frame body — the fault injector's
-    frame-corruption primitive.  The strict decoder must reject the
-    result. *)
+(** Flip one to four distinct random bits of a non-empty frame body — the
+    fault injector's frame-corruption primitive.  The result always
+    differs from the input, and the strict decoder must reject it. *)

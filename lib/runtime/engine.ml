@@ -15,17 +15,33 @@ module Make (A : Model.ALGO) = struct
            or neutralize; [None] until the first step establishes it *)
     cont_enabled : int array;
     (* table-driven fast path: [ids] mirrors [states] as dense domain ids
-       (of the canonicalized states) while [packed] is live; [pk_act] /
-       [pk_succ] are per-step scratch ([pk_succ.(p) = -1] marks a process
-       whose guard scan fell back to closures, so its successor must be
-       interned instead of copied from the table entry) *)
+       (of the canonicalized states) while [packed] is live *)
     mutable packed : A.state Model.packed option;
     ids : int array;
-    pk_act : int array;
-    pk_succ : int array;
+    (* incremental guard evaluation: per process, the last priority scan —
+       action index ([-1] = disabled), packed successor id ([-1] = intern
+       the new state) and footprint (the processes whose state or input
+       predicates the scan consulted).  An entry is rescanned when its
+       footprint meets a [dirty] process — one that executed, or whose
+       input mode ([modes]; [-1] = unknown) changed.  All entries are
+       rescanned while [rescan_all] is set: at creation, after a fault or
+       [set_states], and after an interner overflow. *)
+    act : int array;
+    succ : int array;
+    foot : int array array;
+    mutable rescan_all : bool;
+    dirty : bool array;
+    modes : int array;
+    phase : int array;  (* step scratch: 0 disabled, 1 enabled, 2 executed *)
+    (* reads of the running closure scan: [reads] lists the processes
+       whose [mark] is the current [gen] *)
+    mark : int array;
+    mutable gen : int;
+    mutable reads : int list;
     (* hot-path profiling: monotone counters, no wall-clock reads *)
     mutable prof_scan_hits : int;
     mutable prof_scan_fallbacks : int;
+    mutable prof_scan_reused : int;
     mutable prof_applies : int;
     mutable prof_selects : int;
   }
@@ -63,10 +79,19 @@ module Make (A : Model.ALGO) = struct
       cont_enabled = Array.make n 0;
       packed;
       ids;
-      pk_act = Array.make n (-1);
-      pk_succ = Array.make n (-1);
+      act = Array.make n (-1);
+      succ = Array.make n (-1);
+      foot = Array.make n [||];
+      rescan_all = true;
+      dirty = Array.make n false;
+      modes = Array.make n (-1);
+      phase = Array.make n 0;
+      mark = Array.make n 0;
+      gen = 0;
+      reads = [];
       prof_scan_hits = 0;
       prof_scan_fallbacks = 0;
+      prof_scan_reused = 0;
       prof_applies = 0;
       prof_selects = 0;
     }
@@ -91,7 +116,8 @@ module Make (A : Model.ALGO) = struct
   let set_states t s =
     if Array.length s <> H.n t.h then invalid_arg "Engine.set_states";
     t.states <- Array.copy s;
-    reintern t (List.init (H.n t.h) Fun.id)
+    reintern t (List.init (H.n t.h) Fun.id);
+    t.rescan_all <- true
 
   let obs t = Array.init (H.n t.h) (A.observe t.h t.states)
   let steps_taken t = t.step_no
@@ -101,17 +127,29 @@ module Make (A : Model.ALGO) = struct
   let profile t =
     [ ("engine_scan_hits", t.prof_scan_hits);
       ("engine_scan_fallbacks", t.prof_scan_fallbacks);
+      ("engine_scan_reused", t.prof_scan_reused);
       ("engine_applies", t.prof_applies);
       ("engine_selects", t.prof_selects) ]
 
+  (* Every state read and input query of a guard or statement lands in the
+     running scan's footprint; state reads also assert locality if asked. *)
+  let note t q =
+    if t.mark.(q) <> t.gen then begin
+      t.mark.(q) <- t.gen;
+      t.reads <- q :: t.reads
+    end
+
   let ctx_for t ~inputs p : A.state Model.ctx =
-    let read =
-      if t.check_locality then (fun q ->
-        if q <> p && not (H.are_neighbors t.h p q) then
-          failwith
-            (Printf.sprintf "locality violation: process %d read state of %d" p q);
-        t.states.(q))
-      else Array.get t.states
+    let read q =
+      if t.check_locality && q <> p && not (H.are_neighbors t.h p q) then
+        failwith
+          (Printf.sprintf "locality violation: process %d read state of %d" p q);
+      note t q;
+      t.states.(q)
+    in
+    let inputs =
+      { Model.request_in = (fun q -> note t q; inputs.Model.request_in q);
+        request_out = (fun q -> note t q; inputs.Model.request_out q) }
     in
     { Model.h = t.h; inputs; read; self = p }
 
@@ -136,64 +174,69 @@ module Make (A : Model.ALGO) = struct
   let enabled_action t ~inputs p =
     Option.map (fun i -> t.actions.(i).Model.label) (priority_action t ~inputs p)
 
-  (* Table-driven guard scan: one entry lookup per process, falling back to
-     the closure scan for cells the tables do not cover ([-2]).  Fills the
-     scratch arrays for the execution phase and returns the enabled list in
-     the same ascending order as {!enabled}, so the daemon sees an
-     identical selection problem (and makes identical RNG draws). *)
-  let packed_scan t pk ~inputs =
-    let acc = ref [] in
-    for p = H.n t.h - 1 downto 0 do
-      let e = pk.Model.pk_entry ~mode:(Model.mode_of inputs p) ~proc:p t.ids in
-      if e >= -1 then t.prof_scan_hits <- t.prof_scan_hits + 1
-      else t.prof_scan_fallbacks <- t.prof_scan_fallbacks + 1;
-      if e >= 0 then begin
-        t.pk_act.(p) <- Model.entry_act e;
-        t.pk_succ.(p) <- Model.entry_succ e;
-        acc := p :: !acc
-      end
-      else if e = -1 then t.pk_act.(p) <- -1
-      else begin
-        (match priority_action t ~inputs p with
-         | None -> t.pk_act.(p) <- -1
-         | Some i ->
-           t.pk_act.(p) <- i;
-           t.pk_succ.(p) <- -1;
-           acc := p :: !acc)
-      end
-    done;
-    !acc
+  (* Recompute the entry of [p]: one packed-table lookup, whose footprint
+     is the table's support, or — for cells the tables do not cover
+     ([-2]) — the closure scan, whose footprint is its recorded reads. *)
+  let refresh t ~inputs p =
+    let e =
+      match t.packed with
+      | None -> -2
+      | Some pk ->
+        let e = pk.Model.pk_entry ~mode:t.modes.(p) ~proc:p t.ids in
+        if e = -2 then t.prof_scan_fallbacks <- t.prof_scan_fallbacks + 1
+        else begin
+          t.prof_scan_hits <- t.prof_scan_hits + 1;
+          t.foot.(p) <- pk.Model.pk_support p
+        end;
+        e
+    in
+    if e >= 0 then begin
+      t.act.(p) <- Model.entry_act e;
+      t.succ.(p) <- Model.entry_succ e
+    end
+    else if e = -1 then t.act.(p) <- -1
+    else begin
+      t.gen <- t.gen + 1;
+      t.reads <- [];
+      t.act.(p) <- Option.value (priority_action t ~inputs p) ~default:(-1);
+      t.succ.(p) <- -1;
+      t.foot.(p) <- Array.of_list t.reads
+    end
 
-  (* Same lookup, membership only (the post-step enabled set). *)
-  let packed_enabled t pk ~inputs =
-    let acc = ref [] in
+  (* Bring every entry up to date with the configuration and [modes], then
+     forget the dirty set.  Returns the enabled processes in ascending
+     order, as {!enabled} does, so the daemon sees the selection problem
+     of a full scan (and makes the same RNG draws). *)
+  let rescan t ~inputs =
+    let dirty q = t.dirty.(q) in
+    let enabled = ref [] in
     for p = H.n t.h - 1 downto 0 do
-      let e = pk.Model.pk_entry ~mode:(Model.mode_of inputs p) ~proc:p t.ids in
-      let on =
-        if e = -2 then priority_action t ~inputs p <> None else e >= 0
-      in
-      if on then acc := p :: !acc
+      if t.rescan_all || Array.exists dirty t.foot.(p) then refresh t ~inputs p
+      else t.prof_scan_reused <- t.prof_scan_reused + 1;
+      if t.act.(p) >= 0 then enabled := p :: !enabled
     done;
-    !acc
+    Array.fill t.dirty 0 (Array.length t.dirty) false;
+    t.rescan_all <- false;
+    !enabled
 
   let step t ~inputs =
-    let enabled_before =
-      match t.packed with
-      | Some pk -> packed_scan t pk ~inputs
-      | None -> enabled t ~inputs
-    in
+    let n = H.n t.h in
+    for p = 0 to n - 1 do
+      let m = Model.mode_of inputs p in
+      if m <> t.modes.(p) then begin
+        t.modes.(p) <- m;
+        t.dirty.(p) <- true
+      end
+    done;
+    let enabled_before = rescan t ~inputs in
     if enabled_before = [] then
       { Model.step = t.step_no; selected = []; executed = []; neutralized = [];
         round = t.round_no; terminal = true }
     else begin
       (* establish the first round's pending set lazily: enabledness depends
          on the step's inputs, unknown at creation time *)
-      (match t.round_pending with
-       | Some _ -> ()
-       | None ->
-         let pending = Array.make (H.n t.h) false in
-         List.iter (fun p -> pending.(p) <- true) enabled_before;
-         t.round_pending <- Some pending);
+      if t.round_pending = None then
+        t.round_pending <- Some (Array.map (fun a -> a >= 0) t.act);
       let selected =
         Daemon.select t.daemon ~rng:t.rng ~step:t.step_no ~enabled:enabled_before
           ~continuously_enabled:(Array.get t.cont_enabled)
@@ -202,40 +245,30 @@ module Make (A : Model.ALGO) = struct
       if selected = [] then invalid_arg "daemon selected an empty set";
       List.iter
         (fun p ->
-          if not (List.mem p enabled_before) then
+          if p < 0 || p >= n || t.act.(p) < 0 then
             invalid_arg (Printf.sprintf "daemon selected disabled process %d" p))
         selected;
-      (* all statements read the pre-step configuration; on the packed path
-         the chosen action index comes from the scratch filled by the scan,
-         but the statement still runs as a closure — the true states are
+      (* every statement reads the pre-step configuration, so all run
+         before any is written back; each executes its cached action, and
+         on the packed path still as a closure — the true states are
          authoritative (tables know only canonicalized cells), so packed
          and closure runs produce identical configurations by construction *)
       let executed =
-        match t.packed with
-        | Some _ ->
-          List.filter_map
-            (fun p ->
-              let i = t.pk_act.(p) in
-              if i < 0 then None
-              else
-                let ctx = ctx_for t ~inputs p in
-                Some (p, i, t.actions.(i).Model.apply ctx))
-            selected
-        | None ->
-          List.filter_map
-            (fun p ->
-              match priority_action t ~inputs p with
-              | None -> None
-              | Some i ->
-                let ctx = ctx_for t ~inputs p in
-                Some (p, i, t.actions.(i).Model.apply ctx))
-            selected
+        List.map
+          (fun p ->
+            let i = t.act.(p) in
+            (p, i, t.actions.(i).Model.apply (ctx_for t ~inputs p)))
+          selected
       in
       t.prof_selects <- t.prof_selects + 1;
       t.prof_applies <- t.prof_applies + List.length executed;
-      let next = Array.copy t.states in
-      List.iter (fun (p, _, s) -> next.(p) <- s) executed;
-      t.states <- next;
+      Array.iteri (fun p a -> t.phase.(p) <- (if a >= 0 then 1 else 0)) t.act;
+      List.iter
+        (fun (p, _, s) ->
+          t.states.(p) <- s;
+          t.dirty.(p) <- true;
+          t.phase.(p) <- 2)
+        executed;
       (* mirror update: table hits copy the packed successor id (sound
          because canon(apply(s)) = canon(apply(canon(s))) under the
          System.S contract); closure fallbacks intern the new state *)
@@ -245,43 +278,33 @@ module Make (A : Model.ALGO) = struct
          match
            List.iter
              (fun (p, _, s) ->
-               if t.pk_succ.(p) >= 0 then t.ids.(p) <- t.pk_succ.(p)
-               else t.ids.(p) <- pk.Model.pk_intern p s)
+               t.ids.(p) <-
+                 (if t.succ.(p) >= 0 then t.succ.(p) else pk.Model.pk_intern p s))
              executed
          with
          | () -> ()
-         | exception Failure _ -> t.packed <- None));
+         | exception Failure _ ->
+           t.packed <- None;
+           t.rescan_all <- true));
       let executed = List.map (fun (p, i, _) -> (p, t.actions.(i).Model.label)) executed in
-      let enabled_after =
-        match t.packed with
-        | Some pk -> packed_enabled t pk ~inputs
-        | None -> enabled t ~inputs
-      in
-      let did_execute p = List.mem_assoc p executed in
+      ignore (rescan t ~inputs);
       let neutralized =
-        List.filter
-          (fun p -> (not (did_execute p)) && not (List.mem p enabled_after))
-          enabled_before
+        List.filter (fun p -> t.phase.(p) = 1 && t.act.(p) < 0) enabled_before
       in
-      (* weak-fairness accounting *)
-      for p = 0 to H.n t.h - 1 do
-        if did_execute p || not (List.mem p enabled_after) then t.cont_enabled.(p) <- 0
-        else if List.mem p enabled_before then
-          t.cont_enabled.(p) <- t.cont_enabled.(p) + 1
+      (* weak-fairness and round accounting (§2.2): the round completes
+         once every process of its initial enabled set has been activated
+         or neutralized *)
+      let pending = Option.get t.round_pending in
+      for p = 0 to n - 1 do
+        if t.phase.(p) = 2 || t.act.(p) < 0 then t.cont_enabled.(p) <- 0
+        else if t.phase.(p) = 1 then t.cont_enabled.(p) <- t.cont_enabled.(p) + 1;
+        if t.phase.(p) = 2 || (t.phase.(p) = 1 && t.act.(p) < 0) then
+          pending.(p) <- false
       done;
-      (* round accounting (§2.2): the round completes once every process of
-         its initial enabled set has been activated or neutralized *)
-      (match t.round_pending with
-       | None -> ()
-       | Some pending ->
-         List.iter (fun p -> pending.(p) <- false) neutralized;
-         List.iter (fun (p, _) -> pending.(p) <- false) executed;
-         if not (Array.exists Fun.id pending) then begin
-           t.round_no <- t.round_no + 1;
-           let fresh = Array.make (H.n t.h) false in
-           List.iter (fun p -> fresh.(p) <- true) enabled_after;
-           t.round_pending <- Some fresh
-         end);
+      if not (Array.exists Fun.id pending) then begin
+        t.round_no <- t.round_no + 1;
+        Array.iteri (fun p a -> pending.(p) <- a >= 0) t.act
+      end;
       let report =
         { Model.step = t.step_no; selected; executed; neutralized;
           round = t.round_no; terminal = false }
@@ -316,6 +339,7 @@ module Make (A : Model.ALGO) = struct
       victims;
     t.states <- next;
     reintern t victims;
+    t.rescan_all <- true;
     (* a fault may disable pending processes without a step; restart the
        round measurement from the corrupted configuration *)
     t.round_pending <- None

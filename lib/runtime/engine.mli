@@ -4,7 +4,19 @@
     The engine is deliberately step-wise: callers (workloads, monitors,
     experiments) supply the input predicates for each step and observe the
     resulting {!Model.step_report}, so every measurement in the repository
-    is made against the exact semantics of the model. *)
+    is made against the exact semantics of the model.
+
+    Guard evaluation is incremental.  The engine keeps, per process, the
+    result of its last priority scan and the scan's {e footprint}: the
+    processes whose state it read through [ctx.read] and whose input
+    predicates it consulted, as recorded during the scan (not the
+    hypergraph neighbourhood, so non-local readers stay exact).  A step
+    rescans only the entries whose footprint contains a process that
+    executed, or whose input mode ({!Model.mode_of}) changed since the
+    entry was computed; {!corrupt} and {!set_states} rescan everything.
+    This is sound for any [ALGO] whose guards are deterministic functions
+    of what they read, and for input predicates that do not change during
+    a step (they are queried for every process at its start). *)
 
 module Make (A : Model.ALGO) : sig
   type t
@@ -57,6 +69,9 @@ module Make (A : Model.ALGO) : sig
   (** Number of completed rounds. *)
 
   val enabled : t -> inputs:Model.inputs -> int list
+  (** A full closure scan, independent of the step's cache: the oracle
+      the cache is tested against. *)
+
   val is_terminal : t -> inputs:Model.inputs -> bool
 
   val enabled_action : t -> inputs:Model.inputs -> int -> string option
@@ -87,8 +102,11 @@ module Make (A : Model.ALGO) : sig
 
   val profile : t -> (string * int) list
   (** Cheap monotonic hot-path counters, surfaced in the bench artifacts:
-      [engine_scan_hits] / [engine_scan_fallbacks] (guard scans served by
-      the packed tables vs dropped to closures), [engine_applies]
-      (statements executed), [engine_selects] (non-terminal daemon
-      selections).  No wall-clock reads — safe on the hot path. *)
+      [engine_scan_hits] / [engine_scan_fallbacks] (guard scans actually
+      performed on the packed path, served by the tables vs dropped to
+      closures), [engine_scan_reused] (per-process entries served from the
+      incremental cache instead of being rescanned, on either path),
+      [engine_applies] (statements executed), [engine_selects]
+      (non-terminal daemon selections).  No wall-clock reads — safe on
+      the hot path. *)
 end

@@ -1,0 +1,302 @@
+(* The incremental guard evaluation of [Runtime.Engine]: the step keeps one
+   priority-scan result per process and rescans only the processes whose
+   recorded read footprint changed.  Two checks pin it to the full scan:
+
+   - pinned digests of (convened, final_obs, rounds, steps) over an
+     algorithm x topology x daemon x workload x fault grid, recorded with
+     the engine that rescanned every process twice per step;
+   - a step-by-step oracle: executed labels are the pre-step
+     [E.enabled_action], and the neutralized set is the pre-step
+     [E.enabled] minus the executed minus the post-step [E.enabled], both
+     uncached full scans — including for an algorithm that reads a
+     non-neighbour's state and another process's [request_out]. *)
+
+module H = Snapcc_hypergraph.Hypergraph
+module Families = Snapcc_hypergraph.Families
+module Model = Snapcc_runtime.Model
+module Obs = Snapcc_runtime.Obs
+module Daemon = Snapcc_runtime.Daemon
+module Engine = Snapcc_runtime.Engine
+module Workload = Snapcc_workload.Workload
+module Driver = Snapcc_experiments.Driver
+module X = Snapcc_experiments.Algos
+
+let topologies =
+  [ ("ring9", Families.pair_ring 9); ("ring24", Families.pair_ring 24);
+    ("fig2", Families.fig2 ()) ]
+
+(* constructors: the central daemon and both workloads carry state, so
+   every run gets fresh ones *)
+let daemons =
+  [ (fun () -> Daemon.synchronous); Daemon.central;
+    (fun () -> Daemon.random_subset ()) ]
+
+let workloads =
+  [ (fun h -> Workload.always_requesting h); Workload.bursty ~seed:5 ]
+
+(* two corruption bursts, the second one while the first still settles *)
+let fault_schedule h ~step =
+  let n = H.n h in
+  if step = 40 then [ 0; n / 2; n - 1 ] else if step = 95 then [ 1 ] else []
+
+let digest (r : Driver.result) =
+  let b = Buffer.create 512 in
+  Printf.bprintf b "steps=%d rounds=%d |" r.Driver.steps r.Driver.rounds;
+  List.iter (fun (s, e) -> Printf.bprintf b " %d:%d" s e) r.Driver.convened;
+  Buffer.add_string b " |";
+  Array.iter
+    (fun o -> Printf.bprintf b " %d/%d" (Obs.code o) o.Obs.discussions)
+    r.Driver.final_obs;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+module Grid (A : Model.ALGO) = struct
+  module R = Driver.Make (A)
+
+  (* one digest per topology over the whole daemon x workload x fault
+     grid, in grid order *)
+  let digests ~steps =
+    List.map
+      (fun (topo, h) ->
+        let runs =
+          List.concat_map
+            (fun faulty ->
+              List.concat_map
+                (fun daemon ->
+                  List.map
+                    (fun workload ->
+                      let faults = if faulty then Some (fault_schedule h) else None in
+                      let init = if faulty then `Random else `Canonical in
+                      digest
+                        (R.run ~seed:11 ~init ?faults ~daemon:(daemon ())
+                           ~workload:(workload h) ~steps h))
+                    workloads)
+                daemons)
+            [ false; true ]
+        in
+        (topo, Digest.to_hex (Digest.string (String.concat "," runs))))
+      topologies
+end
+
+module G_cc1 = Grid (X.Cc1)
+module G_cc2 = Grid (X.Cc2)
+module G_cc3 = Grid (X.Cc3)
+module G_central = Grid (X.Central)
+module G_dining = Grid (X.Dining)
+
+let grid_steps = 200
+
+let digests () =
+  List.concat_map
+    (fun (algo, ds) -> List.map (fun (topo, d) -> (algo ^ "/" ^ topo, d)) ds)
+    [ ("cc1", G_cc1.digests ~steps:grid_steps);
+      ("cc2", G_cc2.digests ~steps:grid_steps);
+      ("cc3", G_cc3.digests ~steps:grid_steps);
+      ("central", G_central.digests ~steps:grid_steps);
+      ("dining", G_dining.digests ~steps:grid_steps) ]
+
+(* Recorded with the full-rescan engine (two closure scans per step). *)
+let goldens =
+  [ ("cc1/ring9", "4d7f2849343ab4ddb2c10153c899237b");
+    ("cc1/ring24", "38b89aa935c1eb74f325eac503af3ff0");
+    ("cc1/fig2", "a07cf7dfffcb99d632a86e08d184ee95");
+    ("cc2/ring9", "8a24e4ef78916ee6663f1c039bb2dd97");
+    ("cc2/ring24", "1f944f26094b750a2166c7e2cdfcdcca");
+    ("cc2/fig2", "123c843b5aea4d6ac5680854f57538b6");
+    ("cc3/ring9", "12e5d425a18d6e6d97d7bc2281ab1772");
+    ("cc3/ring24", "84b2dfb57b90519cbffeb15b257394ee");
+    ("cc3/fig2", "7ec910bb95a662ae568f2fca46294ea9");
+    ("central/ring9", "cb00fbdf63c7abf9ee6dbd90a7de7d35");
+    ("central/ring24", "5f6b834c6944a2843d1325b7726b86fc");
+    ("central/fig2", "0a13a088ffa680fd21f0cfeeb51dcf33");
+    ("dining/ring9", "92eda92d1b71f4312f8b4a759bbaecfe");
+    ("dining/ring24", "6eccd0a03b2d88edcc00249af671b31b");
+    ("dining/fig2", "e84f01a8254c8cf84ad6650c3b99c923") ]
+
+let test_pinned_digests () =
+  List.iter2
+    (fun (name, expected) (name', actual) ->
+      Alcotest.(check string) "grid order" name name';
+      Alcotest.(check string) name expected actual)
+    goldens (digests ())
+
+(* ---- step-by-step oracle ---- *)
+
+module Oracle (A : Model.ALGO) = struct
+  module E = Engine.Make (A)
+
+  (* Steps [E.step] against the uncached full scans, with a corruption at
+     a third of the horizon and a wholesale [set_states] at two thirds. *)
+  let run ~name ?packed ~daemon ~workload ~init ~steps h =
+    let n = H.n h in
+    let eng = E.create ~seed:3 ~init ?packed ~daemon h in
+    let rng = Random.State.make [| 17 |] in
+    let obs = ref (E.obs eng) in
+    for i = 0 to steps - 1 do
+      if i = steps / 3 then E.corrupt eng ~victims:[ 0; n / 2 ] ();
+      if i = 2 * steps / 3 then
+        E.set_states eng (Array.init n (A.random_init h rng));
+      if i = steps / 3 || i = 2 * steps / 3 then obs := E.obs eng;
+      let inputs = Workload.inputs workload !obs in
+      let before = E.enabled eng ~inputs in
+      let labels = List.map (fun p -> (p, E.enabled_action eng ~inputs p)) before in
+      let r = E.step eng ~inputs in
+      let at = Printf.sprintf "%s step %d" name i in
+      Alcotest.(check bool) (at ^ ": terminal") (before = []) r.Model.terminal;
+      if not r.Model.terminal then begin
+        let after = E.enabled eng ~inputs in
+        let fired = List.map fst r.Model.executed in
+        Alcotest.(check (list int)) (at ^ ": executed") r.Model.selected fired;
+        List.iter
+          (fun (p, l) ->
+            Alcotest.(check (option string)) (at ^ ": label") (List.assoc p labels)
+              (Some l))
+          r.Model.executed;
+        let neutralized =
+          List.filter (fun p -> not (List.mem p fired || List.mem p after)) before
+        in
+        Alcotest.(check (list int)) (at ^ ": neutralized") neutralized
+          r.Model.neutralized;
+        obs := E.obs eng
+      end;
+      Workload.observe workload ~step:i !obs
+    done;
+    eng
+
+  let sweep ~algo ?packed ~steps (topo, h) =
+    List.iteri
+      (fun d daemon ->
+        List.iteri
+          (fun w workload ->
+            List.iter
+              (fun init ->
+                let name =
+                  Printf.sprintf "%s/%s/d%d/w%d/%s" algo topo d w
+                    (if init = `Canonical then "canon" else "rand")
+                in
+                ignore
+                  (run ~name ?packed ~daemon:(daemon ()) ~workload:(workload h)
+                     ~init ~steps h))
+              [ `Canonical; `Random ])
+          workloads)
+      daemons
+end
+
+module O_cc1 = Oracle (X.Cc1)
+module O_cc2 = Oracle (X.Cc2)
+module O_cc3 = Oracle (X.Cc3)
+module O_central = Oracle (X.Central)
+module O_dining = Oracle (X.Dining)
+
+let small_topologies = [ ("ring9", Families.pair_ring 9); ("fig2", Families.fig2 ()) ]
+
+let test_oracle_closures () =
+  List.iter
+    (fun topo ->
+      O_cc1.sweep ~algo:"cc1" ~steps:90 topo;
+      O_cc2.sweep ~algo:"cc2" ~steps:90 topo;
+      O_cc3.sweep ~algo:"cc3" ~steps:90 topo;
+      O_central.sweep ~algo:"central" ~steps:90 topo;
+      O_dining.sweep ~algo:"dining" ~steps:90 topo)
+    small_topologies
+
+module Cursor_off = struct
+  let cursor = false
+end
+
+module Cursor_on = struct
+  let cursor = true
+end
+
+module Pk_cc1 =
+  Snapcc_mc.Packed.Make (Snapcc_mc.Systems.Cc1_sys (Snapcc_token.Token_tree) (X.Cc1))
+module Pk_cc2 =
+  Snapcc_mc.Packed.Make
+    (Snapcc_mc.Systems.Cc23_sys (Snapcc_token.Token_tree) (X.Cc2) (Cursor_off))
+module Pk_cc3 =
+  Snapcc_mc.Packed.Make
+    (Snapcc_mc.Systems.Cc23_sys (Snapcc_token.Token_tree) (X.Cc3) (Cursor_on))
+
+(* Table-served entries take the table's support as their footprint. *)
+let test_oracle_packed () =
+  let single2 = Families.single 2 and path3 = Families.path 3 in
+  let pk2 = Pk_cc2.hooks (Pk_cc2.build single2) in
+  O_cc1.sweep ~algo:"cc1-packed" ~packed:(Pk_cc1.hooks (Pk_cc1.build single2))
+    ~steps:120 ("single2", single2);
+  O_cc2.sweep ~algo:"cc2-packed" ~packed:pk2 ~steps:120 ("single2", single2);
+  O_cc3.sweep ~algo:"cc3-packed" ~packed:(Pk_cc3.hooks (Pk_cc3.build single2))
+    ~steps:120 ("single2", single2);
+  O_cc1.sweep ~algo:"cc1-packed" ~packed:(Pk_cc1.hooks (Pk_cc1.build path3))
+    ~steps:120 ("path3", path3);
+  let eng =
+    O_cc2.run ~name:"cc2-packed/single2" ~packed:pk2 ~daemon:(Daemon.random_subset ())
+      ~workload:(Workload.always_requesting single2) ~init:`Random ~steps:60 single2
+  in
+  Alcotest.(check bool) "still packed" true (O_cc2.E.engine_kind eng = `Packed);
+  Alcotest.(check bool) "table lookups performed" true
+    (List.assoc "engine_scan_hits" (O_cc2.E.profile eng) > 0)
+
+(* Reads the state of [p + 2], which is not a neighbour on a pair ring of
+   five or more, and the [request_out] of [p + 1]: only a footprint built
+   from the recorded reads sees either dependency. *)
+module Far = struct
+  type state = int
+
+  let name = "far-reader"
+  let pp_state = Format.pp_print_int
+  let equal_state = Int.equal
+  let init _ _ = 0
+  let random_init _ rng _ = Random.State.int rng 4
+  let observe _ _ _ = Obs.make Obs.Idle
+
+  let actions h =
+    let n = H.n h in
+    let me (ctx : state Model.ctx) = ctx.Model.read ctx.Model.self in
+    let far (ctx : state Model.ctx) = ctx.Model.read ((ctx.Model.self + 2) mod n) in
+    [ { Model.label = "copy";
+        guard = (fun ctx -> far ctx <> me ctx);
+        apply = far };
+      { Model.label = "bump";
+        guard =
+          (fun ctx -> ctx.Model.inputs.Model.request_out ((ctx.Model.self + 1) mod n));
+        apply = (fun ctx -> (me ctx + 1) mod 4) } ]
+end
+
+module O_far = Oracle (Far)
+
+let test_oracle_far_reads () =
+  let h = Families.pair_ring 7 in
+  List.iteri
+    (fun d daemon ->
+      let workload =
+        Workload.scripted ~name:"far"
+          ~request_in:(fun ~step:_ _ -> false)
+          ~request_out:(fun ~step q -> (step + q) mod 3 = 0)
+          ()
+      in
+      ignore
+        (O_far.run ~name:(Printf.sprintf "far/d%d" d) ~daemon:(daemon ()) ~workload
+           ~init:`Random ~steps:150 h))
+    daemons
+
+(* The cache does serve entries on a ring, where each execution dirties
+   only its readers. *)
+let test_profile_reuse () =
+  let h = Families.pair_ring 24 in
+  let eng =
+    O_cc2.run ~name:"cc2/ring24" ~daemon:(Daemon.random_subset ())
+      ~workload:(Workload.always_requesting h) ~init:`Canonical ~steps:60 h
+  in
+  let profile = O_cc2.E.profile eng in
+  let reused = List.assoc "engine_scan_reused" profile in
+  Alcotest.(check bool) "entries reused" true (reused > 0);
+  Alcotest.(check int) "closure engine performs no table scans" 0
+    (List.assoc "engine_scan_hits" profile + List.assoc "engine_scan_fallbacks" profile)
+
+let suite =
+  [ ( "engine cache",
+      [ Alcotest.test_case "pinned grid digests" `Quick test_pinned_digests;
+        Alcotest.test_case "stepwise oracle: closures" `Quick test_oracle_closures;
+        Alcotest.test_case "stepwise oracle: packed tables" `Quick test_oracle_packed;
+        Alcotest.test_case "stepwise oracle: non-neighbour reads" `Quick
+          test_oracle_far_reads;
+        Alcotest.test_case "profile counts reused entries" `Quick test_profile_reuse ] ) ]

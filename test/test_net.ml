@@ -134,6 +134,13 @@ let test_codec_strictness () =
     expect_err (Codec.corrupt_body rng body)
   done
 
+let prop_corrupt_changes_frame =
+  QCheck.Test.make ~name:"corrupt_body always changes a non-empty body"
+    ~count:2000
+    QCheck.(pair (string_of_size (Gen.int_range 1 24)) int)
+    (fun (body, seed) ->
+      Codec.corrupt_body (Random.State.make [| seed |]) body <> body)
+
 (* ---- fault plan parsing ---- *)
 
 let test_faults_parse () =
@@ -357,6 +364,7 @@ let suite =
           test_codec_roundtrip_domain_states;
         Alcotest.test_case "strict decoder rejects corruption" `Quick
           test_codec_strictness;
+        QCheck_alcotest.to_alcotest ~long:false prop_corrupt_changes_frame;
         Alcotest.test_case "fault plan parsing" `Quick test_faults_parse;
         Alcotest.test_case "partition splits the node range" `Quick
           test_partition_split;
