@@ -73,94 +73,80 @@ module Make_gen (T : Snapcc_token.Layer.S) (P : PARAMS) (B : BREAK) :
       (match c.ptr with None -> "⊥" | Some e -> "e" ^ string_of_int e)
       c.tf c.disc T.pp_state t
 
-  let equal_state ((c1, t1) : state) (c2, t2) = c1 = c2 && T.equal_state t1 t2
+  let equal_state (({ s; ptr; tf; disc }, t1) : state) (c2, t2) =
+    s = c2.s && Option.equal Int.equal ptr c2.ptr && tf = c2.tf && disc = c2.disc
+    && T.equal_state t1 t2
 
   (* [Token(p)]: input predicate evaluated on the token layer. *)
-  let token h read p = T.has_token h ~read:(fun q -> snd (read q)) p
-  let release h read p = T.release h ~read:(fun q -> snd (read q)) p
+  let token h read p = T.has_token h ~read ~get:snd p
+  let release h read p = T.release h ~read ~get:snd p
   let c read p = fst (read p)
 
-  (* ---- macros of Algorithm 1 ---- *)
+  (* ---- macros of Algorithm 1, as {!Cc_common} set kernels ---- *)
 
-  let free_edges h read p =
-    Array.to_list (H.incident h p)
-    |> List.filter (fun e ->
-           Array.for_all (fun q -> (c read q).s = Looking) (H.edge_members h e))
+  (* member conditions, on the composed state of a member of [ε] *)
+  let looking (((cq : cc), _) : state) _ = cq.s = Looking
+  let flagged (((cq : cc), _) : state) _ = cq.tf
+  let anyone (_ : state) _ = true
 
-  let free_nodes h read p =
-    free_edges h read p
-    |> List.concat_map (members_list h)
-    |> List.sort_uniq compare
+  (* [|FreeEdges(p)|] and [ε ∈ FreeEdges(p)] *)
+  let free_count h read p = count_edges h read p looking
+  let free_edge h read p e = mem (H.incident h p) e && all_members h read e looking
 
-  let tfree_nodes h read p = List.filter (fun q -> (c read q).tf) (free_nodes h read p)
-
-  let cands h read p =
-    match tfree_nodes h read p with [] -> free_nodes h read p | l -> l
+  (* [max(Cands(p))]: [Cands(p)] is [TFreeNodes(p)] unless empty, then
+     [FreeNodes(p)]; [-1] when both are *)
+  let cands_max h read p =
+    let q = max_member h read p looking flagged in
+    if q >= 0 then q else max_member h read p looking anyone
 
   (* ---- predicates of Algorithm 1 ---- *)
 
-  let ready h read p =
-    Array.exists
-      (fun e ->
-        Array.for_all
-          (fun q ->
-            let cq = c read q in
-            cq.ptr = Some e
-            && (B.unchecked_ready || cq.s = Looking || cq.s = Waiting))
-          (H.edge_members h e))
-      (H.incident h p)
+  let ready_member (((cq : cc), _) : state) e =
+    points_at cq.ptr e && (B.unchecked_ready || cq.s = Looking || cq.s = Waiting)
 
-  let local_max h read p = max_by_id h (cands h read p) = Some p
+  let ready h read p = some_edge h read p ready_member
+
+  let local_max h read p = cands_max h read p = p
 
   let max_to_free_edge h read p =
-    let free = free_edges h read p in
-    free <> [] && local_max h read p
+    free_count h read p > 0
+    && local_max h read p
     && (not (ready h read p))
-    && (match (c read p).ptr with None -> true | Some e -> not (List.mem e free))
+    && (match (c read p).ptr with None -> true | Some e -> not (free_edge h read p e))
 
   let join_local_max h read p =
-    let free = free_edges h read p in
-    free <> []
+    free_count h read p > 0
     && (not (local_max h read p))
     && (not (ready h read p))
     &&
-    match max_by_id h (cands h read p) with
+    let leader = cands_max h read p in
+    leader >= 0
+    &&
+    match (c read leader).ptr with
+    | Some e -> free_edge h read p e && not (points_at (c read p).ptr e)
     | None -> false
-    | Some leader ->
-      List.exists
-        (fun e -> (c read leader).ptr = Some e && (c read p).ptr <> Some e)
-        free
 
-  let meeting h read p =
-    Array.exists
-      (fun e ->
-        Array.for_all
-          (fun q ->
-            let cq = c read q in
-            cq.ptr = Some e && (cq.s = Waiting || cq.s = Done))
-          (H.edge_members h e))
-      (H.incident h p)
+  let meeting_member (((cq : cc), _) : state) e =
+    points_at cq.ptr e && (cq.s = Waiting || cq.s = Done)
+
+  let meeting h read p = some_edge h read p meeting_member
+
+  let left_member (((cq : cc), _) : state) e = (not (points_at cq.ptr e)) || cq.s = Done
 
   let leave_meeting h read p =
-    Array.exists
-      (fun e ->
-        (c read p).ptr = Some e
-        && Array.for_all
-             (fun q ->
-               let cq = c read q in
-               cq.ptr <> Some e || cq.s = Done)
-             (H.edge_members h e))
-      (H.incident h p)
+    match (c read p).ptr with
+    | Some e -> mem (H.incident h p) e && all_members h read e left_member
+    | None -> false
 
   let useless h read p =
     token h read p
     &&
     let cp = c read p in
-    cp.s = Idle || (cp.s = Looking && free_edges h read p = [])
+    cp.s = Idle || (cp.s = Looking && free_count h read p = 0)
 
   let correct h ~read p =
     let cp = c read p in
-    (cp.s <> Idle || cp.ptr = None)
+    (cp.s <> Idle || Option.is_none cp.ptr)
     && (cp.s <> Waiting || ready h read p || meeting h read p)
     && (cp.s <> Done || meeting h read p || leave_meeting h read p)
 
@@ -178,16 +164,16 @@ module Make_gen (T : Snapcc_token.Layer.S) (P : PARAMS) (B : BREAK) :
         guard = (fun ctx -> max_to_free_edge h (rd ctx) (self ctx));
         apply =
           (fun ctx ->
-            let e = P.choose_edge h (free_edges h (rd ctx) (self ctx)) in
+            let e = choose P.prefer h (rd ctx) (self ctx) looking in
             ({ (me ctx) with ptr = Some e }, tc ctx)) };
       { Model.label = "Step22";
         guard = (fun ctx -> join_local_max h (rd ctx) (self ctx));
         apply =
           (fun ctx ->
-            let read = rd ctx and p = self ctx in
-            match max_by_id h (cands h read p) with
-            | Some leader -> ({ (me ctx) with ptr = (c read leader).ptr }, tc ctx)
-            | None -> (me ctx, tc ctx)) };
+            let read = rd ctx in
+            let leader = cands_max h read (self ctx) in
+            if leader >= 0 then ({ (me ctx) with ptr = (c read leader).ptr }, tc ctx)
+            else (me ctx, tc ctx)) };
       { Model.label = "Token1";
         guard = (fun ctx -> token h (rd ctx) (self ctx) <> (me ctx).tf);
         apply = (fun ctx -> ({ (me ctx) with tf = token h (rd ctx) (self ctx) }, tc ctx)) };
@@ -242,8 +228,8 @@ module Make_gen (T : Snapcc_token.Layer.S) (P : PARAMS) (B : BREAK) :
      priority — after at most one round every process is Correct forever
      (Corollary 3). *)
   let actions h =
-    let lift = Model.lift_action ~get:snd ~set:(fun (cc, _) tc -> (cc, tc)) in
-    let all = cc_actions h @ List.map lift (T.internal_actions h) @ stab_actions h in
+    let tc_actions = T.internal_actions h ~get:snd ~set:(fun (cc, _) tc -> (cc, tc)) in
+    let all = cc_actions h @ tc_actions @ stab_actions h in
     if B.invert_priorities then List.rev all else all
 
   let init h =

@@ -93,45 +93,39 @@ end = struct
       (match c.ptr with None -> "⊥" | Some e -> "e" ^ string_of_int e)
       c.tf c.lk c.cur c.disc T.pp_state t
 
-  let equal_state ((c1, t1) : state) (c2, t2) = c1 = c2 && T.equal_state t1 t2
+  let equal_state (({ s; ptr; tf; lk; cur; disc }, t1) : state) (c2, t2) =
+    s = c2.s && Option.equal Int.equal ptr c2.ptr && tf = c2.tf && lk = c2.lk
+    && cur = c2.cur && disc = c2.disc && T.equal_state t1 t2
 
-  let token h read p = T.has_token h ~read:(fun q -> snd (read q)) p
-  let release h read p = T.release h ~read:(fun q -> snd (read q)) p
+  let token h read p = T.has_token h ~read ~get:snd p
+  let release h read p = T.release h ~read ~get:snd p
   let c read p = fst (read p)
 
-  (* ---- macros of Algorithm 2 ---- *)
+  (* ---- macros of Algorithm 2, as {!Cc_common} set kernels ---- *)
 
-  let free_edges h read p =
-    Array.to_list (H.incident h p)
-    |> List.filter (fun e ->
-           Array.for_all
-             (fun q ->
-               let cq = c read q in
-               cq.s = Looking && (not cq.lk) && not cq.tf)
-             (H.edge_members h e))
+  (* member conditions, on the composed state of a member of [ε] *)
+  let free (((cq : cc), _) : state) _ = cq.s = Looking && (not cq.lk) && not cq.tf
+  let looking (((cq : cc), _) : state) _ = cq.s = Looking
+  let anyone (_ : state) _ = true
 
-  let free_nodes h read p =
-    free_edges h read p
-    |> List.concat_map (members_list h)
-    |> List.sort_uniq compare
+  (* a token-pointing witness of [ε]: a member visibly claiming [ε] with
+     the token.  The deliberate deviation above: [TPointingNodes] is the
+     set of witnesses, [TPointingEdges] the committees they point at. *)
+  let tpointing (((cq : cc), _) : state) e = points_at cq.ptr e && cq.tf && cq.s = Looking
 
-  (* token-pointing witnesses among the members of committees incident to
-     [p]: processes visibly claiming a committee with the token *)
-  let tpointing_witnesses h read p =
-    Array.to_list (H.incident h p)
-    |> List.concat_map (fun e ->
-           members_list h e
-           |> List.filter (fun q ->
-                  let cq = c read q in
-                  cq.ptr = Some e && cq.tf && cq.s = Looking))
-    |> List.sort_uniq compare
+  (* [|FreeEdges(p)|] and [ε ∈ FreeEdges(p)] *)
+  let free_count h read p = count_edges h read p free
+  let free_edge h read p e = mem (H.incident h p) e && all_members h read e free
 
-  let tpointing_edges h read p =
-    tpointing_witnesses h read p
-    |> List.filter_map (fun q -> (c read q).ptr)
-    |> List.sort_uniq compare
+  (* [max(FreeNodes(p))], [-1] when empty *)
+  let free_max h read p = max_member h read p free anyone
 
-  let min_edges h p = Array.to_list (H.min_edges h p)
+  (* [max(TPointingNodes(p))], [-1] when empty; reads every member of every
+     committee of [Ep] *)
+  let tpointing_max h read p = max_member h read p anyone tpointing
+
+  (* [ε ∈ TPointingEdges(p)] *)
+  let tpointing_edge h read p e = mem (H.incident h p) e && some_member h read e tpointing
 
   (* CC3: the committee currently selected by the round-robin cursor *)
   let sequential_edge h read p =
@@ -141,78 +135,63 @@ end = struct
 
   (* ---- predicates of Algorithm 2 ---- *)
 
-  let locked_pred h read p = tpointing_edges h read p <> []
+  let locked_pred h read p = tpointing_max h read p >= 0
 
-  let ready h read p =
-    Array.exists
-      (fun e ->
-        Array.for_all
-          (fun q ->
-            let cq = c read q in
-            cq.ptr = Some e && (cq.s = Looking || cq.s = Waiting))
-          (H.edge_members h e))
-      (H.incident h p)
+  let ready_member (((cq : cc), _) : state) e =
+    points_at cq.ptr e && (cq.s = Looking || cq.s = Waiting)
 
-  let meeting h read p =
-    Array.exists
-      (fun e ->
-        Array.for_all
-          (fun q ->
-            let cq = c read q in
-            cq.ptr = Some e && (cq.s = Waiting || cq.s = Done))
-          (H.edge_members h e))
-      (H.incident h p)
+  let ready h read p = some_edge h read p ready_member
+
+  let meeting_member (((cq : cc), _) : state) e =
+    points_at cq.ptr e && (cq.s = Waiting || cq.s = Done)
+
+  let meeting h read p = some_edge h read p meeting_member
+
+  let not_waiting_on (((cq : cc), _) : state) e =
+    (not (points_at cq.ptr e)) || cq.s <> Waiting
 
   let leave_meeting h read p =
-    Array.exists
-      (fun e ->
-        (c read p).ptr = Some e
-        && (c read p).s = Done
-        && Array.for_all
-             (fun q ->
-               let cq = c read q in
-               cq.ptr <> Some e || cq.s <> Waiting)
-             (H.edge_members h e))
-      (H.incident h p)
+    let cp = c read p in
+    match cp.ptr with
+    | Some e -> cp.s = Done && mem (H.incident h p) e && all_members h read e not_waiting_on
+    | None -> false
 
-  let local_max h read p = max_by_id h (free_nodes h read p) = Some p
+  let local_max h read p = free_max h read p = p
 
   let max_to_free_edge h read p =
     V.non_token_convening
     && (not (token h read p))
     && (not (locked_pred h read p))
-    && free_edges h read p <> []
+    && free_count h read p > 0
     && local_max h read p
     && (not (ready h read p))
-    && (match (c read p).ptr with
-        | None -> true
-        | Some e -> not (List.mem e (free_edges h read p)))
+    && (match (c read p).ptr with None -> true | Some e -> not (free_edge h read p e))
 
   let join_local_max h read p =
     V.non_token_convening
     && (not (token h read p))
     && (not (locked_pred h read p))
-    && free_edges h read p <> []
+    && free_count h read p > 0
     && (not (local_max h read p))
     && (not (ready h read p))
     &&
-    match max_by_id h (free_nodes h read p) with
+    let leader = free_max h read p in
+    leader >= 0
+    &&
+    match (c read leader).ptr with
+    | Some e -> free_edge h read p e && not (points_at (c read p).ptr e)
     | None -> false
-    | Some leader ->
-      List.exists
-        (fun e -> (c read leader).ptr = Some e && (c read p).ptr <> Some e)
-        (free_edges h read p)
 
   let token_holder_to_edge h read p =
     token h read p
     && (c read p).s = Looking
     && (not (ready h read p))
     &&
-    if V.committee_fair then (c read p).ptr <> Some (sequential_edge h read p)
+    if V.committee_fair then not (points_at (c read p).ptr (sequential_edge h read p))
     else
       match (c read p).ptr with
       | None -> true
-      | Some e -> not (List.mem e (min_edges h p))
+      | Some e -> not (mem (H.min_edges h p) e)
 
   let join_token_holder h read p =
     (not (token h read p))
@@ -221,18 +200,14 @@ end = struct
     && locked_pred h read p
     && (match (c read p).ptr with
         | None -> true
-        | Some e -> not (List.mem e (tpointing_edges h read p)))
+        | Some e -> not (tpointing_edge h read p e))
 
   (* CC1's Useless predicate transplanted for the eager-release ablation:
      no incident committee has all its members looking. *)
   let useless h read p =
     token h read p
     && (c read p).s = Looking
-    && not
-         (Array.exists
-            (fun e ->
-              Array.for_all (fun q -> (c read q).s = Looking) (H.edge_members h e))
-            (H.incident h p))
+    && not (some_edge h read p looking)
 
   let correct h ~read p =
     let cp = c read p in
@@ -258,31 +233,31 @@ end = struct
           (fun ctx ->
             let e =
               if V.committee_fair then sequential_edge h (rd ctx) (self ctx)
-              else P.choose_edge h (min_edges h (self ctx))
+              else pick P.prefer h (H.min_edges h (self ctx))
             in
             ({ (me ctx) with ptr = Some e }, tc ctx)) };
       { Model.label = "Step12";
         guard = (fun ctx -> join_token_holder h (rd ctx) (self ctx));
         apply =
           (fun ctx ->
-            let read = rd ctx and p = self ctx in
-            match max_by_id h (tpointing_witnesses h read p) with
-            | Some w -> ({ (me ctx) with ptr = (c read w).ptr }, tc ctx)
-            | None -> (me ctx, tc ctx)) };
+            let read = rd ctx in
+            let w = tpointing_max h read (self ctx) in
+            if w >= 0 then ({ (me ctx) with ptr = (c read w).ptr }, tc ctx)
+            else (me ctx, tc ctx)) };
       { Model.label = "Step13";
         guard = (fun ctx -> max_to_free_edge h (rd ctx) (self ctx));
         apply =
           (fun ctx ->
-            let e = P.choose_edge h (free_edges h (rd ctx) (self ctx)) in
+            let e = choose P.prefer h (rd ctx) (self ctx) free in
             ({ (me ctx) with ptr = Some e }, tc ctx)) };
       { Model.label = "Step14";
         guard = (fun ctx -> join_local_max h (rd ctx) (self ctx));
         apply =
           (fun ctx ->
-            let read = rd ctx and p = self ctx in
-            match max_by_id h (free_nodes h read p) with
-            | Some leader -> ({ (me ctx) with ptr = (c read leader).ptr }, tc ctx)
-            | None -> (me ctx, tc ctx)) };
+            let read = rd ctx in
+            let leader = free_max h read (self ctx) in
+            if leader >= 0 then ({ (me ctx) with ptr = (c read leader).ptr }, tc ctx)
+            else (me ctx, tc ctx)) };
       { Model.label = "Token2";
         guard =
           (fun ctx ->
@@ -327,8 +302,9 @@ end = struct
   (* Fair composition by priorities: token-layer internals above the routine
      committee actions, Stab on top (Corollary 5: Correct within a round). *)
   let actions h =
-    let lift = Model.lift_action ~get:snd ~set:(fun (cc, _) tc -> (cc, tc)) in
-    cc_actions h @ List.map lift (T.internal_actions h) @ stab_actions h
+    cc_actions h
+    @ T.internal_actions h ~get:snd ~set:(fun (cc, _) tc -> (cc, tc))
+    @ stab_actions h
 
   let init h =
     let tc_init = T.init h in

@@ -23,28 +23,19 @@ let to_obs_status = function
     "[Pp := ε such that ε ∈ ...]": the choice is a don't-care for
     correctness, but pluggable for the ablation benches. *)
 module type PARAMS = sig
-  val choose_edge : H.t -> int list -> int
-  (** Pick one committee among a non-empty candidate list (edge ids). *)
+  val prefer : H.t -> int -> int -> bool
 end
 
 (** Deterministic default: smallest edge id. *)
 module Default_params : PARAMS = struct
-  let choose_edge _h = function
-    | [] -> invalid_arg "choose_edge: no candidate committee"
-    | e :: rest -> List.fold_left min e rest
+  let prefer _h e' e = e' < e
 end
 
 (** Largest committee first: maximizes per-meeting participation. *)
 module Widest_params : PARAMS = struct
-  let choose_edge h = function
-    | [] -> invalid_arg "choose_edge: no candidate committee"
-    | e :: rest ->
-      List.fold_left
-        (fun best e' ->
-          let size x = Array.length (H.edge_members h x) in
-          if size e' > size best || (size e' = size best && e' < best) then e'
-          else best)
-        e rest
+  let prefer h e' e =
+    let size x = Array.length (H.edge_members h x) in
+    size e' > size e || (size e' = size e && e' < e)
 end
 
 (** Static committee priorities (the §7 future-work direction "enforcing
@@ -57,22 +48,80 @@ module Weighted_params (W : sig
   val weight : int -> int
   (** weight of a committee (edge id); larger = preferred *)
 end) : PARAMS = struct
-  let choose_edge _h = function
-    | [] -> invalid_arg "choose_edge: no candidate committee"
-    | e :: rest ->
-      List.fold_left
-        (fun best e' ->
-          if W.weight e' > W.weight best || (W.weight e' = W.weight best && e' < best)
-          then e'
-          else best)
-        e rest
+  let prefer _h e' e =
+    W.weight e' > W.weight e || (W.weight e' = W.weight e && e' < e)
 end
 
-(* The professor with the maximum identifier in a vertex list (the paper
-   breaks symmetry with [max] over identifiers). *)
-let max_by_id h = function
-  | [] -> None
-  | v :: rest ->
-    Some (List.fold_left (fun best q -> if H.id h q > H.id h best then q else best) v rest)
+let points_at ptr e = match ptr with Some x -> x = e | None -> false
 
-let members_list h e = Array.to_list (H.edge_members h e)
+let mem (a : int array) x =
+  let i = ref 0 in
+  while !i < Array.length a && a.(!i) <> x do incr i done;
+  !i < Array.length a
+
+(* ---- set kernels ----
+
+   Each loop reads exactly the processes the literal set definition reads,
+   so guard footprints — which the incremental engine, the exact tables
+   and the lint statistics record — are those of the paper's macros. *)
+
+let all_members h read e ok =
+  let m = H.edge_members h e in
+  let i = ref 0 in
+  while !i < Array.length m && ok (read m.(!i)) e do incr i done;
+  !i = Array.length m
+
+let some_member h read e ok =
+  let m = H.edge_members h e in
+  let i = ref 0 in
+  while !i < Array.length m && not (ok (read m.(!i)) e) do incr i done;
+  !i < Array.length m
+
+let some_edge h read p ok =
+  let inc = H.incident h p in
+  let i = ref 0 in
+  while !i < Array.length inc && not (all_members h read inc.(!i) ok) do incr i done;
+  !i < Array.length inc
+
+let count_edges h read p ok =
+  let inc = H.incident h p in
+  let k = ref 0 in
+  for i = 0 to Array.length inc - 1 do
+    if all_members h read inc.(i) ok then incr k
+  done;
+  !k
+
+let max_member h read p ok sel =
+  let inc = H.incident h p in
+  let best = ref (-1) in
+  for i = 0 to Array.length inc - 1 do
+    let e = inc.(i) in
+    if all_members h read e ok then begin
+      let m = H.edge_members h e in
+      for j = 0 to Array.length m - 1 do
+        let q = m.(j) in
+        if sel (read q) e && (!best < 0 || H.id h q > H.id h !best) then best := q
+      done
+    end
+  done;
+  !best
+
+let no_candidate () = invalid_arg "Cc_common.choose: no candidate committee"
+
+let choose prefer h read p ok =
+  let inc = H.incident h p in
+  let best = ref (-1) in
+  for i = 0 to Array.length inc - 1 do
+    let e = inc.(i) in
+    if all_members h read e ok && (!best < 0 || prefer h e !best) then best := e
+  done;
+  if !best < 0 then no_candidate ();
+  !best
+
+let pick prefer h (edges : int array) =
+  if Array.length edges = 0 then no_candidate ();
+  let best = ref edges.(0) in
+  for i = 1 to Array.length edges - 1 do
+    if prefer h edges.(i) !best then best := edges.(i)
+  done;
+  !best

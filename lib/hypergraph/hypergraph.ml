@@ -8,6 +8,7 @@ type t = {
   incident : int array array;
   neighbors : int array array;
   adjacency : int array array;
+  min_edges : int array array;
 }
 
 exception Invalid of string
@@ -46,7 +47,16 @@ let build_tables ~n ~edges =
     edges;
   let incident = Array.map (fun l -> sorted_dedup l) incident in
   let neighbors = Array.map (fun l -> sorted_dedup l) nbr in
-  (incident, neighbors)
+  (* [MinEdges_v], built once: guards test membership in it *)
+  let min_edges =
+    Array.map
+      (fun es ->
+        let size e = Array.length edges.(e).members in
+        let sz = Array.fold_left (fun acc e -> Int.min acc (size e)) max_int es in
+        Array.of_list (List.filter (fun e -> size e = sz) (Array.to_list es)))
+      incident
+  in
+  (incident, neighbors, min_edges)
 
 let create ?ids ~n edge_lists =
   if n < 1 then invalid "hypergraph must have at least one vertex (got %d)" n;
@@ -80,7 +90,7 @@ let create ?ids ~n edge_lists =
           (String.concat "," (List.map string_of_int key));
       Hashtbl.add seen key ())
     edges;
-  let incident, neighbors = build_tables ~n ~edges in
+  let incident, neighbors, min_edges = build_tables ~n ~edges in
   Array.iteri
     (fun v es ->
       if Array.length es = 0 then
@@ -88,7 +98,7 @@ let create ?ids ~n edge_lists =
     incident;
   if not (connected n neighbors) then
     invalid "underlying communication network is disconnected";
-  { n; edges; ids; id_rev; incident; neighbors; adjacency = neighbors }
+  { n; edges; ids; id_rev; incident; neighbors; adjacency = neighbors; min_edges }
 
 let n h = h.n
 let m h = Array.length h.edges
@@ -105,10 +115,15 @@ let vertex_of_id h i = Hashtbl.find h.id_rev i
 let incident h v = h.incident.(v)
 let neighbors h v = h.neighbors.(v)
 
-let are_neighbors h u v = Array.exists (fun w -> w = v) h.neighbors.(u)
+(* Membership in an ascending array, without a closure. *)
+let mem_sorted (a : int array) x =
+  let i = ref 0 in
+  while !i < Array.length a && a.(!i) < x do incr i done;
+  !i < Array.length a && a.(!i) = x
 
-let mem_edge h ~vertex ~eid =
-  Array.exists (fun v -> v = vertex) (edge h eid).members
+let are_neighbors h u v = mem_sorted h.neighbors.(u) v
+
+let mem_edge h ~vertex ~eid = mem_sorted (edge h eid).members vertex
 
 let conflicting h e1 e2 =
   let m2 = (edge h e2).members in
@@ -129,12 +144,7 @@ let min_edge_size h v =
     (fun acc eid -> min acc (Array.length h.edges.(eid).members))
     max_int h.incident.(v)
 
-let min_edges h v =
-  let sz = min_edge_size h v in
-  Array.of_list
-    (List.filter
-       (fun eid -> Array.length h.edges.(eid).members = sz)
-       (Array.to_list h.incident.(v)))
+let min_edges h v = h.min_edges.(v)
 
 let max_min h =
   let r = ref 0 in
@@ -161,7 +171,7 @@ let restrict h ~removed =
     let edges =
       Array.of_list (List.mapi (fun i e -> { e with eid = i }) survivors)
     in
-    let incident, neighbors = build_tables ~n:h.n ~edges in
+    let incident, neighbors, min_edges = build_tables ~n:h.n ~edges in
     Some
       { n = h.n;
         edges;
@@ -169,7 +179,8 @@ let restrict h ~removed =
         id_rev = h.id_rev;
         incident;
         neighbors;
-        adjacency = neighbors }
+        adjacency = neighbors;
+        min_edges }
 
 let pp_edge h ppf eid =
   let members = (edge h eid).members in

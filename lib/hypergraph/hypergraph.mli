@@ -70,7 +70,8 @@ val min_edge_size : t -> int -> int
 
 val min_edges : t -> int -> int array
 (** [min_edges h v] is [MinEdges_v]: incident hyperedges of minimum length
-    (Algorithm 2). *)
+    (Algorithm 2), sorted.  Computed once at construction; the array is
+    shared, like {!incident}'s. *)
 
 val max_min : t -> int
 (** [MaxMin = max_v minE_v] (§5.3, used by Theorem 5). *)

@@ -167,7 +167,8 @@ module Make (A : Model.ALGO) = struct
     let bytes_sent = ref 0 in
     let bytes_delivered = ref 0 in
     let terminations = ref 0 in
-    let rev_latencies = ref [] in
+    (* the latency log, one word per delivery (a list cell costs three) *)
+    let latencies = ref (Array.make 1024 0) and nlatencies = ref 0 in
     let recover = ref None in
     let burst_done = ref false in
     let nodes = Spawn.launch mode ~n in
@@ -335,7 +336,13 @@ module Make (A : Model.ALGO) = struct
             let latency_us =
               int_of_float ((Unix.gettimeofday () -. e.Link.sent_at) *. 1e6)
             in
-            rev_latencies := latency_us :: !rev_latencies;
+            if !nlatencies = Array.length !latencies then begin
+              let grown = Array.make (2 * !nlatencies) 0 in
+              Array.blit !latencies 0 grown 0 !nlatencies;
+              latencies := grown
+            end;
+            !latencies.(!nlatencies) <- latency_us;
+            incr nlatencies;
             (* mirror the node's acceptance: merge the carried clock, tick
                the receiver *)
             Vclock.merge_into ~into:clocks.(p) e.Link.clock;
@@ -530,7 +537,7 @@ module Make (A : Model.ALGO) = struct
         bytes_delivered = !bytes_delivered;
         in_flight;
         max_staleness = Sem.max_staleness sem;
-        latencies_us = List.rev !rev_latencies;
+        latencies_us = List.init !nlatencies (Array.get !latencies);
         burst_step = (if !burst_done then cfg.burst else None);
         recover_step = !recover;
         stabilized_in =

@@ -33,11 +33,12 @@ module Make (A : Model.ALGO) = struct
     dirty : bool array;
     modes : int array;
     phase : int array;  (* step scratch: 0 disabled, 1 enabled, 2 executed *)
-    (* reads of the running closure scan: [reads] lists the processes
-       whose [mark] is the current [gen] *)
+    (* reads of the running closure scan: the first [nreads] cells of
+       [reads] hold the processes whose [mark] is the current [gen] *)
     mark : int array;
     mutable gen : int;
-    mutable reads : int list;
+    reads : int array;
+    mutable nreads : int;
     (* hot-path profiling: monotone counters, no wall-clock reads *)
     mutable prof_scan_hits : int;
     mutable prof_scan_fallbacks : int;
@@ -88,7 +89,8 @@ module Make (A : Model.ALGO) = struct
       phase = Array.make n 0;
       mark = Array.make n 0;
       gen = 0;
-      reads = [];
+      reads = Array.make n 0;
+      nreads = 0;
       prof_scan_hits = 0;
       prof_scan_fallbacks = 0;
       prof_scan_reused = 0;
@@ -136,7 +138,8 @@ module Make (A : Model.ALGO) = struct
   let note t q =
     if t.mark.(q) <> t.gen then begin
       t.mark.(q) <- t.gen;
-      t.reads <- q :: t.reads
+      t.reads.(t.nreads) <- q;
+      t.nreads <- t.nreads + 1
     end
 
   let ctx_for t ~inputs p : A.state Model.ctx =
@@ -153,26 +156,23 @@ module Make (A : Model.ALGO) = struct
     in
     { Model.h = t.h; inputs; read; self = p }
 
-  (* Highest-priority enabled action: the paper gives priority to actions
-     appearing later in the code (§2.2), hence the backwards scan. *)
+  (* Index of the highest-priority enabled action, [-1] if none: the paper
+     gives priority to actions appearing later in the code (§2.2), hence
+     the backwards scan. *)
   let priority_action t ~inputs p =
     let ctx = ctx_for t ~inputs p in
-    let rec scan i =
-      if i < 0 then None
-      else if t.actions.(i).Model.guard ctx then Some i
-      else scan (i - 1)
-    in
-    scan (Array.length t.actions - 1)
+    let i = ref (Array.length t.actions - 1) in
+    while !i >= 0 && not (t.actions.(!i).Model.guard ctx) do decr i done;
+    !i
 
   let enabled t ~inputs =
-    List.filter
-      (fun p -> priority_action t ~inputs p <> None)
-      (List.init (H.n t.h) Fun.id)
+    List.filter (fun p -> priority_action t ~inputs p >= 0) (List.init (H.n t.h) Fun.id)
 
   let is_terminal t ~inputs = enabled t ~inputs = []
 
   let enabled_action t ~inputs p =
-    Option.map (fun i -> t.actions.(i).Model.label) (priority_action t ~inputs p)
+    let i = priority_action t ~inputs p in
+    if i < 0 then None else Some t.actions.(i).Model.label
 
   (* Recompute the entry of [p]: one packed-table lookup, whose footprint
      is the table's support, or — for cells the tables do not cover
@@ -197,10 +197,10 @@ module Make (A : Model.ALGO) = struct
     else if e = -1 then t.act.(p) <- -1
     else begin
       t.gen <- t.gen + 1;
-      t.reads <- [];
-      t.act.(p) <- Option.value (priority_action t ~inputs p) ~default:(-1);
+      t.nreads <- 0;
+      t.act.(p) <- priority_action t ~inputs p;
       t.succ.(p) <- -1;
-      t.foot.(p) <- Array.of_list t.reads
+      t.foot.(p) <- Array.sub t.reads 0 t.nreads
     end
 
   (* Bring every entry up to date with the configuration and [modes], then

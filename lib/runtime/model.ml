@@ -26,14 +26,6 @@ type 'state action = {
   apply : 'state ctx -> 'state;
 }
 
-let lift_action ~get ~set action =
-  let lower ctx = { h = ctx.h; inputs = ctx.inputs; read = (fun p -> get (ctx.read p)); self = ctx.self } in
-  {
-    label = action.label;
-    guard = (fun ctx -> action.guard (lower ctx));
-    apply = (fun ctx -> set (ctx.read ctx.self) (action.apply (lower ctx)));
-  }
-
 module type ALGO = sig
   type state
 

@@ -40,12 +40,6 @@ type 'state action = {
   apply : 'state ctx -> 'state;
 }
 
-val lift_action :
-  get:('outer -> 'inner) -> set:('outer -> 'inner -> 'outer) ->
-  'inner action -> 'outer action
-(** Embeds a component algorithm's action into a composed state (used for
-    the fair composition [CC ∘ TC]). *)
-
 module type ALGO = sig
   type state
 

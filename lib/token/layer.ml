@@ -26,21 +26,29 @@ module type S = sig
   (** Arbitrary state over the whole domain (transient-fault outcome):
       several tokens, none, broken trees — the layer must recover. *)
 
+  (* The layer's state is read as a component of a composed state ['s]:
+     [get] projects it ([snd] under [CC ∘ TC], [Fun.id] standalone), so
+     a composed guard needs no per-call projecting closure. *)
+
   val has_token :
-    Snapcc_hypergraph.Hypergraph.t -> read:(int -> state) -> int -> bool
+    Snapcc_hypergraph.Hypergraph.t -> read:(int -> 's) -> get:('s -> state) ->
+    int -> bool
   (** [Token(p)].  Only reads the states of [p] and of its neighbors. *)
 
   val release :
-    Snapcc_hypergraph.Hypergraph.t -> read:(int -> state) -> int -> state
+    Snapcc_hypergraph.Hypergraph.t -> read:(int -> 's) -> get:('s -> state) ->
+    int -> state
   (** [ReleaseToken(p)]: the emulated action [T].  New local state of [p];
       identity when [p] does not actually hold a token. *)
 
   val internal_actions :
-    Snapcc_hypergraph.Hypergraph.t -> state Snapcc_runtime.Model.action list
-  (** Stabilization and forwarding actions, in code order (last = highest
-      priority).  Compositions append them {e after} the CC actions, giving
-      them priority; they are all self-disabling, so the CC layer is never
-      starved (fair composition, §2.2). *)
+    Snapcc_hypergraph.Hypergraph.t -> get:('s -> state) ->
+    set:('s -> state -> 's) -> 's Snapcc_runtime.Model.action list
+  (** Stabilization and forwarding actions over the composed state
+      ([set s t] replaces the layer component of [s] by [t]), in code
+      order (last = highest priority).  Compositions append them {e after}
+      the CC actions, giving them priority; they are all self-disabling,
+      so the CC layer is never starved (fair composition, §2.2). *)
 
   val domain : Snapcc_hypergraph.Hypergraph.t -> int -> state list
   (** A finite per-process state domain for exhaustive model checking
@@ -88,12 +96,11 @@ struct
      child list) could starve the stabilization layer. *)
   let actions h =
     { Model.label = "T";
-      guard = (fun ctx -> T.has_token h ~read:ctx.Model.read ctx.Model.self);
-      apply = (fun ctx -> T.release h ~read:ctx.Model.read ctx.Model.self) }
-    :: T.internal_actions h
+      guard = (fun ctx -> T.has_token h ~read:ctx.Model.read ~get:Fun.id ctx.Model.self);
+      apply = (fun ctx -> T.release h ~read:ctx.Model.read ~get:Fun.id ctx.Model.self) }
+    :: T.internal_actions h ~get:Fun.id ~set:(fun _ s -> s)
 
   let observe h states p =
-    let read = Array.get states in
-    Snapcc_runtime.Obs.make ~has_token:(T.has_token h ~read p)
-      ~token_flag:(T.has_token h ~read p) Snapcc_runtime.Obs.Looking
+    let has_token = T.has_token h ~read:(Array.get states) ~get:Fun.id p in
+    Snapcc_runtime.Obs.make ~has_token ~token_flag:has_token Snapcc_runtime.Obs.Looking
 end

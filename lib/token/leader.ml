@@ -22,43 +22,80 @@ let pp ppf s =
     (String.concat "," (Array.to_list (Array.map string_of_int s.childs)))
 
 let equal (a : t) b =
-  a.lead = b.lead && a.dist = b.dist && a.par = b.par && a.childs = b.childs
+  a.lead = b.lead && a.dist = b.dist && a.par = b.par
+  && Array.length a.childs = Array.length b.childs
+  && Array.for_all2 Int.equal a.childs b.childs
+
+(* Claim (l1, d1, p1) precedes (l2, d2, p2) lexicographically. *)
+let precedes l1 d1 p1 l2 d2 p2 =
+  l1 < l2 || (l1 = l2 && (d1 < d2 || (d1 = d2 && p1 < p2)))
 
 (* Lexicographically minimal (lead, dist, parent) claim available to [p]:
    either root itself, or adopt a neighbor's claim at distance + 1, provided
    the bound [dist + 1 < n] holds (ghost-leader elimination). *)
-let candidate h read p =
-  let n = H.n h in
-  let best = ref (H.id h p, 0, -1) in
-  Array.iter
-    (fun q ->
-      let sq : t = read q in
-      if sq.dist >= 0 && sq.dist + 1 < n then begin
-        let cand = (sq.lead, sq.dist + 1, q) in
-        let better (l1, d1, p1) (l2, d2, p2) =
-          l1 < l2 || (l1 = l2 && (d1 < d2 || (d1 = d2 && p1 < p2)))
-        in
-        (* prefer the self-root claim on full ties (it has par = -1 < q) *)
-        if better cand !best then best := cand
-      end)
-    (H.neighbors h p);
-  !best
+let candidate h read get p =
+  let n = H.n h and nb = H.neighbors h p in
+  let l = ref (H.id h p) and d = ref 0 and a = ref (-1) in
+  for i = 0 to Array.length nb - 1 do
+    let q = nb.(i) in
+    let sq : t = get (read q) in
+    (* the self-root claim wins full ties (it has par = -1 < q) *)
+    if sq.dist >= 0 && sq.dist + 1 < n && precedes sq.lead (sq.dist + 1) q !l !d !a
+    then begin
+      l := sq.lead;
+      d := sq.dist + 1;
+      a := q
+    end
+  done;
+  (!l, !d, !a)
 
-let computed_children h read p =
-  let me : t = read p in
+let is_child (me : t) p (sq : t) = sq.par = p && sq.lead = me.lead && sq.dist = me.dist + 1
+
+let computed_children h read get p =
+  let me : t = get (read p) in
   Array.to_list (H.neighbors h p)
-  |> List.filter (fun q ->
-         let sq : t = read q in
-         sq.par = p && sq.lead = me.lead && sq.dist = me.dist + 1)
+  |> List.filter (fun q -> is_child me p (get (read q)))
   |> Array.of_list
 
-let tree_ok h read p =
-  let me : t = read p in
-  let l, d, a = candidate h read p in
-  me.lead = l && me.dist = d && me.par = a
+(* [p]'s claim is the {!candidate}: it is one of the available claims and
+   none precedes it (claims are distinct, so the minimum is unique).
+   Reads [p] and every neighbor, as {!candidate} does. *)
+let tree_ok h read get p =
+  let me : t = get (read p) in
+  let n = H.n h and nb = H.neighbors h p and self_id = H.id h p in
+  let found = ref (me.lead = self_id && me.dist = 0 && me.par = -1) in
+  let beaten = ref (precedes self_id 0 (-1) me.lead me.dist me.par) in
+  for i = 0 to Array.length nb - 1 do
+    let q = nb.(i) in
+    let sq : t = get (read q) in
+    if sq.dist >= 0 && sq.dist + 1 < n then begin
+      if precedes sq.lead (sq.dist + 1) q me.lead me.dist me.par then beaten := true
+      else if sq.lead = me.lead && sq.dist + 1 = me.dist && q = me.par then found := true
+    end
+  done;
+  !found && not !beaten
 
-let childs_ok h read p = (read p).childs = computed_children h read p
-let stable h read = List.for_all (fun p -> tree_ok h read p && childs_ok h read p) (List.init (H.n h) Fun.id)
+(* [p] publishes exactly {!computed_children}: its ascending neighbors that
+   are its children, matched against [childs] in order. *)
+let childs_ok h read get p =
+  let me : t = get (read p) in
+  let nb = H.neighbors h p in
+  let k = ref 0 and ok = ref true in
+  for i = 0 to Array.length nb - 1 do
+    let q = nb.(i) in
+    if is_child me p (get (read q)) then begin
+      if !k >= Array.length me.childs || me.childs.(!k) <> q then ok := false;
+      incr k
+    end
+  done;
+  !ok && !k = Array.length me.childs
+
+let stable h read =
+  let ok = ref true in
+  for p = 0 to H.n h - 1 do
+    ok := !ok && tree_ok h read Fun.id p && childs_ok h read Fun.id p
+  done;
+  !ok
 
 let is_root h s ~self = s.dist = 0 && s.lead = H.id h self
 
@@ -122,19 +159,22 @@ let random_init h rng p =
     childs;
   }
 
-let actions h : t Model.action list =
+let actions h ~get ~set : _ Model.action list =
+  let me ctx : t = get (ctx.Model.read ctx.Model.self) in
+  let put ctx (s : t) = set (ctx.Model.read ctx.Model.self) s in
   [ { Model.label = "LE-childs";
-      guard = (fun ctx -> not (childs_ok h ctx.Model.read ctx.Model.self));
+      guard = (fun ctx -> not (childs_ok h ctx.Model.read get ctx.Model.self));
       apply =
         (fun ctx ->
-          { (ctx.Model.read ctx.Model.self) with
-            childs = computed_children h ctx.Model.read ctx.Model.self }) };
+          put ctx
+            { (me ctx) with
+              childs = computed_children h ctx.Model.read get ctx.Model.self }) };
     { Model.label = "LE-tree";
-      guard = (fun ctx -> not (tree_ok h ctx.Model.read ctx.Model.self));
+      guard = (fun ctx -> not (tree_ok h ctx.Model.read get ctx.Model.self));
       apply =
         (fun ctx ->
-          let l, d, a = candidate h ctx.Model.read ctx.Model.self in
-          { (ctx.Model.read ctx.Model.self) with lead = l; dist = d; par = a }) };
+          let l, d, a = candidate h ctx.Model.read get ctx.Model.self in
+          put ctx { (me ctx) with lead = l; dist = d; par = a }) };
   ]
 
 (** Standalone wrapper for testing stabilization in isolation. *)
@@ -146,7 +186,7 @@ module Algo : Model.ALGO with type state = t = struct
   let equal_state = equal
   let init h = init h
   let random_init h rng p = random_init h rng p
-  let actions = actions
+  let actions h = actions h ~get:Fun.id ~set:(fun _ s -> s)
 
   let observe h states p =
     let s = states.(p) in

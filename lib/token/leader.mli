@@ -18,19 +18,25 @@ type t = {
 val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool
 
+(** The functions below read a configuration of composed states ['s]
+    through [read], projecting the election's component with [get]. *)
+
 val candidate :
-  Snapcc_hypergraph.Hypergraph.t -> (int -> t) -> int -> int * int * int
+  Snapcc_hypergraph.Hypergraph.t -> (int -> 's) -> ('s -> t) -> int -> int * int * int
 (** The lexicographically minimal [(lead, dist, par)] claim available to a
     process: its own self-root claim or a neighbor's claim at distance +1
     (claims at distance [>= n] are ghosts and ignored). *)
 
 val computed_children :
-  Snapcc_hypergraph.Hypergraph.t -> (int -> t) -> int -> int array
+  Snapcc_hypergraph.Hypergraph.t -> (int -> 's) -> ('s -> t) -> int -> int array
 (** Neighbors currently pointing at the process with consistent
     lead/distance. *)
 
-val tree_ok : Snapcc_hypergraph.Hypergraph.t -> (int -> t) -> int -> bool
-val childs_ok : Snapcc_hypergraph.Hypergraph.t -> (int -> t) -> int -> bool
+val tree_ok : Snapcc_hypergraph.Hypergraph.t -> (int -> 's) -> ('s -> t) -> int -> bool
+(** The claim is the {!candidate}; allocates nothing. *)
+
+val childs_ok : Snapcc_hypergraph.Hypergraph.t -> (int -> 's) -> ('s -> t) -> int -> bool
+(** The published list is the {!computed_children}; allocates nothing. *)
 
 val stable : Snapcc_hypergraph.Hypergraph.t -> (int -> t) -> bool
 (** Global legitimacy: every process agrees with its candidate and
@@ -47,8 +53,10 @@ val init : Snapcc_hypergraph.Hypergraph.t -> int -> t
 val random_init : Snapcc_hypergraph.Hypergraph.t -> Random.State.t -> int -> t
 
 val actions :
-  Snapcc_hypergraph.Hypergraph.t -> t Snapcc_runtime.Model.action list
-(** [LE-childs] then [LE-tree] (higher priority), both self-disabling. *)
+  Snapcc_hypergraph.Hypergraph.t -> get:('s -> t) -> set:('s -> t -> 's) ->
+  's Snapcc_runtime.Model.action list
+(** [LE-childs] then [LE-tree] (higher priority), both self-disabling, over
+    a composed state ([set s t] replaces the election's component of [s]). *)
 
 (** Standalone wrapper for testing stabilization in isolation. *)
 module Algo : Snapcc_runtime.Model.ALGO with type state = t

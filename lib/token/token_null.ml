@@ -4,8 +4,6 @@
     shows why the circulating token is needed for Progress (meetings whose
     members all wait can still starve behind identifier-priority races). *)
 
-module Model = Snapcc_runtime.Model
-
 type state = unit
 
 let name = "token-null"
@@ -13,9 +11,9 @@ let pp_state ppf () = Format.pp_print_string ppf "-"
 let equal_state () () = true
 let init _ _ = ()
 let random_init _ _ _ = ()
-let has_token _ ~read:_ _ = false
-let release _ ~read:_ _ = ()
-let internal_actions _ : state Model.action list = []
+let has_token _ ~read:_ ~get:_ _ = false
+let release _ ~read:_ ~get:_ _ = ()
+let internal_actions _ ~get:_ ~set:_ = []
 let domain _ _ = [ () ]
 let rename _ ~pi:_ _ () = ()
 let state_symmetries _ = []

@@ -42,62 +42,57 @@ let nchildren (s : state) = Array.length s.le.Leader.childs
 let done_pos s = nchildren s + 1
 let is_local_root h ~self (s : state) = Leader.is_root h s.le ~self
 
-(* 1-based index of [child] in the parent's published list. *)
+(* 1-based index of [child] in the parent's published list, 0 if absent. *)
 let child_index (parent_state : state) ~child =
   let childs = parent_state.le.Leader.childs in
-  let rec find i =
-    if i >= Array.length childs then None
-    else if childs.(i) = child then Some (i + 1)
-    else find (i + 1)
-  in
-  find 0
+  let i = ref 0 in
+  while !i < Array.length childs && childs.(!i) <> child do incr i done;
+  if !i < Array.length childs then !i + 1 else 0
 
 (* The parent's pointer names [p]: the link of the legitimate chain. *)
-let engaged_ok h ~read p =
-  let sp : state = read p in
+let engaged_ok h ~read ~get p =
+  let sp : state = get (read p) in
   if is_local_root h ~self:p sp then true
   else begin
     let par = sp.le.Leader.par in
     if par < 0 || par >= H.n h || not (H.are_neighbors h p par) then false
     else
-      match child_index (read par) ~child:p with
-      | Some j -> ((read par) : state).pos = j
-      | None -> false
+      let spar : state = get (read par) in
+      let j = child_index spar ~child:p in
+      j > 0 && spar.pos = j
   end
 
-let has_token h ~read p =
-  let sp : state = read p in
-  sp.pos = 0 && engaged_ok h ~read p
+let has_token h ~read ~get p =
+  let sp : state = get (read p) in
+  sp.pos = 0 && engaged_ok h ~read ~get p
 
-let release h ~read p =
-  let sp : state = read p in
-  if has_token h ~read p then
+let release h ~read ~get p =
+  let sp : state = get (read p) in
+  if has_token h ~read ~get p then
     { sp with pos = (if nchildren sp >= 1 then 1 else done_pos sp) }
   else sp
 
-(* The child currently visited, when valid. *)
-let visited_child h ~read p =
-  let sp : state = read p in
+(* The child currently visited, when valid; -1 otherwise. *)
+let visited_child h ~read ~get p =
+  let sp : state = get (read p) in
   if sp.pos >= 1 && sp.pos <= nchildren sp then begin
     let c = sp.le.Leader.childs.(sp.pos - 1) in
-    if c >= 0 && c < H.n h && H.are_neighbors h p c then Some c else None
+    if c >= 0 && c < H.n h && H.are_neighbors h p c then c else -1
   end
-  else None
+  else -1
 
-let child_done h ~read p =
-  match visited_child h ~read p with
-  | None -> false
-  | Some c ->
-    let sc : state = read c in
-    sc.pos = done_pos sc
+let child_done h ~read ~get p =
+  let c = visited_child h ~read ~get p in
+  c >= 0
+  &&
+  let sc : state = get (read c) in
+  sc.pos = done_pos sc
 
-let internal_actions h : state Model.action list =
-  let lift (a : Leader.t Model.action) =
-    Model.lift_action ~get:(fun s -> s.le) ~set:(fun s le -> { s with le }) a
-  in
-  let rd (ctx : state Model.ctx) = ctx.Model.read in
-  let self (ctx : state Model.ctx) = ctx.Model.self in
-  let me ctx : state = ctx.Model.read ctx.Model.self in
+let internal_actions h ~get ~set : _ Model.action list =
+  let self (ctx : _ Model.ctx) = ctx.Model.self in
+  let me ctx : state = get (ctx.Model.read ctx.Model.self) in
+  let put ctx (s : state) = set (ctx.Model.read ctx.Model.self) s in
+  let engaged ctx = engaged_ok h ~read:ctx.Model.read ~get ctx.Model.self in
   [ (* token arrival: clean and named by the parent *)
     { Model.label = "TC-take";
       guard =
@@ -105,12 +100,12 @@ let internal_actions h : state Model.action list =
           let sp = me ctx in
           (not (is_local_root h ~self:(self ctx) sp))
           && sp.pos = -1
-          && engaged_ok h ~read:(rd ctx) (self ctx));
-      apply = (fun ctx -> { (me ctx) with pos = 0 }) };
+          && engaged ctx);
+      apply = (fun ctx -> put ctx { (me ctx) with pos = 0 }) };
     (* feedback received: move the wave to the next child / to done *)
     { Model.label = "TC-advance";
-      guard = (fun ctx -> child_done h ~read:(rd ctx) (self ctx));
-      apply = (fun ctx -> { (me ctx) with pos = (me ctx).pos + 1 }) };
+      guard = (fun ctx -> child_done h ~read:ctx.Model.read ~get (self ctx));
+      apply = (fun ctx -> put ctx { (me ctx) with pos = (me ctx).pos + 1 }) };
     (* the root regenerates the wave *)
     { Model.label = "TC-restart";
       guard =
@@ -118,7 +113,7 @@ let internal_actions h : state Model.action list =
           let sp = me ctx in
           is_local_root h ~self:(self ctx) sp
           && (sp.pos = -1 || sp.pos = done_pos sp));
-      apply = (fun ctx -> { (me ctx) with pos = 0 }) };
+      apply = (fun ctx -> put ctx { (me ctx) with pos = 0 }) };
     (* engaged without the parent's blessing: a surplus/bogus wave — die.
        This also cleans a finished subtree once the parent has advanced. *)
     { Model.label = "TC-abort";
@@ -127,14 +122,16 @@ let internal_actions h : state Model.action list =
           let sp = me ctx in
           (not (is_local_root h ~self:(self ctx) sp))
           && sp.pos <> -1
-          && not (engaged_ok h ~read:(rd ctx) (self ctx)));
-      apply = (fun ctx -> { (me ctx) with pos = -1 }) };
+          && not (engaged ctx));
+      apply = (fun ctx -> put ctx { (me ctx) with pos = -1 }) };
     (* out-of-range positions (transient faults, child-list changes) *)
     { Model.label = "TC-clamp";
       guard = (fun ctx -> (me ctx).pos < -1 || (me ctx).pos > done_pos (me ctx));
-      apply = (fun ctx -> { (me ctx) with pos = -1 }) };
+      apply = (fun ctx -> put ctx { (me ctx) with pos = -1 }) };
   ]
-  @ List.map lift (Leader.actions h)
+  @ Leader.actions h
+      ~get:(fun s -> (get s).le)
+      ~set:(fun s le -> set s { (get s) with le })
 
 let init h =
   let le_init = Leader.init h in

@@ -24,19 +24,19 @@ let init _h _p = { v = 0 }
 let random_init h rng _p = { v = Random.State.int rng (k_of h) }
 
 let norm h x = ((x mod k_of h) + k_of h) mod k_of h
-let value h read p = norm h (read p).v
+let value h read get p = norm h (get (read p) : state).v
 let pred h p = (p + H.n h - 1) mod H.n h
 
-let has_token h ~read p =
-  let vp = value h read p and vq = value h read (pred h p) in
+let has_token h ~read ~get p =
+  let vp = value h read get p and vq = value h read get (pred h p) in
   if p = 0 then vp = vq else vp <> vq
 
-let release h ~read p =
-  if not (has_token h ~read p) then read p
-  else if p = 0 then { v = norm h (value h read p + 1) }
-  else { v = value h read (pred h p) }
+let release h ~read ~get p =
+  if not (has_token h ~read ~get p) then get (read p)
+  else if p = 0 then { v = norm h (value h read get p + 1) }
+  else { v = value h read get (pred h p) }
 
-let internal_actions _h : state Model.action list = []
+let internal_actions _h ~get:_ ~set:_ : _ Model.action list = []
 
 (* The full domain: one Dijkstra counter in [0 .. K-1]. *)
 let domain h _p = List.init (k_of h) (fun v -> { v })

@@ -54,7 +54,7 @@ module Grid (A : Model.ALGO) = struct
 
   (* one digest per topology over the whole daemon x workload x fault
      grid, in grid order *)
-  let digests ~steps =
+  let digests ~steps topologies =
     List.map
       (fun (topo, h) ->
         let runs =
@@ -88,11 +88,11 @@ let grid_steps = 200
 let digests () =
   List.concat_map
     (fun (algo, ds) -> List.map (fun (topo, d) -> (algo ^ "/" ^ topo, d)) ds)
-    [ ("cc1", G_cc1.digests ~steps:grid_steps);
-      ("cc2", G_cc2.digests ~steps:grid_steps);
-      ("cc3", G_cc3.digests ~steps:grid_steps);
-      ("central", G_central.digests ~steps:grid_steps);
-      ("dining", G_dining.digests ~steps:grid_steps) ]
+    [ ("cc1", G_cc1.digests ~steps:grid_steps topologies);
+      ("cc2", G_cc2.digests ~steps:grid_steps topologies);
+      ("cc3", G_cc3.digests ~steps:grid_steps topologies);
+      ("central", G_central.digests ~steps:grid_steps topologies);
+      ("dining", G_dining.digests ~steps:grid_steps topologies) ]
 
 (* Recorded with the full-rescan engine (two closure scans per step). *)
 let goldens =
@@ -112,12 +112,71 @@ let goldens =
     ("dining/ring24", "6eccd0a03b2d88edcc00249af671b31b");
     ("dining/fig2", "e84f01a8254c8cf84ad6650c3b99c923") ]
 
-let test_pinned_digests () =
+let check_goldens goldens digests =
   List.iter2
     (fun (name, expected) (name', actual) ->
       Alcotest.(check string) "grid order" name name';
       Alcotest.(check string) name expected actual)
-    goldens (digests ())
+    goldens digests
+
+let test_pinned_digests () = check_goldens goldens (digests ())
+
+(* The variants the grid above leaves out — the virtual-ring and null
+   token layers, the Widest edge choice, eager release and the
+   token-only baseline — plus fig4, whose committees of four members and
+   two sizes exercise MinEdges and the set kernels' maxima.  Recorded
+   with the list-and-sort transcription of the guard macros. *)
+module G_cc1_vring = Grid (X.Cc1_vring)
+module G_cc2_vring = Grid (X.Cc2_vring)
+module G_cc3_vring = Grid (X.Cc3_vring)
+module G_cc1_widest = Grid (X.Cc1_widest)
+module G_cc2_eager = Grid (X.Cc2_eager)
+module G_token_only = Grid (X.Token_only)
+module G_cc1_no_token = Grid (X.Cc1_no_token)
+
+let variant_topologies =
+  [ ("ring9", Families.pair_ring 9); ("fig4", Families.fig4 ()); ("fig2", Families.fig2 ()) ]
+
+let variant_digests () =
+  let fig4 = [ ("fig4", Families.fig4 ()) ] in
+  List.concat_map
+    (fun (algo, ds) -> List.map (fun (topo, d) -> (algo ^ "/" ^ topo, d)) ds)
+    [ ("cc1-vring", G_cc1_vring.digests ~steps:grid_steps variant_topologies);
+      ("cc2-vring", G_cc2_vring.digests ~steps:grid_steps variant_topologies);
+      ("cc3-vring", G_cc3_vring.digests ~steps:grid_steps variant_topologies);
+      ("cc1-widest", G_cc1_widest.digests ~steps:grid_steps variant_topologies);
+      ("cc2-eager", G_cc2_eager.digests ~steps:grid_steps variant_topologies);
+      ("token-only", G_token_only.digests ~steps:grid_steps variant_topologies);
+      ("cc1-no-token", G_cc1_no_token.digests ~steps:grid_steps variant_topologies);
+      ("cc1", G_cc1.digests ~steps:grid_steps fig4);
+      ("cc3", G_cc3.digests ~steps:grid_steps fig4) ]
+
+let variant_goldens =
+  [ ("cc1-vring/ring9", "167f8d293de8ddddacacc799beabc4d9");
+    ("cc1-vring/fig4", "33d56d5e4529975c879293d674312932");
+    ("cc1-vring/fig2", "c39af1246d376e5f146844478436bdac");
+    ("cc2-vring/ring9", "feb56f487375ba5f5b1b61ff84083b87");
+    ("cc2-vring/fig4", "f9530f211fdc7cdc1d14d66959a9b26a");
+    ("cc2-vring/fig2", "2236e4b91be9125a521d126679ab1528");
+    ("cc3-vring/ring9", "8da8d8b6de5b952ee0b8e7fd45dd89c6");
+    ("cc3-vring/fig4", "4b55cf4336796a822d9434d7334b1178");
+    ("cc3-vring/fig2", "f76c7a700b5f5fab47d1a7cfdcc9ea8f");
+    ("cc1-widest/ring9", "4d7f2849343ab4ddb2c10153c899237b");
+    ("cc1-widest/fig4", "020d2b02117c96377e75c21d1409f172");
+    ("cc1-widest/fig2", "80c69e088578fe3537df48deed4b1c3d");
+    ("cc2-eager/ring9", "9a751e4f5c11e929681ff0b29fb133bb");
+    ("cc2-eager/fig4", "206211a87cc0fc013529b16c5c0ca46e");
+    ("cc2-eager/fig2", "c67b28ab650f0f0cba52904dddb6b793");
+    ("token-only/ring9", "16e4ac305690236b217112d253e2f06d");
+    ("token-only/fig4", "6fe432aa1b3c371c9625aa43d3c52ab4");
+    ("token-only/fig2", "fb3f257f7201dd7670d7bb545ff3d42a");
+    ("cc1-no-token/ring9", "8aded4be362e354b33069ed0f94a6924");
+    ("cc1-no-token/fig4", "a22059d727f1c590e54aa0e243bdc6b7");
+    ("cc1-no-token/fig2", "60ead38cad7e653507e5ba48e0e86d2d");
+    ("cc1/fig4", "020d2b02117c96377e75c21d1409f172");
+    ("cc3/fig4", "97236def4068e66da62377866a0715a0") ]
+
+let test_variant_digests () = check_goldens variant_goldens (variant_digests ())
 
 (* ---- step-by-step oracle ---- *)
 
@@ -295,6 +354,8 @@ let test_profile_reuse () =
 let suite =
   [ ( "engine cache",
       [ Alcotest.test_case "pinned grid digests" `Quick test_pinned_digests;
+        Alcotest.test_case "pinned grid digests: algorithm variants" `Quick
+          test_variant_digests;
         Alcotest.test_case "stepwise oracle: closures" `Quick test_oracle_closures;
         Alcotest.test_case "stepwise oracle: packed tables" `Quick test_oracle_packed;
         Alcotest.test_case "stepwise oracle: non-neighbour reads" `Quick

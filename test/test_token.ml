@@ -209,9 +209,9 @@ let test_release_without_token_is_noop () =
   let states = Array.init (H.n h) init in
   let read = Array.get states in
   (* canonical init: token at the root (vertex 0) *)
-  check "root holds" true (Token_tree.has_token h ~read 0);
-  check "non-root does not" false (Token_tree.has_token h ~read 1);
-  let s1 = Token_tree.release h ~read 1 in
+  check "root holds" true (Token_tree.has_token h ~read ~get:Fun.id 0);
+  check "non-root does not" false (Token_tree.has_token h ~read ~get:Fun.id 1);
+  let s1 = Token_tree.release h ~read ~get:Fun.id 1 in
   check "release without token is identity" true (Token_tree.equal_state s1 (read 1))
 
 (* The structural uniqueness argument behind the PIF wave: at most one
@@ -230,7 +230,7 @@ let test_consistent_chain_unique () =
           let read = E.state eng in
           let holders =
             List.filter
-              (fun p -> Token_tree.has_token h ~read p)
+              (fun p -> Token_tree.has_token h ~read ~get:Fun.id p)
               (List.init (H.n h) Fun.id)
           in
           if List.length holders > 1 then incr violations
