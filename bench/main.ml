@@ -181,15 +181,6 @@ let run_exact_bench () =
 
 (* ---------- Part 2c: packed-engine macro-benchmark ---------- *)
 
-module Mc_sys = Snapcc_mc.Systems
-
-module Cursor_on = struct
-  let cursor = true
-end
-
-module Sys_cc3 = Mc_sys.Cc23_sys (Snapcc_token.Token_tree) (X.Cc3) (Cursor_on)
-module Pk_cc3 = Snapcc_mc.Packed.Make (Sys_cc3)
-
 (* The simulation engines' packed fast path against the guard closures,
    on a topology whose tables build in well under a second: (a) the
    shared-memory driver end to end (meetings/s — monitors and workload
@@ -197,6 +188,12 @@ module Pk_cc3 = Snapcc_mc.Packed.Make (Sys_cc3)
    (steps/s — the guard-scan-bound loop the tables accelerate).  Both
    runs are asserted trace-equal: the speedup buys the same execution. *)
 let run_engine_bench () =
+  let (module S) =
+    match Snapcc_mc.Systems.resolve "cc3" with
+    | Some r -> r.Snapcc_mc.Systems.sys
+    | None -> failwith "cc3 is not in the catalog"
+  in
+  let module Pk_cc3 = Snapcc_mc.Packed.Make (S) in
   let topo, h = ("single2", Families.single 2) in
   let steps = if quick then 30_000 else 150_000 in
   Format.printf "=== packed engine vs guard closures: cc3 on %s ===@." topo;
@@ -205,7 +202,7 @@ let run_engine_bench () =
   let build_s = Unix.gettimeofday () -. t0 in
   let hooks = Pk_cc3.hooks pk in
   (* (a) driver: meetings over the full monitored pipeline *)
-  let module R = X.Run_cc3 in
+  let module R = Snapcc_experiments.Driver.Make (S) in
   let driver ?packed () =
     let daemon = Daemon.random_subset () in
     let workload = Workload.always_requesting h in
@@ -225,7 +222,7 @@ let run_engine_bench () =
      %.0f  (x%.2f)@."
     build_s dt_c dt_p meetings_per_s meetings_per_s_packed (dt_c /. dt_p);
   (* (b) mp engine: raw steps under constant requests *)
-  let module E = Snapcc_mp.Mp_engine.Make (X.Cc3) in
+  let module E = Snapcc_mp.Mp_engine.Make (S) in
   let inputs =
     { Model.request_in = (fun _ -> true); request_out = (fun _ -> true) }
   in

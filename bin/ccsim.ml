@@ -16,10 +16,10 @@ module Obs = Snapcc_runtime.Obs
 module Trace = Snapcc_runtime.Trace
 module Workload = Snapcc_workload.Workload
 module Spec = Snapcc_analysis.Spec
-module X = Snapcc_experiments.Algos
 module Driver = Snapcc_experiments.Driver
 module Registry = Snapcc_experiments.Registry
 module Table = Snapcc_experiments.Table
+module Systems = Snapcc_mc.Systems
 
 open Cmdliner
 
@@ -47,8 +47,12 @@ let steps_arg =
   Arg.(value & opt pos_int_conv 10_000
        & info [ "steps" ] ~docv:"N" ~doc:"Step horizon (positive).")
 
-let algo_arg =
-  let doc = "Algorithm: cc1|cc2|cc3|token-only|dining|central|cc1-no-token." in
+(* Every command's algorithm names come from the catalog
+   (lib/mc/systems.ml); [accepts] is the command's share of it. *)
+let algo_arg accepts =
+  let doc =
+    Printf.sprintf "Algorithm: %s (see `ccsim list')." (Systems.describe accepts)
+  in
   Arg.(value & opt string "cc1" & info [ "a"; "algo" ] ~docv:"ALGO" ~doc)
 
 let daemon_arg =
@@ -100,38 +104,21 @@ let engine_arg =
                  to the guard closures elsewhere; runs are \
                  trace-identical across engines.")
 
-(* Startup budget for table enumeration on the interactive paths: a
-   process whose footprint-cell count exceeds this is skipped in O(1) and
-   served by the guard closures instead (the bench passes bigger caps
-   explicitly). *)
-let cli_pack_cap = 1 lsl 20
-
-(* The tables bit-pack configurations of at most 16 processes, so the
-   build fails beyond that; the command then keeps the guard closures (as
-   [Smc.Runner.try_pack] does) and says so. *)
-let try_pack build =
-  match build () with
-  | pk -> Some pk
-  | exception Failure _ ->
-    Format.printf "engine: closure (packed tables need n <= 16)@.";
-    None
-
-module Cursor_off = struct
-  let cursor = false
-end
-
-module Cursor_on = struct
-  let cursor = true
-end
-
-module Sys_cc1 = Snapcc_mc.Systems.Cc1_sys (Snapcc_token.Token_tree) (X.Cc1)
-module Sys_cc2 =
-  Snapcc_mc.Systems.Cc23_sys (Snapcc_token.Token_tree) (X.Cc2) (Cursor_off)
-module Sys_cc3 =
-  Snapcc_mc.Systems.Cc23_sys (Snapcc_token.Token_tree) (X.Cc3) (Cursor_on)
-module Pk_cc1 = Snapcc_mc.Packed.Make (Sys_cc1)
-module Pk_cc2 = Snapcc_mc.Packed.Make (Sys_cc2)
-module Pk_cc3 = Snapcc_mc.Packed.Make (Sys_cc3)
+(* The packed engine's hooks for a resolved system, with the share of
+   processes its tables cover, under the interactive startup budget.  The
+   tables bit-pack configurations of at most 16 processes; beyond that the
+   command keeps the guard closures and says so. *)
+let packed_hooks (type s) (module S : Snapcc_mc.System.S with type state = s)
+    engine h : (s Model.packed * float) option =
+  let module Pk = Snapcc_mc.Packed.Make (S) in
+  match engine with
+  | `Closure -> None
+  | `Packed -> (
+    match Pk.try_build h with
+    | Some pk -> Some (Pk.hooks pk, Pk.coverage pk)
+    | None ->
+      Format.printf "engine: closure (packed tables need n <= 16)@.";
+      None)
 
 let daemon = function
   | "synchronous" | "sync" -> Ok Daemon.synchronous
@@ -146,23 +133,6 @@ let workload name ~disc h =
   | "bursty" -> Ok (Workload.bursty ~disc_len:(fun _ -> disc) ~seed:7 h)
   | "infinite" -> Ok (Workload.infinite_meetings h)
   | w -> Error (Printf.sprintf "unknown workload %S" w)
-
-let runner = function
-  | "cc1" -> Ok (List.nth (X.paper_algorithms ()) 0)
-  | "cc2" -> Ok (List.nth (X.paper_algorithms ()) 1)
-  | "cc3" -> Ok (List.nth (X.paper_algorithms ()) 2)
-  | "cc1-no-token" ->
-    Ok
-      { X.label = "CC1/no-token";
-        run =
-          (fun ?seed ?init ?faults ?stop_when ?record_trace ?telemetry ~daemon
-               ~workload ~steps h ->
-            X.Run_cc1_no_token.run ?seed ?init ?faults ?stop_when ?record_trace
-              ?telemetry ~daemon ~workload ~steps h) }
-  | name ->
-    (match List.find_opt (fun r -> r.X.label = name) (X.baseline_algorithms ()) with
-     | Some r -> Ok r
-     | None -> Error (Printf.sprintf "unknown algorithm %S" name))
 
 let or_die = function
   | Ok v -> v
@@ -288,7 +258,9 @@ let run_cmd topo algo_name daemon_name workload_name steps seed disc random_init
   let _, h = (topo : string * H.t) in
   let daemon = or_die (daemon daemon_name) in
   let workload = or_die (workload workload_name ~disc h) in
-  let runner = or_die (runner algo_name) in
+  let sys = or_die (Systems.lookup ~what:"run" Systems.any algo_name) in
+  let (module S) = sys.Systems.sys in
+  let module R = Driver.Make (S) in
   let init = if random_init then `Random else `Canonical in
   let faults =
     Option.map
@@ -307,37 +279,17 @@ let run_cmd topo algo_name daemon_name workload_name steps seed disc random_init
     make_hub ~ring_capacity ~emit_trace ~emit_catapult ()
   in
   let record_trace = trace || timeline in
-  let coverage = ref None in
+  let packed = packed_hooks (module S) engine h in
   let r =
-    (* the runner records cannot carry the typed [?packed] hooks, so the
-       paper algorithms dispatch through their typed driver instances when
-       the packed engine is requested *)
-    match (engine, algo_name) with
-    | `Packed, "cc1" ->
-      let pk = try_pack (fun () -> Pk_cc1.build ~cap:cli_pack_cap h) in
-      coverage := Option.map Pk_cc1.coverage pk;
-      X.Run_cc1.run ~seed ~init ?faults ?telemetry ~record_trace
-        ?packed:(Option.map Pk_cc1.hooks pk) ~daemon ~workload ~steps h
-    | `Packed, "cc2" ->
-      let pk = try_pack (fun () -> Pk_cc2.build ~cap:cli_pack_cap h) in
-      coverage := Option.map Pk_cc2.coverage pk;
-      X.Run_cc2.run ~seed ~init ?faults ?telemetry ~record_trace
-        ?packed:(Option.map Pk_cc2.hooks pk) ~daemon ~workload ~steps h
-    | `Packed, "cc3" ->
-      let pk = try_pack (fun () -> Pk_cc3.build ~cap:cli_pack_cap h) in
-      coverage := Option.map Pk_cc3.coverage pk;
-      X.Run_cc3.run ~seed ~init ?faults ?telemetry ~record_trace
-        ?packed:(Option.map Pk_cc3.hooks pk) ~daemon ~workload ~steps h
-    | _ ->
-      runner.X.run ~seed ~init ?faults ?telemetry ~record_trace ~daemon
-        ~workload ~steps h
+    R.run ~seed ~init ?faults ?telemetry ~record_trace
+      ?packed:(Option.map fst packed) ~daemon ~workload ~steps h
   in
   (match (emit_json, ring) with
    | Some file, Some rg -> write_json file (ring_summary rg)
    | _ -> ());
   finish_telemetry ();
-  (match !coverage with
-   | Some c ->
+  (match packed with
+   | Some (_, c) ->
      Format.printf "engine: packed (tables cover %.0f%% of processes)@." (100. *. c)
    | None -> ());
   Format.printf "%a@." Driver.pp_result r;
@@ -357,8 +309,8 @@ let run_cmd topo algo_name daemon_name workload_name steps seed disc random_init
 
 let run_term =
   Term.(
-    const run_cmd $ topology_arg $ algo_arg $ daemon_arg $ workload_arg
-    $ steps_arg $ seed_arg $ disc_arg $ random_init_arg $ fault_arg $ trace_arg
+    const run_cmd $ topology_arg $ algo_arg Systems.any $ daemon_arg
+    $ workload_arg $ steps_arg $ seed_arg $ disc_arg $ random_init_arg $ fault_arg $ trace_arg
     $ timeline_arg $ engine_arg $ emit_trace_arg $ emit_json_arg
     $ emit_catapult_arg)
 
@@ -377,7 +329,7 @@ let mp_cmd topo algo_name workload_name steps seed disc random_init bias engine
   let emit ev =
     match telemetry with Some hub -> Tele.Hub.emit hub ev | None -> ()
   in
-  let module Run (A : Snapcc_runtime.Model.ALGO) = struct
+  let module Run (A : Model.ALGO) = struct
     module E = Snapcc_mp.Mp_engine.Make (A)
 
     let go packed =
@@ -401,7 +353,7 @@ let mp_cmd topo algo_name workload_name steps seed disc random_init bias engine
         ignore (E.step eng ~inputs);
         let after = E.obs eng in
         Spec.on_step spec ~step:i
-          ~request_out:inputs.Snapcc_runtime.Model.request_out ~before:!before
+          ~request_out:inputs.Model.request_out ~before:!before
           ~after;
         Snapcc_analysis.Metrics.on_step metrics ~step:i ~round:0
           ~before:!before ~after;
@@ -430,26 +382,10 @@ let mp_cmd topo algo_name workload_name steps seed disc random_init bias engine
         (Spec.violations spec);
       Format.printf "@.final configuration:@.%a@." (Obs.pp_snapshot h) (E.obs eng)
   end in
-  match (algo_name, engine) with
-  | "cc1", `Packed ->
-    let module R = Run (X.Cc1) in
-    R.go
-      (Option.map Pk_cc1.hooks
-         (try_pack (fun () -> Pk_cc1.build ~cap:cli_pack_cap h)))
-  | "cc2", `Packed ->
-    let module R = Run (X.Cc2) in
-    R.go
-      (Option.map Pk_cc2.hooks
-         (try_pack (fun () -> Pk_cc2.build ~cap:cli_pack_cap h)))
-  | "cc3", `Packed ->
-    let module R = Run (X.Cc3) in
-    R.go
-      (Option.map Pk_cc3.hooks
-         (try_pack (fun () -> Pk_cc3.build ~cap:cli_pack_cap h)))
-  | "cc1", `Closure -> let module R = Run (X.Cc1) in R.go None
-  | "cc2", `Closure -> let module R = Run (X.Cc2) in R.go None
-  | "cc3", `Closure -> let module R = Run (X.Cc3) in R.go None
-  | a, _ -> or_die (Error (Printf.sprintf "mp supports cc1|cc2|cc3, not %S" a))
+  let sys = or_die (Systems.lookup ~what:"mp" Systems.wired algo_name) in
+  let (module S) = sys.Systems.sys in
+  let module R = Run (S) in
+  R.go (Option.map fst (packed_hooks (module S) engine h))
 
 (* validated argument converters, shared by `ccsim mp' and `ccsim net' *)
 
@@ -472,8 +408,8 @@ let no_vclock_arg =
 
 let mp_term =
   Term.(
-    const mp_cmd $ topology_arg $ algo_arg $ workload_arg $ checked_steps_arg
-    $ seed_arg $ disc_arg $ random_init_arg $ bias_arg $ engine_arg
+    const mp_cmd $ topology_arg $ algo_arg Systems.wired $ workload_arg
+    $ checked_steps_arg $ seed_arg $ disc_arg $ random_init_arg $ bias_arg $ engine_arg
     $ no_vclock_arg $ emit_trace_arg $ emit_json_arg)
 
 (* ---- net (networked multi-process runtime) ---- *)
@@ -601,8 +537,8 @@ let net_cmd topo nprocs algo_name workload_name steps seed disc random_init
 
 let net_term =
   Term.(
-    const net_cmd $ topology_arg $ net_nprocs_arg $ algo_arg $ workload_arg
-    $ checked_steps_arg $ seed_arg $ disc_arg $ random_init_arg $ bias_arg
+    const net_cmd $ topology_arg $ net_nprocs_arg $ algo_arg Systems.wired
+    $ workload_arg $ checked_steps_arg $ seed_arg $ disc_arg $ random_init_arg $ bias_arg
     $ faults_arg $ burst_arg $ soak_arg $ fork_arg $ engine_arg
     $ emit_trace_arg $ emit_json_arg $ emit_catapult_arg $ dash_arg $ prom_arg
     $ live_interval_arg)
@@ -644,18 +580,6 @@ let experiment_term = Term.(const experiment_cmd $ experiment_id_arg $ quick_arg
 
 module Lint_report = Snapcc_statics.Report
 
-(* Lintable algorithms with their allow lists.  The centralized baseline
-   deliberately violates locality (every professor reads the coordinator's
-   plan, the coordinator reads everyone, see lib/baselines/central.ml), so
-   its locality findings are waived rather than fatal. *)
-let lint_targets : (string * (module Model.ALGO) * Lint_report.rule list) list =
-  [ ("cc1", (module X.Cc1), []);
-    ("cc2", (module X.Cc2), []);
-    ("cc3", (module X.Cc3), []);
-    ("dining", (module X.Dining), []);
-    ("central", (module X.Central), [ Lint_report.Locality ]);
-  ]
-
 let lint_default_topos = "fig1,ring6,path5,star5,single4"
 
 (* The exact tier enumerates full domain products, so its default families
@@ -665,19 +589,6 @@ let lint_exact_default_topos = "single2,line3"
 
 module Lint_exact = Snapcc_statics.Exact
 module Lint_artifact = Snapcc_statics.Artifact
-
-(* Exact-tier instantiations of the lint targets: the committee algorithms
-   composed with a token layer as model-checkable systems, the baselines
-   directly (they ship their own domain/canon). *)
-let lint_exact_sys key token : (module Snapcc_mc.System.S) =
-  match key with
-  | "dining" -> (module Snapcc_mc.Systems.Dining_sys)
-  | "central" -> (module Snapcc_mc.Systems.Central_sys)
-  | k -> (
-    match Snapcc_mc.Systems.find k with
-    | Some e -> e.Snapcc_mc.Systems.make token
-    | None ->
-      or_die (Error (Printf.sprintf "no exact-tier system for %S" k)))
 
 let lint_finding_json (f : Lint_report.finding) =
   Tele.Json.Obj
@@ -753,18 +664,22 @@ let lint_cmd topos algos seed seeds max_configs verbose emit_json exact token
      implies the exact tier *)
   let exact = exact || symmetry in
   let names s = String.split_on_char ',' s |> List.filter (fun x -> x <> "") in
+  (* the sampled tier runs each key over its default token, the exact
+     tier over --token; a non-local algorithm (the centralized baseline:
+     every professor reads the coordinator's plan, the coordinator reads
+     everyone) has its locality findings waived rather than fatal *)
   let targets =
-    match algos with
-    | "all" -> lint_targets
-    | s ->
-      List.map
-        (fun a ->
-          match List.find_opt (fun (name, _, _) -> name = a) lint_targets with
-          | Some t -> t
-          | None -> or_die (Error (Printf.sprintf "lint knows %s, not %S"
-                                     (String.concat "|" (List.map (fun (n, _, _) -> n) lint_targets))
-                                     a)))
-        (names s)
+    let keys =
+      match algos with
+      | "all" -> Systems.names Systems.lintable
+      | s -> names s
+    in
+    List.map
+      (fun a ->
+        let r = or_die (Systems.lookup ~what:"lint" Systems.lintable a) in
+        let e = r.Systems.entry in
+        (a, r, if e.Systems.local then [] else [ Lint_report.Locality ]))
+      keys
   in
   let topos =
     let s =
@@ -777,8 +692,9 @@ let lint_cmd topos algos seed seeds max_configs verbose emit_json exact token
   (* sampled tier, always: the exact tier judges its findings below *)
   let sampled =
     List.concat_map
-      (fun (key, (module A : Model.ALGO), allow) ->
-        let module An = Snapcc_statics.Analyze.Make (A) in
+      (fun (key, r, allow) ->
+        let (module S : Snapcc_mc.System.S) = r.Systems.sys in
+        let module An = Snapcc_statics.Analyze.Make (S) in
         List.map
           (fun (topo, h) ->
             (key, topo, An.analyze ~seed ~seeds ~max_configs ~allow ~topo h))
@@ -791,8 +707,10 @@ let lint_cmd topos algos seed seeds max_configs verbose emit_json exact token
     else begin
       let exacts =
         List.concat_map
-          (fun (key, _, allow) ->
-            let (module S : Snapcc_mc.System.S) = lint_exact_sys key token in
+          (fun (key, r, allow) ->
+            let (module S : Snapcc_mc.System.S) =
+              r.Systems.entry.Systems.make token
+            in
             let module Ex = Lint_exact.Make (S) in
             let module Tb = Snapcc_mc.Tables.Make (S) in
             let module Sym = Lint_sym.Make (S) in
@@ -827,9 +745,13 @@ let lint_cmd topos algos seed seeds max_configs verbose emit_json exact token
               topos)
           targets
       in
-      (* the baselines have no token layer; for the committee algorithms the
-         tiers only describe the same system when the tokens match *)
-      let comparable key = token = "tree" || key = "dining" || key = "central" in
+      (* the tiers only describe the same system when the exact tier's
+         token is the one the sampled tier ran over (or there is none) *)
+      let comparable key =
+        match Systems.find key with
+        | Some { Systems.token = Some t; _ } -> t = token
+        | _ -> true
+      in
       let sampled' =
         List.map
           (fun (key, topo, (s : Lint_report.t)) ->
@@ -944,7 +866,9 @@ let lint_topos_arg =
 let lint_algos_arg =
   Arg.(value & opt string "all"
        & info [ "a"; "algos" ] ~docv:"ALGOS"
-           ~doc:"Comma-separated algorithms (cc1|cc2|cc3|dining|central), or `all'.")
+           ~doc:
+             (Printf.sprintf "Comma-separated algorithms (%s), or `all'."
+                (Systems.describe Systems.lintable)))
 
 let lint_seeds_arg =
   Arg.(value & opt nonneg_int_conv 24 & info [ "seeds" ] ~docv:"N"
@@ -971,9 +895,10 @@ let lint_exact_arg =
 let lint_token_arg =
   Arg.(value & opt string "tree"
        & info [ "token" ] ~docv:"TOKEN"
-           ~doc:"Token layer composed under cc1/cc2/cc3 for the exact tier \
-                 (vring|tree|null).  Sampled/exact agreement is only \
-                 checked for `tree', the layer the sampled targets use.")
+           ~doc:"Token layer of the exact tier (vring|tree|null); \
+                 algorithms without one ignore it.  Sampled/exact \
+                 agreement is only checked where it is the layer the \
+                 sampled tier runs over (`tree' for cc1/cc2/cc3).")
 
 let lint_tables_arg =
   Arg.(value & opt (some dir) None
@@ -1040,7 +965,6 @@ let orbits_term = Term.(const orbits_cmd $ orbits_files_arg)
 
 (* ---- check (exhaustive model checker, lib/mc) ---- *)
 
-module Mc_systems = Snapcc_mc.Systems
 module Mc_explore = Snapcc_mc.Explore
 module Mc_fairness = Snapcc_mc.Fairness
 module Mc_report = Snapcc_mc.Report
@@ -1070,10 +994,10 @@ let mc_report_json (r : Mc_report.t) =
       ("seconds", Float r.Mc_report.seconds);
       ("states_per_sec", Float (Mc_report.states_per_sec r)) ]
 
-let check_one ~(entry : Mc_systems.entry) ~token ~topo_name ~h ~max_states
+let check_one ~(entry : Systems.entry) ~token ~topo_name ~h ~max_states
     ~keep_going ~sample ~seed ~cex_path ~progress ~engine ~symmetry ~telemetry
     =
-  let module S = (val entry.Mc_systems.make token) in
+  let module S = (val entry.Systems.make token) in
   let module Ex = Snapcc_mc.Explore.Make (S) in
   let module Tb = Snapcc_mc.Tables.Make (S) in
   let module CexM = Snapcc_mc.Counterexample.Make (S) in
@@ -1178,7 +1102,7 @@ let check_one ~(entry : Mc_systems.entry) ~token ~topo_name ~h ~max_states
     else None
   in
   let report =
-    { Mc_report.algo = entry.Mc_systems.key;
+    { Mc_report.algo = entry.Systems.key;
       token;
       topo = topo_name;
       product = Ex.product_size result;
@@ -1232,7 +1156,7 @@ let check_one ~(entry : Mc_systems.entry) ~token ~topo_name ~h ~max_states
         else []
       in
       Some
-        (Cex.of_safety ~algo:entry.Mc_systems.key ~token ~topo:topo_name
+        (Cex.of_safety ~algo:entry.Systems.key ~token ~topo:topo_name
            ~rule:v.Mc_explore.rule ~detail:v.Mc_explore.detail ~init:root
            ~steps)
     | [] -> (
@@ -1240,13 +1164,13 @@ let check_one ~(entry : Mc_systems.entry) ~token ~topo_name ~h ~max_states
       | Some { Mc_fairness.deadlocks = cid :: _; _ } ->
         let root, steps = Ex.path_to result cid in
         Some
-          (Cex.of_deadlock ~algo:entry.Mc_systems.key ~token ~topo:topo_name
+          (Cex.of_deadlock ~algo:entry.Systems.key ~token ~topo:topo_name
              ~detail:"terminal configuration with a fully waiting committee"
              ~init:root ~steps)
       | Some { Mc_fairness.livelocks = l :: _; _ } ->
         let root, steps = Ex.path_to result l.Mc_fairness.witness in
         Some
-          (Cex.of_livelock ~algo:entry.Mc_systems.key ~token ~topo:topo_name
+          (Cex.of_livelock ~algo:entry.Systems.key ~token ~topo:topo_name
              ~detail:
                (Printf.sprintf
                   "weakly fair convene-free cycle (SCC of %d configurations)"
@@ -1280,23 +1204,15 @@ let check_cmd algos family n token max_states keep_going sample seed cex_path
   in
   let keys =
     match algos with
-    | "all" -> List.map (fun (e : Mc_systems.entry) -> e.Mc_systems.key) Mc_systems.all
+    | "all" -> Systems.names Systems.checkable
     | s -> String.split_on_char ',' s |> List.filter (fun x -> x <> "")
   in
   let reports =
     List.map
       (fun key ->
         let entry =
-          match Mc_systems.find key with
-          | Some e -> e
-          | None ->
-            or_die
-              (Error
-                 (Printf.sprintf "unknown system %S (try %s)" key
-                    (String.concat "|"
-                       (List.map
-                          (fun (e : Mc_systems.entry) -> e.Mc_systems.key)
-                          Mc_systems.all))))
+          (or_die (Systems.lookup ~what:"check" Systems.checkable key))
+            .Systems.entry
         in
         let res =
           try
@@ -1336,8 +1252,8 @@ let check_cmd algos family n token max_states keep_going sample seed cex_path
 
 let check_algo_arg =
   let doc =
-    "System(s) to check: cc1|cc2|cc3|cc1-inverted|cc1-noready, a \
-     comma-separated list, or `all'."
+    Printf.sprintf "System(s) to check: %s, a comma-separated list, or `all'."
+      (Systems.describe Systems.checkable)
   in
   Arg.(value & opt string "cc1" & info [ "a"; "algo" ] ~docv:"ALGO" ~doc)
 
@@ -1457,13 +1373,6 @@ let smc_n_arg =
   Arg.(value & opt (some pos_int_conv) None
        & info [ "n" ] ~docv:"N" ~doc:"Number of professors (sizes --family).")
 
-let smc_algo_arg =
-  let doc =
-    "Algorithm: cc1|cc2|cc3|cc1-vring|cc2-vring|cc3-vring (the -vring \
-     variants run over the virtual-ring token layer `ccsim check' \
-     enumerates, for cross-validation against exact counts)."
-  in
-  Arg.(value & opt string "cc1" & info [ "a"; "algo" ] ~docv:"ALGO" ~doc)
 
 let smc_trials_arg =
   Arg.(value & opt pos_int_conv 1000
@@ -1508,7 +1417,8 @@ let smc_sprt_within_arg =
 
 let smc_term =
   Term.(
-    const smc_cmd $ smc_family_arg $ smc_n_arg $ smc_algo_arg $ daemon_arg
+    const smc_cmd $ smc_family_arg $ smc_n_arg $ algo_arg Systems.any
+    $ daemon_arg
     $ workload_arg $ smc_trials_arg $ smc_budget_arg $ smc_workers_arg
     $ seed_arg $ smc_confidence_arg $ disc_arg $ engine_arg $ smc_sprt_arg
     $ smc_sprt_delta_arg $ smc_sprt_within_arg $ emit_trace_arg
@@ -1523,14 +1433,13 @@ let replay_cmd file =
     | exception (Failure msg | Sys_error msg) -> or_die (Error msg)
   in
   let entry =
-    match Mc_systems.find cex.Cex.algo with
-    | Some e -> e
-    | None -> or_die (Error (Printf.sprintf "unknown system %S" cex.Cex.algo))
+    (or_die (Systems.lookup ~what:"replay" Systems.checkable cex.Cex.algo))
+      .Systems.entry
   in
   let h = or_die (topology cex.Cex.topo) in
   let res =
     try
-      let module S = (val entry.Mc_systems.make cex.Cex.token) in
+      let module S = (val entry.Systems.make cex.Cex.token) in
       let module CexM = Snapcc_mc.Counterexample.Make (S) in
       Format.printf "%a@.@.replaying through engine + monitors:@." Cex.pp cex;
       Ok
@@ -1646,14 +1555,7 @@ let list_cmd () =
     (fun (name, h) -> Format.printf "  %-10s %a@." name H.pp h)
     (Families.all_named ());
   Format.printf "  (plus ring<n>, path<n>, star<n>, clique<n>, single<k>, line<n>)@.@.";
-  Format.printf "algorithms: cc1 cc2 cc3 token-only dining central cc1-no-token@.@.";
-  Format.printf "check systems (ccsim check --algo, times --token vring|tree|null):@.";
-  List.iter
-    (fun (e : Mc_systems.entry) ->
-      Format.printf "  %-14s %s%s@." e.Mc_systems.key e.Mc_systems.title
-        (if e.Mc_systems.broken then "  [deliberately broken]" else ""))
-    Mc_systems.all;
-  Format.printf "@.experiments:@.";
+  Format.printf "%a@.@.experiments:@." Systems.pp_catalog ();
   List.iter
     (fun (e : Registry.entry) -> Format.printf "  %-24s %s@." e.Registry.id e.Registry.title)
     Registry.all

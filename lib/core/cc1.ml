@@ -61,10 +61,10 @@ module Make_gen (T : Snapcc_token.Layer.S) (P : PARAMS) (B : BREAK) :
   type state = cc * T.state
 
   let name =
-    Printf.sprintf "CC1%s%s∘%s"
+    Printf.sprintf "CC1%s%s%s∘%s"
       (if B.invert_priorities then "[rev-prio]" else "")
       (if B.unchecked_ready then "[unchecked-ready]" else "")
-      T.name
+      P.tag T.name
 
   let cc (c, _) = c
 

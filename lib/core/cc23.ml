@@ -83,8 +83,14 @@ sig
 end = struct
   type state = cc * T.state
 
+  (* every variant switch and the edge choice show in the name, the way
+     CC1's defect injections do: no two instantiations share one *)
   let name =
-    Printf.sprintf "%s∘%s" (if V.committee_fair then "CC3" else "CC2") T.name
+    Printf.sprintf "%s%s%s%s∘%s"
+      (if V.committee_fair then "CC3" else "CC2")
+      (if V.non_token_convening then "" else "[token-only]")
+      (if V.release_when_useless then "[eager-release]" else "")
+      P.tag T.name
 
   let cc (c, _) = c
 

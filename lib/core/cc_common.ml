@@ -24,11 +24,13 @@ let to_obs_status = function
     correctness, but pluggable for the ablation benches. *)
 module type PARAMS = sig
   val prefer : H.t -> int -> int -> bool
+  val tag : string
 end
 
 (** Deterministic default: smallest edge id. *)
 module Default_params : PARAMS = struct
   let prefer _h e' e = e' < e
+  let tag = ""
 end
 
 (** Largest committee first: maximizes per-meeting participation. *)
@@ -36,6 +38,8 @@ module Widest_params : PARAMS = struct
   let prefer h e' e =
     let size x = Array.length (H.edge_members h x) in
     size e' > size e || (size e' = size e && e' < e)
+
+  let tag = "[widest]"
 end
 
 (** Static committee priorities (the §7 future-work direction "enforcing
@@ -50,6 +54,8 @@ module Weighted_params (W : sig
 end) : PARAMS = struct
   let prefer _h e' e =
     W.weight e' > W.weight e || (W.weight e' = W.weight e && e' < e)
+
+  let tag = "[weighted]"
 end
 
 let points_at ptr e = match ptr with Some x -> x = e | None -> false

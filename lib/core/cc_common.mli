@@ -16,6 +16,11 @@ module type PARAMS = sig
       from the first, and keeps the incumbent unless [prefer] says
       otherwise.  Must be deterministic: the static analyzer
       ([lib/statics]) flags nondeterministic statements. *)
+
+  val tag : string
+  (** Suffix the algorithm's name carries for this choice (e.g.
+      ["[widest]"]; [""] for {!Default_params}), so that two edge choices
+      never share a [Model.ALGO.name]. *)
 end
 
 (** Deterministic default: smallest edge id. *)

@@ -29,9 +29,7 @@ module Central = Snapcc_baselines.Central
 module Run_cc1 = Driver.Make (Cc1)
 module Run_cc2 = Driver.Make (Cc2)
 module Run_cc3 = Driver.Make (Cc3)
-module Run_cc1_vring = Driver.Make (Cc1_vring)
 module Run_cc2_vring = Driver.Make (Cc2_vring)
-module Run_cc3_vring = Driver.Make (Cc3_vring)
 module Run_cc1_no_token = Driver.Make (Cc1_no_token)
 module Run_token_only = Driver.Make (Token_only)
 module Run_cc1_widest = Driver.Make (Cc1_widest)
@@ -39,45 +37,18 @@ module Run_cc2_eager = Driver.Make (Cc2_eager)
 module Run_dining = Driver.Make (Dining)
 module Run_central = Driver.Make (Central)
 
-type runner = {
-  label : string;
-  run :
-    ?seed:int ->
-    ?init:[ `Canonical | `Random ] ->
-    ?faults:(step:int -> int list) ->
-    ?stop_when:(Snapcc_runtime.Obs.t array -> bool) ->
-    ?record_trace:bool ->
-    ?telemetry:Snapcc_telemetry.Hub.t ->
-    daemon:Snapcc_runtime.Daemon.t ->
-    workload:Snapcc_workload.Workload.t ->
-    steps:int ->
-    Snapcc_hypergraph.Hypergraph.t ->
-    Driver.result;
-}
+(* The table used by sweep experiments: a label and the algorithm, which
+   the caller runs through [Driver.Make] locally. *)
+type runner = { label : string; algo : (module Snapcc_runtime.Model.ALGO) }
 
-(* The runner table used by sweep experiments. *)
 let paper_algorithms () =
-  [ { label = "CC1";
-      run = (fun ?seed ?init ?faults ?stop_when ?record_trace ?telemetry ~daemon ~workload ~steps h ->
-          Run_cc1.run ?seed ?init ?faults ?stop_when ?record_trace ?telemetry ~daemon ~workload ~steps h) };
-    { label = "CC2";
-      run = (fun ?seed ?init ?faults ?stop_when ?record_trace ?telemetry ~daemon ~workload ~steps h ->
-          Run_cc2.run ?seed ?init ?faults ?stop_when ?record_trace ?telemetry ~daemon ~workload ~steps h) };
-    { label = "CC3";
-      run = (fun ?seed ?init ?faults ?stop_when ?record_trace ?telemetry ~daemon ~workload ~steps h ->
-          Run_cc3.run ?seed ?init ?faults ?stop_when ?record_trace ?telemetry ~daemon ~workload ~steps h) };
-  ]
+  [ { label = "CC1"; algo = (module Cc1) };
+    { label = "CC2"; algo = (module Cc2) };
+    { label = "CC3"; algo = (module Cc3) } ]
 
 let baseline_algorithms () =
-  [ { label = "token-only";
-      run = (fun ?seed ?init ?faults ?stop_when ?record_trace ?telemetry ~daemon ~workload ~steps h ->
-          Run_token_only.run ?seed ?init ?faults ?stop_when ?record_trace ?telemetry ~daemon ~workload ~steps h) };
-    { label = "dining";
-      run = (fun ?seed ?init ?faults ?stop_when ?record_trace ?telemetry ~daemon ~workload ~steps h ->
-          Run_dining.run ?seed ?init ?faults ?stop_when ?record_trace ?telemetry ~daemon ~workload ~steps h) };
-    { label = "central";
-      run = (fun ?seed ?init ?faults ?stop_when ?record_trace ?telemetry ~daemon ~workload ~steps h ->
-          Run_central.run ?seed ?init ?faults ?stop_when ?record_trace ?telemetry ~daemon ~workload ~steps h) };
-  ]
+  [ { label = "token-only"; algo = (module Token_only) };
+    { label = "dining"; algo = (module Dining) };
+    { label = "central"; algo = (module Central) } ]
 
 let all_algorithms () = paper_algorithms () @ baseline_algorithms ()

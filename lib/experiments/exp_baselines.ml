@@ -30,12 +30,7 @@ type result = row list
 
 let runners () =
   Algos.all_algorithms ()
-  @ [ { Algos.label = "CC1/no-token";
-        run =
-          (fun ?seed ?init ?faults ?stop_when ?record_trace ?telemetry ~daemon ~workload ~steps h ->
-            Algos.Run_cc1_no_token.run ?seed ?init ?faults ?stop_when
-              ?record_trace ?telemetry ~daemon ~workload ~steps h) };
-    ]
+  @ [ { Algos.label = "CC1/no-token"; algo = (module Algos.Cc1_no_token) } ]
 
 let topologies ~quick () =
   if quick then [ ("fig1", Families.fig1 ()); ("ring6", Families.pair_ring 6) ]
@@ -52,8 +47,10 @@ let run ?(quick = false) () : result =
     (fun (topo, h) ->
       List.map
         (fun (runner : Algos.runner) ->
+          let (module A) = runner.Algos.algo in
+          let module R = Driver.Make (A) in
           let r =
-            runner.Algos.run ~seed:17 ~daemon:(Daemon.random_subset ())
+            R.run ~seed:17 ~daemon:(Daemon.random_subset ())
               ~workload:(Workload.always_requesting h) ~steps h
           in
           let s = r.Driver.summary in

@@ -26,7 +26,9 @@ type result = topo_result list
 
 let measure ~steps name h =
   let run (runner : Algos.runner) seed =
-    runner.Algos.run ~seed ~daemon:(Daemon.random_subset ())
+    let (module A) = runner.Algos.algo in
+    let module R = Driver.Make (A) in
+    R.run ~seed ~daemon:(Daemon.random_subset ())
       ~workload:(Workload.always_requesting h) ~steps h
   in
   let algos = Algos.paper_algorithms () in

@@ -52,6 +52,8 @@ let topologies ~quick () =
       ]
 
 let sample ~quick (runner : Algos.runner) h =
+  let (module A) = runner.Algos.algo in
+  let module R = Driver.Make (A) in
   let n = H.n h in
   let steps = 6_000 * n in
   let daemons = Exp_common.daemons_for_sweep ~quick () in
@@ -63,7 +65,7 @@ let sample ~quick (runner : Algos.runner) h =
       List.iter
         (fun seed ->
           let r =
-            runner.Algos.run ~seed ~daemon
+            R.run ~seed ~daemon
               ~workload:(Workload.infinite_meetings h)
               ~stop_when:(Exp_common.stable_stop ~window:(60 * n) ())
               ~steps h

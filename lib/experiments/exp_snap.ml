@@ -32,6 +32,8 @@ let topologies ~quick () =
     ]
 
 let measure ~quick (runner : Algos.runner) =
+  let (module A) = runner.Algos.algo in
+  let module R = Driver.Make (A) in
   let daemons = Exp_common.daemons_for_sweep ~quick () in
   let seeds = Exp_common.seeds ~quick in
   let steps = if quick then 4_000 else 9_000 in
@@ -50,7 +52,7 @@ let measure ~quick (runner : Algos.runner) =
                 else []
               in
               let r =
-                runner.Algos.run ~seed ~init:`Random ~faults ~daemon
+                R.run ~seed ~init:`Random ~faults ~daemon
                   ~workload:(Workload.always_requesting h) ~steps h
               in
               let starved =

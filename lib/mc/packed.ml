@@ -14,6 +14,8 @@ let () =
   assert (Model.entry_act sample = Tables.entry_act sample);
   assert (Model.entry_succ sample = Tables.entry_succ sample)
 
+let startup_cap = 1 lsl 20
+
 module Make (Sys : System.S) = struct
   module Tb = Tables.Make (Sys)
   module Enc = Encode.Make (Sys)
@@ -22,6 +24,11 @@ module Make (Sys : System.S) = struct
 
   let build ?verify ?cap ?store_cap h =
     { h; tb = Tb.build ?verify ?cap ?store_cap h }
+
+  let try_build h =
+    match build ~cap:startup_cap h with
+    | pk -> Some pk
+    | exception Failure _ -> None
 
   let tables t = t.tb
   let built t = Tb.built t.tb

@@ -13,6 +13,11 @@
     Processes whose tables were skipped or streamed ({!Tables.Make.status})
     fall back to the guard closures cell by cell. *)
 
+val startup_cap : int
+(** [2^20] footprint cells: the table budget of the interactive paths
+    ([ccsim run], [ccsim mp], smc).  A process whose table would exceed it
+    is skipped in O(1) and served by the guard closures. *)
+
 module Make (Sys : System.S) : sig
   module Tb : module type of Tables.Make (Sys)
 
@@ -27,6 +32,12 @@ module Make (Sys : System.S) : sig
   (** See {!Tables.Make.build}.  A tighter [cap] turns expensive processes
       into immediate [`Skipped] statuses (closure fallback) instead of long
       enumerations — the knob callers use to bound startup cost. *)
+
+  val try_build : Snapcc_hypergraph.Hypergraph.t -> t option
+  (** {!build} at {!startup_cap}, or [None] when the tables cannot
+      represent the topology at all (they bit-pack configurations of at
+      most 16 processes).  Callers then keep the guard closures, which are
+      trace-identical. *)
 
   val tables : t -> Tb.t
   val built : t -> bool

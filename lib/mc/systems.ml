@@ -112,24 +112,29 @@ module Cc23_sys
       (T.state_symmetries h)
 end
 
-(* The §6 baselines already expose [domain]/[canon]; re-package them as
-   systems for the exact static tier (they are not [all] entries: the
-   checker's progress analysis presumes the paper's committee observables,
-   and the baselines make no stabilization claim worth exploring). *)
-module Dining_sys : System.S with type state = Snapcc_baselines.Dining.state =
-  Snapcc_baselines.Dining
+type role = Paper | Broken | Ablation | Baseline
 
-module Central_sys : System.S with type state = Snapcc_baselines.Central.state =
-  Snapcc_baselines.Central
+let role_name = function
+  | Paper -> "paper"
+  | Broken -> "broken"
+  | Ablation -> "ablation"
+  | Baseline -> "baseline"
 
 type entry = {
   key : string;
   title : string;
-  broken : bool;
+  role : role;
+  token : string option;
+  tag : int option;
+  local : bool;
   make : string -> (module System.S);
 }
 
 let token_keys = [ "vring"; "tree"; "null" ]
+
+(* The name suffix selecting a token layer is its key, except for the null
+   layer, which keeps the ablation's established spelling. *)
+let token_suffix = function "null" -> "no-token" | t -> t
 
 let with_token (f : (module Layer.S) -> (module System.S)) token =
   match token with
@@ -140,50 +145,163 @@ let with_token (f : (module Layer.S) -> (module System.S)) token =
     invalid_arg
       (Printf.sprintf "unknown token layer %S (expected vring, tree or null)" t)
 
-let cc1_make variant =
-  with_token (fun tok ->
-      let module T = (val tok : Layer.S) in
-      match variant with
-      | `Intact -> (module Cc1_sys (T) (Cc1.Std (T)) : System.S)
-      | `Inverted -> (module Cc1_sys (T) (Cc1.Inverted_std (T)) : System.S)
-      | `Noready ->
-        (module Cc1_sys (T) (Cc1.Unchecked_ready_std (T)) : System.S))
+module Cursor_off = struct
+  let cursor = false
+end
 
-let cc23_make variant =
-  with_token (fun tok ->
-      let module T = (val tok : Layer.S) in
-      match variant with
-      | `Cc2 ->
-        (module Cc23_sys (T) (Cc23.Cc2_std (T))
-                  (struct
-                    let cursor = false
-                  end) : System.S)
-      | `Cc3 ->
-        (module Cc23_sys (T) (Cc23.Cc3_std (T))
-                  (struct
-                    let cursor = true
-                  end) : System.S))
+module Cursor_on = struct
+  let cursor = true
+end
 
 let all =
-  [ { key = "cc1";
+  [ { key = "cc1"; role = Paper; token = Some "tree"; tag = Some 1; local = true;
       title = "CC1 ∘ TC (Algorithm 1, maximal concurrency)";
-      broken = false;
-      make = cc1_make `Intact };
-    { key = "cc2";
+      make = with_token (fun (module T) -> (module Cc1_sys (T) (Cc1.Std (T)))) };
+    { key = "cc2"; role = Paper; token = Some "tree"; tag = Some 2; local = true;
       title = "CC2 ∘ TC (Algorithm 2, professor fairness)";
-      broken = false;
-      make = cc23_make `Cc2 };
-    { key = "cc3";
+      make =
+        with_token (fun (module T) ->
+            (module Cc23_sys (T) (Cc23.Cc2_std (T)) (Cursor_off))) };
+    { key = "cc3"; role = Paper; token = Some "tree"; tag = Some 3; local = true;
       title = "CC3 ∘ TC (§5.4 modification, committee fairness)";
-      broken = false;
-      make = cc23_make `Cc3 };
-    { key = "cc1-inverted";
+      make =
+        with_token (fun (module T) ->
+            (module Cc23_sys (T) (Cc23.Cc3_std (T)) (Cursor_on))) };
+    { key = "cc1-inverted"; role = Broken; token = Some "tree"; tag = None;
+      local = true;
       title = "CC1 with the priority order inverted (validation defect)";
-      broken = true;
-      make = cc1_make `Inverted };
-    { key = "cc1-noready";
+      make =
+        with_token (fun (module T) ->
+            (module Cc1_sys (T) (Cc1.Inverted_std (T)))) };
+    { key = "cc1-noready"; role = Broken; token = Some "tree"; tag = None;
+      local = true;
       title = "CC1 with Ready ignoring member statuses (validation defect)";
-      broken = true;
-      make = cc1_make `Noready } ]
+      make =
+        with_token (fun (module T) ->
+            (module Cc1_sys (T) (Cc1.Unchecked_ready_std (T)))) };
+    { key = "token-only"; role = Ablation; token = Some "vring"; tag = None;
+      local = true;
+      title = "CC2 where only the token holder convenes (§6 baseline of [3])";
+      make =
+        with_token (fun (module T) ->
+            (module Cc23_sys (T) (Cc23.Token_only_std (T)) (Cursor_off))) };
+    { key = "dining"; role = Baseline; token = None; tag = None; local = true;
+      title = "Dining-philosophers baseline (§6)";
+      make = (fun _ -> (module Snapcc_baselines.Dining)) };
+    { key = "central"; role = Baseline; token = None; tag = None; local = false;
+      title = "Centralized-manager baseline (§6, deliberately non-local)";
+      make = (fun _ -> (module Snapcc_baselines.Central)) } ]
 
 let find key = List.find_opt (fun e -> e.key = key) all
+
+type resolved = {
+  name : string;
+  entry : entry;
+  token : string option;
+  tag : int option;
+  sys : (module System.S);
+}
+
+let at (e : entry) name token =
+  { name;
+    entry = e;
+    token;
+    tag = (if token = e.token then e.tag else None);
+    sys = e.make (Option.value token ~default:"") }
+
+(* Every name of an entry, with its token: the key first (default token),
+   then one [key-<suffix>] form per token layer. *)
+let forms (e : entry) =
+  (e.key, e.token)
+  ::
+  (match e.token with
+   | None -> []
+   | Some _ ->
+     List.map (fun t -> (e.key ^ "-" ^ token_suffix t, Some t)) token_keys)
+
+let resolve name =
+  List.find_map
+    (fun e ->
+      List.find_map
+        (fun (n, token) -> if n = name then Some (at e name token) else None)
+        (forms e))
+    all
+
+let of_tag tag =
+  List.find_map
+    (fun (e : entry) ->
+      if e.tag = Some tag then Some (at e e.key e.token) else None)
+    all
+
+let any (_ : resolved) = true
+let wired r = r.tag <> None
+let key_form r = r.name = r.entry.key
+
+let checkable r =
+  key_form r
+  && match r.entry.role with Paper | Broken -> true | Ablation | Baseline -> false
+
+let lintable r =
+  key_form r
+  && match r.entry.role with Paper | Baseline -> true | Broken | Ablation -> false
+
+let names accepts =
+  List.concat_map
+    (fun e ->
+      List.filter_map
+        (fun (n, token) -> if accepts (at e n token) then Some n else None)
+        (forms e))
+    all
+
+let describe accepts =
+  let ns = names accepts in
+  let keys = List.filter (fun n -> find n <> None) ns in
+  let suffixes =
+    List.filter_map
+      (fun t ->
+        let sfx = "-" ^ token_suffix t in
+        if List.exists (fun k -> List.mem (k ^ sfx) ns) keys then Some sfx
+        else None)
+      token_keys
+  in
+  match suffixes with
+  | [] -> String.concat "|" keys
+  | _ ->
+    Printf.sprintf "%s, the token-layer ones also with a %s suffix"
+      (String.concat "|" keys) (String.concat "|" suffixes)
+
+let lookup ~what accepts name =
+  match resolve name with
+  | Some r when accepts r -> Ok r
+  | Some _ | None ->
+    Error (Printf.sprintf "%s takes %s, not %S" what (describe accepts) name)
+
+let surfaces =
+  [ ("run, smc", any);
+    ("mp, net", wired);
+    ("check, replay", checkable);
+    ("lint", lintable) ]
+
+let pp_catalog ppf () =
+  Format.fprintf ppf
+    "@[<v>algorithms (KEY runs over TOKEN; KEY-%s picks another layer):@,"
+    (String.concat "|" (List.map token_suffix token_keys));
+  Format.fprintf ppf "  %-13s %-9s %-6s %-4s %s@," "KEY" "ROLE" "TOKEN" "TAG"
+    "TITLE";
+  List.iter
+    (fun e ->
+      Format.fprintf ppf "  %-13s %-9s %-6s %-4s %s@," e.key (role_name e.role)
+        (Option.value e.token ~default:"-")
+        (match e.tag with Some t -> string_of_int t | None -> "-")
+        e.title)
+    all;
+  Format.fprintf ppf "@,names each command takes (check --token %s):"
+    (String.concat "|" token_keys);
+  List.iter
+    (fun (cmds, accepts) ->
+      Format.fprintf ppf "@,  @[<hov 15>%-14s@ %a@]" (cmds ^ ":")
+        (Format.pp_print_list ~pp_sep:Format.pp_print_space
+           Format.pp_print_string)
+        (names accepts))
+    surfaces;
+  Format.fprintf ppf "@]"

@@ -1,6 +1,8 @@
-(** Registry of model-checkable systems: the paper's algorithms (and the
-    deliberately broken validation variants) composed with a token layer
-    and equipped with the finite domain + canonicalization of {!System.S}.
+(** The algorithm catalog: every algorithm the repository runs — the
+    paper's, the deliberately broken validation variants, the token-only
+    ablation and the §6 baselines — composed with a token layer where it
+    has one and equipped with the finite domain + canonicalization of
+    {!System.S}.
 
     The committee layers carry one unbounded counter each ([disc]; CC3 also
     [cur], read only modulo the degree): [canon] resets / normalizes them,
@@ -13,10 +15,8 @@ module Cc1_sys
   System.S with type state = M.state
 (** CC1's committee layer over a token domain, as a checkable system.
     Exposed as a functor (not only through {!all}'s abstract packages) so
-    runtimes can equip a {e typed} [Model.ALGO] instance with the packed
-    tables/interner of the same state type — the engines' packed fast
-    path and the networked runtime's snapshot coder both need the state
-    equality that [(module System.S)] erases. *)
+    tests and benchmarks that hold a {e typed} [Model.ALGO] instance can
+    build packed tables of the same state type. *)
 
 module Cc23_sys
     (T : Snapcc_token.Layer.S)
@@ -31,22 +31,38 @@ module Cc23_sys
 (** CC2 ([cursor = false]) / CC3 ([cursor = true]); see {!Cc1_sys} for
     why the functor is public. *)
 
-module Dining_sys : System.S with type state = Snapcc_baselines.Dining.state
-(** The §6 dining-philosophers baseline as a checkable system (used by the
-    exact static tier; not an {!all} entry — the baselines make no
-    stabilization claim, so the checker's progress analysis does not apply). *)
+(** {2 The algorithm catalog}
 
-module Central_sys : System.S with type state = Snapcc_baselines.Central.state
-(** The §6 centralized-manager baseline as a checkable system (deliberately
-    non-local: analyses must waive {!Snapcc_statics.Report.Locality}). *)
+    The one table from an algorithm name to its implementation.  Every
+    [ccsim] command, {!Snapcc_smc.Runner}, the networked runtime and the
+    bench resolve names here, unpack the first-class module and apply
+    their engine functors ([Driver.Make], [Packed.Make], [Trial.Of],
+    [Mp_engine.Make], [Encode.Make]) locally.  Adding an algorithm is one
+    {!entry}. *)
+
+type role =
+  | Paper  (** one of the paper's algorithms *)
+  | Broken  (** a deliberate defect: the checker must find it *)
+  | Ablation  (** a paper algorithm with one mechanism removed *)
+  | Baseline  (** a §6 comparison algorithm with its own state *)
 
 type entry = {
   key : string;  (** CLI name, e.g. ["cc1"], ["cc1-inverted"] *)
   title : string;
-  broken : bool;  (** a deliberate defect: the checker must find it *)
+  role : role;
+  token : string option;
+      (** the token layer [key] alone runs over; [None]: the entry has no
+          token layer (the baselines) *)
+  tag : int option;
+      (** {!Snapcc_net.Codec} wire tag of [key] over its default token:
+          the networked runtime (and its reference, [ccsim mp]) serves
+          exactly the tagged systems *)
+  local : bool;
+      (** every process reads only its neighbourhood; [false] for the
+          centralized baseline, whose locality findings lint waives *)
   make : string -> (module System.S);
       (** instantiate with a token-layer key; raises [Invalid_argument] on
-          unknown tokens *)
+          unknown tokens.  Token-less entries ignore the argument. *)
 }
 
 val token_keys : string list
@@ -54,3 +70,55 @@ val token_keys : string list
 
 val all : entry list
 val find : string -> entry option
+(** By key. *)
+
+type resolved = {
+  name : string;  (** the name as resolved *)
+  entry : entry;
+  token : string option;
+  tag : int option;
+      (** the entry's tag when [token] is its default token, else [None] *)
+  sys : (module System.S);
+}
+
+val resolve : string -> resolved option
+(** A name is [key] (the entry over its default token) or, for a
+    token-layer entry, [key-vring], [key-tree] or [key-no-token] (the
+    null layer keeps the ablation's established spelling). *)
+
+val of_tag : int -> resolved option
+(** The entry carrying a wire tag, over its default token. *)
+
+(** {2 Which command takes which name}
+
+    Derived from role and tag, never from per-command lists. *)
+
+val any : resolved -> bool
+(** [ccsim run] and [ccsim smc]: every name. *)
+
+val wired : resolved -> bool
+(** [ccsim mp] and [ccsim net]: names with a wire tag. *)
+
+val checkable : resolved -> bool
+(** [ccsim check] and [ccsim replay]: keys of paper and broken entries
+    (the token comes from [--token]; the checker's progress analysis
+    presumes the paper's committee observables). *)
+
+val lintable : resolved -> bool
+(** [ccsim lint] (and its [-a all]): keys of the paper's algorithms and
+    the baselines; the exact tier takes its token from [--token]. *)
+
+val names : (resolved -> bool) -> string list
+(** Every accepted name, in catalog order, keys before their token forms. *)
+
+val describe : (resolved -> bool) -> string
+(** A compact rendering of {!names} for help texts and errors. *)
+
+val lookup :
+  what:string -> (resolved -> bool) -> string -> (resolved, string) result
+(** {!resolve}, restricted to an accepting predicate; the error names what
+    [what] takes instead. *)
+
+val pp_catalog : Format.formatter -> unit -> unit
+(** The catalog as [ccsim list] prints it: one row per entry, then the
+    names each command takes. *)

@@ -1,17 +1,8 @@
 let version = 3
 let magic = "SNCC"
 
-let algo_tag = function
-  | "cc1" -> Some 1
-  | "cc2" -> Some 2
-  | "cc3" -> Some 3
-  | _ -> None
-
-let algo_name = function
-  | 1 -> Some "cc1"
-  | 2 -> Some "cc2"
-  | 3 -> Some "cc3"
-  | _ -> None
+let algo_tag name =
+  Option.bind (Snapcc_mc.Systems.resolve name) (fun r -> r.Snapcc_mc.Systems.tag)
 
 type msg =
   | Hello of { id : int }

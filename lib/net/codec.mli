@@ -27,9 +27,8 @@ val version : int
 val magic : string
 
 val algo_tag : string -> int option
-(** ["cc1"]/["cc2"]/["cc3"] to their wire tags (1/2/3). *)
-
-val algo_name : int -> string option
+(** The wire tag of an algorithm name, from its {!Snapcc_mc.Systems} entry
+    (["cc1"]/["cc2"]/["cc3"] carry 1/2/3). *)
 
 (** The protocol messages.  [core]/[cache]/[state] fields carry marshalled
     algorithm states, opaque to the codec (the orchestrator and the node

@@ -4,15 +4,17 @@ module Vclock = Snapcc_telemetry.Vclock
 
 let fail fmt = Printf.ksprintf failwith fmt
 
-module Work (A : Model.ALGO) = struct
+module Work (A : Snapcc_mc.System.S) = struct
   module V = Snapcc_mp.Mp_view.Make (A)
+  module Enc = Snapcc_mc.Encode.Make (A)
 
   (* Decode a snapshot payload.  Form 1 carries the sender's state as an
-     8-byte little-endian packed-domain id; form 0 a marshalled state.
-     [None] means the payload is well-formed bytes but not applicable
-     (unknown id / wrong width) — the caller requests a resync instead of
-     guessing at a state. *)
-  let payload_state (coder : Net_algos.coder) ~src ~form payload : A.state option =
+     8-byte little-endian packed-domain id (the orchestrator interns the
+     same domain in the same order); form 0 a marshalled state.  [None]
+     means the payload is well-formed bytes but not applicable (unknown id
+     / wrong width) — the caller requests a resync instead of guessing at
+     a state. *)
+  let payload_state enc ~src ~form payload : A.state option =
     match form with
     | 0 -> Some (Marshal.from_string payload 0 : A.state)
     | 1 ->
@@ -22,13 +24,13 @@ module Work (A : Model.ALGO) = struct
         for k = 7 downto 0 do
           id := (!id lsl 8) lor Char.code payload.[k]
         done;
-        match coder.Net_algos.of_id ~proc:src !id with
-        | None -> None
-        | Some s -> Some (Marshal.from_string s 0 : A.state)
+        if !id < 0 || !id >= Enc.domain_count enc src then None
+        else Some (Enc.state enc src !id)
       end
     | _ -> None
 
-  let run fd ~id ~tag ~h ~core ~cache ~coder =
+  let run fd ~id ~tag ~h ~core ~cache =
+    let enc = Enc.create h in
     let core : A.state = Marshal.from_string core 0 in
     let cache : A.state array = Marshal.from_string cache 0 in
     let view = V.create h ~self:id ~core ~cache in
@@ -98,7 +100,7 @@ module Work (A : Model.ALGO) = struct
           match Vclock.decode_wire clock with
           | None -> send (Codec.Resync { reason = "bad clock trailer" })
           | Some c -> (
-            match payload_state coder ~src ~form payload with
+            match payload_state enc ~src ~form payload with
             | Some st -> accept ~slot ~seq ~form ~payload ~clock:c st
             | None -> send (Codec.Resync { reason = "unknown packed id" })))
         | Ok (_, Codec.Deliver_delta { src; seq; base_seq; delta; clock }) -> (
@@ -113,7 +115,7 @@ module Work (A : Model.ALGO) = struct
               | None -> send (Codec.Resync { reason = "delta does not apply" })
               | Some target -> (
                 let form = pay_form.(slot) in
-                match payload_state coder ~src ~form target with
+                match payload_state enc ~src ~form target with
                 | Some st -> accept ~slot ~seq ~form ~payload:target ~clock:c st
                 | None -> send (Codec.Resync { reason = "unknown packed id" }))))
         | Ok (_, Codec.Corrupt { core; cache }) ->
@@ -149,14 +151,12 @@ let serve ~id fd =
     match Codec.decode body with
     | Error e -> fail "node %d: bad init frame: %s" id (Codec.error_to_string e)
     | Ok (tag, Codec.Init { seed = _; topo; core; cache }) -> (
-      match Net_algos.find_tag tag with
+      match Snapcc_mc.Systems.of_tag tag with
       | None -> fail "node %d: unknown algorithm tag %d" id tag
-      | Some entry -> (
+      | Some { Snapcc_mc.Systems.sys = (module S); _ } -> (
         match HIO.parse topo with
         | Error e -> fail "node %d: bad topology: %s" id e
         | Ok h ->
-          let module A = (val entry.Net_algos.algo) in
-          let module W = Work (A) in
-          W.run fd ~id ~tag ~h ~core ~cache
-            ~coder:(entry.Net_algos.coder h)))
+          let module W = Work (S) in
+          W.run fd ~id ~tag ~h ~core ~cache))
     | Ok (_, _) -> fail "node %d: expected init frame" id)

@@ -51,7 +51,12 @@ type result = {
 
 let fail fmt = Printf.ksprintf failwith fmt
 
-module Make (A : Model.ALGO) = struct
+module Make (A : Snapcc_mc.System.S) = struct
+  (* the packed wire's snapshot ids: both ends intern the declared state
+     domain of the shared topology in the same deterministic order, so
+     they agree on every id without exchanging a dictionary *)
+  module Enc = Snapcc_mc.Encode.Make (A)
+
   let marshal (v : A.state) = Marshal.to_string v []
 
   (* per-link sender state of the packed wire format: the last payload
@@ -68,8 +73,10 @@ module Make (A : Model.ALGO) = struct
   let le64 id =
     String.init 8 (fun k -> Char.chr ((id lsr (8 * k)) land 0xff))
 
-  let go ?telemetry ~mode ~workload ~tag ~(coder : Net_algos.coder option)
-      (cfg : config) h =
+  let go ?telemetry ~mode ~workload ~tag (cfg : config) h =
+    let enc =
+      match cfg.engine with `Packed -> Some (Enc.create h) | `Closure -> None
+    in
     let t0 = Unix.gettimeofday () in
     let n = H.n h in
     let plan = cfg.plan in
@@ -292,11 +299,14 @@ module Make (A : Model.ALGO) = struct
          to a full frame (first contact, form change, keyframe due, or
          the delta would not be smaller).  Returns the frame and its
          snapshot-payload wire cost. *)
-      let packed_frame coder lst ~src e =
+      let packed_frame enc lst ~src e =
         let seq = lst.next_seq in
         lst.next_seq <- seq + 1;
+        (* a state outside the interned domain has no id and travels as a
+           full marshalled snapshot *)
+        let st : A.state = Marshal.from_string e.Link.state 0 in
         let form, payload =
-          match coder.Net_algos.to_id ~proc:src e.Link.state with
+          match Enc.find enc src st with
           | Some id -> (1, le64 id)
           | None -> (0, e.Link.state)
         in
@@ -364,7 +374,7 @@ module Make (A : Model.ALGO) = struct
             incr malformed;
             incr dropped
           in
-          (match coder with
+          (match enc with
            | None ->
              (* version-1 delivery: one full marshalled snapshot *)
              let body =
@@ -381,9 +391,9 @@ module Make (A : Model.ALGO) = struct
                 | _ -> fail "net: node %d: expected delivered" p);
                finish (String.length e.Link.state)
              end
-           | Some coder ->
+           | Some enc ->
              let lst = lstates.(p).(slot) in
-             let (msg, wire), seq, form, payload = packed_frame coder lst ~src e in
+             let (msg, wire), seq, form, payload = packed_frame enc lst ~src e in
              if e.Link.corrupt then
                (* the fault injector flips frame bytes; the node's strict
                   decoder must reject it before any delta bookkeeping, so
@@ -556,19 +566,11 @@ end
 
 let run ?telemetry ~mode ~workload (cfg : config) h =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  match Net_algos.find cfg.algo with
-  | None ->
-    Error
-      (Printf.sprintf "net supports cc1|cc2|cc3, not %S" cfg.algo)
-  | Some entry ->
-    let module A = (val entry.Net_algos.algo) in
-    let module O = Make (A) in
-    let coder =
-      match cfg.engine with
-      | `Packed -> Some (entry.Net_algos.coder h)
-      | `Closure -> None
-    in
-    Ok (O.go ?telemetry ~mode ~workload ~tag:entry.Net_algos.tag ~coder cfg h)
+  match Snapcc_mc.Systems.(lookup ~what:"net" wired) cfg.algo with
+  | Error _ as e -> e
+  | Ok { Snapcc_mc.Systems.sys = (module S); tag; _ } ->
+    let module O = Make (S) in
+    Ok (O.go ?telemetry ~mode ~workload ~tag:(Option.get tag) cfg h)
 
 let pp_result ppf r =
   Format.fprintf ppf

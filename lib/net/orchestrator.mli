@@ -21,7 +21,9 @@
     seed. *)
 
 type config = {
-  algo : string;  (** cc1 | cc2 | cc3 *)
+  algo : string;
+      (** a name with a wire tag ({!Snapcc_mc.Systems.wired}: cc1 | cc2 |
+          cc3) *)
   seed : int;
   init : [ `Canonical | `Random ];
   deliver_bias : float;
@@ -84,8 +86,8 @@ val run :
   config ->
   Snapcc_hypergraph.Hypergraph.t ->
   (result, string) Stdlib.result
-(** [Error] for an unknown algorithm name; protocol failures (a node
-    dying mid-run) raise [Failure] after the remaining nodes are
-    killed and reaped. *)
+(** [Error] for a name the catalog does not serve over the wire;
+    protocol failures (a node dying mid-run) raise [Failure] after the
+    remaining nodes are killed and reaped. *)
 
 val pp_result : Format.formatter -> result -> unit

@@ -1,6 +1,6 @@
-(* Orchestration: resolve the algorithm to a typed trial function (with
-   optional packed-table hooks), run the trials — in one shot, or in
-   fixed-size batches under SPRT — through the worker pool, emit the
+(* Orchestration: resolve the algorithm through the catalog to a typed
+   trial function (with optional packed-table hooks), run the trials — in
+   one shot, or in fixed-size batches under SPRT — through the worker pool, emit the
    telemetry stream, build the report.
 
    Worker-count independence is arranged here once and relied on
@@ -11,9 +11,8 @@
    the parent after the records are merged. *)
 
 module H = Snapcc_hypergraph.Hypergraph
-module Model = Snapcc_runtime.Model
 module Tele = Snapcc_telemetry
-module X = Snapcc_experiments.Algos
+module Systems = Snapcc_mc.Systems
 
 type cfg = {
   algo : string;
@@ -33,108 +32,25 @@ type cfg = {
   sprt_within : int option;
 }
 
-let algo_names =
-  [ "cc1"; "cc2"; "cc3"; "cc1-vring"; "cc2-vring"; "cc3-vring" ]
-
-module Cursor_off = struct
-  let cursor = false
-end
-
-module Cursor_on = struct
-  let cursor = true
-end
-
-module Sys_cc1 = Snapcc_mc.Systems.Cc1_sys (Snapcc_token.Token_tree) (X.Cc1)
-module Sys_cc2 =
-  Snapcc_mc.Systems.Cc23_sys (Snapcc_token.Token_tree) (X.Cc2) (Cursor_off)
-module Sys_cc3 =
-  Snapcc_mc.Systems.Cc23_sys (Snapcc_token.Token_tree) (X.Cc3) (Cursor_on)
-module Sys_cc1v =
-  Snapcc_mc.Systems.Cc1_sys (Snapcc_token.Token_vring) (X.Cc1_vring)
-module Sys_cc2v =
-  Snapcc_mc.Systems.Cc23_sys (Snapcc_token.Token_vring) (X.Cc2_vring)
-    (Cursor_off)
-module Sys_cc3v =
-  Snapcc_mc.Systems.Cc23_sys (Snapcc_token.Token_vring) (X.Cc3_vring)
-    (Cursor_on)
-module Pk_cc1 = Snapcc_mc.Packed.Make (Sys_cc1)
-module Pk_cc2 = Snapcc_mc.Packed.Make (Sys_cc2)
-module Pk_cc3 = Snapcc_mc.Packed.Make (Sys_cc3)
-module Pk_cc1v = Snapcc_mc.Packed.Make (Sys_cc1v)
-module Pk_cc2v = Snapcc_mc.Packed.Make (Sys_cc2v)
-module Pk_cc3v = Snapcc_mc.Packed.Make (Sys_cc3v)
-
-(* Same startup budget as the interactive commands: a process whose
-   footprint-cell count exceeds this is served by the guard closures
-   (trace-identical either way). *)
-let pack_cap = 1 lsl 20
-
-module Mk (A : Model.ALGO) = struct
-  module T = Trial.Of (A)
-
-  let fn ?packed cfg i =
-    T.run ?packed ~seed:cfg.seed ~budget:cfg.budget ~daemon:cfg.daemon
-      ~workload:cfg.workload ~disc:cfg.disc cfg.topo ~trial:i
-end
-
-module F_cc1 = Mk (X.Cc1)
-module F_cc2 = Mk (X.Cc2)
-module F_cc3 = Mk (X.Cc3)
-module F_cc1v = Mk (X.Cc1_vring)
-module F_cc2v = Mk (X.Cc2_vring)
-module F_cc3v = Mk (X.Cc3_vring)
-
 (* Tables are built here, in the parent, so forked workers inherit them
-   instead of re-enumerating per worker.  The tables only support
-   topologies whose configurations bit-pack (<= 16 processes); beyond
-   that the build raises and we transparently keep the guard closures,
-   which are trace-identical. *)
-let try_pack packed build =
-  if not packed then None else try Some (build ()) with Failure _ -> None
-
+   instead of re-enumerating per worker.  Beyond what the tables can pack
+   the trials keep the guard closures, which are trace-identical. *)
 let trial_fn cfg =
-  let packed = cfg.engine = `Packed in
-  match cfg.algo with
-  | "cc1" ->
-    let pk =
-      try_pack packed (fun () ->
-          Pk_cc1.hooks (Pk_cc1.build ~cap:pack_cap cfg.topo))
+  match Systems.lookup ~what:"smc" Systems.any cfg.algo with
+  | Error _ as e -> e
+  | Ok r ->
+    let (module S) = r.Systems.sys in
+    let module T = Trial.Of (S) in
+    let module Pk = Snapcc_mc.Packed.Make (S) in
+    let packed =
+      match cfg.engine with
+      | `Closure -> None
+      | `Packed -> Option.map Pk.hooks (Pk.try_build cfg.topo)
     in
-    Ok (F_cc1.fn ?packed:pk cfg)
-  | "cc2" ->
-    let pk =
-      try_pack packed (fun () ->
-          Pk_cc2.hooks (Pk_cc2.build ~cap:pack_cap cfg.topo))
-    in
-    Ok (F_cc2.fn ?packed:pk cfg)
-  | "cc3" ->
-    let pk =
-      try_pack packed (fun () ->
-          Pk_cc3.hooks (Pk_cc3.build ~cap:pack_cap cfg.topo))
-    in
-    Ok (F_cc3.fn ?packed:pk cfg)
-  | "cc1-vring" ->
-    let pk =
-      try_pack packed (fun () ->
-          Pk_cc1v.hooks (Pk_cc1v.build ~cap:pack_cap cfg.topo))
-    in
-    Ok (F_cc1v.fn ?packed:pk cfg)
-  | "cc2-vring" ->
-    let pk =
-      try_pack packed (fun () ->
-          Pk_cc2v.hooks (Pk_cc2v.build ~cap:pack_cap cfg.topo))
-    in
-    Ok (F_cc2v.fn ?packed:pk cfg)
-  | "cc3-vring" ->
-    let pk =
-      try_pack packed (fun () ->
-          Pk_cc3v.hooks (Pk_cc3v.build ~cap:pack_cap cfg.topo))
-    in
-    Ok (F_cc3v.fn ?packed:pk cfg)
-  | a ->
-    Error
-      (Printf.sprintf "smc supports %s, not %S"
-         (String.concat "|" algo_names) a)
+    Ok
+      (fun i ->
+        T.run ?packed ~seed:cfg.seed ~budget:cfg.budget ~daemon:cfg.daemon
+          ~workload:cfg.workload ~disc:cfg.disc cfg.topo ~trial:i)
 
 let validate cfg =
   if not (List.mem cfg.daemon ("sync" :: Trial.daemon_names)) then

@@ -1,4 +1,4 @@
-(** Orchestration of an smc run: typed algorithm dispatch (with packed
+(** Orchestration of an smc run: catalog resolution (with packed
     tables built once, in the parent), the worker pool, SPRT batching,
     telemetry and the report.
 
@@ -8,7 +8,7 @@
     index batches, and only the parent emits telemetry. *)
 
 type cfg = {
-  algo : string;  (** cc1|cc2|cc3|cc1-vring|cc2-vring|cc3-vring *)
+  algo : string;  (** any {!Snapcc_mc.Systems} name *)
   topo_name : string;
   topo : Snapcc_hypergraph.Hypergraph.t;
   daemon : string;
@@ -27,8 +27,6 @@ type cfg = {
   sprt_delta : float;  (** indifference half-width *)
   sprt_within : int option;  (** success horizon; default [budget] *)
 }
-
-val algo_names : string list
 
 val sprt_batch : int
 (** Trials per pool invocation in SPRT mode — fixed (never derived from

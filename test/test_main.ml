@@ -6,4 +6,5 @@ let () =
     @ Test_net.suite @ Test_packed.suite @ Test_safety.suite @ Test_statics.suite @ Test_mc.suite
     @ Test_symmetry.suite
     @ Test_experiments.suite @ Test_telemetry.suite @ Test_causal.suite
-    @ Test_smc.suite @ Test_engine_cache.suite @ Test_kernels.suite)
+    @ Test_smc.suite @ Test_engine_cache.suite @ Test_kernels.suite
+    @ Test_catalog.suite)

@@ -18,7 +18,7 @@ module Net = Snapcc_net
 module Codec = Net.Codec
 module Delta = Net.Delta
 module Faults = Net.Faults
-module Net_algos = Net.Net_algos
+module Systems = Snapcc_mc.Systems
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -153,6 +153,34 @@ let test_driver_parity_capped_fallback () =
     let mk_workload () = Workload.always_requesting h3 in
     P1.run_pair ~name:"cc1/line3/mixed" ~hooks:(P1.Pk.hooks pk) ~mk_workload
       ~init:`Random ~seed:4 ~steps:1_500 h3
+
+(* The ablation and the baselines take the packed engine through the same
+   catalog path as the paper's algorithms; their tables cover anywhere
+   from none to all of the processes under the interactive budget. *)
+let test_driver_parity_catalog () =
+  let coverages = ref [] in
+  List.iter
+    (fun name ->
+      let r =
+        match Systems.resolve name with
+        | Some r -> r
+        | None -> Alcotest.failf "%s is not in the catalog" name
+      in
+      let (module S) = r.Systems.sys in
+      let module P = Driver_parity (S) (S) in
+      List.iter
+        (fun topo ->
+          let h = Families.by_name topo in
+          let pk = P.Pk.build ~cap:Snapcc_mc.Packed.startup_cap h in
+          coverages := P.Pk.coverage pk :: !coverages;
+          P.run_pair ~name:(name ^ "/" ^ topo) ~hooks:(P.Pk.hooks pk)
+            ~mk_workload:(fun () -> Workload.always_requesting h)
+            ~init:`Random ~seed:3 ~steps:1_500 h)
+        [ "fig1"; "ring6"; "ring4" ])
+    [ "dining"; "central"; "token-only"; "cc1-no-token" ];
+  check "some run is fully table-driven" true (List.mem 1.0 !coverages);
+  check "some run falls back to closures" true
+    (List.exists (fun c -> c < 1.0) !coverages)
 
 (* ---- mp-engine parity ---- *)
 
@@ -394,16 +422,22 @@ let test_delta_rejects_corruption () =
    [Decode_error]; and the final [Bye_ack] must count only the latter. *)
 let test_node_resync_protocol () =
   let h = Families.single 2 in
-  let entry =
-    match Net.Net_algos.find "cc1" with
-    | Some e -> e
-    | None -> Alcotest.fail "cc1 missing from the wire registry"
+  let r =
+    match Systems.resolve "cc1" with
+    | Some r -> r
+    | None -> Alcotest.fail "cc1 missing from the catalog"
   in
-  let coder = entry.Net_algos.coder h in
-  let module A = (val entry.Net_algos.algo) in
+  let tag =
+    match r.Systems.tag with
+    | Some t -> t
+    | None -> Alcotest.fail "cc1 has no wire tag"
+  in
+  let (module A) = r.Systems.sys in
+  (* the packed ids the node decodes: the interned state domain *)
+  let module Enc = Snapcc_mc.Encode.Make (A) in
+  let enc = Enc.create h in
   let nodes = Net.Spawn.launch Net.Spawn.Fork ~n:1 in
   let fd = nodes.(0).Net.Spawn.fd in
-  let tag = entry.Net_algos.tag in
   let send msg = Net.Wire.write fd (Codec.encode ~algo:tag msg) in
   let recv () =
     match Net.Wire.read fd with
@@ -442,7 +476,7 @@ let test_node_resync_protocol () =
   (* a real full snapshot: the node accepts and acknowledges *)
   let nb_bytes = Marshal.to_string nb [] in
   let id =
-    match coder.Net_algos.to_id ~proc:1 nb_bytes with
+    match Enc.find enc 1 nb with
     | Some id -> id
     | None -> Alcotest.fail "initial state must be in the interned domain"
   in
@@ -468,9 +502,8 @@ let test_node_resync_protocol () =
        { src = 1; seq = 2; base_seq = 1; delta = mangled; clock = wclock 3 });
   expect_resync "undecodable delta";
   (* a delta onto an acknowledged base applies *)
-  (match coder.Net_algos.of_id ~proc:1 id with
-   | Some bytes -> check "coder is a bijection" true (bytes = nb_bytes)
-   | None -> Alcotest.fail "of_id failed on an interned id");
+  check "ids are a bijection" true
+    (Marshal.to_string (Enc.state enc 1 id) [] = nb_bytes);
   send
     (Codec.Deliver_delta
        { src = 1; seq = 2; base_seq = 1; delta = good; clock = wclock 3 });
@@ -515,6 +548,8 @@ let suite =
           test_driver_parity_line3;
         Alcotest.test_case "capped tables fall back soundly" `Slow
           test_driver_parity_capped_fallback;
+        Alcotest.test_case "driver parity: ablation and baselines" `Slow
+          test_driver_parity_catalog;
         Alcotest.test_case "mp parity (all algorithms)" `Quick test_mp_parity;
         Alcotest.test_case "mp parity on line3" `Slow test_mp_parity_line3;
         Alcotest.test_case "net wire parity, zero faults" `Quick

@@ -31,8 +31,9 @@ let daemon_of = function
 
 let run_case c =
   let h = Families.random ~seed:c.seed ~n:c.n ~m:c.m () in
-  let runner = List.nth (X.paper_algorithms ()) c.algo_ix in
-  runner.X.run ~seed:c.seed ~init:`Random ~daemon:(daemon_of c.daemon_ix)
+  let (module A) = (List.nth (X.paper_algorithms ()) c.algo_ix).X.algo in
+  let module R = Driver.Make (A) in
+  R.run ~seed:c.seed ~init:`Random ~daemon:(daemon_of c.daemon_ix)
     ~workload:(Workload.always_requesting h) ~steps:3_000 h
 
 let prop_no_violations =
@@ -59,11 +60,12 @@ let prop_fairness =
          tup4 (int_bound 100_000) (int_range 4 8) (int_range 3 6) bool))
     (fun (seed, n, m, use_cc3) ->
       let h = Families.random ~seed ~n ~m () in
-      let runner =
-        List.nth (X.paper_algorithms ()) (if use_cc3 then 2 else 1)
+      let (module A) =
+        (List.nth (X.paper_algorithms ()) (if use_cc3 then 2 else 1)).X.algo
       in
+      let module R = Driver.Make (A) in
       let r =
-        runner.X.run ~seed ~init:`Random ~daemon:(Daemon.random_subset ())
+        R.run ~seed ~init:`Random ~daemon:(Daemon.random_subset ())
           ~workload:(Workload.always_requesting h) ~steps:15_000 h
       in
       Array.for_all (fun c -> c > 0) r.Driver.participations)
@@ -74,10 +76,11 @@ let prop_two_phase_counters =
     ~count:30 gen_case
     (fun c ->
       let h = Families.random ~seed:c.seed ~n:c.n ~m:c.m () in
-      let runner = List.nth (X.paper_algorithms ()) c.algo_ix in
+      let (module A) = (List.nth (X.paper_algorithms ()) c.algo_ix).X.algo in
+      let module R = Driver.Make (A) in
       (* canonical start so counters begin at zero *)
       let r =
-        runner.X.run ~seed:c.seed ~daemon:(daemon_of c.daemon_ix)
+        R.run ~seed:c.seed ~daemon:(daemon_of c.daemon_ix)
           ~workload:(Workload.always_requesting h) ~steps:3_000 h
       in
       Array.for_all Fun.id
