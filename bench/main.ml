@@ -252,13 +252,15 @@ let run_engine_bench () =
        informational: the bare packed step is ~100-150ns, so the ~40ns
        per-event clock stamp is a visible multiple of it — the raw
        microloop is a lower bound no observability layer can meet);
-     - the full instrumented pipeline `ccsim mp` actually runs —
-       workload inputs + engine step + Spec monitors + Metrics, all on
-       the hub — with stamping on vs off (`stamping_overhead`,
-       CI-gated).  Each on/off pair runs back-to-back and the reported
-       overhead is the median pair ratio, which cancels host frequency
-       drift that a min-of-k cannot (adjacent runs share the slow
-       phase).  Steady state on this instance is ~x1.06.
+     - the runner `ccsim mp` itself calls ([Driver.Mp]: workload
+       inputs and observation, engine step, the observer's Spec +
+       Metrics, all on the hub) with stamping on vs off
+       (`stamping_overhead`, CI-gated).  Each on/off pair runs
+       back-to-back and the reported overhead is the median pair ratio,
+       which cancels host frequency drift that a min-of-k cannot
+       (adjacent runs share the slow phase).  Steady state on this
+       instance is ~x1.10 (median of 41 pairs on a 2-core x86-64
+       container; single --quick readings spread 1.02-1.18 there).
 
      Stamping must not change the execution either way (obs equality
      per pair below; it never touches the rng). *)
@@ -287,25 +289,15 @@ let run_engine_bench () =
   Format.printf
     "mp:     stamped %.2fs  steps/s %.0f  (raw microloop x%.3f vs packed)@."
     mt_s mp_steps_per_s_stamped (mt_s /. mt_p);
-  let module Spec = Snapcc_analysis.Spec in
-  let module Metrics = Snapcc_analysis.Metrics in
+  let module Mp = Snapcc_experiments.Driver.Mp (S) in
   let pipeline ~vclock () =
     let hub = discard_hub () in
     let workload = Workload.always_requesting h in
-    let eng = E.create ~seed:1 ~telemetry:hub ~vclock ~packed:hooks h in
-    let spec = Spec.create ~telemetry:hub h ~initial:(E.obs eng) in
-    let metrics = Metrics.create ~telemetry:hub h ~initial:(E.obs eng) in
-    let before = ref (E.obs eng) in
     let t0 = Unix.gettimeofday () in
-    for i = 0 to mp_steps - 1 do
-      let inputs = Workload.inputs workload !before in
-      ignore (E.step eng ~inputs);
-      let after = E.obs eng in
-      Spec.on_step spec ~step:i ~request_out:inputs.Model.request_out
-        ~before:!before ~after;
-      Metrics.on_step metrics ~step:i ~round:0 ~before:!before ~after;
-      before := after
-    done;
+    let _, eng =
+      Mp.run ~seed:1 ~telemetry:hub ~vclock ~packed:hooks ~workload
+        ~steps:mp_steps h
+    in
     let dt = Unix.gettimeofday () -. t0 in
     Tele.Hub.close hub;
     (eng, dt)
@@ -316,7 +308,7 @@ let run_engine_bench () =
     Array.init pairs (fun _ ->
         let e0, pt_off = pipeline ~vclock:false () in
         let e1, pt_on = pipeline ~vclock:true () in
-        assert (E.obs e0 = E.obs e1);
+        assert (Mp.E.obs e0 = Mp.E.obs e1);
         (pt_off, pt_on))
   in
   let pt_off = Array.fold_left (fun a (o, _) -> a +. o) 0. ratios in

@@ -11,15 +11,14 @@ module H = Snapcc_hypergraph.Hypergraph
 module Families = Snapcc_hypergraph.Families
 module Matching = Snapcc_hypergraph.Matching
 module Model = Snapcc_runtime.Model
-module Daemon = Snapcc_runtime.Daemon
 module Obs = Snapcc_runtime.Obs
 module Trace = Snapcc_runtime.Trace
-module Workload = Snapcc_workload.Workload
 module Spec = Snapcc_analysis.Spec
 module Driver = Snapcc_experiments.Driver
 module Registry = Snapcc_experiments.Registry
 module Table = Snapcc_experiments.Table
 module Systems = Snapcc_mc.Systems
+module Smc = Snapcc_smc
 
 open Cmdliner
 
@@ -55,12 +54,18 @@ let algo_arg accepts =
   in
   Arg.(value & opt string "cc1" & info [ "a"; "algo" ] ~docv:"ALGO" ~doc)
 
+(* Daemon and workload names come from the statistical tier's table
+   (lib/smc/trial.ml), so every command accepts the same keys. *)
 let daemon_arg =
-  let doc = "Daemon: synchronous|central|random|sparse." in
+  let doc =
+    Printf.sprintf "Daemon: %s." (String.concat "|" Smc.Trial.daemon_names)
+  in
   Arg.(value & opt string "random" & info [ "d"; "daemon" ] ~docv:"DAEMON" ~doc)
 
 let workload_arg =
-  let doc = "Workload: always|bursty|infinite." in
+  let doc =
+    Printf.sprintf "Workload: %s." (String.concat "|" Smc.Trial.workload_names)
+  in
   Arg.(value & opt string "always" & info [ "w"; "workload" ] ~docv:"WL" ~doc)
 
 let disc_arg =
@@ -120,25 +125,19 @@ let packed_hooks (type s) (module S : Snapcc_mc.System.S with type state = s)
       Format.printf "engine: closure (packed tables need n <= 16)@.";
       None)
 
-let daemon = function
-  | "synchronous" | "sync" -> Ok Daemon.synchronous
-  | "central" -> Ok (Daemon.central ())
-  | "random" -> Ok (Daemon.random_subset ())
-  | "sparse" -> Ok (Daemon.random_subset ~p:0.15 ())
-  | d -> Error (Printf.sprintf "unknown daemon %S" d)
-
-let workload name ~disc h =
-  match name with
-  | "always" -> Ok (Workload.always_requesting ~disc_len:(fun _ -> disc) h)
-  | "bursty" -> Ok (Workload.bursty ~disc_len:(fun _ -> disc) ~seed:7 h)
-  | "infinite" -> Ok (Workload.infinite_meetings h)
-  | w -> Error (Printf.sprintf "unknown workload %S" w)
-
 let or_die = function
   | Ok v -> v
   | Error msg ->
     Format.eprintf "ccsim: %s@." msg;
     exit 2
+
+let daemon name =
+  try Smc.Trial.daemon_of name with Invalid_argument msg -> or_die (Error msg)
+
+(* the interactive commands pin the bursty arrival coin to seed 7 *)
+let workload name ~disc h =
+  try Smc.Trial.workload_of name ~disc ~seed:7 h
+  with Invalid_argument msg -> or_die (Error msg)
 
 (* ---- shared topology resolution ----
 
@@ -188,14 +187,14 @@ let read_lines file =
     Fun.protect ~finally:(fun () -> close_in ic) (fun () -> drain ic)
   end
 
-(* A hub fanning out to the requested file sinks.  Returns the hub (None
-   when nothing was requested), the ring sink backing [--emit-json] (the
-   summary is aggregated from it post-run), and a finalizer that closes
-   the sinks (writing the catapult trailer) and the files. *)
-let make_hub ?(ring_capacity = 0) ?(force = false) ~emit_trace ~emit_catapult () =
-  if emit_trace = None && emit_catapult = None && ring_capacity = 0
+(* A hub fanning out to the requested file sinks and, for [--emit-json],
+   to an online [Tele.Stats] fold.  Returns the hub (None when nothing was
+   requested) and a finalizer that writes the summary and closes the sinks
+   (writing the catapult trailer) and the files. *)
+let make_hub ?(force = false) ~emit_trace ~emit_json ~emit_catapult () =
+  if emit_trace = None && emit_catapult = None && emit_json = None
      && not force
-  then (None, None, fun () -> ())
+  then (None, fun () -> ())
   else begin
     (* catapult is the one artifact that renders timestamps; give the hub
        a real clock only when it is requested, so every other artifact
@@ -210,29 +209,24 @@ let make_hub ?(ring_capacity = 0) ?(force = false) ~emit_trace ~emit_catapult ()
     in
     Option.iter (add_file Tele.Sink.jsonl) emit_trace;
     Option.iter (add_file Tele.Sink.catapult) emit_catapult;
-    let ring =
-      if ring_capacity = 0 then None
-      else begin
-        let r = Tele.Sink.ring ~capacity:ring_capacity in
-        Tele.Hub.add_sink hub r;
-        Some r
-      end
+    let summary =
+      Option.map
+        (fun file ->
+          let stats = Tele.Stats.create () in
+          Tele.Hub.add_sink hub (Tele.Stats.sink stats);
+          (file, stats))
+        emit_json
     in
     ( Some hub,
-      ring,
       fun () ->
+        Option.iter
+          (fun (file, stats) ->
+            let meta, summary = Tele.Stats.result stats in
+            write_json file (Tele.Stats.to_json ?meta summary))
+          summary;
         Tele.Hub.close hub;
         List.iter (fun f -> f ()) !closers )
   end
-
-let ring_summary ring =
-  let events =
-    List.map
-      (fun (s : Tele.Event.stamped) -> s.Tele.Event.ev)
-      (Tele.Sink.ring_events ring)
-  in
-  let meta, summary = Tele.Stats.of_events events in
-  Tele.Stats.to_json ?meta summary
 
 let emit_trace_arg =
   Arg.(value & opt (some string) None
@@ -256,8 +250,8 @@ let emit_catapult_arg =
 let run_cmd topo algo_name daemon_name workload_name steps seed disc random_init
     fault_at trace timeline engine emit_trace emit_json emit_catapult =
   let _, h = (topo : string * H.t) in
-  let daemon = or_die (daemon daemon_name) in
-  let workload = or_die (workload workload_name ~disc h) in
+  let daemon = daemon daemon_name in
+  let workload = workload workload_name ~disc h in
   let sys = or_die (Systems.lookup ~what:"run" Systems.any algo_name) in
   let (module S) = sys.Systems.sys in
   let module R = Driver.Make (S) in
@@ -269,14 +263,8 @@ let run_cmd topo algo_name daemon_name workload_name steps seed disc random_init
         else [])
       fault_at
   in
-  (* generous per-step event bound so the ring never wraps (a wrapped ring
-     would lose the run_start header and skew the aggregated summary) *)
-  let ring_capacity =
-    if emit_json = None then 0
-    else (steps * ((4 * H.n h) + (4 * H.m h) + 16)) + 64
-  in
-  let telemetry, ring, finish_telemetry =
-    make_hub ~ring_capacity ~emit_trace ~emit_catapult ()
+  let telemetry, finish_telemetry =
+    make_hub ~emit_trace ~emit_json ~emit_catapult ()
   in
   let record_trace = trace || timeline in
   let packed = packed_hooks (module S) engine h in
@@ -284,9 +272,6 @@ let run_cmd topo algo_name daemon_name workload_name steps seed disc random_init
     R.run ~seed ~init ?faults ?telemetry ~record_trace
       ?packed:(Option.map fst packed) ~daemon ~workload ~steps h
   in
-  (match (emit_json, ring) with
-   | Some file, Some rg -> write_json file (ring_summary rg)
-   | _ -> ());
   finish_telemetry ();
   (match packed with
    | Some (_, c) ->
@@ -319,73 +304,37 @@ let run_term =
 let mp_cmd topo algo_name workload_name steps seed disc random_init bias engine
     no_vclock emit_trace emit_json =
   let _, h = (topo : string * H.t) in
-  let workload = or_die (workload workload_name ~disc h) in
-  let ring_capacity =
-    if emit_json = None then 0 else (steps * ((2 * H.n h) + 8)) + 64
+  let workload = workload workload_name ~disc h in
+  let telemetry, finish_telemetry =
+    make_hub ~emit_trace ~emit_json ~emit_catapult:None ()
   in
-  let telemetry, ring, finish_telemetry =
-    make_hub ~ring_capacity ~emit_trace ~emit_catapult:None ()
-  in
-  let emit ev =
-    match telemetry with Some hub -> Tele.Hub.emit hub ev | None -> ()
-  in
-  let module Run (A : Model.ALGO) = struct
-    module E = Snapcc_mp.Mp_engine.Make (A)
-
-    let go packed =
-      let eng =
-        E.create ~seed
-          ~init:(if random_init then `Random else `Canonical)
-          ~deliver_bias:bias ~vclock:(not no_vclock) ?telemetry ?packed h
-      in
-      let spec = Spec.create ?telemetry h ~initial:(E.obs eng) in
-      emit
-        (Tele.Event.Run_start
-           { algo = A.name; daemon = "mp-scheduler";
-             workload = Workload.name workload; seed; n = H.n h; m = H.m h;
-             topo = Snapcc_hypergraph.Hypergraph_io.to_string h });
-      let metrics =
-        Snapcc_analysis.Metrics.create ?telemetry h ~initial:(E.obs eng)
-      in
-      let before = ref (E.obs eng) in
-      for i = 0 to steps - 1 do
-        let inputs = Workload.inputs workload !before in
-        ignore (E.step eng ~inputs);
-        let after = E.obs eng in
-        Spec.on_step spec ~step:i
-          ~request_out:inputs.Model.request_out ~before:!before
-          ~after;
-        Snapcc_analysis.Metrics.on_step metrics ~step:i ~round:0
-          ~before:!before ~after;
-        Workload.observe workload ~step:i after;
-        before := after
-      done;
-      emit (Tele.Event.Run_end { outcome = "steps_exhausted"; steps; rounds = 0 });
-      (match (emit_json, ring) with
-       | Some file, Some rg -> write_json file (ring_summary rg)
-       | _ -> ());
-      finish_telemetry ();
-      (match E.engine_kind eng with
-       | `Packed -> Format.printf "engine: packed@."
-       | `Closure -> ());
-      Format.printf
-        "%s over message passing: %d steps, %d meetings, %d violations@."
-        A.name steps
-        (List.length (Spec.convened spec))
-        (List.length (Spec.violations spec));
-      Format.printf
-        "messages: %d sent, %d delivered (%d in flight); max staleness %d steps@."
-        (E.messages_sent eng) (E.messages_delivered eng) (E.in_flight eng)
-        (E.max_staleness eng);
-      List.iteri
-        (fun i v -> if i < 10 then Format.printf "  %a@." Spec.pp_violation v)
-        (Spec.violations spec);
-      Format.printf "@.final configuration:@.%a@." (Obs.pp_snapshot h) (E.obs eng)
-  end in
   let sys = or_die (Systems.lookup ~what:"mp" Systems.wired algo_name) in
   let (module S) = sys.Systems.sys in
-  let module R = Run (S) in
-  R.go (Option.map fst (packed_hooks (module S) engine h))
+  let module R = Driver.Mp (S) in
+  let packed = Option.map fst (packed_hooks (module S) engine h) in
+  let r, eng =
+    R.run ~seed
+      ~init:(if random_init then `Random else `Canonical)
+      ~deliver_bias:bias ~vclock:(not no_vclock) ?telemetry ?packed ~workload
+      ~steps h
+  in
+  finish_telemetry ();
+  (match R.E.engine_kind eng with
+   | `Packed -> Format.printf "engine: packed@."
+   | `Closure -> ());
+  Format.printf "%s over message passing: %d steps, %d meetings, %d violations@."
+    S.name steps
+    (List.length r.Driver.convened)
+    (List.length r.Driver.violations);
+  Format.printf
+    "messages: %d sent, %d delivered (%d in flight); max staleness %d steps@."
+    (R.E.messages_sent eng) (R.E.messages_delivered eng) (R.E.in_flight eng)
+    (R.E.max_staleness eng);
+  List.iteri
+    (fun i v -> if i < 10 then Format.printf "  %a@." Spec.pp_violation v)
+    r.Driver.violations;
+  Format.printf "@.final configuration:@.%a@." (Obs.pp_snapshot h)
+    r.Driver.final_obs
 
 (* validated argument converters, shared by `ccsim mp' and `ccsim net' *)
 
@@ -473,13 +422,10 @@ let net_cmd topo nprocs algo_name workload_name steps seed disc random_init
     | Some k -> snd (or_die (resolve_topo ~n:k "ring"))
     | None -> snd (topo : string * H.t)
   in
-  let workload = or_die (workload workload_name ~disc h) in
+  let workload = workload workload_name ~disc h in
   let burst = Cli.resolve_burst ~steps ~soak burst in
-  let ring_capacity =
-    if emit_json = None then 0 else (steps * ((6 * H.n h) + 16)) + 64
-  in
-  let telemetry, ring, finish_telemetry =
-    make_hub ~ring_capacity ~force:(dash || prom <> None) ~emit_trace
+  let telemetry, finish_telemetry =
+    make_hub ~force:(dash || prom <> None) ~emit_trace ~emit_json
       ~emit_catapult ()
   in
   (match telemetry with
@@ -503,9 +449,6 @@ let net_cmd topo nprocs algo_name workload_name steps seed disc random_init
       deliver_bias = bias; steps; plan = faults; burst; engine }
   in
   let r = or_die (Net.Orchestrator.run ?telemetry ~mode ~workload cfg h) in
-  (match (emit_json, ring) with
-   | Some file, Some rg -> write_json file (ring_summary rg)
-   | _ -> ());
   finish_telemetry ();
   Format.printf "%s over %d node processes (%s wire), faults: %a@." algo_name
     (H.n h)
@@ -1197,10 +1140,14 @@ let check_cmd algos family n token max_states keep_going sample seed cex_path
   let topo_name, h = or_die (resolve_topo ~n family) in
   (* frontier samples arrive every ~16k explored configurations, so even a
      multi-million-state run fits a small ring *)
-  let telemetry, ring, finish_telemetry =
-    make_hub
-      ~ring_capacity:(if emit_json = None then 0 else 65_536)
-      ~emit_trace:None ~emit_catapult:None ()
+  let ring = Tele.Sink.ring ~capacity:65_536 in
+  let telemetry =
+    Option.map
+      (fun _ ->
+        let hub = Tele.Hub.create () in
+        Tele.Hub.add_sink hub ring;
+        hub)
+      emit_json
   in
   let keys =
     match algos with
@@ -1227,8 +1174,8 @@ let check_cmd algos family n token max_states keep_going sample seed cex_path
   in
   if List.length reports > 1 then
     Format.printf "%a@." Table.pp (Mc_report.summary_table reports);
-  (match (emit_json, ring) with
-   | Some file, Some rg ->
+  (match emit_json with
+   | Some file ->
      let frontier =
        List.filter_map
          (fun (s : Tele.Event.stamped) ->
@@ -1239,14 +1186,13 @@ let check_cmd algos family n token max_states keep_going sample seed cex_path
                   [ ("configs", Tele.Json.Int configs);
                     ("transitions", Tele.Json.Int transitions) ])
            | _ -> None)
-         (Tele.Sink.ring_events rg)
+         (Tele.Sink.ring_events ring)
      in
      write_json file
        (Tele.Json.Obj
           [ ("reports", Tele.Json.List (List.map mc_report_json reports));
             ("frontier", Tele.Json.List frontier) ])
-   | _ -> ());
-  finish_telemetry ();
+   | None -> ());
   if List.exists (fun r -> Mc_report.outcome r = Mc_report.Fail) reports then
     exit 1
 
@@ -1327,14 +1273,12 @@ let check_term =
 
 (* ---- smc (statistical model checking) ---- *)
 
-module Smc = Snapcc_smc
-
 let smc_cmd family n algo_name daemon_name workload_name trials budget workers
     seed confidence disc engine sprt sprt_delta sprt_within emit_trace
     emit_json =
   let topo_name, h = or_die (resolve_topo ?n family) in
-  let telemetry, _ring, finish_telemetry =
-    make_hub ~emit_trace ~emit_catapult:None ()
+  let telemetry, finish_telemetry =
+    make_hub ~emit_trace ~emit_json:None ~emit_catapult:None ()
   in
   let cfg =
     { Smc.Runner.algo = algo_name;

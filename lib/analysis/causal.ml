@@ -236,16 +236,41 @@ type replay = {
 
 let replay h init_obs (order : node array) ~horizon =
   let obs = Array.copy init_obs in
-  let spec = Spec.create h ~initial:(Array.copy obs) in
-  let before = ref (Array.copy obs) in
   let faults = ref [] in
-  let recover = ref None in
   let recover_idx = ref None in
   let spans = ref [] in
   let dfc = ref (List.length (Obs.meetings h obs)) in
   let conc_sum = ref 0 in
   let cur_conc = ref (List.length (Obs.meetings h obs)) in
   let last_iter = ref 0 in
+  (* the observer's convene/terminate events, tagged with the linearized
+     event that caused them, become the meeting spans *)
+  let cur = ref 0 in
+  let on_event (s : Event.stamped) =
+    let ev = order.(!cur) in
+    match s.Event.ev with
+    | Event.Convene { eid; _ } ->
+      spans :=
+        { eid; convene_iter = ev.iter; convene_clock = ev.clock;
+          close_iter = None; close_clock = None }
+        :: !spans
+    | Event.Terminate { eid; _ } ->
+      let closed = ref false in
+      spans :=
+        List.map
+          (fun s ->
+            if (not !closed) && s.eid = eid && s.close_iter = None then begin
+              closed := true;
+              { s with close_iter = Some ev.iter; close_clock = Some ev.clock }
+            end
+            else s)
+          !spans
+    | _ -> ()
+  in
+  let hub = Snapcc_telemetry.Hub.create () in
+  Snapcc_telemetry.Hub.add_sink hub
+    (Snapcc_telemetry.Sink.custom ~emit:on_event ~close:ignore);
+  let observer = Observer.create ~telemetry:hub h ~initial:(Array.copy obs) in
   let total = Array.length order in
   let i = ref 0 in
   while !i < total do
@@ -267,8 +292,7 @@ let replay h init_obs (order : node array) ~horizon =
       end
     done;
     if !corrupted then begin
-      Spec.on_fault spec (Array.copy obs);
-      before := Array.copy obs;
+      Observer.fault observer (Array.copy obs);
       faults := iter :: !faults
     end;
     for x = !i to !j - 1 do
@@ -276,52 +300,27 @@ let replay h init_obs (order : node array) ~horizon =
       if ev.k <> Event.clock_corruption then begin
         obs.(ev.p) <- ev.obs;
         let after = Array.copy obs in
+        cur := x;
         (* the trace does not record RequestOut; see the caveat in the
            interface — voluntary-discussion is evaluated permissively *)
-        Spec.on_step spec ~step:iter ~request_out:(fun _ -> true)
-          ~before:!before ~after;
-        let mb = Obs.meetings h !before and ma = Obs.meetings h after in
-        let fresh = List.filter (fun e -> not (List.mem e mb)) ma in
-        let gone = List.filter (fun e -> not (List.mem e ma)) mb in
-        List.iter
-          (fun eid ->
-            spans :=
-              { eid; convene_iter = iter; convene_clock = ev.clock;
-                close_iter = None; close_clock = None }
-              :: !spans)
-          fresh;
-        List.iter
-          (fun eid ->
-            let closed = ref false in
-            spans :=
-              List.map
-                (fun s ->
-                  if (not !closed) && s.eid = eid && s.close_iter = None then begin
-                    closed := true;
-                    { s with close_iter = Some iter; close_clock = Some ev.clock }
-                  end
-                  else s)
-                !spans)
-          gone;
-        (match (fresh, !faults, !recover) with
-         | _ :: _, _ :: _, None ->
-           recover := Some iter;
-           recover_idx := Some x
-         | _ -> ());
-        cur_conc := List.length ma;
-        if !cur_conc > !dfc then dfc := !cur_conc;
-        before := after
+        Observer.step observer ~step:iter ~round:0 ~request_out:(fun _ -> true)
+          after;
+        if !recover_idx = None && Observer.recovered observer <> None then
+          recover_idx := Some x;
+        cur_conc := List.length (Obs.meetings h after);
+        if !cur_conc > !dfc then dfc := !cur_conc
       end
     done;
     i := !j
   done;
   let horizon = max horizon (!last_iter + 1) in
   conc_sum := !conc_sum + ((horizon - !last_iter) * !cur_conc);
+  let spec = Observer.spec observer in
   {
     r_violations = Spec.violations spec;
     r_convened = Spec.convened spec;
     r_faults = List.rev !faults;
-    r_recover = !recover;
+    r_recover = Observer.recovered observer;
     r_recover_idx = !recover_idx;
     r_spans = List.rev !spans;
     r_dfc = !dfc;

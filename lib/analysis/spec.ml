@@ -13,6 +13,7 @@ type t = {
   h : H.t;
   mutable rev_violations : violation list;
   mutable rev_convened : (int * int) list;
+  mutable terminations : int;
   convene_count : int array;
   participations : int array;
   sessions : session array;
@@ -27,6 +28,7 @@ let create ?telemetry h ~initial =
     h;
     rev_violations = [];
     rev_convened = [];
+    terminations = 0;
     convene_count = Array.make (H.m h) 0;
     participations = Array.make (H.n h) 0;
     sessions;
@@ -92,6 +94,7 @@ let check_convene t ~step ~(before : Obs.t array) ~(after : Obs.t array) e =
 
 let check_terminate t ~step ~request_out ~(before : Obs.t array) e =
   let members = H.edge_members t.h e in
+  t.terminations <- t.terminations + 1;
   (match t.sessions.(e) with
    | Exempt | Off -> ()
    | Running { since; disc_at_convene } ->
@@ -135,6 +138,7 @@ let on_fault t obs =
 let violations t = List.rev t.rev_violations
 let ok t = t.rev_violations = []
 let convened t = List.rev t.rev_convened
+let terminations t = t.terminations
 let convene_count t = Array.copy t.convene_count
 let participations t = Array.copy t.participations
 

@@ -53,6 +53,10 @@ val ok : t -> bool
 val convened : t -> (int * int) list
 (** [(step, eid)] ledger of convened meetings, chronological. *)
 
+val terminations : t -> int
+(** Number of meetings that broke up (met before a transition, not after),
+    exempt ones included. *)
+
 val convene_count : t -> int array
 (** Per-committee number of convenes. *)
 

@@ -1,10 +1,3 @@
-(** One-stop runner: engine + workload + specification monitor + metrics.
-
-    Every experiment and most integration tests funnel through [Make(A).run]
-    so that each simulated step is judged against the paper's specification
-    (see {!Snapcc_analysis.Spec}) and measured (see
-    {!Snapcc_analysis.Metrics}). *)
-
 module Model = Snapcc_runtime.Model
 module Obs = Snapcc_runtime.Obs
 module Daemon = Snapcc_runtime.Daemon
@@ -12,6 +5,7 @@ module Trace = Snapcc_runtime.Trace
 module Workload = Snapcc_workload.Workload
 module Spec = Snapcc_analysis.Spec
 module Metrics = Snapcc_analysis.Metrics
+module Observer = Snapcc_analysis.Observer
 module Tele = Snapcc_telemetry
 
 type result = {
@@ -42,6 +36,40 @@ let pp_result ppf r =
     r.steps r.rounds Metrics.pp_summary r.summary
     (List.length r.violations)
 
+let run_start ~algo ~daemon ~workload ~seed h =
+  Tele.Event.Run_start
+    { algo; daemon; workload = Workload.name workload; seed;
+      n = Snapcc_hypergraph.Hypergraph.n h;
+      m = Snapcc_hypergraph.Hypergraph.m h;
+      topo = Snapcc_hypergraph.Hypergraph_io.to_string h }
+
+let run_end outcome ~steps ~rounds =
+  Tele.Event.Run_end
+    { outcome =
+        (match outcome with
+         | `Terminal -> "terminal"
+         | `Stopped -> "stopped"
+         | `Steps_exhausted -> "steps_exhausted");
+      steps;
+      rounds }
+
+let result ~algo ~daemon ~workload ~outcome ~steps ~rounds ~final_obs ?trace
+    observer =
+  let spec = Observer.spec observer in
+  { algo;
+    daemon;
+    workload = Workload.name workload;
+    outcome;
+    steps;
+    rounds;
+    final_obs;
+    violations = Spec.violations spec;
+    convened = Spec.convened spec;
+    convene_count = Spec.convene_count spec;
+    participations = Spec.participations spec;
+    summary = Observer.finish observer ~step:steps ~round:rounds;
+    trace }
+
 module Make (A : Model.ALGO) = struct
   module E = Snapcc_runtime.Engine.Make (A)
 
@@ -59,8 +87,7 @@ module Make (A : Model.ALGO) = struct
     in
     let eng = E.create ~seed ~check_locality ~init ?packed ~daemon h in
     let initial = E.obs eng in
-    let spec = Spec.create ?telemetry h ~initial in
-    let metrics = Metrics.create ?telemetry h ~initial in
+    let observer = Observer.create ?telemetry h ~initial in
     let trace = if record_trace then Some (Trace.create h ~initial) else None in
     let emit ev =
       match telemetry with Some hub -> Tele.Hub.emit hub ev | None -> ()
@@ -69,20 +96,9 @@ module Make (A : Model.ALGO) = struct
       Option.map (fun hub -> Tele.Registry.counter (Tele.Hub.registry hub) "steps")
         telemetry
     in
-    emit
-      (Tele.Event.Run_start
-         { algo = A.name;
-           daemon = Daemon.name daemon;
-           workload = Workload.name workload;
-           seed;
-           n = Snapcc_hypergraph.Hypergraph.n h;
-           m = Snapcc_hypergraph.Hypergraph.m h;
-           topo = Snapcc_hypergraph.Hypergraph_io.to_string h });
+    emit (run_start ~algo:A.name ~daemon:(Daemon.name daemon) ~workload ~seed h);
     let outcome = ref `Steps_exhausted in
-    let before = ref initial in
-    let last_round = ref 0 in
     let stutters = ref 0 in
-    let awaiting_recover = ref false in
     (try
        for _i = 0 to steps - 1 do
          (match faults with
@@ -93,16 +109,14 @@ module Make (A : Model.ALGO) = struct
              | victims ->
                E.corrupt eng ~victims ();
                let corrupted = E.obs eng in
-               Spec.on_fault spec corrupted;
+               Observer.fault observer corrupted;
                emit
                  (Tele.Event.Fault { step = E.steps_taken eng; victims });
-               awaiting_recover := true;
                (match trace with
                 | Some tr ->
                   Trace.record_fault tr ~step:(E.steps_taken eng) corrupted
-                | None -> ());
-               before := corrupted));
-         let inputs = Workload.inputs workload !before in
+                | None -> ())));
+         let inputs = Workload.inputs workload (Observer.before observer) in
          let report = E.step eng ~inputs in
          if report.Model.terminal then begin
            (* No action is enabled under the *current* inputs, but inputs
@@ -110,7 +124,8 @@ module Make (A : Model.ALGO) = struct
               coins) and stutter.  Only a long stretch of stutters — the
               workload has visibly frozen — ends the run. *)
            stutters := !stutters + 1;
-           Workload.observe workload ~step:(E.steps_taken eng) !before;
+           Workload.observe workload ~step:(E.steps_taken eng)
+             (Observer.before observer);
            if !stutters > stutter_limit then begin
              outcome := `Terminal;
              raise Exit
@@ -119,47 +134,29 @@ module Make (A : Model.ALGO) = struct
          else begin
            stutters := 0;
            let after = E.obs eng in
-           (* telemetry: engine step (daemon selection, meeting set),
-              per-process firings, token handoffs, post-fault recovery *)
+           (* telemetry: engine step (daemon selection, meeting set) and
+              per-process firings; the observer adds the rest *)
            (match telemetry with
             | None -> ()
             | Some _ ->
               Option.iter (fun c -> Tele.Registry.incr c) step_counter;
-              let meetings = Obs.meetings h after in
               emit
                 (Tele.Event.Step
                    { step = report.Model.step;
                      round = report.Model.round;
                      selected = report.Model.selected;
                      neutralized = report.Model.neutralized;
-                     meetings });
+                     meetings = Obs.meetings h after });
               List.iter
                 (fun (p, label) ->
                   emit (Tele.Event.Action { step = report.Model.step; p; label }))
-                report.Model.executed;
-              Array.iteri
-                (fun p (o : Obs.t) ->
-                  if o.Obs.has_token && not (!before).(p).Obs.has_token then
-                    emit
-                      (Tele.Event.Token_handoff { step = report.Model.step; p }))
-                after;
-              if !awaiting_recover then (
-                match
-                  List.find_opt (fun e -> not (Obs.meets h !before e)) meetings
-                with
-                | Some eid ->
-                  awaiting_recover := false;
-                  emit (Tele.Event.Recover { step = report.Model.step; eid })
-                | None -> ()));
-           Spec.on_step spec ~step:report.Model.step
-             ~request_out:inputs.Model.request_out ~before:!before ~after;
-           Metrics.on_step metrics ~step:report.Model.step ~round:report.Model.round
-             ~before:!before ~after;
+                report.Model.executed);
+           Observer.step observer ~step:report.Model.step
+             ~round:report.Model.round ~request_out:inputs.Model.request_out
+             after;
            Workload.observe workload ~step:report.Model.step after;
            (match trace with Some tr -> Trace.record tr report after | None -> ());
            on_obs ~step:report.Model.step after;
-           last_round := report.Model.round;
-           before := after;
            if stop_when after then begin
              outcome := `Stopped;
              raise Exit
@@ -167,30 +164,10 @@ module Make (A : Model.ALGO) = struct
          end
        done
      with Exit -> ());
-    emit
-      (Tele.Event.Run_end
-         { outcome =
-             (match !outcome with
-              | `Terminal -> "terminal"
-              | `Stopped -> "stopped"
-              | `Steps_exhausted -> "steps_exhausted");
-           steps = E.steps_taken eng;
-           rounds = E.rounds eng });
-    ( {
-        algo = A.name;
-        daemon = Daemon.name daemon;
-        workload = Workload.name workload;
-        outcome = !outcome;
-        steps = E.steps_taken eng;
-        rounds = E.rounds eng;
-        final_obs = E.obs eng;
-        violations = Spec.violations spec;
-        convened = Spec.convened spec;
-        convene_count = Spec.convene_count spec;
-        participations = Spec.participations spec;
-        summary = Metrics.finish metrics ~step:(E.steps_taken eng) ~round:(E.rounds eng);
-        trace;
-      },
+    emit (run_end !outcome ~steps:(E.steps_taken eng) ~rounds:(E.rounds eng));
+    ( result ~algo:A.name ~daemon:(Daemon.name daemon) ~workload ~outcome:!outcome
+        ~steps:(E.steps_taken eng) ~rounds:(E.rounds eng) ~final_obs:(E.obs eng)
+        ?trace observer,
       E.states eng )
 
   let run ?seed ?init ?init_states ?check_locality ?packed ?faults ?stop_when
@@ -200,4 +177,43 @@ module Make (A : Model.ALGO) = struct
       (run_with_states ?seed ?init ?init_states ?check_locality ?packed
          ?faults ?stop_when ?on_obs ?record_trace ?stutter_limit ?telemetry
          ~daemon ~workload ~steps h)
+end
+
+module Mp (A : Model.ALGO) = struct
+  module E = Snapcc_mp.Mp_engine.Make (A)
+
+  let daemon = "mp-scheduler"
+
+  let run ?(seed = 0) ?(init = `Canonical) ?deliver_bias ?vclock ?packed
+      ?faults ?telemetry ~workload ~steps h =
+    let eng =
+      E.create ~seed ~init ?deliver_bias ?telemetry ?vclock ?packed h
+    in
+    let observer = Observer.create ?telemetry h ~initial:(E.obs eng) in
+    let emit ev =
+      match telemetry with Some hub -> Tele.Hub.emit hub ev | None -> ()
+    in
+    emit (run_start ~algo:A.name ~daemon ~workload ~seed h);
+    for i = 0 to steps - 1 do
+      (match faults with
+       | None -> ()
+       | Some f -> (
+         match f ~step:i with
+         | [] -> ()
+         | victims ->
+           (* the engine emits the [fault] event and the corruption's
+              clock stamps *)
+           E.corrupt eng ~victims;
+           Observer.fault observer (E.obs eng)));
+      let inputs = Workload.inputs workload (Observer.before observer) in
+      ignore (E.step eng ~inputs);
+      let after = E.obs eng in
+      Observer.step observer ~step:i ~round:0
+        ~request_out:inputs.Model.request_out after;
+      Workload.observe workload ~step:i after
+    done;
+    emit (run_end `Steps_exhausted ~steps ~rounds:0);
+    ( result ~algo:A.name ~daemon ~workload ~outcome:`Steps_exhausted ~steps
+        ~rounds:0 ~final_obs:(E.obs eng) observer,
+      eng )
 end

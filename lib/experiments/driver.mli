@@ -1,9 +1,10 @@
-(** One-stop runner: engine + workload + specification monitor + metrics.
+(** One-stop runners: engine + workload + the observed-execution fold.
 
     Every experiment and most integration tests funnel through
-    [Make(A).run], so each simulated step is judged against the paper's
-    specification ({!Snapcc_analysis.Spec}) and measured
-    ({!Snapcc_analysis.Metrics}). *)
+    [Make(A).run] (shared memory) or [Mp(A).run] (the message-passing
+    emulation); both feed each transition to one
+    {!Snapcc_analysis.Observer}, so every simulated step is judged against
+    the paper's specification and measured by the same code. *)
 
 type result = {
   algo : string;
@@ -63,11 +64,11 @@ module Make (A : Snapcc_runtime.Model.ALGO) : sig
 
       [telemetry] instruments the run end to end: a [run_start] header,
       one [step] event per engine step (daemon selection, neutralizations,
-      meeting set), one [action] event per firing, [convene]/[terminate]/
-      [wait_open]/[wait_close] from the metrics layer, [verdict] from the
-      specification monitor, [token_handoff], [fault]/[recover], and a
-      [run_end] trailer.  All events are logical (step/round-stamped), so a
-      JSONL trace is a deterministic function of [seed]. *)
+      meeting set), one [action] event per firing, [fault] per injected
+      fault, the observer's events ([token_handoff], [recover], [verdict],
+      [convene]/[terminate]/[wait_open]/[wait_close]) and a [run_end]
+      trailer.  All events are logical (step/round-stamped), so a JSONL
+      trace is a deterministic function of [seed]. *)
 
   val run :
     ?seed:int ->
@@ -86,4 +87,32 @@ module Make (A : Snapcc_runtime.Model.ALGO) : sig
     steps:int ->
     Snapcc_hypergraph.Hypergraph.t ->
     result
+end
+
+module Mp (A : Snapcc_runtime.Model.ALGO) : sig
+  module E : module type of Snapcc_mp.Mp_engine.Make (A)
+
+  val run :
+    ?seed:int ->
+    ?init:[ `Canonical | `Random ] ->
+    ?deliver_bias:float ->
+    ?vclock:bool ->
+    ?packed:A.state Snapcc_runtime.Model.packed ->
+    ?faults:(step:int -> int list) ->
+    ?telemetry:Snapcc_telemetry.Hub.t ->
+    workload:Snapcc_workload.Workload.t ->
+    steps:int ->
+    Snapcc_hypergraph.Hypergraph.t ->
+    result * E.t
+  (** [steps] scheduler events of the message-passing emulation
+      ({!Snapcc_mp.Mp_engine}: [seed], [init], [deliver_bias], [vclock]
+      and [packed] are its options), observed on the true (core)
+      configuration.  [faults ~step] names the processes to corrupt (cores,
+      caches, adjacent channels) before the given step.  The result's
+      daemon is ["mp-scheduler"], its rounds 0 and its outcome
+      [`Steps_exhausted]; the engine is returned for its message counters.
+
+      [telemetry] receives a [run_start] header, the engine's [mp_*],
+      [clock] and [fault] events, the observer's events and a [run_end]
+      trailer — the trace [ccsim trace] rebuilds from the clocks. *)
 end

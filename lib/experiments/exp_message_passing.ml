@@ -18,7 +18,6 @@
 
 module H = Snapcc_hypergraph.Hypergraph
 module Families = Snapcc_hypergraph.Families
-module Obs = Snapcc_runtime.Obs
 module Workload = Snapcc_workload.Workload
 module Spec = Snapcc_analysis.Spec
 module Metrics = Snapcc_analysis.Metrics
@@ -39,61 +38,38 @@ type run_stats = {
 
 type result = run_stats list
 
-module Mp_run (A : Snapcc_runtime.Model.ALGO) = struct
-  module E = Snapcc_mp.Mp_engine.Make (A)
-
-  let run ~seed ~bias ~steps ~fault_at h =
-    let eng = E.create ~seed ~init:`Random ~deliver_bias:bias h in
-    let workload = Workload.always_requesting h in
-    let spec = Spec.create h ~initial:(E.obs eng) in
-    let metrics = Metrics.create h ~initial:(E.obs eng) in
-    let before = ref (E.obs eng) in
-    for i = 0 to steps - 1 do
-      if i = fault_at then begin
-        E.corrupt eng ~victims:(List.init (max 1 (H.n h / 3)) (fun k -> (3 * k) mod H.n h));
-        let corrupted = E.obs eng in
-        Spec.on_fault spec corrupted;
-        before := corrupted
-      end;
-      let inputs = Workload.inputs workload !before in
-      let _event = E.step eng ~inputs in
-      let after = E.obs eng in
-      Spec.on_step spec ~step:i ~request_out:inputs.Snapcc_runtime.Model.request_out
-        ~before:!before ~after;
-      Metrics.on_step metrics ~step:i ~round:0 ~before:!before ~after;
-      Workload.observe workload ~step:i after;
-      before := after
-    done;
-    let summary = Metrics.finish metrics ~step:steps ~round:0 in
-    (spec, summary, eng)
-end
-
-module Cc1_mp = Mp_run (Algos.Cc1)
-module Cc2_mp = Mp_run (Algos.Cc2)
-
-let measure ~algo ~topo ~bias ~steps _h run =
-  let spec, (summary : Metrics.summary), (msgs, staleness) = run in
-  let vs = Spec.violations spec in
+(* Runs start from arbitrary cores, caches and channels, under a fault
+   burst on a third of the processes at [fault_at]. *)
+let mp_run (module A : Snapcc_runtime.Model.ALGO)
+    ~algo ~topo ~seed ~bias ~steps ~fault_at h =
+  let module R = Driver.Mp (A) in
+  let victims = List.init (max 1 (H.n h / 3)) (fun k -> (3 * k) mod H.n h) in
+  let r, eng =
+    R.run ~seed ~init:`Random ~deliver_bias:bias
+      ~faults:(fun ~step -> if step = fault_at then victims else [])
+      ~workload:(Workload.always_requesting h) ~steps h
+  in
+  let vs = r.Driver.violations in
   let count rules =
     List.length (List.filter (fun (v : Spec.violation) -> List.mem v.Spec.rule rules) vs)
   in
+  let convenes = r.Driver.summary.Metrics.convenes in
   {
     algo;
     topo;
     bias;
     steps;
-    convenes = summary.Metrics.convenes;
+    convenes;
     violations = List.length vs;
     sync_violations = count [ "exclusion"; "synchronization" ];
     disc_violations = count [ "essential-discussion"; "voluntary-discussion" ];
     unserved =
-      Array.fold_left
-        (fun a c -> if c = 0 then a + 1 else a)
-        0 (Spec.participations spec);
+      Array.fold_left (fun a c -> if c = 0 then a + 1 else a) 0
+        r.Driver.participations;
     msgs_per_convene =
-      (if summary.Metrics.convenes = 0 then Float.infinity
-       else float_of_int msgs /. float_of_int summary.Metrics.convenes);
-    max_staleness = staleness;
+      (if convenes = 0 then Float.infinity
+       else float_of_int (R.E.messages_delivered eng) /. float_of_int convenes);
+    max_staleness = R.E.max_staleness eng;
   }
 
 let run ?(quick = false) () : result =
@@ -112,14 +88,12 @@ let run ?(quick = false) () : result =
             (fun seed ->
               let fault_at = steps / 2 in
               let r1 =
-                let spec, summary, eng = Cc1_mp.run ~seed ~bias ~steps ~fault_at h in
-                measure ~algo:"CC1/mp" ~topo ~bias ~steps h
-                  (spec, summary, (Cc1_mp.E.messages_delivered eng, Cc1_mp.E.max_staleness eng))
+                mp_run (module Algos.Cc1) ~algo:"CC1/mp" ~topo ~seed ~bias
+                  ~steps ~fault_at h
               in
               let r2 =
-                let spec, summary, eng = Cc2_mp.run ~seed ~bias ~steps ~fault_at h in
-                measure ~algo:"CC2/mp" ~topo ~bias ~steps h
-                  (spec, summary, (Cc2_mp.E.messages_delivered eng, Cc2_mp.E.max_staleness eng))
+                mp_run (module Algos.Cc2) ~algo:"CC2/mp" ~topo ~seed ~bias
+                  ~steps ~fault_at h
               in
               [ r1; r2 ])
             seeds)

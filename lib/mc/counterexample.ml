@@ -4,6 +4,7 @@ module Obs = Snapcc_runtime.Obs
 module Engine = Snapcc_runtime.Engine
 module Daemon = Snapcc_runtime.Daemon
 module Spec = Snapcc_analysis.Spec
+module Observer = Snapcc_analysis.Observer
 
 type step = { mode : int; selected : int list }
 type kind = Safety of string | Deadlock | Livelock
@@ -186,12 +187,11 @@ module Make (Sys : System.S) = struct
   let replay ?trace h (c : t) =
     try
       let eng, _enc = engine_of h c in
-      let spec = Spec.create h ~initial:(Eng.obs eng) in
+      let observer = Observer.create h ~initial:(Eng.obs eng) in
       let do_step i (st : step) =
         if st.mode < 0 || st.mode >= Array.length Explore.mode_inputs then
           failwith "bad input mode in counterexample";
         let inputs = Explore.mode_inputs.(st.mode) in
-        let before = Eng.obs eng in
         let rep = Eng.step eng ~inputs in
         if rep.Model.terminal then
           failwith "counterexample selects in a terminal configuration";
@@ -206,10 +206,11 @@ module Make (Sys : System.S) = struct
                     (fun (p, l) -> Printf.sprintf "%d:%s" p l)
                     rep.Model.executed)))
           trace;
-        Spec.on_step spec ~step:i ~request_out:inputs.Model.request_out ~before
-          ~after:(Eng.obs eng)
+        Observer.step observer ~step:i ~round:rep.Model.round
+          ~request_out:inputs.Model.request_out (Eng.obs eng)
       in
       List.iteri do_step c.steps;
+      let spec = Observer.spec observer in
       match c.kind with
       | Safety rule -> (
         match

@@ -3,7 +3,7 @@ module HIO = Snapcc_hypergraph.Hypergraph_io
 module Model = Snapcc_runtime.Model
 module Obs = Snapcc_runtime.Obs
 module Spec = Snapcc_analysis.Spec
-module Metrics = Snapcc_analysis.Metrics
+module Observer = Snapcc_analysis.Observer
 module Workload = Snapcc_workload.Workload
 module Tele = Snapcc_telemetry
 module Vclock = Snapcc_telemetry.Vclock
@@ -173,10 +173,8 @@ module Make (A : Snapcc_mc.System.S) = struct
     let resyncs = ref 0 in
     let bytes_sent = ref 0 in
     let bytes_delivered = ref 0 in
-    let terminations = ref 0 in
     (* the latency log, one word per delivery (a list cell costs three) *)
     let latencies = ref (Array.make 1024 0) and nlatencies = ref 0 in
-    let recover = ref None in
     let burst_done = ref false in
     let nodes = Spawn.launch mode ~n in
     let cleanup_on_error () =
@@ -218,21 +216,22 @@ module Make (A : Snapcc_mc.System.S) = struct
              m = H.m h; topo });
       let obs () = Array.init n (A.observe h states) in
       let emit_clock ~k p =
-        let o = A.observe h states p in
-        emit
-          (Tele.Event.Clock
-             { step = Sem.steps sem; p; k;
-               clock = Vclock.to_list clocks.(p);
-               obs_code = Obs.code o; disc = o.Obs.discussions })
+        match telemetry with
+        | None -> ()
+        | Some hub ->
+          let o = A.observe h states p in
+          Tele.Hub.emit hub
+            (Tele.Event.Clock
+               { step = Sem.steps sem; p; k;
+                 clock = Vclock.to_list clocks.(p);
+                 obs_code = Obs.code o; disc = o.Obs.discussions })
       in
       (* initial configurations are events too — same stream prefix as
          [Mp_engine]'s lazy init flush *)
       for p = 0 to n - 1 do
         emit_clock ~k:Tele.Event.clock_init p
       done;
-      let before = ref (obs ()) in
-      let spec = Spec.create ?telemetry h ~initial:!before in
-      let metrics = Metrics.create ?telemetry h ~initial:!before in
+      let observer = Observer.create ?telemetry h ~initial:(obs ()) in
       let broadcast p =
         let snapshot = marshal states.(p) in
         (* one shared copy per broadcast: link entries never mutate it *)
@@ -465,8 +464,7 @@ module Make (A : Snapcc_mc.System.S) = struct
             emit_clock ~k:Tele.Event.clock_corruption p)
           victims;
         burst_done := true;
-        Spec.on_fault spec (obs ());
-        before := obs ()
+        Observer.fault observer (obs ())
       in
       let pending i =
         let acc = ref [] in
@@ -481,37 +479,20 @@ module Make (A : Snapcc_mc.System.S) = struct
       in
       for i = 0 to cfg.steps - 1 do
         (match cfg.burst with Some b when b = i -> corruption_burst i | _ -> ());
-        let inputs = Workload.inputs workload !before in
+        let inputs = Workload.inputs workload (Observer.before observer) in
         let req_in = Array.init n inputs.Model.request_in in
         let req_out = Array.init n inputs.Model.request_out in
         Sem.begin_step sem;
         (match Sem.decide sem ~pending:(pending i) with
          | Sem.Activate p -> activate p ~req_in ~req_out
          | Sem.Deliver (p, slot) -> deliver p slot);
+        (* the observer judges and measures the assembled configuration
+           exactly like the in-process engines, so net traces aggregate
+           identically *)
         let after = obs () in
-        Spec.on_step spec ~step:i ~request_out:inputs.Model.request_out
-          ~before:!before ~after;
-        (* observer-derived events: [Metrics] emits convene / terminate /
-           waiting-span events exactly like the in-process driver, so net
-           traces aggregate identically; the meeting-set diff stays local
-           for the result counters and recovery detection *)
-        let mb = Obs.meetings h !before and ma = Obs.meetings h after in
-        let fresh = List.filter (fun e -> not (List.mem e mb)) ma in
-        let gone = List.filter (fun e -> not (List.mem e ma)) mb in
-        terminations := !terminations + List.length gone;
-        Metrics.on_step metrics ~step:i ~round:0 ~before:!before ~after;
-        (match (fresh, !burst_done, !recover) with
-         | eid :: _, true, None ->
-           recover := Some i;
-           emit (Tele.Event.Recover { step = i; eid })
-         | _ -> ());
-        Array.iteri
-          (fun p (a : Obs.t) ->
-            if a.Obs.has_token && not !before.(p).Obs.has_token then
-              emit (Tele.Event.Token_handoff { step = i; p }))
-          after;
-        Workload.observe workload ~step:i after;
-        before := after
+        Observer.step observer ~step:i ~round:0
+          ~request_out:inputs.Model.request_out after;
+        Workload.observe workload ~step:i after
       done;
       emit
         (Tele.Event.Run_end
@@ -533,10 +514,12 @@ module Make (A : Snapcc_mc.System.S) = struct
           (fun acc row -> Array.fold_left (fun a l -> a + Link.size l) acc row)
           0 links
       in
+      let spec = Observer.spec observer in
+      let burst_step = if !burst_done then cfg.burst else None in
       {
         steps = cfg.steps;
         convenes = List.length (Spec.convened spec);
-        terminations = !terminations;
+        terminations = Spec.terminations spec;
         violations = Spec.violations spec;
         sent = !sent;
         delivered = !delivered;
@@ -548,11 +531,11 @@ module Make (A : Snapcc_mc.System.S) = struct
         in_flight;
         max_staleness = Sem.max_staleness sem;
         latencies_us = List.init !nlatencies (Array.get !latencies);
-        burst_step = (if !burst_done then cfg.burst else None);
-        recover_step = !recover;
+        burst_step;
+        recover_step = Observer.recovered observer;
         stabilized_in =
-          (match (cfg.burst, !recover) with
-           | Some b, Some r when !burst_done -> Some (r - b)
+          (match (burst_step, Observer.recovered observer) with
+           | Some b, Some r -> Some (r - b)
            | _ -> None);
         node_frames = !node_frames;
         node_decode_errors = !node_decode_errors;
@@ -565,12 +548,16 @@ module Make (A : Snapcc_mc.System.S) = struct
 end
 
 let run ?telemetry ~mode ~workload (cfg : config) h =
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   match Snapcc_mc.Systems.(lookup ~what:"net" wired) cfg.algo with
   | Error _ as e -> e
   | Ok { Snapcc_mc.Systems.sys = (module S); tag; _ } ->
     let module O = Make (S) in
-    Ok (O.go ?telemetry ~mode ~workload ~tag:(Option.get tag) cfg h)
+    (* a node dying mid-write must surface as EPIPE on the socket, not kill
+       the orchestrator; the caller's disposition comes back on return *)
+    let caller = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+    Fun.protect
+      ~finally:(fun () -> Sys.set_signal Sys.sigpipe caller)
+      (fun () -> Ok (O.go ?telemetry ~mode ~workload ~tag:(Option.get tag) cfg h))
 
 let pp_result ppf r =
   Format.fprintf ppf

@@ -13,12 +13,13 @@
     model of this runtime.
 
     The observer half assembles the true configuration from the nodes'
-    [Activated] reports, runs the {!Snapcc_analysis.Spec} monitors online
-    and streams telemetry ([convene]/[terminate]/[token_handoff]/
-    [fault]/[recover] plus the [net_*] link events), so [ccsim stats]
-    consumes a networked trace unchanged.  Every event except
-    [net_delivered] (wall-clock latency) is a pure function of the
-    seed. *)
+    [Activated] reports and feeds it to the same
+    {!Snapcc_analysis.Observer} fold as the in-process engines (Spec
+    monitors, metrics, [token_handoff]/[recover] and the [convene]/
+    [terminate]/waiting-span events), next to its own [fault], [clock] and
+    [net_*] link events, so [ccsim stats] and [ccsim trace] consume a
+    networked trace unchanged.  Every event except [net_delivered]
+    (wall-clock latency) is a pure function of the seed. *)
 
 type config = {
   algo : string;
@@ -88,6 +89,8 @@ val run :
   (result, string) Stdlib.result
 (** [Error] for a name the catalog does not serve over the wire;
     protocol failures (a node dying mid-run) raise [Failure] after the
-    remaining nodes are killed and reaped. *)
+    remaining nodes are killed and reaped.  [SIGPIPE] is ignored while the
+    run lasts (a dead node's socket fails the write instead) and restored
+    to the caller's disposition when it returns or raises. *)
 
 val pp_result : Format.formatter -> result -> unit

@@ -52,7 +52,7 @@ let percentile q h =
   if h.len = 0 then 0
   else begin
     let sorted = Array.sub h.samples 0 h.len in
-    Array.sort compare sorted;
+    Array.sort Int.compare sorted;
     let rank = int_of_float (ceil (q *. float_of_int h.len)) in
     sorted.(max 0 (min (h.len - 1) (rank - 1)))
   end

@@ -7,7 +7,8 @@
       monotonic timestamp — so the output is a deterministic function of
       the seed.
     - {!ring}: an in-memory buffer keeping the last [capacity] stamped
-      events, for post-run aggregation ({!Stats}) and for tests.
+      events ([ccsim check]'s frontier samples, tests); run summaries
+      are folded online by {!Stats.sink} instead.
     - {!catapult}: the Chrome trace-event ("catapult") format; open the
       file in [about://tracing] or [ui.perfetto.dev].  Committee meetings
       render as duration slices (one track per committee), concurrency as a

@@ -28,96 +28,105 @@ type summary = {
   outcome : string option;
 }
 
-(* nearest-rank percentile, same semantics as
-   [Snapcc_analysis.Metrics.percentile] *)
-let percentile q = function
-  | [] -> 0
-  | l ->
-    let sorted = List.sort compare l in
-    let n = List.length sorted in
-    let rank = int_of_float (ceil (q *. float_of_int n)) in
-    List.nth sorted (max 0 (min (n - 1) (rank - 1)))
+(* The online fold: every counter the summary needs, updated per event, so
+   a run's summary never requires its event stream to be kept.  Served
+   waits go to a registry histogram (one unboxed word each), whose
+   nearest-rank percentiles match [Snapcc_analysis.Metrics.percentile]. *)
+type t = {
+  mutable meta : meta option;
+  mutable step_events : int;
+  mutable max_round : int;
+  mutable convenes : int;
+  mutable terminations : int;
+  mutable actions : int;
+  mutable concurrency_sum : int;
+  mutable max_concurrency : int;
+  waits : Registry.histogram;
+  mutable wait_sum : int;
+  mutable violations : int;
+  mutable faults : int;
+  mutable tokens : int;
+  mutable rev_latencies : int list;
+  mutable run_end : (string * int * int) option;
+}
 
-let of_events events =
-  let meta = ref None in
-  let step_events = ref 0 in
-  let max_round = ref 0 in
-  let convenes = ref 0 in
-  let terminations = ref 0 in
-  let actions = ref 0 in
-  let concurrency_sum = ref 0 in
-  let max_concurrency = ref 0 in
-  let rev_waits = ref [] in
-  let violations = ref 0 in
-  let faults = ref 0 in
-  let tokens = ref 0 in
-  let rev_latencies = ref [] in
-  let run_end = ref None in
-  List.iter
-    (fun (ev : Event.t) ->
-      match ev with
-      | Event.Run_start { algo; daemon; workload; seed; n; m; topo = _ } ->
-        if !meta = None then
-          meta := Some { algo; daemon; workload; seed; n; m }
-      | Event.Step { round; meetings; _ } ->
-        incr step_events;
-        if round > !max_round then max_round := round;
-        let k = List.length meetings in
-        concurrency_sum := !concurrency_sum + k;
-        if k > !max_concurrency then max_concurrency := k
-      | Event.Action _ -> incr actions
-      | Event.Convene _ -> incr convenes
-      | Event.Terminate _ -> incr terminations
-      | Event.Wait_open _ -> ()
-      | Event.Wait_close { waited_steps; _ } ->
-        rev_waits := waited_steps :: !rev_waits
-      | Event.Verdict _ -> incr violations
-      | Event.Fault _ -> incr faults
-      | Event.Token_handoff _ -> incr tokens
-      | Event.Net_delivered { latency_us; _ } ->
-        rev_latencies := latency_us :: !rev_latencies
-      | Event.Recover _ | Event.Mc_frontier _ | Event.Mp_activated _
-      | Event.Mp_delivered _ | Event.Net_sent _ | Event.Net_dropped _
-      | Event.Clock _ | Event.Smc_trial _ ->
-        ()
-      | Event.Run_end { outcome; steps; rounds } ->
-        run_end := Some (outcome, steps, rounds))
-    events;
-  let waits = List.rev !rev_waits in
+let create () =
+  { meta = None; step_events = 0; max_round = 0; convenes = 0;
+    terminations = 0; actions = 0; concurrency_sum = 0; max_concurrency = 0;
+    waits = Registry.histogram (Registry.create ()) "wait_steps";
+    wait_sum = 0; violations = 0; faults = 0; tokens = 0;
+    rev_latencies = []; run_end = None }
+
+let add t (ev : Event.t) =
+  match ev with
+  | Event.Run_start { algo; daemon; workload; seed; n; m; topo = _ } ->
+    if t.meta = None then t.meta <- Some { algo; daemon; workload; seed; n; m }
+  | Event.Step { round; meetings; _ } ->
+    t.step_events <- t.step_events + 1;
+    if round > t.max_round then t.max_round <- round;
+    let k = List.length meetings in
+    t.concurrency_sum <- t.concurrency_sum + k;
+    if k > t.max_concurrency then t.max_concurrency <- k
+  | Event.Action _ -> t.actions <- t.actions + 1
+  | Event.Convene _ -> t.convenes <- t.convenes + 1
+  | Event.Terminate _ -> t.terminations <- t.terminations + 1
+  | Event.Wait_open _ -> ()
+  | Event.Wait_close { waited_steps; _ } ->
+    Registry.observe t.waits waited_steps;
+    t.wait_sum <- t.wait_sum + waited_steps
+  | Event.Verdict _ -> t.violations <- t.violations + 1
+  | Event.Fault _ -> t.faults <- t.faults + 1
+  | Event.Token_handoff _ -> t.tokens <- t.tokens + 1
+  | Event.Net_delivered { latency_us; _ } ->
+    t.rev_latencies <- latency_us :: t.rev_latencies
+  | Event.Recover _ | Event.Mc_frontier _ | Event.Mp_activated _
+  | Event.Mp_delivered _ | Event.Net_sent _ | Event.Net_dropped _
+  | Event.Clock _ | Event.Smc_trial _ ->
+    ()
+  | Event.Run_end { outcome; steps; rounds } ->
+    t.run_end <- Some (outcome, steps, rounds)
+
+let sink t = Sink.custom ~emit:(fun (s : Event.stamped) -> add t s.ev) ~close:ignore
+
+let result t =
+  let served = Registry.hist_count t.waits in
   let steps, rounds, outcome =
-    match !run_end with
+    match t.run_end with
     | Some (outcome, steps, rounds) -> (steps, rounds, Some outcome)
-    | None -> (!step_events, !max_round, None)
+    | None -> (t.step_events, t.max_round, None)
   in
-  ( !meta,
+  ( t.meta,
     {
       steps;
       rounds;
-      convenes = !convenes;
-      terminations = !terminations;
-      actions = !actions;
+      convenes = t.convenes;
+      terminations = t.terminations;
+      actions = t.actions;
       mean_concurrency =
-        (if !step_events = 0 then 0.
-         else float_of_int !concurrency_sum /. float_of_int !step_events);
-      max_concurrency = !max_concurrency;
-      waits_completed = List.length waits;
+        (if t.step_events = 0 then 0.
+         else float_of_int t.concurrency_sum /. float_of_int t.step_events);
+      max_concurrency = t.max_concurrency;
+      waits_completed = served;
       wait_mean =
-        (match waits with
-         | [] -> 0.
-         | l ->
-           float_of_int (List.fold_left ( + ) 0 l) /. float_of_int (List.length l));
-      wait_p50 = percentile 0.50 waits;
-      wait_p90 = percentile 0.90 waits;
-      wait_p95 = percentile 0.95 waits;
-      wait_max = List.fold_left max 0 waits;
-      violations = !violations;
-      faults = !faults;
-      token_handoffs = !tokens;
+        (if served = 0 then 0.
+         else float_of_int t.wait_sum /. float_of_int served);
+      wait_p50 = Registry.percentile 0.50 t.waits;
+      wait_p90 = Registry.percentile 0.90 t.waits;
+      wait_p95 = Registry.percentile 0.95 t.waits;
+      wait_max = max 0 (Registry.percentile 1.0 t.waits);
+      violations = t.violations;
+      faults = t.faults;
+      token_handoffs = t.tokens;
       latency_histogram =
-        (if !rev_latencies = [] then []
-         else Registry.bucket_counts (List.rev !rev_latencies));
+        (if t.rev_latencies = [] then []
+         else Registry.bucket_counts (List.rev t.rev_latencies));
       outcome;
     } )
+
+let of_events events =
+  let t = create () in
+  List.iter (add t) events;
+  result t
 
 let to_json ?meta s =
   let meta_fields =

@@ -1,11 +1,13 @@
-(** Offline aggregation: from an event stream (or a JSONL trace file) back
-    to a run summary.
+(** Aggregation of an event stream back to a run summary, online or
+    offline.
 
-    [ccsim run --emit-json] and [ccsim stats FILE] both funnel through
-    {!of_events} / {!to_json}, so the summary written at run time and the
-    one recomputed from the JSONL artifact are identical by construction —
-    same convene counts, same nearest-rank waiting-time percentiles, same
-    mean concurrency. *)
+    The aggregation is one incremental fold ({!t}).  [ccsim run/mp/net
+    --emit-json] attach it to the run's hub as a {!sink}, so the summary
+    is folded while the run executes and no event is kept; [ccsim stats
+    FILE] folds the parsed JSONL artifact through the same code
+    ({!of_events}).  The two summaries are therefore identical by
+    construction — same convene counts, same nearest-rank waiting-time
+    percentiles, same mean concurrency. *)
 
 type meta = {
   algo : string;
@@ -39,9 +41,23 @@ type summary = {
   outcome : string option;  (** from [run_end], if present *)
 }
 
+type t
+(** The fold's state: counters plus the served waiting spans and delivery
+    latencies the percentiles and histogram need — memory grows with
+    those, never with the number of events. *)
+
+val create : unit -> t
+
+val sink : t -> Sink.t
+(** A hub sink folding in every event it receives. *)
+
+val result : t -> meta option * summary
+(** The summary of the events folded so far.  [meta] is the first
+    [run_start] event, if any.  [steps]/[rounds] come from [run_end] when
+    present, otherwise from counting [step] events. *)
+
 val of_events : Event.t list -> meta option * summary
-(** [meta] is the first [run_start] event, if any.  [steps]/[rounds] come
-    from [run_end] when present, otherwise from counting [step] events. *)
+(** {!result} of a fresh fold over the list. *)
 
 val to_json : ?meta:meta -> summary -> Json.t
 (** [{"meta":{..},"summary":{..,"waits":{..}}}] ([meta] omitted when

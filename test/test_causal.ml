@@ -3,12 +3,8 @@
    the offline cut reconstruction (`Causal.analyze`). *)
 
 module H = Snapcc_hypergraph.Hypergraph
-module HIO = Snapcc_hypergraph.Hypergraph_io
 module Families = Snapcc_hypergraph.Families
-module Model = Snapcc_runtime.Model
 module Obs = Snapcc_runtime.Obs
-module Spec = Snapcc_analysis.Spec
-module Metrics = Snapcc_analysis.Metrics
 module Causal = Snapcc_analysis.Causal
 module Workload = Snapcc_workload.Workload
 module X = Snapcc_experiments.Algos
@@ -254,41 +250,19 @@ let test_live_surfaces () =
 
 (* ---- lockstep oracle: mp ---- *)
 
-(* Mirror `ccsim mp` with full telemetry: the online Spec/Metrics observer
-   and the vector-clock stamps go to one ring, and the offline replay from
-   the clocks alone must reproduce the observer's verdicts, convene ledger
-   and stabilization exactly. *)
+(* `ccsim mp`'s runner with full telemetry: the online observer and the
+   vector-clock stamps go to one ring, and the offline replay from the
+   clocks alone must reproduce the observer's verdicts, convene ledger and
+   stabilization exactly. *)
 let mp_traced ?(corrupt_at = None) ~steps ~seed h =
-  let module E = Snapcc_mp.Mp_engine.Make (X.Cc2) in
+  let module R = Snapcc_experiments.Driver.Mp (X.Cc2) in
   let hub = Tele.Hub.create () in
   let ring = Tele.Sink.ring ~capacity:(steps * 16 + 64) in
   Tele.Hub.add_sink hub ring;
-  let workload = Workload.always_requesting h in
-  let eng = E.create ~seed ~telemetry:hub h in
-  let spec = Spec.create ~telemetry:hub h ~initial:(E.obs eng) in
-  Tele.Hub.emit hub
-    (Tele.Event.Run_start
-       { algo = "CC2"; daemon = "mp-scheduler"; workload = "always"; seed;
-         n = H.n h; m = H.m h; topo = HIO.to_string h });
-  let metrics = Metrics.create ~telemetry:hub h ~initial:(E.obs eng) in
-  let before = ref (E.obs eng) in
-  for i = 0 to steps - 1 do
-    (match corrupt_at with
-     | Some at when at = i ->
-       E.corrupt eng ~victims:[ 0 ];
-       Spec.on_fault spec (E.obs eng);
-       before := E.obs eng
-     | _ -> ());
-    let inputs = Workload.inputs workload !before in
-    ignore (E.step eng ~inputs);
-    let after = E.obs eng in
-    Spec.on_step spec ~step:i ~request_out:inputs.Model.request_out
-      ~before:!before ~after;
-    Metrics.on_step metrics ~step:i ~round:0 ~before:!before ~after;
-    before := after
-  done;
-  Tele.Hub.emit hub
-    (Tele.Event.Run_end { outcome = "steps_exhausted"; steps; rounds = 0 });
+  let faults ~step = if Some step = corrupt_at then [ 0 ] else [] in
+  ignore
+    (R.run ~seed ~telemetry:hub ~faults
+       ~workload:(Workload.always_requesting h) ~steps h);
   Tele.Hub.close hub;
   List.map (fun (s : Tele.Event.stamped) -> s.Tele.Event.ev)
     (Tele.Sink.ring_events ring)
@@ -340,10 +314,9 @@ let test_mp_corruption_reconstruction () =
     check "burst found from the clocks" true
       (Causal.fault_iters t = [ 400 ]);
     let par = Causal.parity t events in
-    (* the mp path has no online recover observer, so only verdicts and
-       the convene ledger are comparable *)
     check "verdict parity under faults" true par.Causal.verdicts_ok;
-    check "convene parity under faults" true par.Causal.convenes_ok
+    check "convene parity under faults" true par.Causal.convenes_ok;
+    check "stabilization parity under faults" true par.Causal.stabilization_ok
 
 (* ---- lockstep oracle: net ---- *)
 

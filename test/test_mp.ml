@@ -3,7 +3,6 @@
 
 module H = Snapcc_hypergraph.Hypergraph
 module Families = Snapcc_hypergraph.Families
-module Model = Snapcc_runtime.Model
 module Obs = Snapcc_runtime.Obs
 module X = Snapcc_experiments.Algos
 
@@ -75,25 +74,16 @@ let test_corrupt () =
 
 let test_mp_cc2_serves_everyone () =
   let h = Families.fig1 () in
-  let eng = E.create ~seed:7 ~init:`Random h in
-  let w = Snapcc_workload.Workload.always_requesting h in
-  let spec = Snapcc_analysis.Spec.create h ~initial:(E.obs eng) in
-  let before = ref (E.obs eng) in
-  for i = 0 to 29_999 do
-    let inputs = Snapcc_workload.Workload.inputs w !before in
-    ignore (E.step eng ~inputs);
-    let after = E.obs eng in
-    Snapcc_analysis.Spec.on_step spec ~step:i
-      ~request_out:inputs.Model.request_out ~before:!before ~after;
-    Snapcc_workload.Workload.observe w ~step:i after;
-    before := after
-  done;
-  let parts = Snapcc_analysis.Spec.participations spec in
+  let module R = Snapcc_experiments.Driver.Mp (X.Cc2) in
+  let r, _ =
+    R.run ~seed:7 ~init:`Random
+      ~workload:(Snapcc_workload.Workload.always_requesting h) ~steps:30_000 h
+  in
   Array.iteri
     (fun p c ->
       check (Printf.sprintf "professor %d served over message passing" (H.id h p))
         true (c > 0))
-    parts;
+    r.Snapcc_experiments.Driver.participations;
   (* exclusion and synchronization must hold even over stale views *)
   List.iter
     (fun (v : Snapcc_analysis.Spec.violation) ->
@@ -102,7 +92,7 @@ let test_mp_cc2_serves_everyone () =
       then
         Alcotest.failf "unexpected %s violation: %s" v.Snapcc_analysis.Spec.rule
           v.Snapcc_analysis.Spec.detail)
-    (Snapcc_analysis.Spec.violations spec)
+    r.Snapcc_experiments.Driver.violations
 
 let test_max_staleness_grows () =
   let h = Families.fig1 () in

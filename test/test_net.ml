@@ -3,9 +3,7 @@
 
 module H = Snapcc_hypergraph.Hypergraph
 module Families = Snapcc_hypergraph.Families
-module Model = Snapcc_runtime.Model
 module Obs = Snapcc_runtime.Obs
-module Spec = Snapcc_analysis.Spec
 module Workload = Snapcc_workload.Workload
 module Tele = Snapcc_telemetry
 module Net = Snapcc_net
@@ -223,51 +221,86 @@ let test_link_bounded_and_deterministic () =
 (* A fault-free networked run (forked node processes, coalescing loopback
    links) must replay the in-process message-passing emulation of the same
    seed decision for decision: same Spec verdict, same convene count, same
-   message counts, same final configuration. *)
-module E = Snapcc_mp.Mp_engine.Make (Snapcc_experiments.Algos.Cc2)
+   message counts, same final configuration — and, since both feed the
+   same observer, the same aggregated telemetry summary. *)
+module Mp = Snapcc_experiments.Driver.Mp (Snapcc_experiments.Algos.Cc2)
 
-let mp_reference ~seed ~steps ~bias h =
-  let eng = E.create ~seed ~init:`Canonical ~deliver_bias:bias h in
-  let w = Workload.always_requesting h in
-  let spec = Spec.create h ~initial:(E.obs eng) in
-  let before = ref (E.obs eng) in
-  for i = 0 to steps - 1 do
-    let inputs = Workload.inputs w !before in
-    ignore (E.step eng ~inputs);
-    let after = E.obs eng in
-    Spec.on_step spec ~step:i ~request_out:inputs.Model.request_out
-      ~before:!before ~after;
-    Workload.observe w ~step:i after;
-    before := after
-  done;
-  (spec, E.messages_sent eng, E.messages_delivered eng, E.max_staleness eng,
-   E.obs eng)
+(* a hub whose summary is folded online *)
+let stats_hub () =
+  let hub = Tele.Hub.create () in
+  let stats = Tele.Stats.create () in
+  Tele.Hub.add_sink hub (Tele.Stats.sink stats);
+  (hub, stats)
+
+let mp_reference ?telemetry ~seed ~steps ~bias h =
+  Mp.run ~seed ~init:`Canonical ~deliver_bias:bias ?telemetry
+    ~workload:(Workload.always_requesting h) ~steps h
+
+(* the parts of a summary both runtimes must agree on: everything but the
+   scheduler's name and the wall-clock latency histogram *)
+let comparable (meta, (s : Tele.Stats.summary)) =
+  ( Option.map (fun (m : Tele.Stats.meta) -> { m with daemon = "" }) meta,
+    { s with latency_histogram = [] } )
 
 let test_net_replays_mp () =
   let h = Families.fig1 () in
   let seed = 3 and steps = 2_000 and bias = 0.4 in
-  let spec, sent, delivered, staleness, final = mp_reference ~seed ~steps ~bias h in
+  let mp_hub, mp_stats = stats_hub () in
+  let r, eng = mp_reference ~telemetry:mp_hub ~seed ~steps ~bias h in
   let cfg =
     { Net.Orchestrator.algo = "cc2"; seed; init = `Canonical;
       deliver_bias = bias; steps; plan = Faults.none; burst = None;
       engine = `Closure }
   in
   let w = Workload.always_requesting h in
-  let r =
-    match Net.Orchestrator.run ~mode:Net.Spawn.Fork ~workload:w cfg h with
+  let net_hub, net_stats = stats_hub () in
+  let nr =
+    match
+      Net.Orchestrator.run ~telemetry:net_hub ~mode:Net.Spawn.Fork ~workload:w
+        cfg h
+    with
     | Ok r -> r
     | Error e -> Alcotest.fail e
   in
-  check_int "same convene count" (List.length (Spec.convened spec))
-    r.Net.Orchestrator.convenes;
-  check_int "same violation count" (List.length (Spec.violations spec))
-    (List.length r.Net.Orchestrator.violations);
-  check_int "same sends" sent r.Net.Orchestrator.sent;
-  check_int "same deliveries" delivered r.Net.Orchestrator.delivered;
-  check_int "same staleness" staleness r.Net.Orchestrator.max_staleness;
-  check_int "nothing lost without faults" 0 r.Net.Orchestrator.dropped;
+  check_int "same convene count" (List.length r.Snapcc_experiments.Driver.convened)
+    nr.Net.Orchestrator.convenes;
+  check_int "same violation count"
+    (List.length r.Snapcc_experiments.Driver.violations)
+    (List.length nr.Net.Orchestrator.violations);
+  check_int "same sends" (Mp.E.messages_sent eng) nr.Net.Orchestrator.sent;
+  check_int "same deliveries" (Mp.E.messages_delivered eng)
+    nr.Net.Orchestrator.delivered;
+  check_int "same staleness" (Mp.E.max_staleness eng)
+    nr.Net.Orchestrator.max_staleness;
+  check_int "nothing lost without faults" 0 nr.Net.Orchestrator.dropped;
   check "same final configuration" true
-    (Array.for_all2 Obs.equal final r.Net.Orchestrator.final_obs)
+    (Array.for_all2 Obs.equal r.Snapcc_experiments.Driver.final_obs
+       nr.Net.Orchestrator.final_obs);
+  let mp_summary = Tele.Stats.result mp_stats in
+  check "token handed off" true ((snd mp_summary).Tele.Stats.token_handoffs > 0);
+  check "same telemetry summary" true
+    (comparable mp_summary = comparable (Tele.Stats.result net_stats))
+
+(* The orchestrator ignores SIGPIPE only while it runs: afterwards a
+   closed stdout must again end the process the default way. *)
+let test_sigpipe_restored () =
+  let h = Families.by_name "ring4" in
+  let caller = Sys.signal Sys.sigpipe Sys.Signal_default in
+  let cfg =
+    { Net.Orchestrator.algo = "cc1"; seed = 1; init = `Canonical;
+      deliver_bias = 0.5; steps = 20; plan = Faults.none; burst = None;
+      engine = `Closure }
+  in
+  (match
+     Net.Orchestrator.run ~mode:Net.Spawn.Fork
+       ~workload:(Workload.always_requesting h) cfg h
+   with
+   | Ok _ -> ()
+   | Error e -> Alcotest.fail e);
+  match Sys.signal Sys.sigpipe caller with
+  | Sys.Signal_default -> ()
+  | Sys.Signal_ignore | Sys.Signal_handle _ ->
+    Alcotest.fail "SIGPIPE disposition not restored after the run"
 
 let test_unknown_algo_rejected () =
   let h = Families.by_name "ring4" in
@@ -372,6 +405,8 @@ let suite =
         Alcotest.test_case "faulty links bounded + deterministic" `Quick
           test_link_bounded_and_deterministic;
         Alcotest.test_case "zero-fault net replays mp" `Quick test_net_replays_mp;
+        Alcotest.test_case "SIGPIPE disposition restored" `Quick
+          test_sigpipe_restored;
         Alcotest.test_case "non-cc algorithms rejected" `Quick
           test_unknown_algo_rejected;
         Alcotest.test_case "faulty soak stabilizes after burst" `Slow
