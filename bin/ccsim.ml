@@ -76,9 +76,7 @@ let random_init_arg =
   Arg.(value & flag & info [ "random-init" ]
          ~doc:"Start from an arbitrary configuration (post-fault state).")
 
-let fault_arg =
-  Arg.(value & opt (some int) None & info [ "fault-at" ] ~docv:"STEP"
-         ~doc:"Inject a transient fault (corrupt half the processes) at STEP.")
+let fault_arg = Cli.fault_arg
 
 let trace_arg =
   Arg.(value & flag & info [ "trace" ] ~doc:"Print the full execution trace.")
@@ -256,6 +254,7 @@ let run_cmd topo algo_name daemon_name workload_name steps seed disc random_init
   let (module S) = sys.Systems.sys in
   let module R = Driver.Make (S) in
   let init = if random_init then `Random else `Canonical in
+  let fault_at = or_die (Cli.check_step ~flag:"--fault-at" ~steps fault_at) in
   let faults =
     Option.map
       (fun at ~step ->
@@ -320,7 +319,10 @@ let mp_cmd topo algo_name workload_name steps seed disc random_init bias engine
   in
   finish_telemetry ();
   (match R.E.engine_kind eng with
-   | `Packed -> Format.printf "engine: packed@."
+   | `Packed ->
+     let count key = List.assoc key (R.E.profile eng) in
+     Format.printf "engine: packed (tables served %d of %d activations)@."
+       (count "mp_pk_hits") (count "mp_activations")
    | `Closure -> ());
   Format.printf "%s over message passing: %d steps, %d meetings, %d violations@."
     S.name steps
@@ -423,7 +425,11 @@ let net_cmd topo nprocs algo_name workload_name steps seed disc random_init
     | None -> snd (topo : string * H.t)
   in
   let workload = workload workload_name ~disc h in
-  let burst = Cli.resolve_burst ~steps ~soak burst in
+  let burst =
+    or_die
+      (Cli.check_step ~flag:"--burst-at" ~steps
+         (Cli.resolve_burst ~steps ~soak burst))
+  in
   let telemetry, finish_telemetry =
     make_hub ~force:(dash || prom <> None) ~emit_trace ~emit_json
       ~emit_catapult ()
@@ -1522,7 +1528,7 @@ let cmds =
       (Cmd.info "net"
          ~doc:"Run the algorithm as real node processes over fault-injecting \
                loopback links, with a live monitoring observer.  A zero-fault \
-               run replays `ccsim mp' of the same seed decision for decision.")
+               run replays `ccsim mp' of the same seed event for event.")
       net_term;
     Cmd.v (Cmd.info "experiment" ~doc:"Run one of the paper's experiments") experiment_term;
     Cmd.v

@@ -93,3 +93,18 @@ let resolve_burst ~steps ~soak burst =
   match burst with
   | Some _ as b -> b
   | None -> if soak then Some (steps / 2) else None
+
+(* ---- fault steps (`ccsim run --fault-at', `ccsim net --burst-at') ---- *)
+
+let fault_arg =
+  Arg.(value & opt (some int) None
+       & info [ "fault-at" ] ~docv:"STEP"
+           ~doc:"Inject a transient fault (corrupt half the processes) at \
+                 STEP, which must lie within the --steps horizon.")
+
+let check_step ~flag ~steps = function
+  | Some at when at < 0 || at >= steps ->
+    Error
+      (Printf.sprintf "%s %d is outside the horizon of --steps %d (STEP must \
+                       be in [0, %d))" flag at steps steps)
+  | at -> Ok at

@@ -39,3 +39,12 @@ val resolve_burst : steps:int -> soak:bool -> int option -> int option
 (** The single decision point for the burst step: [Some s] from
     [--burst-at s] (wins even when [--soak] is also given), else
     [Some (steps / 2)] under [--soak], else [None]. *)
+
+val fault_arg : int option Cmdliner.Term.t
+(** [--fault-at STEP]: corrupt half the processes of a [ccsim run]. *)
+
+val check_step :
+  flag:string -> steps:int -> int option -> (int option, string) result
+(** A fault step ([--fault-at], or the burst {!resolve_burst} chose) must
+    lie in [[0, steps)]: a step outside the horizon would inject nothing.
+    The error names [flag] and the horizon. *)

@@ -1,6 +1,5 @@
 module H = Snapcc_hypergraph.Hypergraph
 module Model = Snapcc_runtime.Model
-module Obs = Snapcc_runtime.Obs
 module Tele = Snapcc_telemetry
 module Vclock = Snapcc_telemetry.Vclock
 module Sem = Mp_semantics
@@ -13,10 +12,9 @@ module Make (A : Model.ALGO) = struct
     | Delivered of int * int
 
   (* Table-driven mirror of the transformation state: dense domain ids for
-     every core, cache entry and in-flight snapshot, per-process packed
-     view configurations, and the pending set as bitmasks.  The typed
-     states stay authoritative; the mirror only replaces guard scans and
-     the scheduler's pending-list allocation. *)
+     every core, cache entry and in-flight snapshot, and per-process packed
+     view configurations.  The typed states stay authoritative; the mirror
+     only replaces guard scans. *)
   type pk = {
     hooks : A.state Model.packed;
     core_ids : int array;
@@ -28,36 +26,24 @@ module Make (A : Model.ALGO) = struct
     ok : bool array;
         (* table stored and support within the closed neighborhood: the
            cells a message-passing view actually maintains *)
-    masks : int array;  (* pending slots per process *)
-    mutable count : int;  (* total pending *)
   }
 
-  (* Vector-clock bookkeeping, active only when stamping is on: per-process
-     clocks plus the clock each pending snapshot carried when it entered
-     the channel.  Purely observational — it never touches the rng or the
-     scheduler, so stamped and unstamped runs are event-for-event
-     identical. *)
+  (* What stamping needs beside the semantics' clocks: the clock each
+     pending snapshot carried into its slot, as flat preallocated rows (the
+     per-broadcast capture is a plain copy, with no allocation and no write
+     barrier), and a mirror of the cores for the stamps' observations. *)
   type vc = {
-    clocks : int array array;
-    chan_clocks : int array array array;
-        (* chan_clocks.(p).(i): the clock carried by the snapshot pending
-           from p's i-th neighbor, valid iff chan_has.(p).(i) — flat
-           preallocated int rows, so the per-broadcast capture is a plain
-           blit (no allocation, no write barrier on the hot path) *)
-    chan_has : bool array array;
+    carried : int array array array;  (* carried.(p).(i), like [chan] *)
     cores : A.state array;
-        (* scratch mirror of the authoritative cores (refreshed on the two
-           mutation points) so a clock stamp's observation needs no
-           per-event array rebuild *)
-    mutable init_emitted : bool;
   }
 
   type t = {
     h : H.t;
-    sem : Sem.t;  (* scheduler + rng: the shared transformation semantics *)
+    sem : Sem.t;  (* scheduler, draws and clocks: the shared semantics *)
     telemetry : Tele.Hub.t option;
     views : View.t array;  (* per-process core + per-neighbor cache *)
     chan : A.state option array array;  (* chan.(p).(i): pending from i-th neighbor *)
+    pending : int -> int -> bool;  (* [chan] as the scheduler reads it *)
     actions : A.state Model.action array;
     mutable pk : pk option;
     vc : vc option;
@@ -73,30 +59,12 @@ module Make (A : Model.ALGO) = struct
       ?(vclock = true) ?packed h =
     let n = H.n h in
     let sem = Sem.create ~deliver_bias ~seed h in
-    let rng = Sem.rng sem in
-    let mk p = match init with `Canonical -> A.init h p | `Random -> A.random_init h rng p in
-    let states = Array.init n mk in
+    let c0 = Sem.initial sem init ~canonical:(A.init h) ~random:(A.random_init h) in
     let views =
       Array.init n (fun p ->
-          View.create h ~self:p ~core:states.(p)
-            ~cache:
-              (Array.map
-                 (fun q ->
-                   match init with
-                   | `Canonical -> states.(q)
-                   | `Random -> A.random_init h rng q)
-                 (H.neighbors h p)))
+          View.create h ~self:p ~core:c0.Sem.cores.(p) ~cache:c0.Sem.caches.(p))
     in
-    let chan =
-      Array.init n (fun p ->
-          Array.map
-            (fun q ->
-              match init with
-              | `Canonical -> None
-              | `Random ->
-                if Random.State.bool rng then Some (A.random_init h rng q) else None)
-            (H.neighbors h p))
-    in
+    let chan = c0.Sem.in_flight in
     let pk =
       match packed with
       | None -> None
@@ -134,50 +102,26 @@ module Make (A : Model.ALGO) = struct
                   (H.neighbors h p);
                 cfg)
           in
-          let masks =
-            Array.init n (fun p ->
-                let m = ref 0 in
-                Array.iteri
-                  (fun i s -> if s <> None then m := !m lor (1 lsl i))
-                  chan.(p);
-                !m)
-          in
-          let count =
-            Array.fold_left
-              (fun acc row ->
-                Array.fold_left (fun a m -> if m = None then a else a + 1) acc row)
-              0 chan
-          in
-          { hooks; core_ids; cache_ids; chan_ids; cfgs; ok; masks; count }
+          { hooks; core_ids; cache_ids; chan_ids; cfgs; ok }
         with
         | pk -> Some pk
         | exception Failure _ -> None)
     in
     let vc =
-      if vclock && telemetry <> None then begin
-        let clocks = Array.init n (fun _ -> Array.make n 0) in
-        for p = 0 to n - 1 do
-          clocks.(p).(p) <- 1
-        done;
-        let chan_clocks =
-          Array.init n (fun p ->
-              Array.map
-                (fun q -> Array.copy clocks.(q))
-                (H.neighbors h p))
-        in
+      match telemetry with
+      | Some hub when vclock ->
+        let cores = c0.Sem.cores in
+        Sem.track_clocks sem ~hub (A.observe h cores);
         (* randomly preloaded snapshots carry the sender's initial clock *)
-        let chan_has =
+        let carried =
           Array.init n (fun p ->
-              Array.map (fun m -> m <> None) chan.(p))
+              Array.map (fun q -> Vclock.copy (Sem.clock sem q)) (H.neighbors h p))
         in
-        Some
-          { clocks; chan_clocks; chan_has;
-            cores = Array.map View.core views;
-            init_emitted = false }
-      end
-      else None
+        Some { carried; cores }
+      | _ -> None
     in
     { h; sem; telemetry; views; chan;
+      pending = (fun p i -> Option.is_some chan.(p).(i));
       actions = Array.of_list (A.actions h);
       pk; vc; sent = 0; delivered = 0;
       prof_pk_hits = 0; prof_pk_fallbacks = 0;
@@ -210,53 +154,25 @@ module Make (A : Model.ALGO) = struct
   let emit t ev =
     match t.telemetry with None -> () | Some hub -> Tele.Hub.emit hub ev
 
-  let emit_clock t vc ~k p =
-    let o = A.observe t.h vc.cores p in
-    emit t
-      (Tele.Event.Clock
-         { step = Sem.steps t.sem;
-           p;
-           k;
-           clock = Array.to_list vc.clocks.(p);
-           obs_code = Obs.code o;
-           disc = o.Obs.discussions })
-
-  (* Process initial configurations are events too (each sets its own clock
-     component to 1); they are flushed lazily so they land after the
-     runner's [run_start]. *)
-  let ensure_init_clocks t =
-    match t.vc with
-    | Some vc when not vc.init_emitted ->
-      vc.init_emitted <- true;
-      for p = 0 to H.n t.h - 1 do
-        emit_clock t vc ~k:Tele.Event.clock_init p
-      done
-    | _ -> ()
+  let copy_into ~dst src =
+    for j = 0 to Array.length src - 1 do
+      Array.unsafe_set dst j (Array.unsafe_get src j)
+    done
 
   let broadcast t p =
-    Array.iteri
-      (fun _i q ->
-        let slot = View.slot t.views.(q) p in
-        (match t.pk with
-         | Some pk ->
-           if t.chan.(q).(slot) = None then begin
-             pk.masks.(q) <- pk.masks.(q) lor (1 lsl slot);
-             pk.count <- pk.count + 1
-           end;
-           pk.chan_ids.(q).(slot) <- pk.core_ids.(p)
-         | None -> ());
-        (match t.vc with
-         | Some vc ->
-           let src = vc.clocks.(p) in
-           let dst = vc.chan_clocks.(q).(slot) in
-           for j = 0 to Array.length src - 1 do
-             Array.unsafe_set dst j (Array.unsafe_get src j)
-           done;
-           vc.chan_has.(q).(slot) <- true
-         | None -> ());
-        t.chan.(q).(slot) <- Some (View.core t.views.(p));
-        t.sent <- t.sent + 1)
-      (H.neighbors t.h p)
+    let nbrs = H.neighbors t.h p in
+    let msg = Some (View.core t.views.(p)) in
+    for i = 0 to Array.length nbrs - 1 do
+      let q = nbrs.(i) and slot = Sem.peer_slot t.sem p i in
+      (match t.pk with
+       | Some pk -> pk.chan_ids.(q).(slot) <- pk.core_ids.(p)
+       | None -> ());
+      (match t.vc with
+       | Some vc -> copy_into ~dst:vc.carried.(q).(slot) (Sem.clock t.sem p)
+       | None -> ());
+      t.chan.(q).(slot) <- msg;
+      t.sent <- t.sent + 1
+    done
 
   (* Packed activation: one table lookup instead of the guard closure scan;
      the statement still runs against the typed view.  [-2] (or an
@@ -305,119 +221,66 @@ module Make (A : Model.ALGO) = struct
   let activate t ~inputs p =
     t.prof_activations <- t.prof_activations + 1;
     let label = view_activate t ~inputs p in
-    (* tick before broadcasting: the snapshot causally includes the
-       activation; a no-op activation is a heartbeat, not an event *)
+    (* a no-op activation is a heartbeat, not an event *)
+    let acted = Option.is_some label in
     (match t.vc with
-     | Some vc when label <> None ->
-       vc.cores.(p) <- View.core t.views.(p);
-       let own = vc.clocks.(p) in
-       own.(p) <- own.(p) + 1
+     | Some vc when acted -> vc.cores.(p) <- View.core t.views.(p)
      | _ -> ());
+    Sem.on_activated t.sem p ~acted;
     broadcast t p;
-    Sem.on_activated t.sem p;
     emit t (Tele.Event.Mp_activated { step = Sem.steps t.sem; p; label });
-    (match t.vc with
-     | Some vc when label <> None ->
-       emit_clock t vc ~k:Tele.Event.clock_activation p
-     | _ -> ());
+    if acted then Sem.stamp t.sem ~k:Tele.Event.clock_activation p;
     Activated (p, label)
 
+  (* the scheduler delivers pending links only *)
   let deliver t p i =
-    let received = t.chan.(p).(i) <> None in
-    (match t.chan.(p).(i) with
-     | Some msg ->
-       t.prof_deliveries <- t.prof_deliveries + 1;
-       View.refresh t.views.(p) ~slot:i msg;
-       (match t.pk with
-        | Some pk ->
-          let id = pk.chan_ids.(p).(i) in
-          pk.cache_ids.(p).(i) <- id;
-          pk.cfgs.(p).((H.neighbors t.h p).(i)) <- id;
-          pk.masks.(p) <- pk.masks.(p) land lnot (1 lsl i);
-          pk.count <- pk.count - 1
-        | None -> ());
-       (match t.vc with
-        | Some vc ->
-          let own = vc.clocks.(p) in
-          if vc.chan_has.(p).(i) then begin
-            let carried = vc.chan_clocks.(p).(i) in
-            for j = 0 to Array.length own - 1 do
-              let c = Array.unsafe_get carried j in
-              if c > Array.unsafe_get own j then Array.unsafe_set own j c
-            done;
-            vc.chan_has.(p).(i) <- false
-          end;
-          own.(p) <- own.(p) + 1
-        | None -> ());
-       Sem.on_cache_refresh t.sem ~dst:p ~slot:i;
-       t.chan.(p).(i) <- None;
-       t.delivered <- t.delivered + 1
-     | None -> ());
+    let msg = Option.get t.chan.(p).(i) in
+    t.prof_deliveries <- t.prof_deliveries + 1;
+    View.refresh t.views.(p) ~slot:i msg;
     let src = (H.neighbors t.h p).(i) in
+    (match t.pk with
+     | Some pk ->
+       let id = pk.chan_ids.(p).(i) in
+       pk.cache_ids.(p).(i) <- id;
+       pk.cfgs.(p).(src) <- id
+     | None -> ());
+    Sem.on_delivered t.sem ~dst:p ~slot:i
+      ~carried:(match t.vc with Some vc -> vc.carried.(p).(i) | None -> [||]);
+    t.chan.(p).(i) <- None;
+    t.delivered <- t.delivered + 1;
     emit t (Tele.Event.Mp_delivered { step = Sem.steps t.sem; dst = p; src });
-    (match t.vc with
-     | Some vc when received -> emit_clock t vc ~k:Tele.Event.clock_delivery p
-     | _ -> ());
+    Sem.stamp t.sem ~k:Tele.Event.clock_delivery p;
     Delivered (p, src)
 
-  let pending t =
-    let acc = ref [] in
-    Array.iteri
-      (fun p row ->
-        Array.iteri (fun i m -> if m <> None then acc := (p, i) :: !acc) row)
-      t.chan;
-    !acc
-
   let step t ~inputs =
-    ensure_init_clocks t;
+    Sem.stamp_initial t.sem;
     Sem.begin_step t.sem;
-    let decision =
-      match t.pk with
-      | Some pk -> Sem.decide_masks t.sem ~masks:pk.masks ~count:pk.count
-      | None -> Sem.decide t.sem ~pending:(pending t)
-    in
-    match decision with
+    match Sem.decide t.sem ~pending:t.pending with
     | Sem.Activate p -> activate t ~inputs p
     | Sem.Deliver (p, i) -> deliver t p i
 
   let corrupt t ~victims =
-    ensure_init_clocks t;
-    let rng = Sem.rng t.sem in
+    Sem.stamp_initial t.sem;
     emit t (Tele.Event.Fault { step = Sem.steps t.sem; victims });
     List.iter
       (fun p ->
         if p < 0 || p >= H.n t.h then invalid_arg "mp corrupt: bad victim";
-        View.set_core t.views.(p) (A.random_init t.h rng p);
+        let d = Sem.corruption t.sem ~random:(A.random_init t.h) p in
+        let nbrs = H.neighbors t.h p in
+        View.set_core t.views.(p) d.Sem.core;
+        Array.iteri (fun i st -> View.refresh t.views.(p) ~slot:i st) d.Sem.cache;
         Array.iteri
-          (fun i q -> View.refresh t.views.(p) ~slot:i (A.random_init t.h rng q))
-          (H.neighbors t.h p);
-        Array.iteri
-          (fun i q ->
-            if Random.State.bool rng then begin
-              (match t.pk with
-               | Some pk ->
-                 if t.chan.(p).(i) = None then begin
-                   pk.masks.(p) <- pk.masks.(p) lor (1 lsl i);
-                   pk.count <- pk.count + 1
-                 end
-               | None -> ());
-              (* the adversary forged a snapshot "from q": stamp it with
-                 q's current clock so delivery stays causally well-formed *)
+          (fun i forged ->
+            if Option.is_some forged then begin
               (match t.vc with
                | Some vc ->
-                 let src = vc.clocks.(q) in
-                 Array.blit src 0 vc.chan_clocks.(p).(i) 0 (Array.length src);
-                 vc.chan_has.(p).(i) <- true
+                 copy_into ~dst:vc.carried.(p).(i) (Sem.clock t.sem nbrs.(i))
                | None -> ());
-              t.chan.(p).(i) <- Some (A.random_init t.h rng q)
+              t.chan.(p).(i) <- forged
             end)
-          (H.neighbors t.h p);
-        (match t.vc with
-         | Some vc ->
-           vc.cores.(p) <- View.core t.views.(p);
-           Vclock.tick vc.clocks.(p) p;
-           emit_clock t vc ~k:Tele.Event.clock_corruption p
-         | None -> ());
+          d.Sem.forged;
+        (match t.vc with Some vc -> vc.cores.(p) <- d.Sem.core | None -> ());
+        Sem.on_corrupted t.sem p;
         (* refresh the mirror for everything the fault rewrote *)
         match t.pk with
         | Some pk -> (
@@ -433,7 +296,7 @@ module Make (A : Model.ALGO) = struct
                 match t.chan.(p).(i) with
                 | Some st -> pk.chan_ids.(p).(i) <- pk.hooks.Model.pk_intern q st
                 | None -> ())
-              (H.neighbors t.h p)
+              nbrs
           with
           | () -> ()
           | exception Failure _ -> t.pk <- None)

@@ -16,7 +16,12 @@
     An adversarial-but-fair scheduler interleaves two kinds of events:
     process activations and message deliveries.  The {e true}
     configuration (the cores) is what the monitors observe; staleness lives
-    only in caches. *)
+    only in caches.
+
+    The scheduler, every random draw and the vector clocks are
+    {!Mp_semantics}'s, shared with the networked runtime; this module adds
+    the in-memory transport: typed views, coalescing slots and the packed
+    id mirror. *)
 
 module Make (A : Snapcc_runtime.Model.ALGO) : sig
   type t
@@ -43,18 +48,16 @@ module Make (A : Snapcc_runtime.Model.ALGO) : sig
       per delivery and [fault] on {!corrupt}, stamped with the scheduler
       step.
 
-      [vclock] (default [true], effective only with [telemetry]) maintains
-      per-process vector clocks — initial-configuration events, acting
-      activations, accepted deliveries and corruptions each tick/merge per
-      the rules in {!Snapcc_telemetry.Vclock} — and emits one [clock]
-      event per such event, carrying the clock and the process' packed
+      [vclock] (default [true], effective only with [telemetry]) keeps the
+      per-process vector clocks of {!Mp_semantics} and emits one [clock]
+      event per initial configuration, acting activation, accepted
+      delivery and corruption, carrying the clock and the process' packed
       local observation.  Stamping is purely observational: it never
       touches the rng, so a stamped run is event-for-event identical to an
-      unstamped one.
+      unstamped one, and an unstamped run does no clock work.
 
       [packed] enables the table-driven fast path: guard scans on each
-      activation become one packed-table lookup, and the scheduler's
-      pending list becomes a bitmask.  Strictly an accelerator — the typed
+      activation become one packed-table lookup.  Strictly an accelerator — the typed
       views stay authoritative, statements still execute, and a packed run
       is event-for-event identical to the closure run of the same seed
       (cells without a stored table, or whose support leaks outside the

@@ -81,48 +81,13 @@ module Make (A : Snapcc_mc.System.S) = struct
     let n = H.n h in
     let plan = cfg.plan in
     let sem = Sem.create ~deliver_bias:cfg.deliver_bias ~seed:cfg.seed h in
-    let rng = Sem.rng sem in
-    (* Initial cores, caches and in-flight messages: drawn from the
-       scheduler's generator in exactly [Mp_engine.create]'s order, so a
-       fault-free run replays the mp run of the same seed. *)
-    let mk p =
-      match cfg.init with
-      | `Canonical -> A.init h p
-      | `Random -> A.random_init h rng p
+    let c0 =
+      Sem.initial sem cfg.init ~canonical:(A.init h) ~random:(A.random_init h)
     in
-    let states = Array.init n mk in
-    let caches =
-      Array.init n (fun p ->
-          Array.map
-            (fun q ->
-              match cfg.init with
-              | `Canonical -> states.(q)
-              | `Random -> A.random_init h rng q)
-            (H.neighbors h p))
-    in
-    let chan0 =
-      Array.init n (fun p ->
-          Array.map
-            (fun q ->
-              match cfg.init with
-              | `Canonical -> None
-              | `Random ->
-                if Random.State.bool rng then Some (A.random_init h rng q)
-                else None)
-            (H.neighbors h p))
-    in
-    (* The orchestrator's mirror of every node's vector clock, maintained
-       tick-for-tick with the node side (own component = 1 at init, tick on
-       acting activation and corruption, merge + tick on accepted delivery)
-       and cross-checked against each [Activated] echo.  Purely
-       observational — no rng draws, so stamping never shifts the
-       schedule. *)
-    let clocks =
-      Array.init n (fun p ->
-          let c = Vclock.create n in
-          Vclock.tick c p;
-          c)
-    in
+    let states = c0.Sem.cores in
+    (* the reference copy of every node's vector clock, which each
+       [Activated] echo is checked against *)
+    Sem.track_clocks sem ?hub:telemetry (A.observe h states);
     (* links.(dst).(slot) carries snapshots from [neighbors dst].(slot). *)
     let links =
       Array.init n (fun dst ->
@@ -137,25 +102,14 @@ module Make (A : Snapcc_mc.System.S) = struct
             match m with
             | Some st ->
               let link = links.(dst).(slot) in
-              (* randomly preloaded snapshots carry the sender's initial
-                 clock, like [Mp_engine]'s channel preloads *)
               Link.preload link ~step:0 ~state:(marshal st)
-                ~clock:(Vclock.copy clocks.(Link.src link))
+                ~clock:(Vclock.copy (Sem.clock sem (Link.src link)))
             | None -> ())
           row)
-      chan0;
+      c0.Sem.in_flight;
     (* byte-flips of frames marked corrupt by a link; separate generator so
        the corruption rate does not shift the scheduler's draws *)
     let frame_rng = Random.State.make [| cfg.seed; 0xf17 |] in
-    let slot_of dst src =
-      let nb = H.neighbors h dst in
-      let rec scan i =
-        if i >= Array.length nb then fail "net: %d is not a neighbor of %d" src dst
-        else if nb.(i) = src then i
-        else scan (i + 1)
-      in
-      scan 0
-    in
     let emit ev =
       match telemetry with Some hub -> Tele.Hub.emit hub ev | None -> ()
     in
@@ -201,7 +155,7 @@ module Make (A : Snapcc_mc.System.S) = struct
           send p
             (Codec.Init
                { seed = cfg.seed; topo; core = marshal st;
-                 cache = Marshal.to_string caches.(p) [] }))
+                 cache = Marshal.to_string c0.Sem.caches.(p) [] }))
         states;
       Array.iteri
         (fun p _ ->
@@ -215,31 +169,16 @@ module Make (A : Snapcc_mc.System.S) = struct
              workload = Workload.name workload; seed = cfg.seed; n;
              m = H.m h; topo });
       let obs () = Array.init n (A.observe h states) in
-      let emit_clock ~k p =
-        match telemetry with
-        | None -> ()
-        | Some hub ->
-          let o = A.observe h states p in
-          Tele.Hub.emit hub
-            (Tele.Event.Clock
-               { step = Sem.steps sem; p; k;
-                 clock = Vclock.to_list clocks.(p);
-                 obs_code = Obs.code o; disc = o.Obs.discussions })
-      in
-      (* initial configurations are events too — same stream prefix as
-         [Mp_engine]'s lazy init flush *)
-      for p = 0 to n - 1 do
-        emit_clock ~k:Tele.Event.clock_init p
-      done;
+      Sem.stamp_initial sem;
       let observer = Observer.create ?telemetry h ~initial:(obs ()) in
       let broadcast p =
         let snapshot = marshal states.(p) in
         (* one shared copy per broadcast: link entries never mutate it *)
-        let clock = Vclock.copy clocks.(p) in
+        let clock = Vclock.copy (Sem.clock sem p) in
         let bytes = String.length snapshot in
         let now = Unix.gettimeofday () in
-        Array.iter
-          (fun q ->
+        Array.iteri
+          (fun i q ->
             let step = Sem.steps sem in
             emit (Tele.Event.Net_sent { step; src = p; dst = q; bytes });
             incr sent;
@@ -251,7 +190,7 @@ module Make (A : Snapcc_mc.System.S) = struct
               incr dropped
             end
             else begin
-              let link = links.(q).(slot_of q p) in
+              let link = links.(q).(Sem.peer_slot sem p i) in
               let r =
                 Link.send link ~plan ~step:(step - 1) ~now ~state:snapshot
                   ~clock
@@ -276,21 +215,20 @@ module Make (A : Snapcc_mc.System.S) = struct
         match recv p with
         | Codec.Activated { label; core; clock } ->
           states.(p) <- (Marshal.from_string core 0 : A.state);
-          (* tick before broadcasting (the snapshot causally includes the
-             activation), then cross-check the node's echoed clock against
-             the mirror: a mismatch is a protocol bug, not a fault *)
-          if label <> None then Vclock.tick clocks.(p) p;
+          let acted = Option.is_some label in
+          Sem.on_activated sem p ~acted;
+          (* a mismatch with the node's echoed clock is a protocol bug, not
+             a fault *)
           (match Vclock.decode_full clock with
-           | Some c when c = clocks.(p) -> ()
+           | Some c when c = Sem.clock sem p -> ()
            | Some c ->
-             fail "net: node %d clock skew: node %s, mirror %s" p
+             fail "net: node %d clock skew: node %s, expected %s" p
                (Vclock.to_string c)
-               (Vclock.to_string clocks.(p))
+               (Vclock.to_string (Sem.clock sem p))
            | None -> fail "net: node %d: bad clock echo" p);
           broadcast p;
-          Sem.on_activated sem p;
           emit (Tele.Event.Mp_activated { step = Sem.steps sem; p; label });
-          if label <> None then emit_clock ~k:Tele.Event.clock_activation p
+          if acted then Sem.stamp sem ~k:Tele.Event.clock_activation p
         | _ -> fail "net: node %d: expected activated" p
       in
       (* Snapshot frame for one delivery under the packed wire format:
@@ -339,7 +277,7 @@ module Make (A : Snapcc_mc.System.S) = struct
         | None -> fail "net: deliver decision on an empty link %d.%d" p slot
         | Some e ->
           let finish bytes =
-            Sem.on_cache_refresh sem ~dst:p ~slot;
+            Sem.on_delivered sem ~dst:p ~slot ~carried:e.Link.clock;
             incr delivered;
             bytes_delivered := !bytes_delivered + bytes;
             let latency_us =
@@ -352,15 +290,11 @@ module Make (A : Snapcc_mc.System.S) = struct
             end;
             !latencies.(!nlatencies) <- latency_us;
             incr nlatencies;
-            (* mirror the node's acceptance: merge the carried clock, tick
-               the receiver *)
-            Vclock.merge_into ~into:clocks.(p) e.Link.clock;
-            Vclock.tick clocks.(p) p;
             emit (Tele.Event.Mp_delivered { step; dst = p; src });
             emit
               (Tele.Event.Net_delivered
                  { step; src; dst = p; bytes; latency_us });
-            emit_clock ~k:Tele.Event.clock_delivery p
+            Sem.stamp sem ~k:Tele.Event.clock_delivery p
           in
           let reject body =
             send_raw p (Codec.corrupt_body frame_rng body);
@@ -437,45 +371,31 @@ module Make (A : Snapcc_mc.System.S) = struct
         emit (Tele.Event.Fault { step = Sem.steps sem; victims });
         List.iter
           (fun p ->
-            (* same draw order as [Mp_engine.corrupt]: core, cache row,
-               then in-flight channels *)
-            let core = A.random_init h rng p in
-            let cache =
-              Array.map (fun q -> A.random_init h rng q) (H.neighbors h p)
-            in
-            states.(p) <- core;
+            let d = Sem.corruption sem ~random:(A.random_init h) p in
+            states.(p) <- d.Sem.core;
             send p
               (Codec.Corrupt
-                 { core = marshal core; cache = Marshal.to_string cache [] });
+                 { core = marshal d.Sem.core;
+                   cache = Marshal.to_string d.Sem.cache [] });
             (match recv p with
              | Codec.Corrupted -> ()
              | _ -> fail "net: node %d: expected corrupted" p);
             Array.iteri
-              (fun slot q ->
-                if Random.State.bool rng then
-                  (* the adversary forged a snapshot "from q": stamp it
-                     with q's current clock so delivery stays causally
-                     well-formed *)
-                  Link.preload links.(p).(slot) ~step:i
-                    ~state:(marshal (A.random_init h rng q))
-                    ~clock:(Vclock.copy clocks.(q)))
-              (H.neighbors h p);
-            Vclock.tick clocks.(p) p;
-            emit_clock ~k:Tele.Event.clock_corruption p)
+              (fun slot forged ->
+                match forged with
+                | Some st ->
+                  Link.preload links.(p).(slot) ~step:i ~state:(marshal st)
+                    ~clock:(Vclock.copy (Sem.clock sem (H.neighbors h p).(slot)))
+                | None -> ())
+              d.Sem.forged;
+            Sem.on_corrupted sem p)
           victims;
         burst_done := true;
         Observer.fault observer (obs ())
       in
-      let pending i =
-        let acc = ref [] in
-        Array.iteri
-          (fun p row ->
-            Array.iteri
-              (fun slot link ->
-                if Link.eligible link ~step:i then acc := (p, slot) :: !acc)
-              row)
-          links;
-        !acc
+      (* links the scheduler may deliver at the step it opened *)
+      let pending dst slot =
+        Link.eligible links.(dst).(slot) ~step:(Sem.steps sem - 1)
       in
       for i = 0 to cfg.steps - 1 do
         (match cfg.burst with Some b when b = i -> corruption_burst i | _ -> ());
@@ -483,7 +403,7 @@ module Make (A : Snapcc_mc.System.S) = struct
         let req_in = Array.init n inputs.Model.request_in in
         let req_out = Array.init n inputs.Model.request_out in
         Sem.begin_step sem;
-        (match Sem.decide sem ~pending:(pending i) with
+        (match Sem.decide sem ~pending with
          | Sem.Activate p -> activate p ~req_in ~req_out
          | Sem.Deliver (p, slot) -> deliver p slot);
         (* the observer judges and measures the assembled configuration

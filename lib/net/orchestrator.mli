@@ -1,25 +1,28 @@
-(** The orchestrator: scheduler, fault-injecting link layer and live
+(** The orchestrator: fault-injecting link layer, node protocol and live
     monitoring observer of the networked runtime.
 
-    The orchestrator drives the node processes in lockstep through the
-    {e same} scheduler as the in-process emulation
-    ({!Snapcc_mp.Mp_semantics}, same seed vector, same draw order): each
-    step either activates one node (which executes one guarded action
-    against its cached view and re-broadcasts its state through the link
-    layer) or delivers one in-flight snapshot.  Under a fault-free plan
-    the links coalesce exactly like [Mp_engine]'s single-slot channels,
-    so a zero-fault networked run replays the [ccsim mp] run of the same
-    seed decision for decision — [lib/mp] is the executable reference
-    model of this runtime.
+    The scheduler's decisions, every random draw (initial configuration,
+    corruption burst) and the vector clocks with their [clock] events come
+    from {!Snapcc_mp.Mp_semantics}, the same code the in-process emulation
+    runs; the orchestrator adds only the transport.  Each step either
+    activates one node (which executes one guarded action against its
+    cached view and re-broadcasts its state through the link layer) or
+    delivers one in-flight snapshot.  The orchestrator checks each node's
+    echoed clock against the semantics' copy and fails on a mismatch.
+    Under a fault-free plan the links coalesce exactly like
+    [Mp_engine]'s single-slot channels, so a zero-fault networked run
+    replays the [ccsim mp] run of the same seed event for event —
+    [lib/mp] is the executable reference model of this runtime.
 
     The observer half assembles the true configuration from the nodes'
     [Activated] reports and feeds it to the same
     {!Snapcc_analysis.Observer} fold as the in-process engines (Spec
     monitors, metrics, [token_handoff]/[recover] and the [convene]/
-    [terminate]/waiting-span events), next to its own [fault], [clock] and
-    [net_*] link events, so [ccsim stats] and [ccsim trace] consume a
-    networked trace unchanged.  Every event except [net_delivered]
-    (wall-clock latency) is a pure function of the seed. *)
+    [terminate]/waiting-span events), next to the [fault], [mp_*],
+    [clock] and [net_*] link events, so [ccsim stats] and [ccsim trace]
+    consume a networked trace unchanged.  Every event except
+    [net_delivered] (wall-clock latency) is a pure function of the
+    seed. *)
 
 type config = {
   algo : string;
@@ -32,7 +35,7 @@ type config = {
   plan : Faults.plan;
   burst : int option;
       (** soak mode: corrupt half the nodes (cores, caches and in-flight
-          messages, like [Mp_engine.corrupt]) at this step *)
+          messages, drawn like [Mp_engine.corrupt]'s) at this step *)
   engine : [ `Packed | `Closure ];
       (** Wire format for snapshot deliveries.  [`Closure] sends the
           version-1 full-marshal [Deliver] frames.  [`Packed] encodes a

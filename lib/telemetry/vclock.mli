@@ -1,8 +1,9 @@
 (** Vector clocks for causal tracing.
 
-    One component per professor.  The stamping discipline (shared by the
-    in-process [Mp_engine], the networked orchestrator's mirror, and the
-    forked node processes) is the classical one:
+    One component per professor.  The stamping discipline is the classical
+    one; [Snapcc_mp.Mp_semantics] holds it for both message-passing
+    runtimes (the in-process emulation and the networked orchestrator),
+    and each forked node process keeps its own clock by the same rules:
 
     - process [p]'s first event (its initial configuration) sets component
       [p] to 1;

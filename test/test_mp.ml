@@ -1,9 +1,11 @@
 (* The message-passing substrate: channel discipline, scheduler fairness,
-   locality, determinism, fault injection. *)
+   locality, determinism, fault injection, pinned trace digests. *)
 
 module H = Snapcc_hypergraph.Hypergraph
 module Families = Snapcc_hypergraph.Families
 module Obs = Snapcc_runtime.Obs
+module Tele = Snapcc_telemetry
+module Workload = Snapcc_workload.Workload
 module X = Snapcc_experiments.Algos
 
 let check = Alcotest.(check bool)
@@ -104,6 +106,74 @@ let test_max_staleness_grows () =
   done;
   check "runs are genuinely asynchronous" true (E.max_staleness eng > 5)
 
+(* ---- pinned trace digests ---- *)
+
+(* MD5 of the whole JSONL trace of one [Driver.Mp] run: random start, half
+   the processes corrupted mid-run, clocks stamped.  With [packed] the
+   engine runs on [Packed] hooks at the startup cap; on ring9 and fig4
+   those tables serve no activation, so the hooks change only how the
+   scheduler holds its pending set, and both runs must hash alike.  At
+   bias 0.95 both forced branches of the scheduler's decision fire. *)
+let digest_steps = 4_000
+
+let trace_digest (module S : Snapcc_mc.System.S) ~packed ~bias h =
+  let module R = Snapcc_experiments.Driver.Mp (S) in
+  let module Pk = Snapcc_mc.Packed.Make (S) in
+  let hooks = if packed then Option.map Pk.hooks (Pk.try_build h) else None in
+  let b = Buffer.create (1 lsl 20) in
+  let hub = Tele.Hub.create () in
+  Tele.Hub.add_sink hub (Tele.Sink.jsonl (Buffer.add_string b));
+  let n = H.n h in
+  let faults ~step =
+    if step = digest_steps / 2 then List.init (max 1 (n / 2)) (fun k -> 2 * k mod n)
+    else []
+  in
+  let _, eng =
+    R.run ~seed:7 ~init:`Random ~deliver_bias:bias ?packed:hooks ~faults
+      ~telemetry:hub ~workload:(Workload.always_requesting h)
+      ~steps:digest_steps h
+  in
+  Tele.Hub.close hub;
+  if packed then check "packed hooks in use" true (R.E.engine_kind eng = `Packed);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Recorded before the two runtimes shared one scheduler decision. *)
+let trace_goldens =
+  [ ("cc1/ring9/0.05", "3716ac6cd2e28078f051d0b75da52cd9");
+    ("cc1/ring9/0.5", "e7028c3c4e8c42f4113d653a09bdbddf");
+    ("cc1/ring9/0.95", "33e081a3307e957550f818b9b990a050");
+    ("cc1/fig4/0.05", "8e1b57935a2fdff5d86ea4c2a0c66f43");
+    ("cc1/fig4/0.5", "9320f6e6a7dbe9529a38686769943ec2");
+    ("cc1/fig4/0.95", "7e29026e714018f5f17abef40c084ce3");
+    ("cc2/ring9/0.05", "7ac9ed0d20a77e1d1145ce32b102a585");
+    ("cc2/ring9/0.5", "011d449fd662727b007ccc325f7165cd");
+    ("cc2/ring9/0.95", "88457c2ee6f7d35e12aecba1770b578f");
+    ("cc2/fig4/0.05", "98a24eacb8de86360cc717a6e57c91d5");
+    ("cc2/fig4/0.5", "22b481c5354f7ed8591cf7db97663932");
+    ("cc2/fig4/0.95", "9a67eeb9a897e93ffd5476d9698fc10d");
+    ("cc3/ring9/0.05", "4b28f8e5f28d4e754a45eb1d6c45e262");
+    ("cc3/ring9/0.5", "97aaf6bc68c7c0465b549c4077345867");
+    ("cc3/ring9/0.95", "8fdb5a21b80f8366dda10ce74eabd8c6");
+    ("cc3/fig4/0.05", "47c56f8fd047ba2a250eb92c935df6bd");
+    ("cc3/fig4/0.5", "1b1f5b6f3384014464b5e82483c70543");
+    ("cc3/fig4/0.95", "e698a6a049ec898adfe0a35ca1cf083f") ]
+
+let test_pinned_trace_digests () =
+  List.iter
+    (fun (name, expected) ->
+      match String.split_on_char '/' name with
+      | [ algo; topo; bias ] ->
+        let sys =
+          (Option.get (Snapcc_mc.Systems.resolve algo)).Snapcc_mc.Systems.sys
+        in
+        let h = Families.by_name topo and bias = float_of_string bias in
+        Alcotest.(check string) (name ^ " closure") expected
+          (trace_digest sys ~packed:false ~bias h);
+        Alcotest.(check string) (name ^ " packed") expected
+          (trace_digest sys ~packed:true ~bias h)
+      | _ -> Alcotest.failf "bad golden name %s" name)
+    trace_goldens
+
 let suite =
   [ ( "message-passing",
       [ Alcotest.test_case "coalescing channels" `Quick test_coalescing_channels;
@@ -113,5 +183,6 @@ let suite =
         Alcotest.test_case "CC2/mp fairness + safety core" `Slow
           test_mp_cc2_serves_everyone;
         Alcotest.test_case "staleness exercised" `Quick test_max_staleness_grows;
+        Alcotest.test_case "pinned trace digests" `Quick test_pinned_trace_digests;
       ] );
   ]

@@ -220,21 +220,32 @@ let test_link_bounded_and_deterministic () =
 
 (* A fault-free networked run (forked node processes, coalescing loopback
    links) must replay the in-process message-passing emulation of the same
-   seed decision for decision: same Spec verdict, same convene count, same
-   message counts, same final configuration — and, since both feed the
-   same observer, the same aggregated telemetry summary. *)
+   seed event for event: once the [net_*] link events are dropped and the
+   scheduler's name is blanked, the two telemetry streams are equal, under
+   either wire encoding, with and without a mid-run corruption burst (mp
+   corrupts the orchestrator's victims through [?faults]).  The counters,
+   the final configuration and the aggregated summary follow. *)
 module Mp = Snapcc_experiments.Driver.Mp (Snapcc_experiments.Algos.Cc2)
 
-(* a hub whose summary is folded online *)
-let stats_hub () =
+(* a hub whose summary is folded online and whose events are kept, minus
+   the link layer's and with the scheduler's name blanked *)
+let parity_hub () =
   let hub = Tele.Hub.create () in
   let stats = Tele.Stats.create () in
   Tele.Hub.add_sink hub (Tele.Stats.sink stats);
-  (hub, stats)
+  let events = ref [] in
+  Tele.Hub.add_sink hub
+    (Tele.Sink.custom ~close:ignore ~emit:(fun (s : Tele.Event.stamped) ->
+         match s.Tele.Event.ev with
+         | Tele.Event.Net_sent _ | Tele.Event.Net_delivered _
+         | Tele.Event.Net_dropped _ -> ()
+         | Tele.Event.Run_start r ->
+           events := Tele.Event.Run_start { r with daemon = "" } :: !events
+         | ev -> events := ev :: !events));
+  (hub, stats, fun () -> List.rev !events)
 
-let mp_reference ?telemetry ~seed ~steps ~bias h =
-  Mp.run ~seed ~init:`Canonical ~deliver_bias:bias ?telemetry
-    ~workload:(Workload.always_requesting h) ~steps h
+let burst_victims n ~burst ~step =
+  if Some step = burst then List.init (max 1 (n / 2)) (fun k -> 2 * k mod n) else []
 
 (* the parts of a summary both runtimes must agree on: everything but the
    scheduler's name and the wall-clock latency histogram *)
@@ -242,44 +253,69 @@ let comparable (meta, (s : Tele.Stats.summary)) =
   ( Option.map (fun (m : Tele.Stats.meta) -> { m with daemon = "" }) meta,
     { s with latency_histogram = [] } )
 
+let replay_case ~topo ~init ~seed ~bias ~burst =
+  let h = Families.by_name topo and steps = 3_000 in
+  let name = Printf.sprintf "%s seed %d" topo seed in
+  let mp_hub, mp_stats, mp_events = parity_hub () in
+  let r, eng =
+    Mp.run ~seed ~init ~deliver_bias:bias ~telemetry:mp_hub
+      ~faults:(burst_victims (H.n h) ~burst)
+      ~workload:(Workload.always_requesting h) ~steps h
+  in
+  let mp_events = mp_events () in
+  List.iter
+    (fun engine ->
+      let name =
+        name ^ match engine with `Packed -> " (packed wire)" | `Closure -> ""
+      in
+      let cfg =
+        { Net.Orchestrator.algo = "cc2"; seed; init; deliver_bias = bias; steps;
+          plan = Faults.none; burst; engine }
+      in
+      let net_hub, net_stats, net_events = parity_hub () in
+      let nr =
+        match
+          Net.Orchestrator.run ~telemetry:net_hub ~mode:Net.Spawn.Fork
+            ~workload:(Workload.always_requesting h) cfg h
+        with
+        | Ok r -> r
+        | Error e -> Alcotest.fail e
+      in
+      check (name ^ ": same event stream") true (mp_events = net_events ());
+      check_int (name ^ ": same convene count")
+        (List.length r.Snapcc_experiments.Driver.convened)
+        nr.Net.Orchestrator.convenes;
+      check_int (name ^ ": same violation count")
+        (List.length r.Snapcc_experiments.Driver.violations)
+        (List.length nr.Net.Orchestrator.violations);
+      check_int (name ^ ": same sends") (Mp.E.messages_sent eng)
+        nr.Net.Orchestrator.sent;
+      check_int (name ^ ": same deliveries") (Mp.E.messages_delivered eng)
+        nr.Net.Orchestrator.delivered;
+      check_int (name ^ ": same staleness") (Mp.E.max_staleness eng)
+        nr.Net.Orchestrator.max_staleness;
+      check_int (name ^ ": nothing lost without faults") 0
+        nr.Net.Orchestrator.dropped;
+      check (name ^ ": same final configuration") true
+        (Array.for_all2 Obs.equal r.Snapcc_experiments.Driver.final_obs
+           nr.Net.Orchestrator.final_obs);
+      check (name ^ ": same telemetry summary") true
+        (comparable (Tele.Stats.result mp_stats)
+        = comparable (Tele.Stats.result net_stats)))
+    [ `Closure; `Packed ];
+  check (name ^ ": token handed off") true
+    ((snd (Tele.Stats.result mp_stats)).Tele.Stats.token_handoffs > 0);
+  List.length mp_events
+
 let test_net_replays_mp () =
-  let h = Families.fig1 () in
-  let seed = 3 and steps = 2_000 and bias = 0.4 in
-  let mp_hub, mp_stats = stats_hub () in
-  let r, eng = mp_reference ~telemetry:mp_hub ~seed ~steps ~bias h in
-  let cfg =
-    { Net.Orchestrator.algo = "cc2"; seed; init = `Canonical;
-      deliver_bias = bias; steps; plan = Faults.none; burst = None;
-      engine = `Closure }
-  in
-  let w = Workload.always_requesting h in
-  let net_hub, net_stats = stats_hub () in
-  let nr =
-    match
-      Net.Orchestrator.run ~telemetry:net_hub ~mode:Net.Spawn.Fork ~workload:w
-        cfg h
-    with
-    | Ok r -> r
-    | Error e -> Alcotest.fail e
-  in
-  check_int "same convene count" (List.length r.Snapcc_experiments.Driver.convened)
-    nr.Net.Orchestrator.convenes;
-  check_int "same violation count"
-    (List.length r.Snapcc_experiments.Driver.violations)
-    (List.length nr.Net.Orchestrator.violations);
-  check_int "same sends" (Mp.E.messages_sent eng) nr.Net.Orchestrator.sent;
-  check_int "same deliveries" (Mp.E.messages_delivered eng)
-    nr.Net.Orchestrator.delivered;
-  check_int "same staleness" (Mp.E.max_staleness eng)
-    nr.Net.Orchestrator.max_staleness;
-  check_int "nothing lost without faults" 0 nr.Net.Orchestrator.dropped;
-  check "same final configuration" true
-    (Array.for_all2 Obs.equal r.Snapcc_experiments.Driver.final_obs
-       nr.Net.Orchestrator.final_obs);
-  let mp_summary = Tele.Stats.result mp_stats in
-  check "token handed off" true ((snd mp_summary).Tele.Stats.token_handoffs > 0);
-  check "same telemetry summary" true
-    (comparable mp_summary = comparable (Tele.Stats.result net_stats))
+  List.iter
+    (fun (topo, init, seed, bias, burst) ->
+      let events = replay_case ~topo ~init ~seed ~bias ~burst in
+      check (topo ^ ": a long stream") true (events > 4_000))
+    [ ("fig1", `Canonical, 3, 0.4, None);
+      ("fig1", `Random, 5, 0.5, Some 1_500);
+      ("ring5", `Random, 7, 0.3, Some 1_000);
+      ("ring9", `Canonical, 1, 0.9, Some 2_000) ]
 
 (* The orchestrator ignores SIGPIPE only while it runs: afterwards a
    closed stdout must again end the process the default way. *)

@@ -2,7 +2,7 @@
    equality, estimator coverage on known-probability fixtures, SPRT
    accept/reject with early stopping, agreement with the exhaustive
    checker on single2, and the cmdliner-level --burst-at/--soak
-   precedence contract of lib/cli. *)
+   precedence and fault-step horizon contracts of lib/cli. *)
 
 module H = Snapcc_hypergraph.Hypergraph
 module Families = Snapcc_hypergraph.Families
@@ -267,7 +267,8 @@ let test_event_roundtrip () =
       | Error msg -> Alcotest.fail ("smc_trial round-trip: " ^ msg))
     evs
 
-(* ---- cmdliner-level --burst-at/--soak precedence (lib/cli) ---- *)
+(* ---- cmdliner-level --burst-at/--soak precedence and fault-step
+   horizon (lib/cli) ---- *)
 
 let eval_burst argv =
   let open Cmdliner in
@@ -283,6 +284,33 @@ let eval_burst argv =
   match Cmd.eval_value ~argv cmd with
   | Ok (`Ok v) -> v
   | _ -> Alcotest.fail "cmdliner rejected the test argv"
+
+(* [--fault-at] and the resolved burst, checked against the horizon the
+   way ccsim run and ccsim net check them *)
+let eval_steps argv =
+  let open Cmdliner in
+  let steps_arg =
+    Arg.(value & opt Cli.pos_int_conv 10_000 & info [ "steps" ])
+  in
+  let term =
+    Term.(
+      const (fun fault burst soak steps ->
+          ( Cli.check_step ~flag:"--fault-at" ~steps fault,
+            Cli.check_step ~flag:"--burst-at" ~steps
+              (Cli.resolve_burst ~steps ~soak burst) ))
+      $ Cli.fault_arg $ Cli.burst_arg $ Cli.soak_arg $ steps_arg)
+  in
+  let argv = Array.append [| "test-steps" |] argv in
+  match Cmd.eval_value ~argv (Cmd.v (Cmd.info "test-steps") term) with
+  | Ok (`Ok v) -> v
+  | _ -> Alcotest.fail "cmdliner rejected the test argv"
+
+let contains s sub =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+  in
+  at 0
 
 let test_burst_soak_precedence () =
   (* --soak alone derives steps/2 *)
@@ -301,7 +329,27 @@ let test_burst_soak_precedence () =
           [| "test-burst"; "--soak"; "--burst-at"; "7"; "--steps"; "100" |]));
   (* neither flag: no burst *)
   check "no flags, no burst" true
-    (eval_burst [| "test-burst" |] = None)
+    (eval_burst [| "test-burst" |] = None);
+  (* a fault step outside the horizon is rejected, naming the horizon:
+     [--fault-at] (ccsim run) and the resolved burst (ccsim net) *)
+  let rejected name horizon = function
+    | Error msg ->
+      check (name ^ ": the error names the horizon") true
+        (contains msg ("--steps " ^ horizon))
+    | Ok _ -> Alcotest.failf "%s: accepted a step outside the horizon" name
+  in
+  let fault argv = fst (eval_steps argv) and burst argv = snd (eval_steps argv) in
+  rejected "--fault-at past the horizon" "100"
+    (fault [| "--steps"; "100"; "--fault-at"; "500" |]);
+  rejected "negative --fault-at" "10000" (fault [| "--fault-at=-3" |]);
+  rejected "--burst-at at the horizon" "100"
+    (burst [| "--steps"; "100"; "--burst-at=100" |]);
+  rejected "negative --burst-at" "10000" (burst [| "--burst-at=-1" |]);
+  check "--fault-at on the last step" true
+    (fault [| "--steps"; "100"; "--fault-at"; "99" |] = Ok (Some 99));
+  check "--soak stays within the horizon" true
+    (burst [| "--steps"; "100"; "--soak" |] = Ok (Some 50));
+  check "no fault step" true (fault [||] = Ok None && burst [||] = Ok None)
 
 let suite =
   [ ( "smc",
