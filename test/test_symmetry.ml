@@ -127,6 +127,101 @@ let test_parity_cc2_single2 () = parity "cc2" "vring" single2 "single2" 3
 let test_parity_cc3_single2 () = parity "cc3" "vring" single2 "single2" 3
 let test_parity_cc1_line3 () = parity "cc1" "vring" line3 "line3" 4
 
+(* ---- enumeration parity: stored, streamed and skipped tables ---- *)
+
+(* [Tables.enumerate] decodes a stored table but reruns the pass of a
+   streamed ([~store_cap:0]) or skipped ([~cap:1]) one.  Every streamed cell
+   is checked against the stored table's entry for the same cell, in the
+   same odometer order (modes innermost).  A skipped build interned no
+   successor, so its rerun may number escapees differently: it is compared
+   by successor state.  Symmetry admission must not see the difference. *)
+let enumeration_parity key token h topo =
+  let entry = system key in
+  let module S = (val entry.Systems.make token) in
+  let module Tb = Tables.Make (S) in
+  let module Enc = Encode.Make (S) in
+  let module A = Sym.Make (S) in
+  let tag = key ^ "/" ^ token ^ "/" ^ topo in
+  let n = H.n h in
+  let stored = Tb.build h in
+  let streamed = Tb.build ~store_cap:0 h in
+  let skipped = Tb.build ~cap:1 h in
+  let same_id ~proc:_ e e' = e = e' in
+  let same_state ~proc e e' =
+    if e < 0 || e' < 0 then e = e'
+    else
+      Tables.entry_act e = Tables.entry_act e'
+      && Tables.entry_changes e = Tables.entry_changes e'
+      && Tables.entry_reads e = Tables.entry_reads e'
+      && S.equal_state
+           (Enc.state (Tb.enc skipped) proc (Tables.entry_succ e))
+           (Enc.state (Tb.enc stored) proc (Tables.entry_succ e'))
+  in
+  let stream what t agree =
+    for p = 0 to n - 1 do
+      let support = ref [||] and sizes = ref [||] and count = ref 0 in
+      let cfg = Array.make n 0 in
+      let init ~support:s ~sizes:z =
+        support := s;
+        sizes := z;
+        count := 0
+      in
+      let cell ~mode ~ids ~entry =
+        let idx = ref 0 in
+        Array.iteri
+          (fun j id ->
+            idx := (!idx * !sizes.(j)) + id;
+            cfg.(!support.(j)) <- id)
+          ids;
+        if !count <> (!idx * Tables.nmodes) + mode then
+          Alcotest.failf "%s %s p%d: pair %d out of odometer order" tag what p
+            !count;
+        let e' = Tb.entry stored ~mode ~proc:p cfg in
+        if not (agree ~proc:p entry e') then
+          Alcotest.failf "%s %s p%d: pair %d entry %d, stored %d" tag what p
+            !count entry e';
+        incr count
+      in
+      check (tag ^ " " ^ what ^ " enumerates") true
+        (Tb.enumerate t ~proc:p ~init ~cell);
+      check (tag ^ " " ^ what ^ " support") true (!support = Tb.support stored p);
+      checki (tag ^ " " ^ what ^ " pairs")
+        (Array.fold_left ( * ) Tables.nmodes !sizes)
+        !count
+    done
+  in
+  for p = 0 to n - 1 do
+    check (tag ^ " stored") true (Tb.status stored p = `Built);
+    check (tag ^ " streamed") true
+      (match Tb.status streamed p with `Streamed _ -> true | _ -> false);
+    check (tag ^ " skipped") true
+      (match Tb.status skipped p with `Skipped _ -> true | _ -> false)
+  done;
+  stream "stored" stored same_id;
+  stream "streamed" streamed same_id;
+  stream "skipped" skipped same_state;
+  let so = A.run h ~tables:stored in
+  List.iter
+    (fun (what, t) ->
+      let so' = A.run h ~tables:t in
+      checki (tag ^ " " ^ what ^ " group order") (Sy.order so.Sym.group)
+        (Sy.order so'.Sym.group);
+      check (tag ^ " " ^ what ^ " admitted") true
+        (so.Sym.admitted = so'.Sym.admitted);
+      checki (tag ^ " " ^ what ^ " symmetry pairs") so.Sym.pairs so'.Sym.pairs)
+    [ ("streamed", streamed); ("skipped", skipped) ]
+
+let test_enumeration_parity_single2 () =
+  List.iter
+    (fun key ->
+      List.iter
+        (fun token -> enumeration_parity key token single2 "single2")
+        [ "vring"; "tree" ])
+    [ "cc1"; "cc2"; "cc3" ]
+
+let test_enumeration_parity_line3 () =
+  enumeration_parity "cc1" "vring" line3 "line3"
+
 (* ---- counterexample lifting: quotient paths replay concretely ---- *)
 
 let test_lifted_cex_replays () =
@@ -253,6 +348,10 @@ let suite =
           test_parity_cc3_single2;
         Alcotest.test_case "parity: cc1/vring on line3" `Slow
           test_parity_cc1_line3;
+        Alcotest.test_case "enumeration parity: stored/streamed/skipped, single2"
+          `Quick test_enumeration_parity_single2;
+        Alcotest.test_case "enumeration parity: stored/streamed/skipped, line3"
+          `Slow test_enumeration_parity_line3;
         Alcotest.test_case "lifted counterexample replays" `Quick
           test_lifted_cex_replays;
         Alcotest.test_case "certificate verifies (incl. trivial group)"
