@@ -194,6 +194,15 @@ module Make (Sys : System.S) = struct
           Some g
       | _ -> None
     in
+    (* The step of [p] over the guard closures, for a configuration the
+       tables do not cover: the action [Model.priority] picks ([-1] for
+       none), whose interned successor goes to [succ.(p)]. *)
+    let closure_step inputs read succ p =
+      let ctx = { Model.h; inputs; read; self = p } in
+      let i = Model.priority actions ctx in
+      if i >= 0 then succ.(p) <- Enc.intern enc p (actions.(i).Model.apply ctx);
+      i
+    in
     let raw_step cfg mode selmask =
       let sts = Array.mapi (fun p id -> Enc.state enc p id) cfg in
       let read p = sts.(p) in
@@ -207,17 +216,7 @@ module Make (Sys : System.S) = struct
             | None -> -2
           in
           if e >= 0 then out.(p) <- Tables.entry_succ e
-          else if e = -2 then begin
-            let ctx = { Model.h; inputs; read; self = p } in
-            let rec scan i =
-              if i < 0 then -1
-              else if actions.(i).Model.guard ctx then i
-              else scan (i - 1)
-            in
-            let i = scan (nact - 1) in
-            if i >= 0 then
-              out.(p) <- Enc.intern enc p (actions.(i).Model.apply ctx)
-          end
+          else if e = -2 then ignore (closure_step inputs read out p)
         end
       done;
       out
@@ -365,20 +364,9 @@ module Make (Sys : System.S) = struct
               succ_ids.(p) <- Tables.entry_succ e
             end
             else begin
-              (* no packed entry for this (process, configuration): run
-                 the guard closures as usual *)
-              let ctx = { Model.h; inputs; read; self = p } in
-              let rec scan i =
-                if i < 0 then -1
-                else if actions.(i).Model.guard ctx then i
-                else scan (i - 1)
-              in
-              let i = scan (nact - 1) in
+              let i = closure_step inputs read succ_ids p in
               act_idx.(p) <- i;
-              if i >= 0 then begin
-                enabled := !enabled lor (1 lsl p);
-                succ_ids.(p) <- Enc.intern enc p (actions.(i).Model.apply ctx)
-              end
+              if i >= 0 then enabled := !enabled lor (1 lsl p)
             end
           done;
           if mode = inout_mode then Vec.set r.enab_inout cid !enabled;

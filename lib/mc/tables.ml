@@ -1,12 +1,13 @@
 (* Dense guard/footprint tables over the interned per-process state domains
    (lib/statics' exact tier and the explorer's table-driven fast path).
 
-   For each process [p] the builder enumerates the full product of the
-   declared domains of [p]'s read support (its closed neighborhood,
-   extended on demand when an evaluation reads beyond it) under every
-   uniform input mode, evaluating the engine's backwards priority scan on
-   every cell.  The verdicts are therefore absolute over the declared
-   domains — not relative to a sampled reachable set.
+   For each process [p] one pass, shared by [build] and [enumerate],
+   enumerates the full product of the declared domains of [p]'s read
+   support (its closed neighborhood, extended on demand when an evaluation
+   reads beyond it) under every uniform input mode, evaluating the
+   engine's backwards priority scan on every cell.  The verdicts are
+   therefore absolute over the declared domains — not relative to a
+   sampled reachable set.
 
    Evidence is accumulated as incidents (locality, write-ownership,
    determinism, crash-freedom), per-action guard-true counts (dead-action
@@ -68,6 +69,33 @@ let bits_of_mask m =
     else go (p + 1) (m lsr 1) (if m land 1 = 1 then p :: acc else acc)
   in
   go 0 m []
+
+(* [p] and its neighbors, as a process mask: the support a pass starts
+   from, and the reads that are local. *)
+let closed_neighborhood h p =
+  let m = ref (1 lsl p) in
+  for q = 0 to H.n h - 1 do
+    if q <> p && H.are_neighbors h p q then m := !m lor (1 lsl q)
+  done;
+  !m
+
+(* Cells in the product of [sizes], as a float so that a product too large
+   to enumerate still compares with a cap. *)
+let product sizes = Array.fold_left (fun a s -> a *. float_of_int s) 1.0 sizes
+
+(* One odometer step over [sizes], last digit fastest: the lowest digit
+   that changed (every later one wrapped to 0), or [-1] once the whole
+   product has been visited. *)
+let rec advance ids sizes j =
+  if j < 0 then -1
+  else begin
+    ids.(j) <- ids.(j) + 1;
+    if ids.(j) < sizes.(j) then j
+    else begin
+      ids.(j) <- 0;
+      advance ids sizes (j - 1)
+    end
+  end
 
 module Make (Sys : System.S) = struct
   module Enc = Encode.Make (Sys)
@@ -131,94 +159,51 @@ module Make (Sys : System.S) = struct
       done;
       if !ok then tb.entries.(mode).(!idx) else -2
 
-  let build ?(verify = false) ?(cap = 1 lsl 27) ?(store_cap = 1 lsl 24) h =
-    let t0 = Stdlib.Sys.time () in
-    let n = H.n h in
-    if n > 16 then failwith "Mc.Tables: more than 16 processes unsupported";
-    let enc = Enc.create h in
-    let actions = Array.of_list (Sys.actions h) in
-    let nact = Array.length actions in
-    if nact > 63 then failwith "Mc.Tables: more than 63 actions unsupported";
-    let labels =
-      Array.map (fun (a : _ Model.action) -> a.Model.label) actions
-    in
-    let dom_states =
-      Array.init n (fun p ->
-          let d = Enc.domain_count enc p in
-          if d = 0 then failwith "Mc.Tables: empty declared domain";
-          Array.init d (Enc.state enc p))
-    in
-    let fp s = Format.asprintf "%a" Sys.pp_state s in
-    let fps = if verify then Array.map (Array.map fp) dom_states else [||] in
-    let neighbors_mask =
-      Array.init n (fun p ->
-          let m = ref (1 lsl p) in
-          for q = 0 to n - 1 do
-            if q <> p && H.are_neighbors h p q then m := !m lor (1 lsl q)
-          done;
-          !m)
-    in
-    let guard_true = Array.make nact 0 in
-    let incidents : (incident, int) Hashtbl.t = Hashtbl.create 32 in
-    let overlaps : (int, int * int) Hashtbl.t = Hashtbl.create 32 in
-    let supports = Array.make n [||] in
-    let tables = Array.make n (Error "not built") in
-    let streamed = Array.make n false in
-    let cells = ref 0 in
-    let tainted = ref false in
+  let domain_states h enc =
+    Array.init (H.n h) (fun p ->
+        let d = Enc.domain_count enc p in
+        if d = 0 then failwith "Mc.Tables: empty declared domain";
+        Array.init d (Enc.state enc p))
 
-    (* One full pass over the support product of process [p]; raises
-       [Need q] (restarting with a larger support) if an evaluation reads
-       beyond the current support.  Local accumulators keep restarts from
-       double-counting. *)
-    let rec attempt p support_mask =
-      let l_guard_true = Array.make nact 0 in
-      let l_incidents : (incident, int) Hashtbl.t = Hashtbl.create 8 in
-      let l_overlaps : (int, int * int) Hashtbl.t = Hashtbl.create 8 in
-      let l_cells = ref 0 in
-      let incident i =
-        Hashtbl.replace l_incidents i
-          (1 + Option.value ~default:0 (Hashtbl.find_opt l_incidents i))
-      in
-      let support = Array.of_list (bits_of_mask support_mask) in
-      let k = Array.length support in
-      let sizes = Array.map (fun q -> Enc.domain_count enc q) support in
-      let fcells =
-        Array.fold_left (fun a s -> a *. float_of_int s) 1.0 sizes
-      in
-      if fcells *. float_of_int nmodes > float_of_int cap then begin
-        supports.(p) <- support;
-        tables.(p) <-
-          Error
-            (Printf.sprintf
-               "product %.3g cells x %d modes exceeds the enumeration cap %d"
-               fcells nmodes cap)
-      end
+  (* The exact tier's pass over process [p], the one {!build} and
+     {!enumerate} share.  For every cell of the product of the declared
+     domains of [p]'s support (odometer order, last support process
+     fastest) and every input mode, it evaluates every guard from the last
+     action down, executes the §2.2 choice (the enabled action latest in
+     code order), and hands [cell] the cell's row-major index, the mode,
+     the live digits, the mask of enabled guards and the packed entry.  A
+     read beyond the support extends it and restarts the pass, so [start]
+     fires at every (re)start and consumers reset there.  [verify]
+     evaluates every guard and statement twice; [incident] receives
+     non-local reads, crashes and disagreements.  Returns the final support
+     and whether its product fit [cap] (nothing was enumerated if not); a
+     [Failure] of the interner propagates. *)
+  let pass h enc actions dom ~verify ~incident ~cap ~start ~cell p mask =
+    let n = H.n h in
+    let nact = Array.length actions in
+    let label i = actions.(i).Model.label in
+    let closed = closed_neighborhood h p in
+    let attempt mask =
+      let support = Array.of_list (bits_of_mask mask) in
+      let sizes = Array.map (Enc.domain_count enc) support in
+      if product sizes *. float_of_int nmodes > float_of_int cap then
+        (support, false)
       else begin
-        let ncells = int_of_float fcells in
-        let strides = Array.make k 1 in
-        for j = k - 2 downto 0 do
-          strides.(j) <- strides.(j + 1) * sizes.(j + 1)
-        done;
-        let store = ncells * nmodes <= store_cap in
-        let entries =
-          if store then Array.init nmodes (fun _ -> Array.make ncells (-1))
-          else [||]
-        in
-        let idx_p = ref 0 in
-        Array.iteri (fun j q -> if q = p then idx_p := j) support;
-        let idx_p = !idx_p in
+        start ~support ~sizes;
+        let k = Array.length support in
         let ids = Array.make k 0 in
-        let sts = Array.init n (fun q -> dom_states.(q).(0)) in
-        Array.iteri (fun j q -> sts.(q) <- dom_states.(q).(ids.(j))) support;
+        let own = ref 0 in
+        Array.iteri (fun j q -> if q = p then own := j) support;
+        let own = !own in
+        let sts = Array.init n (fun q -> dom.(q).(0)) in
         let reads = ref 0 in
         let input_read = ref false in
-        let cur_label = ref "" in
+        let cur = ref 0 in
         let read q =
-          if support_mask land (1 lsl q) = 0 then raise (Need q);
+          if mask land (1 lsl q) = 0 then raise (Need q);
           reads := !reads lor (1 lsl q);
-          if neighbors_mask.(p) land (1 lsl q) = 0 then
-            incident (Nonlocal_read { proc = p; action = !cur_label; read = q });
+          if closed land (1 lsl q) = 0 then
+            incident (Nonlocal_read { proc = p; action = label !cur; read = q });
           sts.(q)
         in
         let ctxs =
@@ -245,33 +230,30 @@ module Make (Sys : System.S) = struct
         let a_succ = Array.make nact min_int in  (* min_int unset, -2 crash *)
         let a_reads = Array.make nact 0 in
         let a_input = Array.make nact false in
+        let crashed i what exn =
+          incident
+            (Crashed
+               { proc = p; action = label i; what; exn = Printexc.to_string exn })
+        in
         let eval_guard mode i =
           reads := 0;
           input_read := false;
-          cur_label := labels.(i);
+          cur := i;
           let g =
             match actions.(i).Model.guard ctxs.(mode) with
             | g -> g
             | exception (Need _ as e) -> raise e
             | exception exn ->
-              incident
-                (Crashed
-                   { proc = p; action = labels.(i); what = `Guard;
-                     exn = Printexc.to_string exn });
+              crashed i `Guard exn;
               false
           in
           (if verify then
              match actions.(i).Model.guard ctxs.(mode) with
              | g2 ->
                if g <> g2 then
-                 incident
-                   (Nondet { proc = p; action = labels.(i); what = `Guard })
+                 incident (Nondet { proc = p; action = label i; what = `Guard })
              | exception (Need _ as e) -> raise e
-             | exception exn ->
-               incident
-                 (Crashed
-                    { proc = p; action = labels.(i); what = `Guard;
-                      exn = Printexc.to_string exn }));
+             | exception exn -> crashed i `Guard exn);
           g_val.(i) <- g;
           g_reads.(i) <- !reads;
           g_input.(i) <- !input_read
@@ -279,35 +261,27 @@ module Make (Sys : System.S) = struct
         let eval_apply mode i =
           reads := 0;
           input_read := false;
-          cur_label := labels.(i);
+          cur := i;
           (match actions.(i).Model.apply ctxs.(mode) with
           | exception (Need _ as e) -> raise e
           | exception exn ->
-            incident
-              (Crashed
-                 { proc = p; action = labels.(i); what = `Apply;
-                   exn = Printexc.to_string exn });
+            crashed i `Apply exn;
             a_succ.(i) <- -2
           | s1 ->
             (if verify then
                match actions.(i).Model.apply ctxs.(mode) with
                | s2 ->
                  if not (Sys.equal_state s1 s2) then
-                   incident
-                     (Nondet { proc = p; action = labels.(i); what = `Apply })
+                   incident (Nondet { proc = p; action = label i; what = `Apply })
                | exception (Need _ as e) -> raise e
-               | exception exn ->
-                 incident
-                   (Crashed
-                      { proc = p; action = labels.(i); what = `Apply;
-                        exn = Printexc.to_string exn }));
+               | exception exn -> crashed i `Apply exn);
             a_succ.(i) <- Enc.intern enc p s1);
           a_reads.(i) <- !reads;
           a_input.(i) <- !input_read
         in
-        let cell = ref 0 in
-        let continue_ = ref true in
-        while !continue_ do
+        let index = ref 0 in
+        let changed = ref 0 in
+        while !changed >= 0 do
           Array.fill a_succ 0 nact min_int;
           for mode = 0 to nmodes - 1 do
             (* guards whose first evaluation consulted no input predicate
@@ -315,59 +289,122 @@ module Make (Sys : System.S) = struct
             for i = nact - 1 downto 0 do
               if mode = 0 || g_input.(i) then eval_guard mode i
             done;
-            let mask = ref 0 in
+            let enabled = ref 0 and chosen = ref (-1) in
             for i = 0 to nact - 1 do
               if g_val.(i) then begin
-                mask := !mask lor (1 lsl i);
-                l_guard_true.(i) <- l_guard_true.(i) + 1
+                enabled := !enabled lor (1 lsl i);
+                chosen := i
               end
             done;
-            let mask = !mask in
-            if mask <> 0 && mask land (mask - 1) <> 0 then begin
-              match Hashtbl.find_opt l_overlaps mask with
-              | Some (c, ex) -> Hashtbl.replace l_overlaps mask (c + 1, ex)
-              | None -> Hashtbl.replace l_overlaps mask (1, p)
-            end;
-            incr l_cells;
-            let chosen =
-              let rec top i =
-                if i < 0 then -1 else if g_val.(i) then i else top (i - 1)
-              in
-              top (nact - 1)
-            in
-            if chosen >= 0 then begin
-              if a_succ.(chosen) = min_int || a_input.(chosen) then
-                eval_apply mode chosen;
-              if store then
-                entries.(mode).(!cell) <-
-                  (if a_succ.(chosen) = -2 then -1
-                   else begin
-                     let rm = ref a_reads.(chosen) in
-                     for i = chosen to nact - 1 do
-                       rm := !rm lor g_reads.(i)
-                     done;
-                     pack ~act:chosen
-                       ~changes:(a_succ.(chosen) <> ids.(idx_p))
-                       ~reads:!rm ~succ:a_succ.(chosen)
-                   end)
-            end
-          done;
-          (* odometer: last support process fastest, so [cell] just counts *)
-          incr cell;
-          let rec adv j =
-            if j < 0 then continue_ := false
-            else begin
-              ids.(j) <- ids.(j) + 1;
-              if ids.(j) >= sizes.(j) then begin
-                ids.(j) <- 0;
-                sts.(support.(j)) <- dom_states.(support.(j)).(0);
-                adv (j - 1)
+            let chosen = !chosen in
+            let entry =
+              if chosen < 0 then -1
+              else begin
+                if a_succ.(chosen) = min_int || a_input.(chosen) then
+                  eval_apply mode chosen;
+                if a_succ.(chosen) = -2 then -1
+                else begin
+                  (* the engine's scan reads the guards from the last
+                     action down to [chosen], then the statement *)
+                  let rm = ref a_reads.(chosen) in
+                  for i = chosen to nact - 1 do
+                    rm := !rm lor g_reads.(i)
+                  done;
+                  pack ~act:chosen
+                    ~changes:(a_succ.(chosen) <> ids.(own))
+                    ~reads:!rm ~succ:a_succ.(chosen)
+                end
               end
-              else sts.(support.(j)) <- dom_states.(support.(j)).(ids.(j))
-            end
-          in
-          adv (k - 1)
+            in
+            cell ~index:!index ~mode ~ids ~enabled:!enabled ~entry
+          done;
+          incr index;
+          changed := advance ids sizes (k - 1);
+          for j = max 0 !changed to k - 1 do
+            sts.(support.(j)) <- dom.(support.(j)).(ids.(j))
+          done
         done;
+        (support, true)
+      end
+    in
+    let rec run mask =
+      match attempt mask with
+      | r -> r
+      | exception Need q -> run (mask lor (1 lsl q))
+    in
+    run mask
+
+  let build ?(verify = false) ?(cap = 1 lsl 27) ?(store_cap = 1 lsl 24) h =
+    let t0 = Stdlib.Sys.time () in
+    let n = H.n h in
+    if n > 16 then failwith "Mc.Tables: more than 16 processes unsupported";
+    let enc = Enc.create h in
+    let actions = Array.of_list (Sys.actions h) in
+    let nact = Array.length actions in
+    if nact > 63 then failwith "Mc.Tables: more than 63 actions unsupported";
+    let labels =
+      Array.map (fun (a : _ Model.action) -> a.Model.label) actions
+    in
+    let dom = domain_states h enc in
+    let fp s = Format.asprintf "%a" Sys.pp_state s in
+    let fps = if verify then Array.map (Array.map fp) dom else [||] in
+    let guard_true = Array.make nact 0 in
+    let incidents : (incident, int) Hashtbl.t = Hashtbl.create 32 in
+    let overlaps : (int, int * int) Hashtbl.t = Hashtbl.create 32 in
+    let supports = Array.make n [||] in
+    let tables = Array.make n (Error "not built") in
+    let streamed = Array.make n false in
+    let cells = ref 0 in
+    let tainted = ref false in
+    let add tbl key c =
+      Hashtbl.replace tbl key
+        (c + Option.value ~default:0 (Hashtbl.find_opt tbl key))
+    in
+    (* What the current (re)start of a pass found, added to the totals only
+       once the pass completes, so that a restart counts nothing twice;
+       [entries] stays empty when the product exceeds [store_cap]. *)
+    let l_guard_true = Array.make nact 0 in
+    let l_incidents : (incident, int) Hashtbl.t = Hashtbl.create 8 in
+    let l_overlaps : (int, int) Hashtbl.t = Hashtbl.create 8 in
+    let entries = ref [||] in
+    let start ~support:_ ~sizes =
+      Array.fill l_guard_true 0 nact 0;
+      Hashtbl.reset l_incidents;
+      Hashtbl.reset l_overlaps;
+      let ncells = int_of_float (product sizes) in
+      entries :=
+        if ncells * nmodes <= store_cap then
+          Array.init nmodes (fun _ -> Array.make ncells (-1))
+        else [||]
+    in
+    let incident i = add l_incidents i 1 in
+    let cell ~index ~mode ~ids:_ ~enabled ~entry =
+      for i = 0 to nact - 1 do
+        if enabled land (1 lsl i) <> 0 then
+          l_guard_true.(i) <- l_guard_true.(i) + 1
+      done;
+      if enabled land (enabled - 1) <> 0 then add l_overlaps enabled 1;
+      if Array.length !entries > 0 then (!entries).(mode).(index) <- entry
+    in
+    for p = 0 to n - 1 do
+      match
+        pass h enc actions dom ~verify ~incident ~cap ~start ~cell p
+          (closed_neighborhood h p)
+      with
+      | exception Failure msg ->
+        (* e.g. interning overflow after an in-place mutation corrupted the
+           hash-consing tables: record and move on *)
+        tables.(p) <- Error msg;
+        tainted := true
+      | support, false ->
+        supports.(p) <- support;
+        tables.(p) <-
+          Error
+            (Printf.sprintf
+               "product %.3g cells x %d modes exceeds the enumeration cap %d"
+               (product (Array.map (Enc.domain_count enc) support))
+               nmodes cap)
+      | support, true ->
         (* in-place mutation check: every interned domain state must print
            the same after the pass as before it *)
         if verify then
@@ -381,9 +418,18 @@ module Make (Sys : System.S) = struct
                     fps.(q).(i) <- fp s
                   end)
                 states)
-            dom_states;
+            dom;
+        let sizes = Array.map (Enc.domain_count enc) support in
+        let ncells = Array.fold_left ( * ) 1 sizes in
         supports.(p) <- support;
-        (if store then tables.(p) <- Ok { support; sizes; strides; entries }
+        (if Array.length !entries > 0 then begin
+           let k = Array.length support in
+           let strides = Array.make k 1 in
+           for j = k - 2 downto 0 do
+             strides.(j) <- strides.(j + 1) * sizes.(j + 1)
+           done;
+           tables.(p) <- Ok { support; sizes; strides; entries = !entries }
+         end
          else begin
            (* the pass itself completed: verdicts are exact, only the packed
               entries were too large to keep *)
@@ -394,36 +440,16 @@ module Make (Sys : System.S) = struct
                   "streamed: %d cells x %d modes exceeds the table storage \
                    cap %d"
                   ncells nmodes store_cap)
-         end)
-      end;
-      (* merge the completed pass into the global accumulators *)
-      Array.iteri (fun i c -> guard_true.(i) <- guard_true.(i) + c) l_guard_true;
-      Hashtbl.iter
-        (fun i c ->
-          Hashtbl.replace incidents i
-            (c + Option.value ~default:0 (Hashtbl.find_opt incidents i)))
-        l_incidents;
-      Hashtbl.iter
-        (fun m (c, ex) ->
-          match Hashtbl.find_opt overlaps m with
-          | Some (c0, ex0) -> Hashtbl.replace overlaps m (c0 + c, ex0)
-          | None -> Hashtbl.replace overlaps m (c, ex))
-        l_overlaps;
-      cells := !cells + !l_cells
-    and run_proc p support_mask =
-      match attempt p support_mask with
-      | () -> ()
-      | exception Need q -> run_proc p (support_mask lor (1 lsl q))
-      | exception Failure msg ->
-        (* e.g. interning overflow after an in-place mutation corrupted the
-           hash-consing tables: record and move on *)
-        supports.(p) <- [||];
-        tables.(p) <- Error msg;
-        streamed.(p) <- false;
-        tainted := true
-    in
-    for p = 0 to n - 1 do
-      run_proc p neighbors_mask.(p)
+         end);
+        Array.iteri (fun i c -> guard_true.(i) <- guard_true.(i) + c) l_guard_true;
+        Hashtbl.iter (add incidents) l_incidents;
+        Hashtbl.iter
+          (fun m c ->
+            match Hashtbl.find_opt overlaps m with
+            | Some (c0, ex) -> Hashtbl.replace overlaps m (c0 + c, ex)
+            | None -> Hashtbl.replace overlaps m (c, p))
+          l_overlaps;
+        cells := !cells + (ncells * nmodes)
     done;
     let overlaps =
       Hashtbl.fold
@@ -440,183 +466,39 @@ module Make (Sys : System.S) = struct
       cells = !cells; streamed;
       seconds = Stdlib.Sys.time () -. t0; tainted = !tainted }
 
-  (* Streaming re-enumeration of one process's pass, for consumers that
-     need every (cell, mode, entry) triple regardless of whether the
-     entries were stored (the symmetry admission pass).  Stored tables are
-     decoded by lookup; streamed/skipped passes re-run the backwards scan
-     (no verify instrumentation).  [init] is invoked at every (re)start —
-     a [Need] support extension discards the partial stream — so the
-     consumer must reset its accumulators there. *)
+  (* Stored tables are decoded; streamed and skipped ones rerun {!pass}
+     without verify, starting from the support {!build} reached. *)
   let enumerate ?(cap = 1 lsl 27) t ~proc:p ~init ~cell:emit =
-    let h = t.h in
-    let n = H.n h in
-    let enc = t.enc in
-    let actions = Array.of_list (Sys.actions h) in
-    let nact = Array.length actions in
-    let stored =
-      match t.tables.(p) with Ok tb -> Some tb | Error _ -> None
-    in
-    let rec attempt support_mask =
-      let support =
-        match stored with
-        | Some tb -> tb.support
-        | None -> Array.of_list (bits_of_mask support_mask)
-      in
-      let k = Array.length support in
-      let sizes = Array.map (fun q -> Enc.domain_count enc q) support in
-      let fcells =
-        Array.fold_left (fun a s -> a *. float_of_int s) 1.0 sizes
-      in
-      if fcells *. float_of_int nmodes > float_of_int cap then false
-      else begin
-        init ~support ~sizes;
-        let ids = Array.make k 0 in
-        let idx_p = ref 0 in
-        Array.iteri (fun j q -> if q = p then idx_p := j) support;
-        let idx_p = !idx_p in
-        match stored with
-        | Some tb ->
-          (* decode: the cell counter is the row-major index *)
-          let ncells = int_of_float fcells in
-          for c = 0 to ncells - 1 do
-            for mode = 0 to nmodes - 1 do
-              emit ~mode ~ids ~entry:tb.entries.(mode).(c)
-            done;
-            let rec adv j =
-              if j >= 0 then begin
-                ids.(j) <- ids.(j) + 1;
-                if ids.(j) >= sizes.(j) then begin
-                  ids.(j) <- 0;
-                  adv (j - 1)
-                end
-              end
-            in
-            adv (k - 1)
+    match t.tables.(p) with
+    | Ok tb ->
+      product tb.sizes *. float_of_int nmodes <= float_of_int cap
+      && begin
+        init ~support:tb.support ~sizes:tb.sizes;
+        let ids = Array.make (Array.length tb.support) 0 in
+        (* the cell counter is the row-major index *)
+        for c = 0 to Array.length tb.entries.(0) - 1 do
+          for mode = 0 to nmodes - 1 do
+            emit ~mode ~ids ~entry:tb.entries.(mode).(c)
           done;
-          true
-        | None ->
-          (* re-run the scan (cf. [build]'s attempt, minus verify) *)
-          let dom_states =
-            Array.init n (fun q ->
-                Array.init (Enc.domain_count enc q) (Enc.state enc q))
-          in
-          let sts = Array.init n (fun q -> dom_states.(q).(0)) in
-          Array.iteri (fun j q -> sts.(q) <- dom_states.(q).(ids.(j))) support;
-          let reads = ref 0 in
-          let input_read = ref false in
-          let read q =
-            if support_mask land (1 lsl q) = 0 then raise (Need q);
-            reads := !reads lor (1 lsl q);
-            sts.(q)
-          in
-          let ctxs =
-            Array.map
-              (fun (_, (base : Model.inputs)) ->
-                { Model.h;
-                  inputs =
-                    { Model.request_in =
-                        (fun q ->
-                          input_read := true;
-                          base.Model.request_in q);
-                      request_out =
-                        (fun q ->
-                          input_read := true;
-                          base.Model.request_out q) };
-                  read;
-                  self = p })
-              Model.input_modes
-          in
-          let g_val = Array.make nact false in
-          let g_reads = Array.make nact 0 in
-          let g_input = Array.make nact false in
-          let a_succ = Array.make nact min_int in
-          let a_reads = Array.make nact 0 in
-          let a_input = Array.make nact false in
-          let eval_guard mode i =
-            reads := 0;
-            input_read := false;
-            let g =
-              match actions.(i).Model.guard ctxs.(mode) with
-              | g -> g
-              | exception (Need _ as e) -> raise e
-              | exception _ -> false
-            in
-            g_val.(i) <- g;
-            g_reads.(i) <- !reads;
-            g_input.(i) <- !input_read
-          in
-          let eval_apply mode i =
-            reads := 0;
-            input_read := false;
-            (match actions.(i).Model.apply ctxs.(mode) with
-            | exception (Need _ as e) -> raise e
-            | exception _ -> a_succ.(i) <- -2
-            | s1 -> a_succ.(i) <- Enc.intern enc p s1);
-            a_reads.(i) <- !reads;
-            a_input.(i) <- !input_read
-          in
-          let continue_ = ref true in
-          while !continue_ do
-            Array.fill a_succ 0 nact min_int;
-            for mode = 0 to nmodes - 1 do
-              for i = nact - 1 downto 0 do
-                if mode = 0 || g_input.(i) then eval_guard mode i
-              done;
-              let chosen =
-                let rec top i =
-                  if i < 0 then -1 else if g_val.(i) then i else top (i - 1)
-                in
-                top (nact - 1)
-              in
-              let entry =
-                if chosen < 0 then -1
-                else begin
-                  if a_succ.(chosen) = min_int || a_input.(chosen) then
-                    eval_apply mode chosen;
-                  if a_succ.(chosen) = -2 then -1
-                  else begin
-                    let rm = ref a_reads.(chosen) in
-                    for i = chosen to nact - 1 do
-                      rm := !rm lor g_reads.(i)
-                    done;
-                    pack ~act:chosen
-                      ~changes:(a_succ.(chosen) <> ids.(idx_p))
-                      ~reads:!rm ~succ:a_succ.(chosen)
-                  end
-                end
-              in
-              emit ~mode ~ids ~entry
-            done;
-            let rec adv j =
-              if j < 0 then continue_ := false
-              else begin
-                ids.(j) <- ids.(j) + 1;
-                if ids.(j) >= sizes.(j) then begin
-                  ids.(j) <- 0;
-                  sts.(support.(j)) <- dom_states.(support.(j)).(0);
-                  adv (j - 1)
-                end
-                else sts.(support.(j)) <- dom_states.(support.(j)).(ids.(j))
-              end
-            in
-            adv (k - 1)
-          done;
-          true
+          ignore (advance ids tb.sizes (Array.length ids - 1))
+        done;
+        true
       end
-    and run support_mask =
-      match attempt support_mask with
-      | done_ -> done_
-      | exception Need q -> run (support_mask lor (1 lsl q))
-      | exception Failure _ -> false
-    in
-    let base_mask =
-      Array.fold_left
-        (fun m q -> m lor (1 lsl q))
-        0
-        (if Array.length t.supports.(p) > 0 then t.supports.(p)
-         else [| p |])
-    in
-    run base_mask
+    | Error _ -> (
+      let base =
+        if Array.length t.supports.(p) > 0 then t.supports.(p) else [| p |]
+      in
+      match
+        pass t.h t.enc
+          (Array.of_list (Sys.actions t.h))
+          (domain_states t.h t.enc) ~verify:false ~incident:ignore ~cap
+          ~start:init
+          ~cell:(fun ~index:_ ~mode ~ids ~enabled:_ ~entry -> emit ~mode ~ids ~entry)
+          p
+          (Array.fold_left (fun m q -> m lor (1 lsl q)) 0 base)
+      with
+      | _, enumerated -> enumerated
+      | exception Failure _ -> false)
 
   (* Read/write interference, exactly: for every ordered pair of neighbors
      (writer, reader) with stored tables, iterate the product over the
@@ -640,10 +522,7 @@ module Make (Sys : System.S) = struct
             let sizes =
               Array.map (fun r -> Enc.domain_count t.enc r) union
             in
-            let fcells =
-              Array.fold_left (fun a s -> a *. float_of_int s) 1.0 sizes
-            in
-            if fcells *. float_of_int nmodes <= float_of_int cap then begin
+            if product sizes *. float_of_int nmodes <= float_of_int cap then begin
               (* per-table index increments per union digit *)
               let contrib tb =
                 Array.map

@@ -145,8 +145,8 @@ module Make (Sys : System.S) : sig
   (** Stream every (cell, mode) pair of one process's pass to [cell], in
       odometer order ([ids] is the live per-support digit vector, aligned
       with [support] — read, don't keep).  Stored tables are decoded by
-      lookup; streamed or skipped passes re-run the backwards scan with
-      the same packing (no verify instrumentation).  [init] fires at every
+      lookup; a streamed or skipped process reruns {!build}'s pass, without
+      verify, from the support {!build} reached.  [init] fires at every
       (re)start — an on-demand support extension discards the partial
       stream, so consumers must reset accumulators there.  Returns [false]
       when the product exceeds [cap] (default [2^27]) or the pass failed;

@@ -35,23 +35,11 @@ module Make (A : Snapcc_runtime.Model.ALGO) = struct
 
   let read t q = if q = t.self then t.core else t.cache.(slot t q)
 
-  let ctx t ~inputs : A.state Model.ctx =
-    { Model.h = t.h; inputs; read = read t; self = t.self }
-
-  let priority_action t ~inputs =
-    let ctx = ctx t ~inputs in
-    let rec scan i =
-      if i < 0 then None
-      else if t.actions.(i).Model.guard ctx then Some i
-      else scan (i - 1)
-    in
-    scan (Array.length t.actions - 1)
-
   let activate t ~inputs =
-    match priority_action t ~inputs with
-    | None -> None
-    | Some i ->
-      let ctx = ctx t ~inputs in
+    let ctx = { Model.h = t.h; inputs; read = read t; self = t.self } in
+    match Model.priority t.actions ctx with
+    | -1 -> None
+    | i ->
       t.core <- t.actions.(i).Model.apply ctx;
       Some t.actions.(i).Model.label
 end

@@ -156,14 +156,7 @@ module Make (A : Model.ALGO) = struct
     in
     { Model.h = t.h; inputs; read; self = p }
 
-  (* Index of the highest-priority enabled action, [-1] if none: the paper
-     gives priority to actions appearing later in the code (§2.2), hence
-     the backwards scan. *)
-  let priority_action t ~inputs p =
-    let ctx = ctx_for t ~inputs p in
-    let i = ref (Array.length t.actions - 1) in
-    while !i >= 0 && not (t.actions.(!i).Model.guard ctx) do decr i done;
-    !i
+  let priority_action t ~inputs p = Model.priority t.actions (ctx_for t ~inputs p)
 
   let enabled t ~inputs =
     List.filter (fun p -> priority_action t ~inputs p >= 0) (List.init (H.n t.h) Fun.id)

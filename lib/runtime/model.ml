@@ -26,6 +26,11 @@ type 'state action = {
   apply : 'state ctx -> 'state;
 }
 
+let priority actions ctx =
+  let i = ref (Array.length actions - 1) in
+  while !i >= 0 && not (actions.(!i).guard ctx) do decr i done;
+  !i
+
 module type ALGO = sig
   type state
 

@@ -40,6 +40,11 @@ type 'state action = {
   apply : 'state ctx -> 'state;
 }
 
+val priority : 'state action array -> 'state ctx -> int
+(** The §2.2 step rule: the index of the enabled action appearing latest in
+    code order, or [-1] if none is enabled.  Guards are evaluated from the
+    last action down, and none after the first that holds. *)
+
 module type ALGO = sig
   type state
 

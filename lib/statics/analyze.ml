@@ -14,19 +14,14 @@ module Make (A : Model.ALGO) = struct
   let fp st = Format.asprintf "%a" A.pp_state st
   let fp_config states = String.concat "\x1d" (Array.to_list (Array.map fp states))
 
-  (* Engine-style backwards priority scan, uninstrumented; [None] on a crash
-     (the checking pass reports it). *)
+  (* The engine's step of [p], uninstrumented; [None] when nothing is
+     enabled or on a crash (the checking pass reports it). *)
   let priority_step h states inputs p actions =
     let ctx = { Model.h; inputs; self = p; read = Array.get states } in
-    let rec scan i =
-      if i < 0 then None
-      else if actions.(i).Model.guard ctx then
-        Some (i, actions.(i).Model.apply ctx)
-      else scan (i - 1)
-    in
-    match scan (Array.length actions - 1) with
-    | exception _ -> None
-    | r -> r
+    try
+      let i = Model.priority actions ctx in
+      if i < 0 then None else Some (actions.(i).Model.apply ctx)
+    with _ -> None
 
   let analyze ?(seed = 0) ?(seeds = 24) ?(max_configs = 240) ?(allow = [])
       ~topo h =
@@ -126,20 +121,18 @@ module Make (A : Model.ALGO) = struct
       let enabled = Array.make_matrix n nact false in
       let reads = Array.make_matrix n nact IntSet.empty in
       let results = Array.init n (fun _ -> Array.make nact None) in
+      (* the engine executes the enabled action latest in code order
+         ([-1]: none); everything below records against that choice *)
+      let priority = Array.make n (-1) in
       for p = 0 to n - 1 do
         for i = 0 to nact - 1 do
           let e, r, res = eval_action states inputs p i in
           enabled.(p).(i) <- e;
           reads.(p).(i) <- r;
-          results.(p).(i) <- res
+          results.(p).(i) <- res;
+          if e then priority.(p) <- i
         done
       done;
-      (* the engine executes the highest-priority (last-listed) enabled
-         action; everything below records against that choice *)
-      let priority p =
-        let rec scan i = if i < 0 then None else if enabled.(p).(i) then Some i else scan (i - 1) in
-        scan (nact - 1)
-      in
       for p = 0 to n - 1 do
         (* priority overlap: ≥2 enabled actions of one process *)
         let labels =
@@ -157,9 +150,8 @@ module Make (A : Model.ALGO) = struct
          the writer's execution changes its state; the reader's evaluation
          (priority scan plus executed statement) reads it *)
       for p = 0 to n - 1 do
-        match priority p with
-        | None -> ()
-        | Some ip ->
+        let ip = priority.(p) in
+        if ip >= 0 then begin
           let changes =
             match results.(p).(ip) with
             | Some s' -> not (A.equal_state states.(p) s')
@@ -167,26 +159,26 @@ module Make (A : Model.ALGO) = struct
           in
           if changes then
             for q = 0 to n - 1 do
-              if q <> p && H.are_neighbors h p q then
-                match priority q with
-                | None -> ()
-                | Some iq ->
-                  (* in the engine, q evaluates the guards of actions iq..last
-                     (backwards scan) and the statement of iq *)
-                  let scan_reads = ref IntSet.empty in
-                  for j = iq to nact - 1 do
-                    scan_reads := IntSet.union !scan_reads reads.(q).(j)
-                  done;
-                  if IntSet.mem p !scan_reads then begin
-                    let key =
-                      (actions.(ip).Model.label, actions.(iq).Model.label)
-                    in
-                    let c =
-                      Option.value ~default:0 (Hashtbl.find_opt interference key)
-                    in
-                    Hashtbl.replace interference key (c + 1)
-                  end
+              let iq = priority.(q) in
+              if q <> p && H.are_neighbors h p q && iq >= 0 then begin
+                (* in the engine, q evaluates the guards of actions iq..last
+                   (backwards scan) and the statement of iq *)
+                let scan_reads = ref IntSet.empty in
+                for j = iq to nact - 1 do
+                  scan_reads := IntSet.union !scan_reads reads.(q).(j)
+                done;
+                if IntSet.mem p !scan_reads then begin
+                  let key =
+                    (actions.(ip).Model.label, actions.(iq).Model.label)
+                  in
+                  let c =
+                    Option.value ~default:0 (Hashtbl.find_opt interference key)
+                  in
+                  Hashtbl.replace interference key (c + 1)
+                end
+              end
             done
+        end
       done
     in
 
@@ -224,7 +216,7 @@ module Make (A : Model.ALGO) = struct
           let moves =
             List.filter_map
               (fun p ->
-                Option.map (fun (_, s') -> (p, s')) (priority_step h states inputs p actions))
+                Option.map (fun s' -> (p, s')) (priority_step h states inputs p actions))
               (List.init n Fun.id)
           in
           List.iter
