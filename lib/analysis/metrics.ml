@@ -133,13 +133,7 @@ let mean = function
 
 let maximum = function [] -> 0 | l -> List.fold_left max min_int l
 
-let percentile q = function
-  | [] -> 0
-  | l ->
-    let sorted = List.sort compare l in
-    let n = List.length sorted in
-    let rank = int_of_float (ceil (q *. float_of_int n)) in
-    List.nth sorted (max 0 (min (n - 1) (rank - 1)))
+let percentile q l = Tele.Registry.nearest_rank q (Array.of_list l)
 
 let finish t ~step ~round =
   let open_steps = ref [] and open_rounds = ref [] and starved = ref [] in

@@ -44,7 +44,8 @@ val mean : int list -> float
 val maximum : int list -> int
 
 val percentile : float -> int list -> int
-(** [percentile 0.95 waits] with nearest-rank semantics; 0 on the empty
-    list.  Used for the waiting-time distribution tables. *)
+(** [percentile 0.95 waits] with nearest-rank semantics
+    ([Snapcc_telemetry.Registry.nearest_rank]); 0 on the empty list.  Used
+    for the waiting-time distribution tables. *)
 
 val pp_summary : Format.formatter -> summary -> unit

@@ -58,8 +58,8 @@ type entry = {
           the networked runtime (and its reference, [ccsim mp]) serves
           exactly the tagged systems *)
   local : bool;
-      (** every process reads only its neighbourhood; [false] for the
-          centralized baseline, whose locality findings lint waives *)
+      (** every process reads only its neighbourhood, whatever the token
+          layer; [false] for the centralized baseline *)
   make : string -> (module System.S);
       (** instantiate with a token-layer key; raises [Invalid_argument] on
           unknown tokens.  Token-less entries ignore the argument. *)
@@ -71,6 +71,13 @@ val token_keys : string list
 val all : entry list
 val find : string -> entry option
 (** By key. *)
+
+val local_over : entry -> string option -> bool
+(** [local_over e token]: [e] over the token layer [token] reads only
+    neighbourhoods.  False for a non-{!entry.local} entry, and over
+    ["vring"], a non-local oracle (process 0 reads the last process of the
+    virtual ring); token-less entries ignore [token].  Lint waives the
+    locality findings of a composition that is not local. *)
 
 type resolved = {
   name : string;  (** the name as resolved *)

@@ -48,14 +48,16 @@ let observe h v =
 let hist_count h = h.len
 let hist_values h = Array.to_list (Array.sub h.samples 0 h.len)
 
-let percentile q h =
-  if h.len = 0 then 0
+let nearest_rank q samples =
+  let len = Array.length samples in
+  if len = 0 then 0
   else begin
-    let sorted = Array.sub h.samples 0 h.len in
-    Array.sort Int.compare sorted;
-    let rank = int_of_float (ceil (q *. float_of_int h.len)) in
-    sorted.(max 0 (min (h.len - 1) (rank - 1)))
+    Array.sort Int.compare samples;
+    let rank = int_of_float (ceil (q *. float_of_int len)) in
+    samples.(max 0 (min (len - 1) (rank - 1)))
   end
+
+let percentile q h = nearest_rank q (Array.sub h.samples 0 h.len)
 
 (* The one definition of the delivery-latency histogram edges (µs, upper
    bounds, overflow last): the net summary, `ccsim stats`, bench and the

@@ -3,9 +3,9 @@
     A registry is the numeric side of the telemetry layer: monotone
     counters (steps, convenes, messages), point-in-time gauges (states/s,
     resident states) and histograms that retain every sample and answer
-    nearest-rank percentile queries — the same semantics as
-    [Snapcc_analysis.Metrics.percentile], so waiting-time distributions
-    computed online and offline agree exactly.
+    nearest-rank percentile queries through {!nearest_rank}, the rule
+    [Snapcc_analysis.Metrics.percentile] also answers with, so
+    waiting-time distributions computed online and offline agree exactly.
 
     Instruments are created on first use ([counter r name] twice returns
     the same instrument) and snapshots render names in sorted order, so the
@@ -32,8 +32,12 @@ val hist_count : histogram -> int
 val hist_values : histogram -> int list
 (** In observation order. *)
 
+val nearest_rank : float -> int array -> int
+(** [nearest_rank q samples]: the sample of rank [ceil (q * n)] (clamped to
+    [1..n]) once [samples] is sorted ascending — in place; [0] when empty. *)
+
 val percentile : float -> histogram -> int
-(** Nearest-rank percentile over all observed samples; [0] when empty. *)
+(** {!nearest_rank} over all observed samples. *)
 
 val to_json : t -> Json.t
 (** [{"counters":{..},"gauges":{..},"histograms":{name:{"count":..,"min":..,

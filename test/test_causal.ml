@@ -168,47 +168,6 @@ let prop_wire_total =
       let _ = Vclock.decode_wire ~base:[| 3; 1 |] s in
       true)
 
-(* ---- span tracker ---- *)
-
-let test_span_tracker () =
-  let tr = Tele.Span.create () in
-  List.iter (Tele.Span.feed tr)
-    [ Tele.Event.Wait_open { step = 1; round = 0; p = 2 };
-      Tele.Event.Convene { step = 3; round = 0; eid = 1 };
-      Tele.Event.Wait_close
-        { step = 3; round = 0; p = 2; waited_steps = 2; waited_rounds = 0 };
-      Tele.Event.Fault { step = 5; victims = [ 0; 1 ] };
-      Tele.Event.Terminate { step = 7; round = 0; eid = 1 };
-      Tele.Event.Token_handoff { step = 2; p = 0 };
-      Tele.Event.Token_handoff { step = 8; p = 1 };
-      Tele.Event.Recover { step = 9; eid = 0 } ];
-  let spans = Tele.Span.spans tr in
-  let by k =
-    List.filter (fun (s : Tele.Span.span) -> s.Tele.Span.kind = k) spans
-  in
-  check_int "one wait span" 1 (List.length (by Tele.Span.Wait));
-  check_int "one meeting span" 1 (List.length (by Tele.Span.Meeting));
-  check_int "one handoff span" 1 (List.length (by Tele.Span.Handoff));
-  check_int "one recovery span" 1 (List.length (by Tele.Span.Recovery));
-  (match by Tele.Span.Meeting with
-   | [ s ] ->
-     check_int "meeting opens at convene" 3 s.Tele.Span.open_step;
-     check_int "meeting duration" 4 s.Tele.Span.duration
-   | _ -> Alcotest.fail "meeting span missing");
-  (match by Tele.Span.Recovery with
-   | [ s ] -> check_int "time-to-stabilize" 4 s.Tele.Span.duration
-   | _ -> Alcotest.fail "recovery span missing");
-  (* percentiles ride the shared Registry histogram path *)
-  let reg = Tele.Span.registry tr in
-  check_int "histogram feeds the registry" 4
-    (Tele.Registry.hist_count
-       (Tele.Registry.histogram reg "span_meeting_steps")
-    + Tele.Registry.hist_count (Tele.Registry.histogram reg "span_wait_steps")
-    + Tele.Registry.hist_count
-        (Tele.Registry.histogram reg "span_handoff_steps")
-    + Tele.Registry.hist_count
-        (Tele.Registry.histogram reg "span_recovery_steps"))
-
 (* ---- live surfaces ---- *)
 
 let test_live_surfaces () =
@@ -414,8 +373,7 @@ let qsuite =
 let suite =
   [ ( "causal",
       qsuite
-      @ [ Alcotest.test_case "span tracker" `Quick test_span_tracker;
-          Alcotest.test_case "live dash/prom surfaces" `Quick
+      @ [ Alcotest.test_case "live dash/prom surfaces" `Quick
             test_live_surfaces;
           Alcotest.test_case "mp cut-reconstruction parity (oracle)" `Quick
             test_mp_cut_reconstruction_parity;

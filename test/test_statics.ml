@@ -322,6 +322,38 @@ let test_exact_agreement () =
         [ ("single2", Families.single 2); ("line3", Families.path 3) ])
     [ "cc1"; "cc2"; "cc3" ]
 
+(* ---- the locality waiver follows the token composition: over vring
+   (a non-local oracle) cc1's process 0 reads process 2 of line3, so the
+   exact tier waives those findings; over tree nothing is waived ---- *)
+
+let test_exact_vring_waived () =
+  let module Systems = Snapcc_mc.Systems in
+  let entry = Option.get (Systems.find "cc1") in
+  let central = Option.get (Systems.find "central") in
+  let dining = Option.get (Systems.find "dining") in
+  check "cc1 over tree is local" true (Systems.local_over entry (Some "tree"));
+  check "cc1 over vring is not" false (Systems.local_over entry (Some "vring"));
+  check "dining ignores the token" true
+    (Systems.local_over dining (Some "vring"));
+  check "central is never local" false (Systems.local_over central None);
+  List.iter
+    (fun token ->
+      let module S = (val entry.Systems.make token) in
+      let module Ex = Snapcc_statics.Exact.Make (S) in
+      let allow =
+        if Systems.local_over entry (Some token) then [] else [ Report.Locality ]
+      in
+      let r, _, _ = Ex.run ~allow ~algo:S.name ~topo:"line3" (Families.path 3) in
+      check ("cc1 over " ^ token ^ ": verdict ok") true (Report.ok r);
+      check ("cc1 over " ^ token ^ ": no violation") true (r.Report.findings = []);
+      check ("cc1 over " ^ token ^ ": waived iff vring") (token = "vring")
+        (r.Report.waived <> []);
+      check ("cc1 over " ^ token ^ ": only process 0's reads are waived") true
+        (List.for_all
+           (fun (f : Report.finding) -> f.rule = Report.Locality && f.proc = 0)
+           r.Report.waived))
+    [ "vring"; "tree" ]
+
 (* ---- table artifacts round-trip ---- *)
 
 let test_artifact_round_trip () =
@@ -367,6 +399,8 @@ let suite =
           `Quick test_exact_dead_classification;
         Alcotest.test_case "exact vs sampled agreement (cc1/cc2/cc3)" `Quick
           test_exact_agreement;
+        Alcotest.test_case "exact tier: vring locality findings are waived"
+          `Quick test_exact_vring_waived;
         Alcotest.test_case "table artifact round-trip" `Quick
           test_artifact_round_trip;
       ] );
