@@ -194,9 +194,6 @@ let all =
 
 let find key = List.find_opt (fun e -> e.key = key) all
 
-(* The vring layer is Dijkstra's K-state algorithm on the virtual ring of
-   process indices: process 0 reads the last process, which is not its
-   neighbor unless the topology closes that ring. *)
 let local_over e token =
   e.local && (e.token = None || token <> Some "vring")
 
