@@ -73,11 +73,7 @@ let bits_of_mask m =
 (* [p] and its neighbors, as a process mask: the support a pass starts
    from, and the reads that are local. *)
 let closed_neighborhood h p =
-  let m = ref (1 lsl p) in
-  for q = 0 to H.n h - 1 do
-    if q <> p && H.are_neighbors h p q then m := !m lor (1 lsl q)
-  done;
-  !m
+  Array.fold_left (fun m q -> m lor (1 lsl q)) (1 lsl p) (H.neighbors h p)
 
 (* Cells in the product of [sizes], as a float so that a product too large
    to enumerate still compares with a cap. *)
