@@ -259,8 +259,10 @@ let run_engine_bench () =
        back-to-back and the reported overhead is the median pair ratio,
        which cancels host frequency drift that a min-of-k cannot
        (adjacent runs share the slow phase).  Steady state on this
-       instance is ~x1.10 (median of 41 pairs on a 2-core x86-64
-       container; single --quick readings spread 1.02-1.18 there).
+       instance is ~x1.13 (median of 101 pairs on a 2-core x86-64
+       container; single --quick readings spread 1.10-1.22 there): an
+       unchanged configuration costs the monitors O(1), so the unstamped
+       loop is short and the clock event a visible share of it.
 
      Stamping must not change the execution either way (obs equality
      per pair below; it never touches the rng). *)

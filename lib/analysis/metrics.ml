@@ -35,6 +35,12 @@ type t = {
   mutable rev_completed_steps : int list;
   mutable rev_completed_rounds : int list;
   telemetry : Tele.Hub.t option;
+  mutable last : Obs.t array;  (* the last [after] processed *)
+  mutable last_k : int;  (* meetings in [last] *)
+  mutable settled : bool;
+      (* [waits] is at its fixpoint for [last]: the step that processed it
+         opened no wait for a professor inside a meeting (the next step
+         over [last] would drop that wait) *)
 }
 
 let emit t ev =
@@ -59,10 +65,17 @@ let create ?telemetry h ~initial =
     rev_completed_steps = [];
     rev_completed_rounds = [];
     telemetry;
+    last = [||];
+    last_k = 0;
+    settled = false;
   }
 
-let on_step t ~step ~round ~before ~after =
+let in_meeting t meetings p =
+  List.exists (fun e -> Array.exists (fun q -> q = p) (H.edge_members t.h e)) meetings
+
+let full_step t ~step ~round ~before ~after =
   t.steps <- t.steps + 1;
+  t.settled <- true;
   let meetings = Obs.meetings t.h after in
   let k = List.length meetings in
   t.concurrency_sum <- t.concurrency_sum + k;
@@ -123,9 +136,22 @@ let on_step t ~step ~round ~before ~after =
       | None ->
         if Obs.is_waiting o && not (Obs.is_waiting before.(p)) then begin
           t.waits.(p) <- Some { since_step = step; since_round = round };
+          if in_meeting t meetings p then t.settled <- false;
           emit t (Tele.Event.Wait_open { step; round; p })
         end)
-    after
+    after;
+  t.last <- after;
+  t.last_k <- k
+
+(* A step that changed nothing over the configuration processed last only
+   counts itself and its concurrency once the wait book is settled: the
+   full pass would emit nothing and change no wait. *)
+let on_step t ~step ~round ~before ~after =
+  if before == after && after == t.last && t.settled then begin
+    t.steps <- t.steps + 1;
+    t.concurrency_sum <- t.concurrency_sum + t.last_k
+  end
+  else full_step t ~step ~round ~before ~after
 
 let mean = function
   | [] -> 0.

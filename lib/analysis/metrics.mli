@@ -35,6 +35,15 @@ val create :
 val on_step :
   t -> step:int -> round:int ->
   before:Snapcc_runtime.Obs.t array -> after:Snapcc_runtime.Obs.t array -> unit
+(** Fold one transition.  O(1) when [before == after] and [after] is the
+    array the previous call processed, once the wait book is at its
+    fixpoint for it: the step and its concurrency are counted and nothing
+    else can change.  The book is not at its fixpoint when that previous
+    call opened a wait for a professor inside a meeting; the next step
+    over the same array drops that wait, so it takes the full pass.  The
+    result is exact either way.  Physical identity is trusted, so callers
+    must never mutate a configuration they passed in ([initial]
+    included). *)
 
 val finish : t -> step:int -> round:int -> summary
 (** Close the books; open waiting spans are measured up to [step]/[round]. *)

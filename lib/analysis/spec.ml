@@ -18,6 +18,9 @@ type t = {
   participations : int array;
   sessions : session array;
   telemetry : Snapcc_telemetry.Hub.t option;
+  mutable last : Obs.t array;  (* the last [after] judged *)
+  mutable exclusion : (int * int) list;
+      (* the conflicting pairs meeting in [last], in report order *)
 }
 
 let create ?telemetry h ~initial =
@@ -33,6 +36,8 @@ let create ?telemetry h ~initial =
     participations = Array.make (H.n h) 0;
     sessions;
     telemetry;
+    last = [||];
+    exclusion = [];
   }
 
 let report t ~step ~rule detail =
@@ -45,21 +50,24 @@ let report t ~step ~rule detail =
 
 let edge_str t e = Format.asprintf "%a" (H.pp_edge t.h) e
 
-let check_exclusion t ~step after =
-  let meeting = Obs.meetings t.h after in
-  let rec pairs = function
-    | [] -> ()
+(* The conflicting pairs meeting in [obs]: [(e, e')] with [e < e'], by
+   [e] then [e'].  Empty for the pointer model (Lemma 1). *)
+let exclusion_pairs t obs =
+  let rec pairs acc = function
+    | [] -> List.rev acc
     | e :: rest ->
-      List.iter
-        (fun e' ->
-          if H.conflicting t.h e e' then
-            report t ~step ~rule:"exclusion"
-              (Printf.sprintf "conflicting committees %s and %s meet simultaneously"
-                 (edge_str t e) (edge_str t e')))
-        rest;
-      pairs rest
+      pairs
+        (List.fold_left
+           (fun acc e' -> if H.conflicting t.h e e' then (e, e') :: acc else acc)
+           acc rest)
+        rest
   in
-  pairs meeting
+  pairs [] (Obs.meetings t.h obs)
+
+let report_exclusion t ~step (e, e') =
+  report t ~step ~rule:"exclusion"
+    (Printf.sprintf "conflicting committees %s and %s meet simultaneously"
+       (edge_str t e) (edge_str t e'))
 
 let check_convene t ~step ~(before : Obs.t array) ~(after : Obs.t array) e =
   let members = H.edge_members t.h e in
@@ -121,13 +129,23 @@ let check_terminate t ~step ~request_out ~(before : Obs.t array) e =
             since));
   t.sessions.(e) <- Off
 
+(* A configuration is judged once: a repeated [after] re-reports the
+   exclusion pairs found for it, and a step that changed nothing
+   ([before == after]) convenes and terminates nothing. *)
 let on_step t ~step ~request_out ~before ~after =
-  check_exclusion t ~step after;
-  for e = 0 to H.m t.h - 1 do
-    let was = Obs.meets t.h before e and is = Obs.meets t.h after e in
-    if (not was) && is then check_convene t ~step ~before ~after e
-    else if was && not is then check_terminate t ~step ~request_out ~before e
-  done
+  if after != t.last then begin
+    t.exclusion <- exclusion_pairs t after;
+    t.last <- after
+  end;
+  (match t.exclusion with
+   | [] -> ()
+   | pairs -> List.iter (report_exclusion t ~step) pairs);
+  if before != after then
+    for e = 0 to H.m t.h - 1 do
+      let was = Obs.meets t.h before e and is = Obs.meets t.h after e in
+      if (not was) && is then check_convene t ~step ~before ~after e
+      else if was && not is then check_terminate t ~step ~request_out ~before e
+    done
 
 let on_fault t obs =
   for e = 0 to H.m t.h - 1 do

@@ -40,7 +40,16 @@ val on_step :
       every member in status [done] in [before], each with its discussion
       counter advanced since the convene;
     - {b voluntary discussion}: a terminating committee (unless exempt) has
-      at least one member whose [RequestOut] held. *)
+      at least one member whose [RequestOut] held.
+
+    Cost: a configuration is judged once.  When [after] is the array the
+    previous call judged, its exclusion pairs are re-reported from a cache
+    (Lemma 1 makes that list empty), and when [before == after] no
+    committee can convene or terminate, so the per-edge pass is skipped:
+    O(1) for a step that changed nothing ([Mp_engine.Make(A).obs]
+    returns the same array then).  Physical identity is trusted, so
+    callers must never mutate a configuration they passed in
+    ([initial] included). *)
 
 val on_fault : t -> Snapcc_runtime.Obs.t array -> unit
 (** Notify that a transient fault was injected and show the corrupted

@@ -1,5 +1,6 @@
 module H = Snapcc_hypergraph.Hypergraph
 module Model = Snapcc_runtime.Model
+module Obs = Snapcc_runtime.Obs
 module Tele = Snapcc_telemetry
 module Vclock = Snapcc_telemetry.Vclock
 module Sem = Mp_semantics
@@ -28,15 +29,6 @@ module Make (A : Model.ALGO) = struct
            cells a message-passing view actually maintains *)
   }
 
-  (* What stamping needs beside the semantics' clocks: the clock each
-     pending snapshot carried into its slot, as flat preallocated rows (the
-     per-broadcast capture is a plain copy, with no allocation and no write
-     barrier), and a mirror of the cores for the stamps' observations. *)
-  type vc = {
-    carried : int array array array;  (* carried.(p).(i), like [chan] *)
-    cores : A.state array;
-  }
-
   type t = {
     h : H.t;
     sem : Sem.t;  (* scheduler, draws and clocks: the shared semantics *)
@@ -46,7 +38,15 @@ module Make (A : Model.ALGO) = struct
     pending : int -> int -> bool;  (* [chan] as the scheduler reads it *)
     actions : A.state Model.action array;
     mutable pk : pk option;
-    vc : vc option;
+    mutable carried : int array array array option;
+        (* what stamping needs beside the semantics' clocks: carried.(p).(i)
+           is the clock the snapshot pending in chan.(p).(i) carried, as
+           flat preallocated rows (the per-broadcast capture is a plain
+           copy, with no allocation and no write barrier) *)
+    mutable proj : Obs.t array;
+    mutable stale : bool;
+        (* [proj] is the observation of the cores unless [stale]: an acted
+           activation or a corruption sets it, {!obs} re-projects *)
     mutable sent : int;
     mutable delivered : int;
     mutable prof_pk_hits : int;
@@ -54,6 +54,16 @@ module Make (A : Model.ALGO) = struct
     mutable prof_activations : int;
     mutable prof_deliveries : int;
   }
+
+  (* The whole configuration is re-projected, not only the process that
+     changed: an [observe] may read non-neighbours (vring's token flag). *)
+  let obs t =
+    if t.stale then begin
+      let cores = Array.map View.core t.views in
+      t.proj <- Array.init (H.n t.h) (A.observe t.h cores);
+      t.stale <- false
+    end;
+    t.proj
 
   let create ?(seed = 0) ?(init = `Canonical) ?(deliver_bias = 0.5) ?telemetry
       ?(vclock = true) ?packed h =
@@ -107,32 +117,27 @@ module Make (A : Model.ALGO) = struct
         | pk -> Some pk
         | exception Failure _ -> None)
     in
-    let vc =
-      match telemetry with
-      | Some hub when vclock ->
-        let cores = c0.Sem.cores in
-        Sem.track_clocks sem ~hub (A.observe h cores);
-        (* randomly preloaded snapshots carry the sender's initial clock *)
-        let carried =
-          Array.init n (fun p ->
-              Array.map (fun q -> Vclock.copy (Sem.clock sem q)) (H.neighbors h p))
-        in
-        Some { carried; cores }
-      | _ -> None
+    let t =
+      { h; sem; telemetry; views; chan;
+        pending = (fun p i -> Option.is_some chan.(p).(i));
+        actions = Array.of_list (A.actions h);
+        pk; carried = None; proj = [||]; stale = true; sent = 0;
+        delivered = 0; prof_pk_hits = 0; prof_pk_fallbacks = 0;
+        prof_activations = 0; prof_deliveries = 0 }
     in
-    { h; sem; telemetry; views; chan;
-      pending = (fun p i -> Option.is_some chan.(p).(i));
-      actions = Array.of_list (A.actions h);
-      pk; vc; sent = 0; delivered = 0;
-      prof_pk_hits = 0; prof_pk_fallbacks = 0;
-      prof_activations = 0; prof_deliveries = 0 }
+    (match telemetry with
+     | Some hub when vclock ->
+       Sem.track_clocks sem ~hub (fun p -> (obs t).(p));
+       (* randomly preloaded snapshots carry the sender's initial clock *)
+       t.carried <-
+         Some
+           (Array.init n (fun p ->
+                Array.map (fun q -> Vclock.copy (Sem.clock sem q)) (H.neighbors h p)))
+     | _ -> ());
+    t
 
   let hypergraph t = t.h
   let engine_kind t = if t.pk = None then `Closure else `Packed
-
-  let obs t =
-    let cores = Array.map View.core t.views in
-    Array.init (H.n t.h) (A.observe t.h cores)
 
   let steps_taken t = Sem.steps t.sem
   let messages_delivered t = t.delivered
@@ -154,7 +159,9 @@ module Make (A : Model.ALGO) = struct
   let emit t ev =
     match t.telemetry with None -> () | Some hub -> Tele.Hub.emit hub ev
 
-  let copy_into ~dst src =
+  (* int-typed: a generic array copy would check for float arrays and run
+     the write barrier per component *)
+  let copy_into ~(dst : int array) (src : int array) =
     for j = 0 to Array.length src - 1 do
       Array.unsafe_set dst j (Array.unsafe_get src j)
     done
@@ -167,8 +174,8 @@ module Make (A : Model.ALGO) = struct
       (match t.pk with
        | Some pk -> pk.chan_ids.(q).(slot) <- pk.core_ids.(p)
        | None -> ());
-      (match t.vc with
-       | Some vc -> copy_into ~dst:vc.carried.(q).(slot) (Sem.clock t.sem p)
+      (match t.carried with
+       | Some carried -> copy_into ~dst:carried.(q).(slot) (Sem.clock t.sem p)
        | None -> ());
       t.chan.(q).(slot) <- msg;
       t.sent <- t.sent + 1
@@ -223,9 +230,7 @@ module Make (A : Model.ALGO) = struct
     let label = view_activate t ~inputs p in
     (* a no-op activation is a heartbeat, not an event *)
     let acted = Option.is_some label in
-    (match t.vc with
-     | Some vc when acted -> vc.cores.(p) <- View.core t.views.(p)
-     | _ -> ());
+    if acted then t.stale <- true;
     Sem.on_activated t.sem p ~acted;
     broadcast t p;
     emit t (Tele.Event.Mp_activated { step = Sem.steps t.sem; p; label });
@@ -245,7 +250,7 @@ module Make (A : Model.ALGO) = struct
        pk.cfgs.(p).(src) <- id
      | None -> ());
     Sem.on_delivered t.sem ~dst:p ~slot:i
-      ~carried:(match t.vc with Some vc -> vc.carried.(p).(i) | None -> [||]);
+      ~carried:(match t.carried with Some c -> c.(p).(i) | None -> [||]);
     t.chan.(p).(i) <- None;
     t.delivered <- t.delivered + 1;
     emit t (Tele.Event.Mp_delivered { step = Sem.steps t.sem; dst = p; src });
@@ -272,14 +277,14 @@ module Make (A : Model.ALGO) = struct
         Array.iteri
           (fun i forged ->
             if Option.is_some forged then begin
-              (match t.vc with
-               | Some vc ->
-                 copy_into ~dst:vc.carried.(p).(i) (Sem.clock t.sem nbrs.(i))
+              (match t.carried with
+               | Some carried ->
+                 copy_into ~dst:carried.(p).(i) (Sem.clock t.sem nbrs.(i))
                | None -> ());
               t.chan.(p).(i) <- forged
             end)
           d.Sem.forged;
-        (match t.vc with Some vc -> vc.cores.(p) <- d.Sem.core | None -> ());
+        t.stale <- true;
         Sem.on_corrupted t.sem p;
         (* refresh the mirror for everything the fault rewrote *)
         match t.pk with

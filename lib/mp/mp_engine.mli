@@ -72,7 +72,17 @@ module Make (A : Snapcc_runtime.Model.ALGO) : sig
       interner ever overflows (never silently wrong, just slower). *)
 
   val obs : t -> Snapcc_runtime.Obs.t array
-  (** Observation of the true (core) configuration. *)
+  (** Observation of the true (core) configuration.
+
+      Identity contract: the result is the physically same array until an
+      activation that executed an action, or a {!corrupt}, changes a core;
+      deliveries and no-op activations keep it.  After a change the next
+      call re-projects the whole configuration (an [observe] may read
+      non-neighbours), so a fresh array means "possibly changed" and the
+      same array means "unchanged" — [Spec.on_step] and
+      [Metrics.on_step] skip their per-edge passes on it.
+      The [clock] stamps read this same projection.  Callers must never
+      mutate the array. *)
 
   val step : t -> inputs:Snapcc_runtime.Model.inputs -> event
   (** One scheduler event.  Fairness: starving processes and old pending

@@ -68,12 +68,18 @@ let is_waiting o = match o.status with Looking | Waiting -> true | Idle | Done -
 let attends obs ~vertex ~eid =
   is_waiting obs.(vertex) && obs.(vertex).pointer = Some eid
 
-let meets h obs eid =
-  Array.for_all
-    (fun q ->
-      obs.(q).pointer = Some eid
-      && (match obs.(q).status with Waiting | Done -> true | Idle | Looking -> false))
-    (H.edge_members h eid)
+(* Members [i..] of [eid] all point at it with status waiting or done;
+   matching on the pointer allocates no [Some eid] and calls no
+   polymorphic equality. *)
+let rec all_meet obs members eid i =
+  i >= Array.length members
+  ||
+  let o = obs.(members.(i)) in
+  (match o.pointer with Some e -> e = eid | None -> false)
+  && (match o.status with Waiting | Done -> true | Idle | Looking -> false)
+  && all_meet obs members eid (i + 1)
+
+let meets h obs eid = all_meet obs (H.edge_members h eid) eid 0
 
 let meetings h obs =
   List.filter (meets h obs) (List.init (H.m h) Fun.id)

@@ -13,6 +13,13 @@ let add_sink t s = t.sinks <- t.sinks @ [ s ]
 let seq t = t.seq
 let registry t = t.registry
 
+(* a loop, not [List.iter]: no closure per event *)
+let rec fan_out stamped = function
+  | [] -> ()
+  | s :: rest ->
+    Sink.emit s stamped;
+    fan_out stamped rest
+
 let emit t ev =
   let t_us =
     match t.clock with
@@ -24,6 +31,6 @@ let emit t ev =
   t.last_us <- t_us;
   let stamped = { Event.seq = t.seq; t_us; ev } in
   t.seq <- t.seq + 1;
-  List.iter (fun s -> Sink.emit s stamped) t.sinks
+  fan_out stamped t.sinks
 
 let close t = List.iter Sink.close t.sinks

@@ -23,6 +23,12 @@ val to_string : t -> string
     printed with ["%.12g"], except non-finite values which become [null]
     (JSON has no inf/nan). *)
 
+val escape : Buffer.t -> string -> unit
+(** [escape buf s] appends [s] as a JSON string literal, quotes included,
+    exactly as {!to_string} renders [String s] — the one string escaper,
+    shared with renderers that write straight into a buffer
+    ({!Sink.jsonl}). *)
+
 val pp : Format.formatter -> t -> unit
 
 val of_string : string -> (t, string) result

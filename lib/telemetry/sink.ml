@@ -6,14 +6,15 @@ type ring_state = {
 }
 
 type kind =
-  | Jsonl of (string -> unit)
+  | Jsonl of { write : string -> unit; buf : Buffer.t }
   | Ring of ring_state
   | Catapult of { write : string -> unit; mutable first : bool }
   | Custom of { emit : Event.stamped -> unit; close : unit -> unit }
 
 type t = { kind : kind; mutable closed : bool }
 
-let jsonl write = { kind = Jsonl write; closed = false }
+let jsonl write =
+  { kind = Jsonl { write; buf = Buffer.create 256 }; closed = false }
 
 let custom ~emit ~close = { kind = Custom { emit; close }; closed = false }
 
@@ -53,13 +54,157 @@ let ring_push r (s : Event.stamped) =
     r.head <- (r.head + 1) mod r.capacity
   end
 
-(* JSONL bodies are deterministic: seq + the logical event fields, no
-   timestamp (see the determinism test). *)
-let jsonl_line (s : Event.stamped) =
-  match Event.to_json s.ev with
-  | Json.Obj fields ->
-    Json.to_string (Json.Obj (("seq", Json.Int s.seq) :: fields)) ^ "\n"
-  | other -> Json.to_string other ^ "\n"
+(* ---- JSONL ----
+
+   Each line is rendered straight into the sink's buffer, field by field,
+   with no [Json.t] tree: the bytes {!Event.to_json} would print under
+   [Json.to_string], with ["seq"] first, and never the timestamp (bodies
+   are deterministic, see the determinism test).  [key] arguments are the
+   literal [,"name":] prefixes. *)
+
+(* [n <= 0], most significant digit first: negative remainders keep
+   [min_int] in range *)
+let rec add_digits b n =
+  if n <= -10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 - (n mod 10)))
+
+let add_int b n =
+  if n < 0 then begin
+    Buffer.add_char b '-';
+    add_digits b n
+  end
+  else add_digits b (-n)
+
+let int_ b key n =
+  Buffer.add_string b key;
+  add_int b n
+
+let str_ b key s =
+  Buffer.add_string b key;
+  Json.escape b s
+
+let rec add_rest b = function
+  | [] -> ()
+  | n :: rest ->
+    Buffer.add_char b ',';
+    add_int b n;
+    add_rest b rest
+
+let ints_ b key l =
+  Buffer.add_string b key;
+  Buffer.add_char b '[';
+  (match l with
+   | [] -> ()
+   | n :: rest ->
+     add_int b n;
+     add_rest b rest);
+  Buffer.add_char b ']'
+
+let render_jsonl b (s : Event.stamped) =
+  int_ b {|{"seq":|} s.seq;
+  Buffer.add_string b {|,"ev":"|};
+  Buffer.add_string b (Event.kind s.ev);
+  Buffer.add_char b '"';
+  (match s.ev with
+   | Event.Run_start { algo; daemon; workload; seed; n; m; topo } ->
+     str_ b {|,"algo":|} algo;
+     str_ b {|,"daemon":|} daemon;
+     str_ b {|,"workload":|} workload;
+     int_ b {|,"seed":|} seed;
+     int_ b {|,"n":|} n;
+     int_ b {|,"m":|} m;
+     str_ b {|,"topo":|} topo
+   | Event.Step { step; round; selected; neutralized; meetings } ->
+     int_ b {|,"step":|} step;
+     int_ b {|,"round":|} round;
+     ints_ b {|,"selected":|} selected;
+     ints_ b {|,"neutralized":|} neutralized;
+     ints_ b {|,"meetings":|} meetings
+   | Event.Action { step; p; label } ->
+     int_ b {|,"step":|} step;
+     int_ b {|,"p":|} p;
+     str_ b {|,"label":|} label
+   | Event.Convene { step; round; eid } | Event.Terminate { step; round; eid }
+     ->
+     int_ b {|,"step":|} step;
+     int_ b {|,"round":|} round;
+     int_ b {|,"eid":|} eid
+   | Event.Wait_open { step; round; p } ->
+     int_ b {|,"step":|} step;
+     int_ b {|,"round":|} round;
+     int_ b {|,"p":|} p
+   | Event.Wait_close { step; round; p; waited_steps; waited_rounds } ->
+     int_ b {|,"step":|} step;
+     int_ b {|,"round":|} round;
+     int_ b {|,"p":|} p;
+     int_ b {|,"waited_steps":|} waited_steps;
+     int_ b {|,"waited_rounds":|} waited_rounds
+   | Event.Verdict { step; rule; detail } ->
+     int_ b {|,"step":|} step;
+     str_ b {|,"rule":|} rule;
+     str_ b {|,"detail":|} detail
+   | Event.Token_handoff { step; p } ->
+     int_ b {|,"step":|} step;
+     int_ b {|,"p":|} p
+   | Event.Fault { step; victims } ->
+     int_ b {|,"step":|} step;
+     ints_ b {|,"victims":|} victims
+   | Event.Recover { step; eid } ->
+     int_ b {|,"step":|} step;
+     int_ b {|,"eid":|} eid
+   | Event.Mc_frontier { configs; transitions } ->
+     int_ b {|,"configs":|} configs;
+     int_ b {|,"transitions":|} transitions
+   | Event.Mp_activated { step; p; label } -> (
+     int_ b {|,"step":|} step;
+     int_ b {|,"p":|} p;
+     match label with
+     | Some l -> str_ b {|,"label":|} l
+     | None -> Buffer.add_string b {|,"label":null|})
+   | Event.Mp_delivered { step; dst; src } ->
+     int_ b {|,"step":|} step;
+     int_ b {|,"dst":|} dst;
+     int_ b {|,"src":|} src
+   | Event.Net_sent { step; src; dst; bytes } ->
+     int_ b {|,"step":|} step;
+     int_ b {|,"src":|} src;
+     int_ b {|,"dst":|} dst;
+     int_ b {|,"bytes":|} bytes
+   | Event.Net_delivered { step; src; dst; bytes; latency_us } ->
+     int_ b {|,"step":|} step;
+     int_ b {|,"src":|} src;
+     int_ b {|,"dst":|} dst;
+     int_ b {|,"bytes":|} bytes;
+     int_ b {|,"latency_us":|} latency_us
+   | Event.Net_dropped { step; src; dst; reason } ->
+     int_ b {|,"step":|} step;
+     int_ b {|,"src":|} src;
+     int_ b {|,"dst":|} dst;
+     str_ b {|,"reason":|} reason
+   | Event.Clock { step; p; k; clock; obs_code; disc } ->
+     int_ b {|,"step":|} step;
+     int_ b {|,"p":|} p;
+     int_ b {|,"k":|} k;
+     ints_ b {|,"clock":|} clock;
+     int_ b {|,"obs_code":|} obs_code;
+     int_ b {|,"disc":|} disc
+   | Event.Smc_trial
+       { trial; seed; stabilized; convenes; violations; deadlocked; steps } ->
+     int_ b {|,"trial":|} trial;
+     int_ b {|,"seed":|} seed;
+     (match stabilized with
+      | Some s -> int_ b {|,"stabilized":|} s
+      | None -> Buffer.add_string b {|,"stabilized":null|});
+     int_ b {|,"convenes":|} convenes;
+     int_ b {|,"violations":|} violations;
+     Buffer.add_string b
+       (if deadlocked then {|,"deadlocked":true|} else {|,"deadlocked":false|});
+     int_ b {|,"steps":|} steps
+   | Event.Run_end { outcome; steps; rounds } ->
+     str_ b {|,"outcome":|} outcome;
+     int_ b {|,"steps":|} steps;
+     int_ b {|,"rounds":|} rounds);
+  Buffer.add_string b "}\n"
 
 (* One Chrome trace event, rendered immediately. *)
 let catapult_json (s : Event.stamped) =
@@ -142,7 +287,10 @@ let catapult_json (s : Event.stamped) =
 let emit t s =
   if not t.closed then
     match t.kind with
-    | Jsonl write -> write (jsonl_line s)
+    | Jsonl { write; buf } ->
+      Buffer.clear buf;
+      render_jsonl buf s;
+      write (Buffer.contents buf)
     | Ring r -> ring_push r s
     | Catapult c ->
       (match catapult_json s with

@@ -19,7 +19,11 @@ type t
 
 val jsonl : (string -> unit) -> t
 (** [jsonl write] calls [write] with one complete line (trailing ['\n']
-    included) per event. *)
+    included) per event.  Each line is rendered straight into one reused
+    buffer — integers digit by digit, strings through {!Json.escape}, no
+    {!Json.t} tree — and equals
+    [Json.to_string (Obj (("seq", Int seq) :: fields)) ^ "\n"] for the
+    fields of {!Event.to_json}, the reference the tests hold it to. *)
 
 val ring : capacity:int -> t
 val ring_events : t -> Event.stamped list

@@ -4,7 +4,9 @@ let create n = Array.make n 0
 let copy = Array.copy
 let tick c p = c.(p) <- c.(p) + 1
 
-let merge_into ~into src =
+(* The annotations matter: without them these compile to polymorphic
+   comparisons ([caml_greaterthan] per component). *)
+let merge_into ~(into : int array) (src : int array) =
   let n = Array.length into in
   if Array.length src <> n then invalid_arg "Vclock.merge_into: length";
   for i = 0 to n - 1 do
@@ -16,7 +18,7 @@ let merge a b =
   merge_into ~into:c b;
   c
 
-let leq a b =
+let leq (a : int array) (b : int array) =
   let n = Array.length a in
   Array.length b = n
   &&
@@ -39,7 +41,14 @@ let compare_clocks a b =
   | false, true -> After
   | false, false -> Concurrent
 
-let to_list = Array.to_list
+(* Not [Array.to_list]: that is generic (it tests every read for a float
+   array) and allocates a closure per call; a [clock] event is built on
+   every stamp. *)
+let rec prepend (c : int array) i acc =
+  if i < 0 then acc else prepend c (i - 1) (Array.unsafe_get c i :: acc)
+
+let to_list c = prepend c (Array.length c - 1) []
+
 let of_list = Array.of_list
 
 let to_string c =

@@ -1,8 +1,11 @@
 (* Metrics: concurrency accounting, waiting spans, convene counters. *)
 
+module H = Snapcc_hypergraph.Hypergraph
 module Families = Snapcc_hypergraph.Families
 module Obs = Snapcc_runtime.Obs
 module Metrics = Snapcc_analysis.Metrics
+module Spec = Snapcc_analysis.Spec
+module Tele = Snapcc_telemetry
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -125,6 +128,150 @@ let test_timeline_rendering () =
      let tail = String.sub row2 (String.length row2 - 4) 4 in
      tail = "##..")
 
+(* ---- sharing a configuration never changes a verdict ---- *)
+
+(* Spec and Metrics judge a repeated configuration (the same physical
+   array as [before] and [after], as [Mp_engine.obs] returns on a delivery)
+   without their per-edge passes.  Fed the same walk once with shared
+   arrays and once with a fresh copy at every step, they must agree on
+   everything they report. *)
+
+type move =
+  | Repeat  (** nothing changed *)
+  | Next of Obs.t array  (** a step to this configuration *)
+  | Fault of Obs.t array  (** a transient fault left this configuration *)
+
+let statuses = [| Obs.Idle; Obs.Looking; Obs.Waiting; Obs.Done |]
+
+let random_obs h rng p =
+  let inc = H.incident h p in
+  let pointer =
+    if Random.State.int rng 4 = 0 then None
+    else Some inc.(Random.State.int rng (Array.length inc))
+  in
+  Obs.make ~pointer ~discussions:(Random.State.int rng 3)
+    ~has_token:(Random.State.bool rng)
+    statuses.(Random.State.int rng 4)
+
+(* A walk biased towards meetings and repeats. *)
+let walk h ~seed ~len =
+  let rng = Random.State.make [| seed |] in
+  let n = H.n h in
+  let cur = ref (Array.init n (random_obs h rng)) in
+  let initial = !cur in
+  let moves = ref [] in
+  for _ = 1 to len do
+    let c = Array.copy !cur in
+    let p = Random.State.int rng n in
+    let mv =
+      match Random.State.int rng 20 with
+      | r when r < 7 -> Repeat
+      | r when r < 12 ->
+        c.(p) <- random_obs h rng p;
+        Next c
+      | r when r < 15 ->
+        let e = Random.State.int rng (H.m h) in
+        Array.iter
+          (fun q ->
+            c.(q) <-
+              Obs.make ~pointer:(Some e) ~discussions:(Random.State.int rng 3)
+                (if Random.State.bool rng then Obs.Waiting else Obs.Done))
+          (H.edge_members h e);
+        Next c
+      | r when r < 18 ->
+        (* back into status waiting: inside a meeting, Metrics opens a
+           wait it drops again on the next step *)
+        c.(p) <- { (c.(p)) with Obs.status = Obs.Waiting };
+        Next c
+      | _ ->
+        c.(p) <- random_obs h rng p;
+        Fault c
+    in
+    (match mv with Repeat -> () | Next c | Fault c -> cur := c);
+    moves := mv :: !moves
+  done;
+  (initial, List.rev !moves)
+
+type observed = {
+  violations : Spec.violation list;
+  convened : (int * int) list;
+  terminations : int;
+  summary : Metrics.summary;
+  events : Tele.Event.t list;
+  stats : string;
+}
+
+(* [share]: pass the walk's own arrays (a repeat passes the previous
+   [after] again); otherwise a fresh copy of each, every step.  A fault is
+   fed like [Observer.fault]: Spec exempts its meetings, and the next step
+   starts from it. *)
+let replay h (initial, moves) ~share =
+  let own a = if share then a else Array.copy a in
+  let hub = Tele.Hub.create () in
+  let events = ref [] in
+  Tele.Hub.add_sink hub
+    (Tele.Sink.custom ~close:ignore ~emit:(fun s ->
+         events := s.Tele.Event.ev :: !events));
+  let stats = Tele.Stats.create () in
+  Tele.Hub.add_sink hub (Tele.Stats.sink stats);
+  let first = own initial in
+  let spec = Spec.create ~telemetry:hub h ~initial:first in
+  let metrics = Metrics.create ~telemetry:hub h ~initial:first in
+  let before = ref first and cur = ref initial and step = ref 0 in
+  let judge () =
+    incr step;
+    let step = !step and after = own !cur in
+    Spec.on_step spec ~step
+      ~request_out:(fun p -> (step + p) mod 3 = 0)
+      ~before:!before ~after;
+    Metrics.on_step metrics ~step ~round:(step / 4) ~before:!before ~after;
+    before := after
+  in
+  List.iter
+    (function
+      | Repeat -> judge ()
+      | Next c ->
+        cur := c;
+        judge ()
+      | Fault c ->
+        cur := c;
+        let c = own c in
+        Spec.on_fault spec c;
+        before := c)
+    moves;
+  let summary = Metrics.finish metrics ~step:(!step + 1) ~round:(!step / 4) in
+  { violations = Spec.violations spec;
+    convened = Spec.convened spec;
+    terminations = Spec.terminations spec;
+    summary;
+    events = List.rev !events;
+    stats = Tele.Json.to_string (Tele.Stats.to_json (snd (Tele.Stats.result stats))) }
+
+let prop_sharing_never_changes_a_verdict =
+  QCheck.Test.make ~name:"sharing a configuration never changes a verdict"
+    ~count:300
+    QCheck.(pair bool small_nat)
+    (fun (ring, seed) ->
+      let h = if ring then Families.by_name "ring6" else Families.fig2 () in
+      let w = walk h ~seed ~len:80 in
+      replay h w ~share:true = replay h w ~share:false)
+
+(* The case the settled condition exists for: professor v3 re-enters
+   waiting while its committee e2 meets.  The wait Metrics opens must be
+   dropped on the next step, which repeats the configuration. *)
+let test_wait_opened_inside_a_meeting () =
+  let h = h () in
+  let meet = [| idle; idle; member Obs.Waiting 2; member Obs.Done 2; idle |] in
+  let rejoin = [| idle; idle; member Obs.Waiting 2; member Obs.Waiting 2; idle |] in
+  let w = (Array.make 5 idle, [ Next meet; Next rejoin; Repeat; Repeat ]) in
+  let shared = replay h w ~share:true in
+  check "shared = copied" true (shared = replay h w ~share:false);
+  check "the wait was opened" true
+    (List.exists
+       (function Tele.Event.Wait_open { p = 3; _ } -> true | _ -> false)
+       shared.events);
+  check_int "and dropped" 0 (List.length shared.summary.Metrics.open_waits_steps)
+
 let suite =
   [ ( "metrics",
       [ Alcotest.test_case "waiting spans" `Quick test_waiting_span;
@@ -137,5 +284,9 @@ let suite =
         Alcotest.test_case "percentile nearest-rank edges" `Quick
           test_percentile_edges;
         Alcotest.test_case "timeline rendering" `Quick test_timeline_rendering;
+        Alcotest.test_case "a wait opened inside a meeting is dropped" `Quick
+          test_wait_opened_inside_a_meeting;
+        QCheck_alcotest.to_alcotest ~long:false
+          prop_sharing_never_changes_a_verdict;
       ] );
   ]

@@ -106,6 +106,54 @@ let test_max_staleness_grows () =
   done;
   check "runs are genuinely asynchronous" true (E.max_staleness eng > 5)
 
+(* [E.obs] is the cached projection: physically the same array until an
+   acting activation or a corruption changes a core, a fresh one after
+   (the pinned digests below pin its contents).  Monitors skip their
+   per-edge passes on that identity. *)
+let obs_identity ?telemetry () =
+  let h = Families.by_name "ring9" in
+  let eng = E.create ~seed:13 ~init:`Random ~deliver_bias:0.6 ?telemetry h in
+  let w = Workload.always_requesting h in
+  let counts = Array.make 4 0 in
+  let count k = counts.(k) <- counts.(k) + 1 in
+  for i = 1 to 3_000 do
+    if i = 1_500 then begin
+      let before = E.obs eng in
+      E.corrupt eng ~victims:[ 0; 4 ];
+      check "corruption re-projects" true (E.obs eng != before);
+      count 3
+    end;
+    let before = E.obs eng in
+    let inputs = Workload.inputs w before in
+    let ev = E.step eng ~inputs in
+    let after = E.obs eng in
+    check "obs is stable between steps" true (E.obs eng == after);
+    match ev with
+    | E.Delivered _ ->
+      count 0;
+      check "delivery keeps the array" true (after == before)
+    | E.Activated (_, None) ->
+      count 1;
+      check "no-op activation keeps the array" true (after == before)
+    | E.Activated (_, Some _) ->
+      count 2;
+      check "acting activation re-projects" true (after != before)
+  done;
+  Array.iteri
+    (fun k c -> check (Printf.sprintf "event kind %d exercised" k) true (c > 0))
+    counts
+
+(* with and without clock stamps, which read the same projection *)
+let test_obs_identity () =
+  obs_identity ();
+  let hub = Tele.Hub.create () in
+  let clocks = ref 0 in
+  Tele.Hub.add_sink hub
+    (Tele.Sink.custom ~close:ignore ~emit:(fun s ->
+         match s.Tele.Event.ev with Tele.Event.Clock _ -> incr clocks | _ -> ()));
+  obs_identity ~telemetry:hub ();
+  check "clocks stamped" true (!clocks > 1_000)
+
 (* ---- pinned trace digests ---- *)
 
 (* MD5 of the whole JSONL trace of one [Driver.Mp] run: random start, half
@@ -183,6 +231,8 @@ let suite =
         Alcotest.test_case "CC2/mp fairness + safety core" `Slow
           test_mp_cc2_serves_everyone;
         Alcotest.test_case "staleness exercised" `Quick test_max_staleness_grows;
+        Alcotest.test_case "obs identity tracks core changes" `Quick
+          test_obs_identity;
         Alcotest.test_case "pinned trace digests" `Quick test_pinned_trace_digests;
       ] );
   ]

@@ -112,6 +112,94 @@ let test_event_roundtrip () =
   | Ok _ -> Alcotest.fail "unknown tag accepted"
   | Error _ -> ()
 
+(* ---- the direct JSONL renderer against the tree printer ---- *)
+
+(* [Sink.jsonl] renders without a [Json.t] tree; [Event.to_json] under
+   [Json.to_string] is the reference it must equal byte for byte. *)
+let reference_line (s : Event.stamped) =
+  match Event.to_json s.Event.ev with
+  | Json.Obj fields ->
+    Json.to_string (Json.Obj (("seq", Json.Int s.Event.seq) :: fields)) ^ "\n"
+  | _ -> Alcotest.fail "Event.to_json is not an object"
+
+let direct_lines stamped =
+  let lines = ref [] in
+  let sink = Tele.Sink.jsonl (fun l -> lines := l :: !lines) in
+  List.iter (Tele.Sink.emit sink) stamped;
+  List.rev !lines
+
+(* every byte that needs an escape, a UTF-8 operator and plain text *)
+let nasty = "a\"b\\c\nd\re\tf\bg\012h\000i\001\031\127 \xe2\x88\x98 /"
+
+let every_variant : Event.t list =
+  [ Run_start { algo = "CC2\xe2\x88\x98vring"; daemon = "random(p=0.50)";
+                workload = nasty; seed = min_int; n = 0; m = max_int;
+                topo = "n 3\ncommittee 0 1\ncommittee 1 2\n" };
+    Step { step = -1; round = 0; selected = []; neutralized = [ min_int ];
+           meetings = [ 0; -7; max_int ] };
+    Action { step = 10; p = 9; label = "" };
+    Convene { step = 99; round = 100; eid = 101 };
+    Terminate { step = -99; round = -100; eid = -101 };
+    Wait_open { step = 1_000_000; round = 7; p = 0 };
+    Wait_close { step = 8; round = 3; p = 3; waited_steps = max_int;
+                 waited_rounds = min_int };
+    Verdict { step = 5; rule = "essential-discussion"; detail = nasty };
+    Token_handoff { step = 6; p = 4 };
+    Fault { step = 7; victims = [] };
+    Recover { step = 11; eid = 0 };
+    Mc_frontier { configs = 16384; transitions = 99000 };
+    Mp_activated { step = 3; p = 1; label = Some "Step\"21\"" };
+    Mp_activated { step = 4; p = 2; label = None };
+    Mp_delivered { step = 5; dst = 1; src = 2 };
+    Net_sent { step = 12; src = 0; dst = 4; bytes = 35 };
+    Net_delivered { step = 12; src = 0; dst = 4; bytes = 0; latency_us = -3 };
+    Net_dropped { step = 13; src = 4; dst = 0; reason = "crc\tmismatch" };
+    Clock { step = 14; p = 2; k = 3; clock = [ 1; 0; max_int ];
+            obs_code = 0x7fff; disc = 0 };
+    Clock { step = 15; p = 0; k = 0; clock = []; obs_code = 0; disc = -1 };
+    Smc_trial { trial = 0; seed = min_int; stabilized = None; convenes = 0;
+                violations = 3; deadlocked = true; steps = 150 };
+    Smc_trial { trial = 1; seed = 42; stabilized = Some 17; convenes = 9;
+                violations = 0; deadlocked = false; steps = 150 };
+    Run_end { outcome = "steps_exhausted"; steps = 0; rounds = -0 } ]
+
+let test_jsonl_renderer_matches_tree () =
+  let kinds = List.sort_uniq compare (List.map Event.kind every_variant) in
+  check_int "every variant covered" 20 (List.length kinds);
+  let seqs = [ 0; 1; 9; 10; -1; -10; 123_456_789; min_int; max_int ] in
+  let stamped =
+    List.concat_map
+      (fun seq ->
+        List.map (fun ev -> { Event.seq; t_us = seq * 7; ev }) every_variant)
+      seqs
+  in
+  List.iter2
+    (fun s line ->
+      check_str (Event.kind s.Event.ev) (reference_line s) line)
+    stamped (direct_lines stamped)
+
+(* random strings of any byte and random ints, through the variants that
+   carry them *)
+let prop_jsonl_renderer_random =
+  QCheck.Test.make ~name:"jsonl renderer = tree printer (random fields)"
+    ~count:300
+    QCheck.(
+      quad small_int (string_gen Gen.char) int (small_list int))
+    (fun (seq, str, i, ints) ->
+      let evs : Event.t list =
+        [ Verdict { step = i; rule = str; detail = str ^ str };
+          Run_start { algo = str; daemon = ""; workload = str; seed = i;
+                      n = seq; m = -i; topo = str };
+          Step { step = i; round = seq; selected = ints; neutralized = [];
+                 meetings = List.rev ints };
+          Clock { step = seq; p = i; k = 1; clock = ints; obs_code = i;
+                  disc = seq };
+          Mp_activated { step = i; p = seq;
+                         label = (if i land 1 = 0 then None else Some str) } ]
+      in
+      let stamped = List.map (fun ev -> { Event.seq = seq - i; t_us = 0; ev }) evs in
+      List.map reference_line stamped = direct_lines stamped)
+
 (* ---- registry ---- *)
 
 let test_registry () =
@@ -324,5 +412,8 @@ let suite =
           test_no_convene_fabricated_across_fault;
         Alcotest.test_case "catapult export is valid json" `Quick
           test_catapult_valid;
+        Alcotest.test_case "jsonl renderer = tree printer (all variants)"
+          `Quick test_jsonl_renderer_matches_tree;
+        QCheck_alcotest.to_alcotest ~long:false prop_jsonl_renderer_random;
       ] );
   ]
