@@ -96,11 +96,12 @@ let timeline_arg =
 let quick_arg =
   Arg.(value & flag & info [ "quick" ] ~doc:"Reduced sweeps (what the tests run).")
 
-(* Shared by `run', `mp', `net' and `check': which stepping machinery to
-   use.  `packed' routes guard evaluation through the exact
-   guard/footprint tables of lib/mc (and, for `net', switches the wire to
-   packed-id/XOR-delta snapshot frames); processes whose tables exceed the
-   startup budget fall back to the guard closures automatically, so
+(* Shared by `run', `mp', `smc', `net' and `check': which stepping
+   machinery to use.  `packed' serves `run' and `smc' guard scans from a
+   memo of closed-neighbourhood configurations, routes `mp' activations
+   through the exact guard/footprint tables of lib/mc (and, for `net',
+   switches the wire to packed-id/XOR-delta snapshot frames); whatever
+   neither covers falls back to the guard closures automatically, so
    `packed' is always safe to default to — behavior is identical either
    way, only speed and wire bytes differ. *)
 let engine_conv : [ `Packed | `Closure ] Arg.conv =
@@ -110,26 +111,24 @@ let engine_arg =
   Arg.(value & opt engine_conv `Packed
        & info [ "engine" ] ~docv:"ENGINE"
            ~doc:"Stepping engine: packed|closure.  `packed' (default) \
-                 drives guards through pre-enumerated configuration \
-                 tables where they fit the startup budget and falls back \
-                 to the guard closures elsewhere; runs are \
+                 serves guard scans from a memo of neighbourhood \
+                 configurations (mp: from pre-enumerated configuration \
+                 tables where they fit the startup budget) and falls \
+                 back to the guard closures elsewhere; runs are \
                  trace-identical across engines.")
 
-(* The packed engine's hooks for a resolved system, with the share of
-   processes its tables cover, under the interactive startup budget.  The
-   tables bit-pack configurations of at most 16 processes; beyond that the
-   command keeps the guard closures and says so. *)
+(* The packed engine's hooks for a resolved system under the interactive
+   startup budget, and whether they carry tables: the tables bit-pack
+   configurations of at most 16 processes, and beyond that the hooks are
+   interner-only. *)
 let packed_hooks (type s) (module S : Snapcc_mc.System.S with type state = s)
-    engine h : (s Model.packed * float) option =
+    engine h : (s Model.packed * bool) option =
   let module Pk = Snapcc_mc.Packed.Make (S) in
   match engine with
   | `Closure -> None
-  | `Packed -> (
-    match Pk.try_build h with
-    | Some pk -> Some (Pk.hooks pk, Pk.coverage pk)
-    | None ->
-      Format.printf "engine: closure (packed tables need n <= 16)@.";
-      None)
+  | `Packed ->
+    let pk = Pk.try_build h in
+    Some (Pk.hooks pk, Pk.has_tables pk)
 
 let or_die = function
   | Ok v -> v
@@ -274,16 +273,18 @@ let run_cmd topo algo_name daemon_name workload_name steps seed disc random_init
     make_hub ~emit_trace ~emit_json ~emit_catapult ()
   in
   let record_trace = trace || timeline in
-  let packed = packed_hooks (module S) engine h in
+  let packed = Option.map fst (packed_hooks (module S) engine h) in
   let r =
-    R.run ~seed ~init ?faults ?telemetry ~record_trace
-      ?packed:(Option.map fst packed) ~daemon ~workload ~steps h
+    R.run ~seed ~init ?faults ?telemetry ~record_trace ?packed ~daemon ~workload
+      ~steps h
   in
   finish_telemetry ();
-  (match packed with
-   | Some (_, c) ->
-     Format.printf "engine: packed (tables cover %.0f%% of processes)@." (100. *. c)
-   | None -> ());
+  if Option.is_some packed then begin
+    let count key = List.assoc key r.Driver.profile in
+    let hits = count "engine_scan_hits" in
+    Format.printf "engine: packed (memo served %d of %d guard scans)@." hits
+      (hits + count "engine_scan_fallbacks")
+  end;
   Format.printf "%a@." Driver.pp_result r;
   if r.Driver.violations <> [] then begin
     Format.printf "@.violations:@.";
@@ -318,7 +319,16 @@ let mp_cmd topo algo_name workload_name steps seed disc random_init bias engine
   let sys = or_die (Systems.lookup ~what:"mp" Systems.wired algo_name) in
   let (module S) = sys.Systems.sys in
   let module R = Driver.Mp (S) in
-  let packed = Option.map fst (packed_hooks (module S) engine h) in
+  (* the mp engine looks activations up in the tables: without them the
+     hooks would only intern cores *)
+  let packed =
+    match packed_hooks (module S) engine h with
+    | Some (hooks, true) -> Some hooks
+    | Some (_, false) ->
+      Format.printf "engine: closure (packed tables need n <= 16)@.";
+      None
+    | None -> None
+  in
   let r, eng =
     R.run ~seed
       ~init:(if random_init then `Random else `Canonical)

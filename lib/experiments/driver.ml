@@ -22,6 +22,7 @@ type result = {
   participations : int array;
   summary : Metrics.summary;
   trace : Trace.t option;
+  profile : (string * int) list;
 }
 
 let ok r = r.violations = []
@@ -54,7 +55,7 @@ let run_end outcome ~steps ~rounds =
       rounds }
 
 let result ~algo ~daemon ~workload ~outcome ~steps ~rounds ~final_obs ?trace
-    observer =
+    ~profile observer =
   let spec = Observer.spec observer in
   { algo;
     daemon;
@@ -68,7 +69,8 @@ let result ~algo ~daemon ~workload ~outcome ~steps ~rounds ~final_obs ?trace
     convene_count = Spec.convene_count spec;
     participations = Spec.participations spec;
     summary = Observer.finish observer ~step:steps ~round:rounds;
-    trace }
+    trace;
+    profile }
 
 module Make (A : Model.ALGO) = struct
   module E = Snapcc_runtime.Engine.Make (A)
@@ -167,7 +169,7 @@ module Make (A : Model.ALGO) = struct
     emit (run_end !outcome ~steps:(E.steps_taken eng) ~rounds:(E.rounds eng));
     ( result ~algo:A.name ~daemon:(Daemon.name daemon) ~workload ~outcome:!outcome
         ~steps:(E.steps_taken eng) ~rounds:(E.rounds eng) ~final_obs:(E.obs eng)
-        ?trace observer,
+        ?trace ~profile:(E.profile eng) observer,
       E.states eng )
 
   let run ?seed ?init ?init_states ?check_locality ?packed ?faults ?stop_when
@@ -214,6 +216,6 @@ module Mp (A : Model.ALGO) = struct
     done;
     emit (run_end `Steps_exhausted ~steps ~rounds:0);
     ( result ~algo:A.name ~daemon ~workload ~outcome:`Steps_exhausted ~steps
-        ~rounds:0 ~final_obs:(E.obs eng) observer,
+        ~rounds:0 ~final_obs:(E.obs eng) ~profile:(E.profile eng) observer,
       eng )
 end

@@ -23,6 +23,10 @@ type result = {
   participations : int array;  (** per professor *)
   summary : Snapcc_analysis.Metrics.summary;
   trace : Snapcc_runtime.Trace.t option;  (** when [record_trace] *)
+  profile : (string * int) list;
+      (** the engine's hot-path counters at the end of the run
+          ([Snapcc_runtime.Engine.Make.profile], or
+          [Snapcc_mp.Mp_engine.Make.profile] for {!Mp.run}) *)
 }
 
 val ok : result -> bool

@@ -69,6 +69,15 @@ module Make (Sys : System.S) = struct
       domains;
     t
 
+  let on_demand ~width h =
+    let n = H.n h in
+    { h;
+      procs =
+        Array.init n (fun _ -> { tbl = Tbl.create 256; states = Vec.create () });
+      dom = Array.make n 0;
+      width = Array.make n width;
+      packed = n * width <= 62 }
+
   let escapees t =
     List.concat
       (List.init (n t) (fun p ->

@@ -18,6 +18,12 @@ module Make (Sys : System.S) : sig
   val create : Snapcc_hypergraph.Hypergraph.t -> t
   (** Interns [Sys.domain h p] for every [p] (in list order). *)
 
+  val on_demand : width:int -> Snapcc_hypergraph.Hypergraph.t -> t
+  (** An interner that declares no domain and enumerates nothing: every id
+      is assigned on first sight (all of them escapees, to {!escapees}),
+      and {!intern} raises [Failure] past [2^width] states of one
+      process. *)
+
   val n : t -> int
   (** Number of processes. *)
 

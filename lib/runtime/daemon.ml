@@ -35,7 +35,7 @@ let random_subset ?(p = 0.5) ?(fairness_bound = 64) () =
     | _ ->
       let forced = List.filter (fun q -> continuously_enabled q >= fairness_bound) enabled in
       let coin = List.filter (fun _ -> Random.State.float rng 1.0 < p) enabled in
-      let chosen = List.sort_uniq compare (forced @ coin) in
+      let chosen = List.sort_uniq Int.compare (forced @ coin) in
       if chosen = [] then [ List.nth enabled (Random.State.int rng (List.length enabled)) ]
       else chosen
   in

@@ -14,20 +14,19 @@ module Make (A : Model.ALGO) = struct
         (* processes from the round's initial enabled set still to activate
            or neutralize; [None] until the first step establishes it *)
     cont_enabled : int array;
-    (* table-driven fast path: [ids] mirrors [states] as dense domain ids
-       (of the canonicalized states) while [packed] is live *)
+    (* packed fast path: [ids] mirrors [states] as dense ids of the
+       canonicalized states while [packed] is live *)
     mutable packed : A.state Model.packed option;
     ids : int array;
     (* incremental guard evaluation: per process, the last priority scan —
-       action index ([-1] = disabled), packed successor id ([-1] = intern
-       the new state) and footprint (the processes whose state or input
-       predicates the scan consulted).  An entry is rescanned when its
-       footprint meets a [dirty] process — one that executed, or whose
-       input mode ([modes]; [-1] = unknown) changed.  All entries are
-       rescanned while [rescan_all] is set: at creation, after a fault or
-       [set_states], and after an interner overflow. *)
+       action index ([-1] = disabled) and footprint (the processes whose
+       state or input predicates the scan consulted, or N[p] for an answer
+       the memo served).  An entry is rescanned when its footprint meets a
+       [dirty] process — one that executed, or whose input mode ([modes];
+       [-1] = unknown) changed.  All entries are rescanned while
+       [rescan_all] is set: at creation, after a fault or [set_states],
+       and after an interner overflow. *)
     act : int array;
-    succ : int array;
     foot : int array array;
     mutable rescan_all : bool;
     dirty : bool array;
@@ -81,7 +80,6 @@ module Make (A : Model.ALGO) = struct
       packed;
       ids;
       act = Array.make n (-1);
-      succ = Array.make n (-1);
       foot = Array.make n [||];
       rescan_all = true;
       dirty = Array.make n false;
@@ -167,34 +165,45 @@ module Make (A : Model.ALGO) = struct
     let i = priority_action t ~inputs p in
     if i < 0 then None else Some t.actions.(i).Model.label
 
-  (* Recompute the entry of [p]: one packed-table lookup, whose footprint
-     is the table's support, or — for cells the tables do not cover
-     ([-2]) — the closure scan, whose footprint is its recorded reads. *)
+  (* The closure scan of [p], whose footprint is its recorded reads. *)
+  let scan t ~inputs p =
+    t.gen <- t.gen + 1;
+    t.nreads <- 0;
+    t.act.(p) <- priority_action t ~inputs p;
+    t.foot.(p) <- Array.sub t.reads 0 t.nreads
+
+  (* The last scan read nothing outside N[p]. *)
+  let local t p =
+    let ok = ref true in
+    for i = 0 to t.nreads - 1 do
+      let q = t.reads.(i) in
+      if q <> p && not (H.are_neighbors t.h p q) then ok := false
+    done;
+    !ok
+
+  (* Recompute the entry of [p].  On the packed path the memo answers
+     when it holds [p]'s neighbourhood key, with footprint N[p]; a miss
+     runs the closure scan and stores its answer if the scan stayed inside
+     N[p].  Guards are deterministic in what they read and cannot tell
+     canon-equal states apart, so that answer holds on every configuration
+     with the same key. *)
   let refresh t ~inputs p =
-    let e =
-      match t.packed with
-      | None -> -2
-      | Some pk ->
-        let e = pk.Model.pk_entry ~mode:t.modes.(p) ~proc:p t.ids in
-        if e = -2 then t.prof_scan_fallbacks <- t.prof_scan_fallbacks + 1
-        else begin
-          t.prof_scan_hits <- t.prof_scan_hits + 1;
-          t.foot.(p) <- pk.Model.pk_support p
-        end;
-        e
-    in
-    if e >= 0 then begin
-      t.act.(p) <- Model.entry_act e;
-      t.succ.(p) <- Model.entry_succ e
-    end
-    else if e = -1 then t.act.(p) <- -1
-    else begin
-      t.gen <- t.gen + 1;
-      t.nreads <- 0;
-      t.act.(p) <- priority_action t ~inputs p;
-      t.succ.(p) <- -1;
-      t.foot.(p) <- Array.sub t.reads 0 t.nreads
-    end
+    match t.packed with
+    | None -> scan t ~inputs p
+    | Some pk ->
+      let memo = pk.Model.pk_memo in
+      let key = Memo.key memo ~ids:t.ids ~modes:t.modes p in
+      let a = if key < 0 then -2 else Memo.find memo p key in
+      if a >= -1 then begin
+        t.prof_scan_hits <- t.prof_scan_hits + 1;
+        t.act.(p) <- a;
+        t.foot.(p) <- Memo.closed memo p
+      end
+      else begin
+        t.prof_scan_fallbacks <- t.prof_scan_fallbacks + 1;
+        scan t ~inputs p;
+        if key >= 0 && local t p then Memo.add memo p key t.act.(p)
+      end
 
   (* Bring every entry up to date with the configuration and [modes], then
      forget the dirty set.  Returns the enabled processes in ascending
@@ -234,7 +243,7 @@ module Make (A : Model.ALGO) = struct
         Daemon.select t.daemon ~rng:t.rng ~step:t.step_no ~enabled:enabled_before
           ~continuously_enabled:(Array.get t.cont_enabled)
       in
-      let selected = List.sort_uniq compare selected in
+      let selected = List.sort_uniq Int.compare selected in
       if selected = [] then invalid_arg "daemon selected an empty set";
       List.iter
         (fun p ->
@@ -242,10 +251,10 @@ module Make (A : Model.ALGO) = struct
             invalid_arg (Printf.sprintf "daemon selected disabled process %d" p))
         selected;
       (* every statement reads the pre-step configuration, so all run
-         before any is written back; each executes its cached action, and
-         on the packed path still as a closure — the true states are
-         authoritative (tables know only canonicalized cells), so packed
-         and closure runs produce identical configurations by construction *)
+         before any is written back; each executes its cached action as a
+         closure on the true states, which stay authoritative on the packed
+         path too, so packed and closure runs produce identical
+         configurations by construction *)
       let executed =
         List.map
           (fun p ->
@@ -262,19 +271,11 @@ module Make (A : Model.ALGO) = struct
           t.dirty.(p) <- true;
           t.phase.(p) <- 2)
         executed;
-      (* mirror update: table hits copy the packed successor id (sound
-         because canon(apply(s)) = canon(apply(canon(s))) under the
-         System.S contract); closure fallbacks intern the new state *)
+      (* mirror update: executed states are interned *)
       (match t.packed with
        | None -> ()
        | Some pk -> (
-         match
-           List.iter
-             (fun (p, _, s) ->
-               t.ids.(p) <-
-                 (if t.succ.(p) >= 0 then t.succ.(p) else pk.Model.pk_intern p s))
-             executed
-         with
+         match List.iter (fun (p, _, s) -> t.ids.(p) <- pk.Model.pk_intern p s) executed with
          | () -> ()
          | exception Failure _ ->
            t.packed <- None;

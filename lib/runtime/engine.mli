@@ -16,7 +16,9 @@
     entry was computed; {!corrupt} and {!set_states} rescan everything.
     This is sound for any [ALGO] whose guards are deterministic functions
     of what they read, and for input predicates that do not change during
-    a step (they are queried for every process at its start). *)
+    a step (they are queried for every process at its start).  On the
+    packed path (see {!create}) a rescan may be answered by the memo, with
+    the closed neighbourhood as its footprint. *)
 
 module Make (A : Model.ALGO) : sig
   type t
@@ -30,15 +32,25 @@ module Make (A : Model.ALGO) : sig
     Snapcc_hypergraph.Hypergraph.t ->
     t
   (** [packed] (see {!Model.packed}, produced by [Snapcc_mc.Packed])
-      enables the table-driven fast path: guard scans become packed-entry
-      lookups keyed by a dense-id mirror of the configuration, with
-      successor ids written straight from the tables.  Statements still
-      execute as closures against the true states, so a packed run is
-      {e trace-identical} to the closure run of the same seed — same
-      enabled sets, same daemon draws, same reports (asserted by the parity
-      test suite).  Processes without a stored table fall back to the
-      closure scan cell by cell, and the whole fast path degrades to
-      closures if the interner ever overflows (never silently wrong).
+      enables the memo fast path.  The engine mirrors the configuration as
+      canonical state ids ([pk_intern]) and serves a rescan of [p] from
+      the hooks' {!Memo}, keyed on the ids and input modes of p's closed
+      neighbourhood N[p]; a served answer's footprint is N[p].  A miss
+      runs the closure scan and stores its answer only if every recorded
+      read lies in N[p].  Guards are deterministic in what they read, and
+      [System.S.canon] promises that no guard tells canon-equal states
+      apart, so by induction over the scan's reads a stored answer is the
+      one the closure scan gives on every configuration with the same key.
+      The memo belongs to the hooks value, so every engine created from
+      it — every smc trial of one worker — shares it.
+
+      Statements still execute as closures against the true states, so a
+      packed run is {e trace-identical} to the closure run of the same
+      seed — same enabled sets, same daemon draws, same reports (asserted
+      by the parity test suite).  Scans that read beyond N[p] or whose ids
+      do not fit the key keep the closure scan, and the whole fast path
+      degrades to closures if the interner ever overflows (never silently
+      wrong).
 
       [check_locality] (default [false]) makes every state read performed by
       a guard or statement of process [p] assert (raising [Failure]) that
@@ -102,9 +114,9 @@ module Make (A : Model.ALGO) : sig
 
   val profile : t -> (string * int) list
   (** Cheap monotonic hot-path counters, surfaced in the bench artifacts:
-      [engine_scan_hits] / [engine_scan_fallbacks] (guard scans actually
-      performed on the packed path, served by the tables vs dropped to
-      closures), [engine_scan_reused] (per-process entries served from the
+      [engine_scan_hits] / [engine_scan_fallbacks] (guard scans performed
+      on the packed path, served by the memo vs run as closures),
+      [engine_scan_reused] (per-process entries served from the
       incremental cache instead of being rescanned, on either path),
       [engine_applies] (statements executed), [engine_selects]
       (non-terminal daemon selections).  No wall-clock reads — safe on

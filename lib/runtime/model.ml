@@ -52,13 +52,14 @@ type step_report = {
   terminal : bool;
 }
 
-(* The table-driven fast path is produced by [Snapcc_mc.Packed] (this
-   library cannot depend on the checker, so the hooks are closures).  A
-   packed configuration is the vector of dense per-process state ids of the
-   interned declared domains; [pk_entry] is the packed guard/footprint
-   lookup with the [Snapcc_mc.Tables] conventions: [-1] = nothing enabled,
-   [-2] = unavailable (no stored table for the process, or an escapee id in
-   its support), [>= 0] = packed (action, changes, reads, successor id). *)
+(* The packed fast path is produced by [Snapcc_mc.Packed] (this library
+   cannot depend on the checker, so the hooks are closures).  A packed
+   configuration is the vector of dense per-process state ids of the
+   interned declared domains.  [Engine] reads only [pk_intern] and
+   [pk_memo]; [Mp_engine] reads the exact tables through [pk_entry] with
+   the [Snapcc_mc.Tables] conventions: [-1] = nothing enabled, [-2] =
+   unavailable (no stored table for the process, or an escapee id in its
+   support), [>= 0] = packed (action, changes, reads, successor id). *)
 type 'state packed = {
   pk_entry : mode:int -> proc:int -> int array -> int;
   pk_intern : int -> 'state -> int;
@@ -66,6 +67,7 @@ type 'state packed = {
          id headroom, which consumers treat as "fall back to closures" *)
   pk_support : int -> int array;
   pk_built : int -> bool;  (* stored table available for the process *)
+  pk_memo : Memo.t;  (* shared by every engine built from these hooks *)
 }
 
 let entry_act e = e land 0x3f

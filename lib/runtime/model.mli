@@ -71,12 +71,15 @@ end
 (** Hooks of the packed-configuration fast path (engine-agnostic closures,
     produced by [Snapcc_mc.Packed] — this library cannot see the checker).
     A packed configuration is the vector of dense per-process state ids of
-    the interned declared domains; [pk_entry] looks a (mode, process,
-    configuration) up in the exact guard/footprint tables and returns
-    [-1] (nothing enabled), [-2] (unavailable: no stored table, or an
-    escapee id in the support — the caller must fall back to the guard
-    closures), or a packed entry whose action index and successor id
-    {!entry_act} / {!entry_succ} decode. *)
+    the interned declared domains ([pk_intern]).
+
+    The two engines read different halves.  {!Engine} keys its {!Memo}
+    ([pk_memo]) on the ids of each closed neighbourhood and needs nothing
+    enumerated.  [Snapcc_mp.Mp_engine] looks activations up in the exact
+    tables: [pk_entry] returns [-1] (nothing enabled), [-2] (unavailable:
+    no stored table, or an escapee id in the support — the caller must
+    fall back to the guard closures), or a packed entry whose action index
+    and successor id {!entry_act} / {!entry_succ} decode. *)
 type 'state packed = {
   pk_entry : mode:int -> proc:int -> int array -> int;
   pk_intern : int -> 'state -> int;
@@ -86,6 +89,10 @@ type 'state packed = {
   pk_support : int -> int array;
       (** processes read by the table of [p] (ascending, includes [p]) *)
   pk_built : int -> bool;  (** a stored table exists for the process *)
+  pk_memo : Memo.t;
+      (** the scan memo, filled by every {!Engine} built from these hooks
+          (so every smc trial of one worker shares it), allocated on its
+          first miss *)
 }
 
 val entry_act : int -> int
@@ -98,7 +105,8 @@ val mode_of : inputs -> int -> int
 (** The uniform input mode a process experiences under per-process inputs:
     bit 0 = [request_in p], bit 1 = [request_out p], indexing
     {!input_modes}.  Exact for table lookups because the algorithms only
-    consult the input predicates at [self]. *)
+    consult the input predicates at [self]; the memo keys the mode of every
+    process of the neighbourhood, so it needs no such assumption. *)
 
 type step_report = {
   step : int;  (** 0-based index of the step just taken *)

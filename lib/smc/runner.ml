@@ -1,10 +1,10 @@
 (* Orchestration: resolve the algorithm through the catalog to a typed
-   trial function (with optional packed-table hooks), run the trials — in
+   trial function (with optional packed hooks), run the trials — in
    one shot, or in fixed-size batches under SPRT — through the worker pool, emit the
    telemetry stream, build the report.
 
    Worker-count independence is arranged here once and relied on
-   everywhere: the packed tables are built in the parent (workers inherit
+   everywhere: the packed hooks are built in the parent (workers inherit
    them through fork), trial records come back in index order from the
    pool, the SPRT consumes them in index order in batches whose size
    never depends on the worker count, and telemetry is emitted only by
@@ -32,9 +32,11 @@ type cfg = {
   sprt_within : int option;
 }
 
-(* Tables are built here, in the parent, so forked workers inherit them
-   instead of re-enumerating per worker.  Beyond what the tables can pack
-   the trials keep the guard closures, which are trace-identical. *)
+(* The hooks are built here, in the parent, so forked workers inherit
+   them instead of re-enumerating per worker; each worker then fills its
+   own copy of the scan memo, which every trial it runs shares.  A memo
+   answer equals the guard closures' answer, so records stay a pure
+   function of (seed, trial). *)
 let trial_fn cfg =
   match Systems.lookup ~what:"smc" Systems.any cfg.algo with
   | Error _ as e -> e
@@ -45,7 +47,7 @@ let trial_fn cfg =
     let packed =
       match cfg.engine with
       | `Closure -> None
-      | `Packed -> Option.map Pk.hooks (Pk.try_build cfg.topo)
+      | `Packed -> Some (Pk.hooks (Pk.try_build cfg.topo))
     in
     Ok
       (fun i ->

@@ -1,6 +1,6 @@
-(** Orchestration of an smc run: catalog resolution (with packed
-    tables built once, in the parent), the worker pool, SPRT batching,
-    telemetry and the report.
+(** Orchestration of an smc run: catalog resolution (with packed hooks
+    built once, in the parent, whose scan memo every trial of a worker
+    shares), the worker pool, SPRT batching, telemetry and the report.
 
     The merged result is byte-reproducible for any [workers] value:
     records are pure functions of [(seed, trial)] ({!Trial}), the pool

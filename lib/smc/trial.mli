@@ -67,7 +67,7 @@ module Of (A : Snapcc_runtime.Model.ALGO) : sig
     trial:int ->
     record
   (** Execute trial [trial]: derive the seed, draw the corrupted start,
-      run for at most [budget] steps, score.  [packed] routes stepping
-      through the table-driven fast path (trace-identical, so records
-      are engine-independent). *)
+      run for at most [budget] steps, score.  [packed] routes guard
+      scans through the hooks' scan memo, which the trials given the same
+      hooks share (trace-identical, so records are engine-independent). *)
 end

@@ -9,7 +9,12 @@
      [E.enabled_action], and the neutralized set is the pre-step
      [E.enabled] minus the executed minus the post-step [E.enabled], both
      uncached full scans — including for an algorithm that reads a
-     non-neighbour's state and another process's [request_out]. *)
+     non-neighbour's state and another process's [request_out].
+
+   The packed path's scan memo is held to the closure engine step for
+   step, across the engines that share one hooks value, and the cells it
+   stores are checked against fresh closure scans; a system whose [canon]
+   forgets a field the guards read must make the memo diverge. *)
 
 module H = Snapcc_hypergraph.Hypergraph
 module Families = Snapcc_hypergraph.Families
@@ -20,6 +25,8 @@ module Engine = Snapcc_runtime.Engine
 module Workload = Snapcc_workload.Workload
 module Driver = Snapcc_experiments.Driver
 module X = Snapcc_experiments.Algos
+module Memo = Snapcc_runtime.Memo
+module Systems = Snapcc_mc.Systems
 
 let topologies =
   [ ("ring9", Families.pair_ring 9); ("ring24", Families.pair_ring 24);
@@ -266,16 +273,13 @@ module Cursor_on = struct
   let cursor = true
 end
 
-module Pk_cc1 =
-  Snapcc_mc.Packed.Make (Snapcc_mc.Systems.Cc1_sys (Snapcc_token.Token_tree) (X.Cc1))
-module Pk_cc2 =
-  Snapcc_mc.Packed.Make
-    (Snapcc_mc.Systems.Cc23_sys (Snapcc_token.Token_tree) (X.Cc2) (Cursor_off))
+module Sys_cc2 = Systems.Cc23_sys (Snapcc_token.Token_tree) (X.Cc2) (Cursor_off)
+module Pk_cc1 = Snapcc_mc.Packed.Make (Systems.Cc1_sys (Snapcc_token.Token_tree) (X.Cc1))
+module Pk_cc2 = Snapcc_mc.Packed.Make (Sys_cc2)
 module Pk_cc3 =
-  Snapcc_mc.Packed.Make
-    (Snapcc_mc.Systems.Cc23_sys (Snapcc_token.Token_tree) (X.Cc3) (Cursor_on))
+  Snapcc_mc.Packed.Make (Systems.Cc23_sys (Snapcc_token.Token_tree) (X.Cc3) (Cursor_on))
 
-(* Table-served entries take the table's support as their footprint. *)
+(* Memo-served entries take N[p] as their footprint. *)
 let test_oracle_packed () =
   let single2 = Families.single 2 and path3 = Families.path 3 in
   let pk2 = Pk_cc2.hooks (Pk_cc2.build single2) in
@@ -291,7 +295,7 @@ let test_oracle_packed () =
       ~workload:(Workload.always_requesting single2) ~init:`Random ~steps:60 single2
   in
   Alcotest.(check bool) "still packed" true (O_cc2.E.engine_kind eng = `Packed);
-  Alcotest.(check bool) "table lookups performed" true
+  Alcotest.(check bool) "memo answers served" true
     (List.assoc "engine_scan_hits" (O_cc2.E.profile eng) > 0)
 
 (* Reads the state of [p + 2], which is not a neighbour on a pair ring of
@@ -348,8 +352,207 @@ let test_profile_reuse () =
   let profile = O_cc2.E.profile eng in
   let reused = List.assoc "engine_scan_reused" profile in
   Alcotest.(check bool) "entries reused" true (reused > 0);
-  Alcotest.(check int) "closure engine performs no table scans" 0
+  Alcotest.(check int) "closure engine consults no memo" 0
     (List.assoc "engine_scan_hits" profile + List.assoc "engine_scan_fallbacks" profile)
+
+(* ---- the scan memo, shared by consecutive engines ---- *)
+
+module Shared (S : Snapcc_mc.System.S) = struct
+  module E = Engine.Make (S)
+  module Pk = Snapcc_mc.Packed.Make (S)
+
+  (* A fresh closure scan of [p] on [eng]'s configuration: the chosen
+     action, and whether every read stayed inside N[p]. *)
+  let closure_scan actions h eng ~inputs p =
+    let local = ref true in
+    let note q = if q <> p && not (H.are_neighbors h p q) then local := false in
+    let ctx =
+      { Model.h;
+        self = p;
+        read = (fun q -> note q; E.state eng q);
+        inputs =
+          { Model.request_in = (fun q -> note q; inputs.Model.request_in q);
+            request_out = (fun q -> note q; inputs.Model.request_out q) } }
+    in
+    let a = Model.priority actions ctx in
+    (a, !local)
+
+  (* Every cell the memo holds for the current configuration came from a
+     scan that stayed inside N[p] and agrees with a fresh one.  Returns
+     how many of the current scans read outside N[p]. *)
+  let check_cells ~at actions (hooks : S.state Model.packed) h eng ~inputs =
+    let n = H.n h in
+    let ids = Array.init n (fun q -> hooks.Model.pk_intern q (E.state eng q)) in
+    let modes = Array.init n (Model.mode_of inputs) in
+    let memo = hooks.Model.pk_memo in
+    let nonlocal = ref 0 in
+    for p = 0 to n - 1 do
+      let a, local = closure_scan actions h eng ~inputs p in
+      if not local then incr nonlocal;
+      let key = Memo.key memo ~ids ~modes p in
+      let stored = if key < 0 then -2 else Memo.find memo p key in
+      if stored >= -1 then begin
+        Alcotest.(check bool) (Printf.sprintf "%s: p%d stored cell is local" at p) true local;
+        Alcotest.(check int) (Printf.sprintf "%s: p%d stored answer" at p) a stored
+      end
+    done;
+    !nonlocal
+
+  type outcome = {
+    diverged : int option;  (* first step whose report or configuration differs *)
+    hits : int;
+    fallbacks : int;
+    nonlocal : int;  (* current scans that read outside N[p], if checked *)
+  }
+
+  let standard_workloads k h =
+    if k mod 2 = 0 then Workload.always_requesting h else Workload.bursty ~seed:(31 + k) h
+
+  (* [engines] consecutive memo engines built from one hooks value, the way
+     smc trials share it, each stepped in lockstep with a closure engine of
+     the same seed: random start, the always/bursty workloads in turn (or
+     [workload k h] for engine [k]), a corruption at a third of the
+     horizon and a [set_states] at two thirds. *)
+  let lockstep ?(cells = false) ?(workload = standard_workloads) ~name ~daemon ~engines
+      ~steps h =
+    let hooks = Pk.hooks (Pk.try_build h) in
+    let actions = Array.of_list (S.actions h) in
+    let n = H.n h in
+    let diverged = ref None and nonlocal = ref 0 in
+    let hits = ref 0 and fallbacks = ref 0 in
+    for k = 0 to engines - 1 do
+      let seed = 31 + k in
+      let ec = E.create ~seed ~init:`Random ~daemon:(daemon ()) h in
+      let em = E.create ~seed ~init:`Random ~packed:hooks ~daemon:(daemon ()) h in
+      let wc = workload k h and wm = workload k h in
+      let rng = Random.State.make [| seed |] in
+      (try
+         for i = 0 to steps - 1 do
+           if i = steps / 3 then
+             List.iter (fun e -> E.corrupt e ~victims:[ 0; n / 2 ] ()) [ ec; em ];
+           if i = 2 * steps / 3 then begin
+             let states = Array.init n (S.random_init h rng) in
+             List.iter (fun e -> E.set_states e states) [ ec; em ]
+           end;
+           let inputs_c = Workload.inputs wc (E.obs ec) in
+           let inputs_m = Workload.inputs wm (E.obs em) in
+           if cells then
+             nonlocal :=
+               !nonlocal
+               + check_cells ~at:(Printf.sprintf "%s/e%d step %d" name k i) actions
+                   hooks h em ~inputs:inputs_m;
+           let rc = E.step ec ~inputs:inputs_c in
+           let rm = E.step em ~inputs:inputs_m in
+           if rc <> rm || not (Array.for_all2 Obs.equal (E.obs ec) (E.obs em)) then begin
+             diverged := Some ((k * steps) + i);
+             raise Exit
+           end;
+           Workload.observe wc ~step:i (E.obs ec);
+           Workload.observe wm ~step:i (E.obs em)
+         done
+       with Exit -> ());
+      let count key = List.assoc key (E.profile em) in
+      hits := !hits + count "engine_scan_hits";
+      fallbacks := !fallbacks + count "engine_scan_fallbacks"
+    done;
+    { diverged = !diverged; hits = !hits; fallbacks = !fallbacks; nonlocal = !nonlocal }
+end
+
+let resolve name =
+  match Systems.resolve name with
+  | Some r -> r.Systems.sys
+  | None -> Alcotest.failf "%s is not in the catalog" name
+
+let no_divergence name = function
+  | None -> ()
+  | Some step -> Alcotest.failf "%s: memo run diverged from closures at step %d" name step
+
+(* One hooks value per topology serves three engines, every report equal
+   to the closure engine's. *)
+let test_memo_shared_hooks () =
+  List.iter
+    (fun algo ->
+      let (module S) = resolve algo in
+      let module L = Shared (S) in
+      List.iter
+        (fun (topo, h) ->
+          let name = algo ^ "/" ^ topo in
+          let o =
+            L.lockstep ~name ~daemon:(fun () -> Daemon.random_subset ()) ~engines:4
+              ~steps:300 h
+          in
+          no_divergence name o.L.diverged;
+          Alcotest.(check bool) (name ^ ": memo hits") true (o.L.hits > 0))
+        [ ("triangle3", Families.pair_ring 3); ("ring5", Families.pair_ring 5);
+          ("fig1", Families.fig1 ()) ])
+    [ "cc1-tree"; "cc1-vring"; "cc2-tree"; "cc2-vring"; "cc3-tree"; "cc3-vring" ]
+
+(* [Far] as a system: its "bump" scans read only a neighbour's
+   [request_out], so the memo stores them, and must key that neighbour's
+   mode; its "copy" scans read a non-neighbour and are never stored. *)
+module Far_sys = struct
+  include Far
+
+  let domain _ _ = [ 0; 1; 2; 3 ]
+  let canon _ _ s = s
+  let rename _ ~pi:_ ~eperm:_ _ s = s
+  let state_symmetries _ = []
+end
+
+module L_far = Shared (Far_sys)
+
+(* vring reads [pred p], which is not a neighbour on fig1, and the
+   centralized baseline's coordinator reads beyond its neighbours: such
+   scans keep falling back, and no cell is ever stored for them. *)
+let test_memo_nonlocal_reads () =
+  let fig1 = Families.fig1 () in
+  List.iter
+    (fun (algo, daemon) ->
+      let (module S) = resolve algo in
+      let module L = Shared (S) in
+      let name = algo ^ "/fig1" in
+      let o = L.lockstep ~cells:true ~name ~daemon ~engines:2 ~steps:120 fig1 in
+      no_divergence name o.L.diverged;
+      Alcotest.(check bool) (name ^ ": non-local scans met") true (o.L.nonlocal > 0);
+      Alcotest.(check bool) (name ^ ": fallbacks") true (o.L.fallbacks > 0))
+    [ ("cc1-vring", fun () -> Daemon.random_subset ());
+      ("cc2-vring", Daemon.central);
+      ("cc3-vring", fun () -> Daemon.synchronous);
+      ("central", fun () -> Daemon.random_subset ()) ];
+  let workload _ _ =
+    Workload.scripted ~name:"far"
+      ~request_in:(fun ~step:_ _ -> false)
+      ~request_out:(fun ~step q -> (step + q) mod 3 = 0)
+      ()
+  in
+  let o =
+    L_far.lockstep ~cells:true ~workload ~name:"far/ring7"
+      ~daemon:(fun () -> Daemon.random_subset ()) ~engines:2 ~steps:150
+      (Families.pair_ring 7)
+  in
+  no_divergence "far/ring7" o.L_far.diverged;
+  Alcotest.(check bool) "far/ring7: non-local scans met" true (o.L_far.nonlocal > 0);
+  Alcotest.(check bool) "far/ring7: memo hits" true (o.L_far.hits > 0)
+
+(* A seeded defect: a [canon] that also forgets CC2's lock flag, which the
+   guards read.  The memo then serves one configuration's answer to
+   another that the guards tell apart, and the run must diverge. *)
+module Cc2_lk_blind = struct
+  include Sys_cc2
+
+  let canon h p s =
+    let c, t = Sys_cc2.canon h p s in
+    ({ c with Snapcc_core.Cc23.lk = false }, t)
+end
+
+module L_lk_blind = Shared (Cc2_lk_blind)
+
+let test_memo_seeded_defect () =
+  let o =
+    L_lk_blind.lockstep ~name:"cc2-lk-blind" ~daemon:(fun () -> Daemon.random_subset ())
+      ~engines:4 ~steps:150 (Families.pair_ring 5)
+  in
+  Alcotest.(check bool) "memo run diverges from closures" true (o.L_lk_blind.diverged <> None)
 
 let suite =
   [ ( "engine cache",
@@ -357,7 +560,10 @@ let suite =
         Alcotest.test_case "pinned grid digests: algorithm variants" `Quick
           test_variant_digests;
         Alcotest.test_case "stepwise oracle: closures" `Quick test_oracle_closures;
-        Alcotest.test_case "stepwise oracle: packed tables" `Quick test_oracle_packed;
+        Alcotest.test_case "stepwise oracle: packed memo" `Quick test_oracle_packed;
         Alcotest.test_case "stepwise oracle: non-neighbour reads" `Quick
           test_oracle_far_reads;
-        Alcotest.test_case "profile counts reused entries" `Quick test_profile_reuse ] ) ]
+        Alcotest.test_case "profile counts reused entries" `Quick test_profile_reuse;
+        Alcotest.test_case "memo shared across engines" `Quick test_memo_shared_hooks;
+        Alcotest.test_case "memo stores local cells only" `Quick test_memo_nonlocal_reads;
+        Alcotest.test_case "memo exposes a lossy canon" `Quick test_memo_seeded_defect ] ) ]

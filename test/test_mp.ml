@@ -167,7 +167,7 @@ let digest_steps = 4_000
 let trace_digest (module S : Snapcc_mc.System.S) ~packed ~bias h =
   let module R = Snapcc_experiments.Driver.Mp (S) in
   let module Pk = Snapcc_mc.Packed.Make (S) in
-  let hooks = if packed then Option.map Pk.hooks (Pk.try_build h) else None in
+  let hooks = if packed then Some (Pk.hooks (Pk.try_build h)) else None in
   let b = Buffer.create (1 lsl 20) in
   let hub = Tele.Hub.create () in
   Tele.Hub.add_sink hub (Tele.Sink.jsonl (Buffer.add_string b));

@@ -154,6 +154,26 @@ let test_driver_parity_capped_fallback () =
     P1.run_pair ~name:"cc1/line3/mixed" ~hooks:(P1.Pk.hooks pk) ~mk_workload
       ~init:`Random ~seed:4 ~steps:1_500 h3
 
+(* Beyond 16 processes the tables cannot pack a configuration, and
+   [try_build] hands out interner-only hooks: no stored table, yet the
+   driver's memo serves scans on them, trace-identical to the closures. *)
+let test_driver_parity_beyond_16 () =
+  let h = Families.pair_ring 24 in
+  let pk = P2.Pk.try_build h in
+  check "ring24: no tables" false (P2.Pk.has_tables pk);
+  check "ring24: coverage 0" true (P2.Pk.coverage pk = 0.0);
+  let hooks = P2.Pk.hooks pk in
+  check "ring24: no stored table" false
+    (List.exists hooks.Model.pk_built (List.init (H.n h) Fun.id));
+  let mk_workload () = Workload.always_requesting h in
+  P2.run_pair ~name:"cc2/ring24/interner-only" ~hooks ~mk_workload ~init:`Random
+    ~seed:6 ~steps:1_500 h;
+  let r =
+    P2.R.run ~packed:hooks ~seed:7 ~init:`Random ~daemon:(Daemon.random_subset ())
+      ~workload:(mk_workload ()) ~steps:300 h
+  in
+  check "ring24: memo hits" true (List.assoc "engine_scan_hits" r.Driver.profile > 0)
+
 (* The ablation and the baselines take the packed engine through the same
    catalog path as the paper's algorithms; their tables cover anywhere
    from none to all of the processes under the interactive budget. *)
@@ -546,6 +566,8 @@ let suite =
           test_driver_parity_single2;
         Alcotest.test_case "driver parity on line3" `Slow
           test_driver_parity_line3;
+        Alcotest.test_case "driver parity beyond 16 procs" `Quick
+          test_driver_parity_beyond_16;
         Alcotest.test_case "capped tables fall back soundly" `Slow
           test_driver_parity_capped_fallback;
         Alcotest.test_case "driver parity: ablation and baselines" `Slow
