@@ -7,9 +7,20 @@
    Part 2 macro-benchmarks the exhaustive model checker (lib/mc) on the
    3-professor conflict triangle: states/second and peak resident states.
 
+   Part 2b times the exact static tier (`ccsim lint --exact`) on its
+   default families.
+
+   Part 2c measures the runtime engines on single2: the shared-memory
+   driver with the packed scan memo against the guard closures, and the
+   cost of vector-clock stamping on the `ccsim mp` pipeline, in time and
+   in allocated words per step (CI-gated).
+
    Part 3 macro-benchmarks the networked runtime (lib/net): forked node
    processes on a ring behind lossy links, reporting snapshots/s, bytes/s
    and the end-to-end handoff-latency distribution.
+
+   Part 3b measures the statistical tier (lib/smc): sequential against
+   4 forked workers, whose reports must be byte-identical.
 
    Part 4 runs Bechamel micro-benchmarks — one Test.make per benchmark
    family — measuring the cost of a simulation step for each algorithm, the
@@ -179,14 +190,13 @@ let run_exact_bench () =
   Format.printf "@.";
   rows
 
-(* ---------- Part 2c: packed-engine macro-benchmark ---------- *)
+(* ---------- Part 2c: runtime-engine macro-benchmark ---------- *)
 
-(* The simulation engines' packed fast path against the guard closures,
-   on a topology whose tables build in well under a second: (a) the
-   shared-memory driver end to end (meetings/s — monitors and workload
-   dilute the per-step win), (b) the message-passing engine stepped raw
-   (steps/s — the guard-scan-bound loop the tables accelerate).  Both
-   runs are asserted trace-equal: the speedup buys the same execution. *)
+(* cc3 on single2, a topology whose scan memo warms within a few steps:
+   (a) the shared-memory driver end to end, memo against guard closures
+   (meetings/s; monitors and workload dilute the per-step win), asserted
+   trace-equal; (b) the observability tax on the pipeline `ccsim mp`
+   runs. *)
 let run_engine_bench () =
   let (module S) =
     match Snapcc_mc.Systems.resolve "cc3" with
@@ -196,11 +206,8 @@ let run_engine_bench () =
   let module Pk_cc3 = Snapcc_mc.Packed.Make (S) in
   let topo, h = ("single2", Families.single 2) in
   let steps = if quick then 30_000 else 150_000 in
-  Format.printf "=== packed engine vs guard closures: cc3 on %s ===@." topo;
-  let t0 = Unix.gettimeofday () in
-  let pk = Pk_cc3.build h in
-  let build_s = Unix.gettimeofday () -. t0 in
-  let hooks = Pk_cc3.hooks pk in
+  Format.printf "=== runtime engines: cc3 on %s ===@." topo;
+  let hooks = Pk_cc3.hooks (Pk_cc3.build h) in
   (* (a) driver: meetings over the full monitored pipeline *)
   let module R = Snapcc_experiments.Driver.Make (S) in
   let driver ?packed () =
@@ -218,98 +225,54 @@ let run_engine_bench () =
   let meetings_per_s = float_of_int (meetings rc) /. dt_c in
   let meetings_per_s_packed = float_of_int (meetings rp) /. dt_p in
   Format.printf
-    "driver: build %.2fs  closures %.2fs  packed %.2fs  meetings/s %.0f -> \
-     %.0f  (x%.2f)@."
-    build_s dt_c dt_p meetings_per_s meetings_per_s_packed (dt_c /. dt_p);
-  (* (b) mp engine: raw steps under constant requests *)
-  let module E = Snapcc_mp.Mp_engine.Make (S) in
-  let inputs =
-    { Model.request_in = (fun _ -> true); request_out = (fun _ -> true) }
-  in
-  let mp_steps = steps * 4 in
-  let mp ?packed () =
-    let eng = E.create ~seed:1 ?packed h in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to mp_steps do
-      ignore (E.step eng ~inputs)
-    done;
-    (eng, Unix.gettimeofday () -. t0)
-  in
-  let ec, mt_c = mp () in
-  let ep, mt_p = mp ~packed:hooks () in
-  assert (E.engine_kind ep = `Packed);
-  assert (E.obs ec = E.obs ep);
-  assert (E.messages_delivered ec = E.messages_delivered ep);
-  let mp_steps_per_s = float_of_int mp_steps /. mt_c in
-  let mp_steps_per_s_packed = float_of_int mp_steps /. mt_p in
-  Format.printf
-    "mp:     closures %.2fs  packed %.2fs  steps/s %.0f -> %.0f  (x%.2f)@."
-    mt_c mt_p mp_steps_per_s mp_steps_per_s_packed (mt_c /. mt_p);
-  (* (c) observability tax.  Two measurements:
+    "driver: closures %.2fs  packed %.2fs  meetings/s %.0f -> %.0f  (x%.2f)@."
+    dt_c dt_p meetings_per_s meetings_per_s_packed (dt_c /. dt_p);
+  (* (b) observability tax, on the runner `ccsim mp` itself calls
+     ([Driver.Mp]: workload inputs and observation, engine step, the
+     observer's Spec + Metrics, all on a discard hub) with vector-clock
+     stamping on vs off.  Two kinds of figure:
 
-     - the raw microloop above re-run with a telemetry hub on a discard
-       sink and vector-clock stamping active (`mp_steps_per_s_stamped`,
-       informational: the bare packed step is ~100-150ns, so the ~40ns
-       per-event clock stamp is a visible multiple of it — the raw
-       microloop is a lower bound no observability layer can meet);
-     - the runner `ccsim mp` itself calls ([Driver.Mp]: workload
-       inputs and observation, engine step, the observer's Spec +
-       Metrics, all on the hub) with stamping on vs off
-       (`stamping_overhead`, CI-gated).  Each on/off pair runs
-       back-to-back and the reported overhead is the median pair ratio,
-       which cancels host frequency drift that a min-of-k cannot
-       (adjacent runs share the slow phase).  Steady state on this
-       instance is ~x1.13 (median of 101 pairs on a 2-core x86-64
-       container; single --quick readings spread 1.10-1.22 there): an
-       unchanged configuration costs the monitors O(1), so the unstamped
-       loop is short and the clock event a visible share of it.
+     - time: each on/off pair runs back-to-back and `stamping_overhead`
+       (CI-gated) is the median pair ratio, which cancels host frequency
+       drift that a min-of-k cannot (adjacent runs share the slow
+       phase).  An unchanged configuration costs the monitors O(1), so
+       the unstamped loop is short and the clock event a visible share
+       of it; any change that shortens the loop raises the ratio.
+     - allocation: minor words per step of the unstamped pipeline
+       (`mp_words_per_step`) and what stamping adds to it
+       (`stamping_words_per_step`), both CI-gated.  They are
+       deterministic, so they catch a per-event clock copy or a new
+       allocation in the loop at any loop length, where the time ratio
+       blurs.
 
      Stamping must not change the execution either way (obs equality
      per pair below; it never touches the rng). *)
   let module Tele = Snapcc_telemetry in
-  let discard_hub () =
-    let hub = Tele.Hub.create () in
-    Tele.Hub.add_sink hub
-      (Tele.Sink.custom ~emit:(fun _ -> ()) ~close:(fun () -> ()));
-    hub
-  in
-  let mp_stamped () =
-    let hub = discard_hub () in
-    let eng = E.create ~seed:1 ~telemetry:hub ~packed:hooks h in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to mp_steps do
-      ignore (E.step eng ~inputs)
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    Tele.Hub.close hub;
-    (eng, dt)
-  in
-  let es, mt_s = mp_stamped () in
-  assert (E.obs es = E.obs ep);
-  assert (E.messages_delivered es = E.messages_delivered ep);
-  let mp_steps_per_s_stamped = float_of_int mp_steps /. mt_s in
-  Format.printf
-    "mp:     stamped %.2fs  steps/s %.0f  (raw microloop x%.3f vs packed)@."
-    mt_s mp_steps_per_s_stamped (mt_s /. mt_p);
   let module Mp = Snapcc_experiments.Driver.Mp (S) in
+  let mp_steps = steps * 4 in
   let pipeline ~vclock () =
-    let hub = discard_hub () in
+    let hub = Tele.Hub.create () in
+    Tele.Hub.add_sink hub (Tele.Sink.custom ~emit:ignore ~close:ignore);
     let workload = Workload.always_requesting h in
+    let w0 = Gc.minor_words () in
     let t0 = Unix.gettimeofday () in
     let _, eng =
-      Mp.run ~seed:1 ~telemetry:hub ~vclock ~packed:hooks ~workload
-        ~steps:mp_steps h
+      Mp.run ~seed:1 ~telemetry:hub ~vclock ~workload ~steps:mp_steps h
     in
     let dt = Unix.gettimeofday () -. t0 in
+    let words = (Gc.minor_words () -. w0) /. float_of_int mp_steps in
     Tele.Hub.close hub;
-    (eng, dt)
+    (eng, dt, words)
   in
   ignore (pipeline ~vclock:false ());
+  let _, _, mp_words_per_step = pipeline ~vclock:false () in
+  let eng, _, stamped_words = pipeline ~vclock:true () in
+  let stamping_words_per_step = stamped_words -. mp_words_per_step in
   let pairs = 5 in
   let ratios =
     Array.init pairs (fun _ ->
-        let e0, pt_off = pipeline ~vclock:false () in
-        let e1, pt_on = pipeline ~vclock:true () in
+        let e0, pt_off, _ = pipeline ~vclock:false () in
+        let e1, pt_on, _ = pipeline ~vclock:true () in
         assert (Mp.E.obs e0 = Mp.E.obs e1);
         (pt_off, pt_on))
   in
@@ -322,24 +285,23 @@ let run_engine_bench () =
     "mp:     pipeline unstamped %.2fs  stamped %.2fs  (median overhead \
      x%.3f over %d pairs)@."
     pt_off pt_on stamping_overhead pairs;
-  let profile = E.profile ep in
+  Format.printf "mp:     %.1f minor words/step unstamped, stamping +%.1f@."
+    mp_words_per_step stamping_words_per_step;
+  let profile = Mp.E.profile eng in
   Format.printf "mp profile:";
   List.iter (fun (k, v) -> Format.printf "  %s=%d" k v) profile;
   Format.printf "@.@.";
   Json.Obj
     [ ("algo", Json.String "cc3"); ("topo", Json.String topo);
-      ("table_build_s", Json.Float build_s);
       ("driver_steps", Json.Int steps);
       ("meetings", Json.Int (meetings rc));
       ("meetings_per_s", Json.Float meetings_per_s);
       ("meetings_per_s_packed", Json.Float meetings_per_s_packed);
       ("driver_speedup", Json.Float (dt_c /. dt_p));
       ("mp_steps", Json.Int mp_steps);
-      ("mp_steps_per_s", Json.Float mp_steps_per_s);
-      ("mp_steps_per_s_packed", Json.Float mp_steps_per_s_packed);
-      ("mp_speedup", Json.Float (mt_c /. mt_p));
-      ("mp_steps_per_s_stamped", Json.Float mp_steps_per_s_stamped);
       ("stamping_overhead", Json.Float stamping_overhead);
+      ("mp_words_per_step", Json.Float mp_words_per_step);
+      ("stamping_words_per_step", Json.Float stamping_words_per_step);
       ("profile",
        Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) profile)) ]
 

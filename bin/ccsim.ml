@@ -96,14 +96,14 @@ let timeline_arg =
 let quick_arg =
   Arg.(value & flag & info [ "quick" ] ~doc:"Reduced sweeps (what the tests run).")
 
-(* Shared by `run', `mp', `smc', `net' and `check': which stepping
-   machinery to use.  `packed' serves `run' and `smc' guard scans from a
-   memo of closed-neighbourhood configurations, routes `mp' activations
-   through the exact guard/footprint tables of lib/mc (and, for `net',
-   switches the wire to packed-id/XOR-delta snapshot frames); whatever
-   neither covers falls back to the guard closures automatically, so
-   `packed' is always safe to default to — behavior is identical either
-   way, only speed and wire bytes differ. *)
+(* Shared by `run', `smc', `net' and `check': which stepping machinery
+   to use.  `packed' serves `run' and `smc' guard scans from a memo of
+   closed-neighbourhood configurations, switches the `net' wire to
+   packed-id/XOR-delta snapshot frames, and has `check' explore over the
+   exact guard/footprint tables of lib/mc; whatever none of these covers
+   falls back to the guard closures automatically, so `packed' is always
+   safe to default to — behavior is identical either way, only speed and
+   wire bytes differ. *)
 let engine_conv : [ `Packed | `Closure ] Arg.conv =
   Arg.enum [ ("packed", `Packed); ("closure", `Closure) ]
 
@@ -112,23 +112,19 @@ let engine_arg =
        & info [ "engine" ] ~docv:"ENGINE"
            ~doc:"Stepping engine: packed|closure.  `packed' (default) \
                  serves guard scans from a memo of neighbourhood \
-                 configurations (mp: from pre-enumerated configuration \
-                 tables where they fit the startup budget) and falls \
+                 configurations (net: sends packed-id snapshot frames; \
+                 check: explores over the exact guard tables) and falls \
                  back to the guard closures elsewhere; runs are \
                  trace-identical across engines.")
 
-(* The packed engine's hooks for a resolved system under the interactive
-   startup budget, and whether they carry tables: the tables bit-pack
-   configurations of at most 16 processes, and beyond that the hooks are
-   interner-only. *)
+(* The packed engine's hooks for a resolved system: an interner and an
+   empty scan memo, on any topology. *)
 let packed_hooks (type s) (module S : Snapcc_mc.System.S with type state = s)
-    engine h : (s Model.packed * bool) option =
+    engine h : s Model.packed option =
   let module Pk = Snapcc_mc.Packed.Make (S) in
   match engine with
   | `Closure -> None
-  | `Packed ->
-    let pk = Pk.try_build h in
-    Some (Pk.hooks pk, Pk.has_tables pk)
+  | `Packed -> Some (Pk.hooks (Pk.build h))
 
 let or_die = function
   | Ok v -> v
@@ -273,7 +269,7 @@ let run_cmd topo algo_name daemon_name workload_name steps seed disc random_init
     make_hub ~emit_trace ~emit_json ~emit_catapult ()
   in
   let record_trace = trace || timeline in
-  let packed = Option.map fst (packed_hooks (module S) engine h) in
+  let packed = packed_hooks (module S) engine h in
   let r =
     R.run ~seed ~init ?faults ?telemetry ~record_trace ?packed ~daemon ~workload
       ~steps h
@@ -309,7 +305,7 @@ let run_term =
 
 (* ---- mp (message-passing emulation) ---- *)
 
-let mp_cmd topo algo_name workload_name steps seed disc random_init bias engine
+let mp_cmd topo algo_name workload_name steps seed disc random_init bias
     no_vclock emit_trace emit_json =
   let _, h = (topo : string * H.t) in
   let workload = workload workload_name ~disc h in
@@ -319,29 +315,12 @@ let mp_cmd topo algo_name workload_name steps seed disc random_init bias engine
   let sys = or_die (Systems.lookup ~what:"mp" Systems.wired algo_name) in
   let (module S) = sys.Systems.sys in
   let module R = Driver.Mp (S) in
-  (* the mp engine looks activations up in the tables: without them the
-     hooks would only intern cores *)
-  let packed =
-    match packed_hooks (module S) engine h with
-    | Some (hooks, true) -> Some hooks
-    | Some (_, false) ->
-      Format.printf "engine: closure (packed tables need n <= 16)@.";
-      None
-    | None -> None
-  in
   let r, eng =
     R.run ~seed
       ~init:(if random_init then `Random else `Canonical)
-      ~deliver_bias:bias ~vclock:(not no_vclock) ?telemetry ?packed ~workload
-      ~steps h
+      ~deliver_bias:bias ~vclock:(not no_vclock) ?telemetry ~workload ~steps h
   in
   finish_telemetry ();
-  (match R.E.engine_kind eng with
-   | `Packed ->
-     let count key = List.assoc key (R.E.profile eng) in
-     Format.printf "engine: packed (tables served %d of %d activations)@."
-       (count "mp_pk_hits") (count "mp_activations")
-   | `Closure -> ());
   Format.printf "%s over message passing: %d steps, %d meetings, %d violations@."
     S.name steps
     (List.length r.Driver.convened)
@@ -378,7 +357,7 @@ let no_vclock_arg =
 let mp_term =
   Term.(
     const mp_cmd $ topology_arg $ algo_arg Systems.wired $ workload_arg
-    $ checked_steps_arg $ seed_arg $ disc_arg $ random_init_arg $ bias_arg $ engine_arg
+    $ checked_steps_arg $ seed_arg $ disc_arg $ random_init_arg $ bias_arg
     $ no_vclock_arg $ emit_trace_arg $ emit_json_arg)
 
 (* ---- net (networked multi-process runtime) ---- *)

@@ -186,11 +186,9 @@ module Mp (A : Model.ALGO) = struct
 
   let daemon = "mp-scheduler"
 
-  let run ?(seed = 0) ?(init = `Canonical) ?deliver_bias ?vclock ?packed
-      ?faults ?telemetry ~workload ~steps h =
-    let eng =
-      E.create ~seed ~init ?deliver_bias ?telemetry ?vclock ?packed h
-    in
+  let run ?(seed = 0) ?(init = `Canonical) ?deliver_bias ?vclock ?faults
+      ?telemetry ~workload ~steps h =
+    let eng = E.create ~seed ~init ?deliver_bias ?telemetry ?vclock h in
     let observer = Observer.create ?telemetry h ~initial:(E.obs eng) in
     let emit ev =
       match telemetry with Some hub -> Tele.Hub.emit hub ev | None -> ()

@@ -58,7 +58,7 @@ module Make (A : Snapcc_runtime.Model.ALGO) : sig
       (used to carry states across dynamic-topology changes).
 
       [init_states] overrides [init] with an explicit configuration.
-      [packed] routes the engine through the table-driven fast path (see
+      [packed] serves the engine's guard scans from the hooks' memo (see
       [Snapcc_runtime.Engine.Make.create]); results are trace-identical.
       [faults ~step] names the processes to corrupt before the given step
       (the monitor is notified, §2.5 exemptions apply).  When the engine
@@ -101,7 +101,6 @@ module Mp (A : Snapcc_runtime.Model.ALGO) : sig
     ?init:[ `Canonical | `Random ] ->
     ?deliver_bias:float ->
     ?vclock:bool ->
-    ?packed:A.state Snapcc_runtime.Model.packed ->
     ?faults:(step:int -> int list) ->
     ?telemetry:Snapcc_telemetry.Hub.t ->
     workload:Snapcc_workload.Workload.t ->
@@ -109,8 +108,8 @@ module Mp (A : Snapcc_runtime.Model.ALGO) : sig
     Snapcc_hypergraph.Hypergraph.t ->
     result * E.t
   (** [steps] scheduler events of the message-passing emulation
-      ({!Snapcc_mp.Mp_engine}: [seed], [init], [deliver_bias], [vclock]
-      and [packed] are its options), observed on the true (core)
+      ({!Snapcc_mp.Mp_engine}: [seed], [init], [deliver_bias] and
+      [vclock] are its options), observed on the true (core)
       configuration.  [faults ~step] names the processes to corrupt (cores,
       caches, adjacent channels) before the given step.  The result's
       daemon is ["mp-scheduler"], its rounds 0 and its outcome

@@ -16,7 +16,7 @@ module Cc1_sys
 (** CC1's committee layer over a token domain, as a checkable system.
     Exposed as a functor (not only through {!all}'s abstract packages) so
     tests and benchmarks that hold a {e typed} [Model.ALGO] instance can
-    build packed tables of the same state type. *)
+    build packed hooks of the same state type. *)
 
 module Cc23_sys
     (T : Snapcc_token.Layer.S)

@@ -12,23 +12,6 @@ module Make (A : Model.ALGO) = struct
     | Activated of int * string option
     | Delivered of int * int
 
-  (* Table-driven mirror of the transformation state: dense domain ids for
-     every core, cache entry and in-flight snapshot, and per-process packed
-     view configurations.  The typed states stay authoritative; the mirror
-     only replaces guard scans. *)
-  type pk = {
-    hooks : A.state Model.packed;
-    core_ids : int array;
-    cache_ids : int array array;  (* per process, per slot *)
-    chan_ids : int array array;  (* id carried by the pending snapshot *)
-    cfgs : int array array;
-        (* cfgs.(p): p's view as a global-indexed id vector — own core at
-           [p], caches at the neighbor indices; only support cells are read *)
-    ok : bool array;
-        (* table stored and support within the closed neighborhood: the
-           cells a message-passing view actually maintains *)
-  }
-
   type t = {
     h : H.t;
     sem : Sem.t;  (* scheduler, draws and clocks: the shared semantics *)
@@ -36,8 +19,6 @@ module Make (A : Model.ALGO) = struct
     views : View.t array;  (* per-process core + per-neighbor cache *)
     chan : A.state option array array;  (* chan.(p).(i): pending from i-th neighbor *)
     pending : int -> int -> bool;  (* [chan] as the scheduler reads it *)
-    actions : A.state Model.action array;
-    mutable pk : pk option;
     mutable carried : int array array array option;
         (* what stamping needs beside the semantics' clocks: carried.(p).(i)
            is the clock the snapshot pending in chan.(p).(i) carried, as
@@ -49,8 +30,6 @@ module Make (A : Model.ALGO) = struct
            activation or a corruption sets it, {!obs} re-projects *)
     mutable sent : int;
     mutable delivered : int;
-    mutable prof_pk_hits : int;
-    mutable prof_pk_fallbacks : int;
     mutable prof_activations : int;
     mutable prof_deliveries : int;
   }
@@ -65,8 +44,10 @@ module Make (A : Model.ALGO) = struct
     end;
     t.proj
 
+  (* [packed] is accepted and ignored: kept for bench/perf; ROADMAP item
+     1 removes it. *)
   let create ?(seed = 0) ?(init = `Canonical) ?(deliver_bias = 0.5) ?telemetry
-      ?(vclock = true) ?packed h =
+      ?(vclock = true) ?packed:_ h =
     let n = H.n h in
     let sem = Sem.create ~deliver_bias ~seed h in
     let c0 = Sem.initial sem init ~canonical:(A.init h) ~random:(A.random_init h) in
@@ -75,54 +56,10 @@ module Make (A : Model.ALGO) = struct
           View.create h ~self:p ~core:c0.Sem.cores.(p) ~cache:c0.Sem.caches.(p))
     in
     let chan = c0.Sem.in_flight in
-    let pk =
-      match packed with
-      | None -> None
-      | Some hooks -> (
-        let in_neighborhood p q = q = p || H.are_neighbors h p q in
-        let ok =
-          Array.init n (fun p ->
-              hooks.Model.pk_built p
-              && Array.for_all (in_neighborhood p) (hooks.Model.pk_support p))
-        in
-        match
-          let core_ids =
-            Array.init n (fun p -> hooks.Model.pk_intern p (View.core views.(p)))
-          in
-          let cache_ids =
-            Array.init n (fun p ->
-                Array.mapi
-                  (fun i q -> hooks.Model.pk_intern q (View.cache views.(p) i))
-                  (H.neighbors h p))
-          in
-          let chan_ids =
-            Array.init n (fun p ->
-                Array.mapi
-                  (fun i -> function
-                    | None -> -1
-                    | Some st -> hooks.Model.pk_intern (H.neighbors h p).(i) st)
-                  chan.(p))
-          in
-          let cfgs =
-            Array.init n (fun p ->
-                let cfg = Array.make n 0 in
-                cfg.(p) <- core_ids.(p);
-                Array.iteri
-                  (fun i q -> cfg.(q) <- cache_ids.(p).(i))
-                  (H.neighbors h p);
-                cfg)
-          in
-          { hooks; core_ids; cache_ids; chan_ids; cfgs; ok }
-        with
-        | pk -> Some pk
-        | exception Failure _ -> None)
-    in
     let t =
       { h; sem; telemetry; views; chan;
         pending = (fun p i -> Option.is_some chan.(p).(i));
-        actions = Array.of_list (A.actions h);
-        pk; carried = None; proj = [||]; stale = true; sent = 0;
-        delivered = 0; prof_pk_hits = 0; prof_pk_fallbacks = 0;
+        carried = None; proj = [||]; stale = true; sent = 0; delivered = 0;
         prof_activations = 0; prof_deliveries = 0 }
     in
     (match telemetry with
@@ -137,7 +74,6 @@ module Make (A : Model.ALGO) = struct
     t
 
   let hypergraph t = t.h
-  let engine_kind t = if t.pk = None then `Closure else `Packed
 
   let steps_taken t = Sem.steps t.sem
   let messages_delivered t = t.delivered
@@ -145,8 +81,7 @@ module Make (A : Model.ALGO) = struct
   let max_staleness t = Sem.max_staleness t.sem
 
   let profile t =
-    [ ("mp_pk_hits", t.prof_pk_hits);
-      ("mp_pk_fallbacks", t.prof_pk_fallbacks);
+    [ ("mp_pk_hits", 0);
       ("mp_activations", t.prof_activations);
       ("mp_deliveries", t.prof_deliveries) ]
 
@@ -171,9 +106,6 @@ module Make (A : Model.ALGO) = struct
     let msg = Some (View.core t.views.(p)) in
     for i = 0 to Array.length nbrs - 1 do
       let q = nbrs.(i) and slot = Sem.peer_slot t.sem p i in
-      (match t.pk with
-       | Some pk -> pk.chan_ids.(q).(slot) <- pk.core_ids.(p)
-       | None -> ());
       (match t.carried with
        | Some carried -> copy_into ~dst:carried.(q).(slot) (Sem.clock t.sem p)
        | None -> ());
@@ -181,53 +113,9 @@ module Make (A : Model.ALGO) = struct
       t.sent <- t.sent + 1
     done
 
-  (* Packed activation: one table lookup instead of the guard closure scan;
-     the statement still runs against the typed view.  [-2] (or an
-     out-of-neighborhood support) falls back to {!View.activate} and
-     re-interns the new core; an interner overflow drops the whole mirror
-     for the rest of the run. *)
-  let view_activate t ~inputs p =
-    match t.pk with
-    | None -> View.activate t.views.(p) ~inputs
-    | Some pk ->
-      let fallback () =
-        let label = View.activate t.views.(p) ~inputs in
-        (match t.pk with
-         | Some pk -> (
-           match pk.hooks.Model.pk_intern p (View.core t.views.(p)) with
-           | id ->
-             pk.core_ids.(p) <- id;
-             pk.cfgs.(p).(p) <- id
-           | exception Failure _ -> t.pk <- None)
-         | None -> ());
-        label
-      in
-      if not pk.ok.(p) then fallback ()
-      else begin
-        let e =
-          pk.hooks.Model.pk_entry ~mode:(Model.mode_of inputs p) ~proc:p
-            pk.cfgs.(p)
-        in
-        if e >= -1 then t.prof_pk_hits <- t.prof_pk_hits + 1
-        else t.prof_pk_fallbacks <- t.prof_pk_fallbacks + 1;
-        if e = -1 then None
-        else if e >= 0 then begin
-          let i = Model.entry_act e in
-          let ctx =
-            { Model.h = t.h; inputs; read = View.read t.views.(p); self = p }
-          in
-          View.set_core t.views.(p) (t.actions.(i).Model.apply ctx);
-          let id = Model.entry_succ e in
-          pk.core_ids.(p) <- id;
-          pk.cfgs.(p).(p) <- id;
-          Some t.actions.(i).Model.label
-        end
-        else fallback ()
-      end
-
   let activate t ~inputs p =
     t.prof_activations <- t.prof_activations + 1;
-    let label = view_activate t ~inputs p in
+    let label = View.activate t.views.(p) ~inputs in
     (* a no-op activation is a heartbeat, not an event *)
     let acted = Option.is_some label in
     if acted then t.stale <- true;
@@ -243,12 +131,6 @@ module Make (A : Model.ALGO) = struct
     t.prof_deliveries <- t.prof_deliveries + 1;
     View.refresh t.views.(p) ~slot:i msg;
     let src = (H.neighbors t.h p).(i) in
-    (match t.pk with
-     | Some pk ->
-       let id = pk.chan_ids.(p).(i) in
-       pk.cache_ids.(p).(i) <- id;
-       pk.cfgs.(p).(src) <- id
-     | None -> ());
     Sem.on_delivered t.sem ~dst:p ~slot:i
       ~carried:(match t.carried with Some c -> c.(p).(i) | None -> [||]);
     t.chan.(p).(i) <- None;
@@ -265,11 +147,14 @@ module Make (A : Model.ALGO) = struct
     | Sem.Deliver (p, i) -> deliver t p i
 
   let corrupt t ~victims =
+    (* every victim is checked before anything is emitted, drawn or
+       written: a rejected call leaves the engine as it was *)
+    if List.exists (fun p -> p < 0 || p >= H.n t.h) victims then
+      invalid_arg "mp corrupt: bad victim";
     Sem.stamp_initial t.sem;
     emit t (Tele.Event.Fault { step = Sem.steps t.sem; victims });
     List.iter
       (fun p ->
-        if p < 0 || p >= H.n t.h then invalid_arg "mp corrupt: bad victim";
         let d = Sem.corruption t.sem ~random:(A.random_init t.h) p in
         let nbrs = H.neighbors t.h p in
         View.set_core t.views.(p) d.Sem.core;
@@ -285,26 +170,6 @@ module Make (A : Model.ALGO) = struct
             end)
           d.Sem.forged;
         t.stale <- true;
-        Sem.on_corrupted t.sem p;
-        (* refresh the mirror for everything the fault rewrote *)
-        match t.pk with
-        | Some pk -> (
-          match
-            let id = pk.hooks.Model.pk_intern p (View.core t.views.(p)) in
-            pk.core_ids.(p) <- id;
-            pk.cfgs.(p).(p) <- id;
-            Array.iteri
-              (fun i q ->
-                let id = pk.hooks.Model.pk_intern q (View.cache t.views.(p) i) in
-                pk.cache_ids.(p).(i) <- id;
-                pk.cfgs.(p).(q) <- id;
-                match t.chan.(p).(i) with
-                | Some st -> pk.chan_ids.(p).(i) <- pk.hooks.Model.pk_intern q st
-                | None -> ())
-              nbrs
-          with
-          | () -> ()
-          | exception Failure _ -> t.pk <- None)
-        | None -> ())
+        Sem.on_corrupted t.sem p)
       victims
 end

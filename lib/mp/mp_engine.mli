@@ -20,8 +20,9 @@
 
     The scheduler, every random draw and the vector clocks are
     {!Mp_semantics}'s, shared with the networked runtime; this module adds
-    the in-memory transport: typed views, coalescing slots and the packed
-    id mirror. *)
+    the in-memory transport: typed views and coalescing slots.  An
+    activation evaluates the guard closures on the process's view
+    ({!Mp_view.Make.activate}). *)
 
 module Make (A : Snapcc_runtime.Model.ALGO) : sig
   type t
@@ -56,20 +57,10 @@ module Make (A : Snapcc_runtime.Model.ALGO) : sig
       touches the rng, so a stamped run is event-for-event identical to an
       unstamped one, and an unstamped run does no clock work.
 
-      [packed] enables the table-driven fast path: guard scans on each
-      activation become one packed-table lookup.  Strictly an accelerator — the typed
-      views stay authoritative, statements still execute, and a packed run
-      is event-for-event identical to the closure run of the same seed
-      (cells without a stored table, or whose support leaks outside the
-      closed neighborhood, transparently fall back to the guard
-      closures). *)
+      [packed] is accepted and ignored: kept for bench/perf; ROADMAP
+      item 1 removes it. *)
 
   val hypergraph : t -> Snapcc_hypergraph.Hypergraph.t
-
-  val engine_kind : t -> [ `Packed | `Closure ]
-  (** Which stepping path this run is on.  [`Packed] requires [?packed]
-      hooks at {!create} and degrades to [`Closure] permanently if the
-      interner ever overflows (never silently wrong, just slower). *)
 
   val obs : t -> Snapcc_runtime.Obs.t array
   (** Observation of the true (core) configuration.
@@ -96,14 +87,15 @@ module Make (A : Snapcc_runtime.Model.ALGO) : sig
 
   val corrupt : t -> victims:int list -> unit
   (** Transient fault: randomize the victims' cores, caches, and every
-      channel adjacent to them. *)
+      channel adjacent to them.  Raises [Invalid_argument] if a victim is
+      not a process, before emitting, drawing or writing anything. *)
 
   val max_staleness : t -> int
   (** Diagnostic: the largest number of steps any cache entry has gone
       without refresh, over the whole run. *)
 
   val profile : t -> (string * int) list
-  (** Cheap monotonic hot-path counters: [mp_pk_hits] (guard scans served
-      by the packed table), [mp_pk_fallbacks] (closure fallbacks on the
-      packed path), [mp_activations], [mp_deliveries]. *)
+  (** Cheap monotonic hot-path counters: [mp_activations],
+      [mp_deliveries], and [mp_pk_hits], always 0 (kept for bench/perf;
+      ROADMAP item 1 removes it). *)
 end

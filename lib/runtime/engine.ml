@@ -323,11 +323,14 @@ module Make (A : Model.ALGO) = struct
     go steps
 
   let corrupt t ?rng ~victims () =
+    (* every victim is checked before the first draw: a rejected call
+       leaves the engine as it was *)
+    if List.exists (fun p -> p < 0 || p >= H.n t.h) victims then
+      invalid_arg "Engine.corrupt: bad victim";
     let rng = match rng with Some r -> r | None -> t.rng in
     let next = Array.copy t.states in
     List.iter
       (fun p ->
-        if p < 0 || p >= H.n t.h then invalid_arg "Engine.corrupt: bad victim";
         next.(p) <- A.random_init t.h rng p;
         t.cont_enabled.(p) <- 0)
       victims;

@@ -66,8 +66,8 @@ module Make (A : Model.ALGO) : sig
       (arbitrary initial configuration of §2.5). *)
 
   val engine_kind : t -> [ `Packed | `Closure ]
-  (** The path currently in effect — [`Closure] when no tables were given
-      or after an interner overflow dropped the fast path. *)
+  (** The path currently in effect — [`Closure] when no [packed] hooks
+      were given or after an interner overflow dropped the fast path. *)
 
   val hypergraph : t -> Snapcc_hypergraph.Hypergraph.t
   val states : t -> A.state array
@@ -108,7 +108,8 @@ module Make (A : Model.ALGO) : sig
   (** Transient-fault injection: replaces the state of each victim with an
       arbitrary one ([A.random_init]), resetting round accounting the way an
       adversary would — the engine's round counter keeps increasing, but
-      fairness counters restart. *)
+      fairness counters restart.  Raises [Invalid_argument] if a victim is
+      not a process, before drawing or writing anything. *)
 
   val rng : t -> Random.State.t
 

@@ -53,31 +53,18 @@ type step_report = {
 }
 
 (* The packed fast path is produced by [Snapcc_mc.Packed] (this library
-   cannot depend on the checker, so the hooks are closures).  A packed
-   configuration is the vector of dense per-process state ids of the
-   interned declared domains.  [Engine] reads only [pk_intern] and
-   [pk_memo]; [Mp_engine] reads the exact tables through [pk_entry] with
-   the [Snapcc_mc.Tables] conventions: [-1] = nothing enabled, [-2] =
-   unavailable (no stored table for the process, or an escapee id in its
-   support), [>= 0] = packed (action, changes, reads, successor id). *)
+   cannot depend on the checker, so the hooks are closures): an interner
+   of canonical states into dense per-process ids, and the scan memo
+   [Engine] keys on the ids of each closed neighbourhood. *)
 type 'state packed = {
-  pk_entry : mode:int -> proc:int -> int array -> int;
   pk_intern : int -> 'state -> int;
-      (* canonicalize + intern; raises [Failure] when escapees overflow the
-         id headroom, which consumers treat as "fall back to closures" *)
-  pk_support : int -> int array;
-  pk_built : int -> bool;  (* stored table available for the process *)
+      (* canonicalize + intern; raises [Failure] past the interner's bound,
+         which [Engine] treats as "fall back to closures" *)
   pk_memo : Memo.t;  (* shared by every engine built from these hooks *)
 }
 
-let entry_act e = e land 0x3f
-let entry_succ e = e lsr 23
-
 (* Per-process uniform input mode, indexing [input_modes]: bit 0 =
-   [request_in self], bit 1 = [request_out self].  Sound for table lookups
-   because the tables enumerate guards under uniform modes and the
-   algorithms only consult the input predicates at [self] (checked by
-   [ccsim lint]'s footprint analysis). *)
+   [request_in self], bit 1 = [request_out self]. *)
 let mode_of inputs p =
   (if inputs.request_in p then 1 else 0)
   lor if inputs.request_out p then 2 else 0

@@ -68,45 +68,30 @@ module type ALGO = sig
     Snapcc_hypergraph.Hypergraph.t -> state array -> int -> Obs.t
 end
 
-(** Hooks of the packed-configuration fast path (engine-agnostic closures,
-    produced by [Snapcc_mc.Packed] — this library cannot see the checker).
-    A packed configuration is the vector of dense per-process state ids of
-    the interned declared domains ([pk_intern]).
-
-    The two engines read different halves.  {!Engine} keys its {!Memo}
-    ([pk_memo]) on the ids of each closed neighbourhood and needs nothing
-    enumerated.  [Snapcc_mp.Mp_engine] looks activations up in the exact
-    tables: [pk_entry] returns [-1] (nothing enabled), [-2] (unavailable:
-    no stored table, or an escapee id in the support — the caller must
-    fall back to the guard closures), or a packed entry whose action index
-    and successor id {!entry_act} / {!entry_succ} decode. *)
+(** Hooks of {!Engine}'s packed fast path (engine-agnostic closures,
+    produced by [Snapcc_mc.Packed] — this library cannot see the
+    checker).  {!Engine} mirrors the configuration as dense per-process
+    ids of canonical states ([pk_intern]) and keys its scan {!Memo}
+    ([pk_memo]) on the ids of each closed neighbourhood; nothing is
+    enumerated in advance. *)
 type 'state packed = {
-  pk_entry : mode:int -> proc:int -> int array -> int;
   pk_intern : int -> 'state -> int;
-      (** canonicalize + intern a state, assigning escapee ids beyond the
-          domain; raises [Failure] on id-headroom overflow, which consumers
-          treat as "disable the fast path for the rest of the run" *)
-  pk_support : int -> int array;
-      (** processes read by the table of [p] (ascending, includes [p]) *)
-  pk_built : int -> bool;  (** a stored table exists for the process *)
+      (** canonicalize + intern a state, assigning a fresh id on first
+          sight; raises [Failure] past the interner's per-process bound,
+          which {!Engine} treats as "disable the fast path for the rest of
+          the run" *)
   pk_memo : Memo.t;
       (** the scan memo, filled by every {!Engine} built from these hooks
           (so every smc trial of one worker shares it), allocated on its
           first miss *)
 }
 
-val entry_act : int -> int
-val entry_succ : int -> int
-(** Field accessors of a packed entry [>= 0] (the [Snapcc_mc.Tables]
-    encoding, duplicated here so the runtime needs no checker dependency —
-    pinned against drift by the packed parity tests). *)
-
 val mode_of : inputs -> int -> int
 (** The uniform input mode a process experiences under per-process inputs:
     bit 0 = [request_in p], bit 1 = [request_out p], indexing
-    {!input_modes}.  Exact for table lookups because the algorithms only
-    consult the input predicates at [self]; the memo keys the mode of every
-    process of the neighbourhood, so it needs no such assumption. *)
+    {!input_modes}.  {!Engine} tracks it per process to find the entries
+    an input change invalidates, and its memo keys the mode of every
+    process of the neighbourhood. *)
 
 type step_report = {
   step : int;  (** 0-based index of the step just taken *)

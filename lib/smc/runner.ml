@@ -32,11 +32,11 @@ type cfg = {
   sprt_within : int option;
 }
 
-(* The hooks are built here, in the parent, so forked workers inherit
-   them instead of re-enumerating per worker; each worker then fills its
-   own copy of the scan memo, which every trial it runs shares.  A memo
-   answer equals the guard closures' answer, so records stay a pure
-   function of (seed, trial). *)
+(* The hooks are built here, in the parent, and forked workers inherit
+   them: each worker then fills its own copy of the interner and the scan
+   memo, which every trial it runs shares.  A memo answer equals the
+   guard closures' answer, so records stay a pure function of (seed,
+   trial). *)
 let trial_fn cfg =
   match Systems.lookup ~what:"smc" Systems.any cfg.algo with
   | Error _ as e -> e
@@ -47,7 +47,7 @@ let trial_fn cfg =
     let packed =
       match cfg.engine with
       | `Closure -> None
-      | `Packed -> Some (Pk.hooks (Pk.try_build cfg.topo))
+      | `Packed -> Some (Pk.hooks (Pk.build cfg.topo))
     in
     Ok
       (fun i ->

@@ -415,7 +415,7 @@ module Shared (S : Snapcc_mc.System.S) = struct
      horizon and a [set_states] at two thirds. *)
   let lockstep ?(cells = false) ?(workload = standard_workloads) ~name ~daemon ~engines
       ~steps h =
-    let hooks = Pk.hooks (Pk.try_build h) in
+    let hooks = Pk.hooks (Pk.build h) in
     let actions = Array.of_list (S.actions h) in
     let n = H.n h in
     let diverged = ref None and nonlocal = ref 0 in

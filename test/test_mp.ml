@@ -154,20 +154,53 @@ let test_obs_identity () =
   obs_identity ~telemetry:hub ();
   check "clocks stamped" true (!clocks > 1_000)
 
+(* A rejected corruption is checked before the engine emits, draws or
+   writes anything: the engine steps on exactly like one that never saw
+   the call — same events, observations and telemetry, clock stamps
+   included. *)
+let test_corrupt_rejected () =
+  let h = Families.fig1 () in
+  let engine () =
+    let b = Buffer.create 4096 in
+    let hub = Tele.Hub.create () in
+    Tele.Hub.add_sink hub (Tele.Sink.jsonl (Buffer.add_string b));
+    (E.create ~seed:5 ~init:`Random ~telemetry:hub h, hub, b,
+     Workload.always_requesting h)
+  in
+  let touched, hub_t, buf_t, w_t = engine () in
+  let clean, hub_c, buf_c, w_c = engine () in
+  let step eng w i =
+    let ev = E.step eng ~inputs:(Workload.inputs w (E.obs eng)) in
+    Workload.observe w ~step:i (E.obs eng);
+    ev
+  in
+  let same_obs () = Array.for_all2 Obs.equal (E.obs touched) (E.obs clean) in
+  for i = 1 to 50 do
+    ignore (step touched w_t i);
+    ignore (step clean w_c i)
+  done;
+  (match E.corrupt touched ~victims:[ 0; 1; 99 ] with
+   | () -> Alcotest.fail "victim 99 must be rejected"
+   | exception Invalid_argument _ -> ());
+  check "observation untouched" true (same_obs ());
+  for i = 51 to 250 do
+    check (Printf.sprintf "step %d: same event" i) true
+      (step touched w_t i = step clean w_c i)
+  done;
+  check "same final observation" true (same_obs ());
+  Tele.Hub.close hub_t;
+  Tele.Hub.close hub_c;
+  check "same event stream" true (Buffer.contents buf_t = Buffer.contents buf_c)
+
 (* ---- pinned trace digests ---- *)
 
 (* MD5 of the whole JSONL trace of one [Driver.Mp] run: random start, half
-   the processes corrupted mid-run, clocks stamped.  With [packed] the
-   engine runs on [Packed] hooks at the startup cap; on ring9 and fig4
-   those tables serve no activation, so the hooks change only how the
-   scheduler holds its pending set, and both runs must hash alike.  At
-   bias 0.95 both forced branches of the scheduler's decision fire. *)
+   the processes corrupted mid-run, clocks stamped.  At bias 0.95 both
+   forced branches of the scheduler's decision fire. *)
 let digest_steps = 4_000
 
-let trace_digest (module S : Snapcc_mc.System.S) ~packed ~bias h =
+let trace_digest (module S : Snapcc_mc.System.S) ~bias h =
   let module R = Snapcc_experiments.Driver.Mp (S) in
-  let module Pk = Snapcc_mc.Packed.Make (S) in
-  let hooks = if packed then Some (Pk.hooks (Pk.try_build h)) else None in
   let b = Buffer.create (1 lsl 20) in
   let hub = Tele.Hub.create () in
   Tele.Hub.add_sink hub (Tele.Sink.jsonl (Buffer.add_string b));
@@ -176,13 +209,11 @@ let trace_digest (module S : Snapcc_mc.System.S) ~packed ~bias h =
     if step = digest_steps / 2 then List.init (max 1 (n / 2)) (fun k -> 2 * k mod n)
     else []
   in
-  let _, eng =
-    R.run ~seed:7 ~init:`Random ~deliver_bias:bias ?packed:hooks ~faults
-      ~telemetry:hub ~workload:(Workload.always_requesting h)
-      ~steps:digest_steps h
+  let _ =
+    R.run ~seed:7 ~init:`Random ~deliver_bias:bias ~faults ~telemetry:hub
+      ~workload:(Workload.always_requesting h) ~steps:digest_steps h
   in
   Tele.Hub.close hub;
-  if packed then check "packed hooks in use" true (R.E.engine_kind eng = `Packed);
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 (* Recorded before the two runtimes shared one scheduler decision. *)
@@ -215,10 +246,7 @@ let test_pinned_trace_digests () =
           (Option.get (Snapcc_mc.Systems.resolve algo)).Snapcc_mc.Systems.sys
         in
         let h = Families.by_name topo and bias = float_of_string bias in
-        Alcotest.(check string) (name ^ " closure") expected
-          (trace_digest sys ~packed:false ~bias h);
-        Alcotest.(check string) (name ^ " packed") expected
-          (trace_digest sys ~packed:true ~bias h)
+        Alcotest.(check string) name expected (trace_digest sys ~bias h)
       | _ -> Alcotest.failf "bad golden name %s" name)
     trace_goldens
 
@@ -228,6 +256,8 @@ let suite =
         Alcotest.test_case "scheduler progresses" `Quick test_scheduler_fairness;
         Alcotest.test_case "determinism" `Quick test_determinism;
         Alcotest.test_case "fault injection" `Quick test_corrupt;
+        Alcotest.test_case "rejected corrupt changes nothing" `Quick
+          test_corrupt_rejected;
         Alcotest.test_case "CC2/mp fairness + safety core" `Slow
           test_mp_cc2_serves_everyone;
         Alcotest.test_case "staleness exercised" `Quick test_max_staleness_grows;

@@ -1,9 +1,9 @@
-(* The packed-engine parity contract: a run routed through the packed
-   guard/footprint tables (driver, mp engine, networked wire) is
-   trace-identical to the closure run of the same seed — same enabled
-   sets, same daemon draws, same observable events.  Plus the XOR-delta
-   snapshot codec: exact round-trips, and every malformed or out-of-sync
-   frame degrades to a resync/reject, never to a wrong state. *)
+(* The packed-engine parity contract: a run whose guard scans the memo
+   serves (driver) or whose snapshots travel as packed ids (networked
+   wire) is trace-identical to the closure run of the same seed — same
+   enabled sets, same daemon draws, same observable events.  Plus the
+   XOR-delta snapshot codec: exact round-trips, and every malformed or
+   out-of-sync frame degrades to a resync/reject, never to a wrong state. *)
 
 module H = Snapcc_hypergraph.Hypergraph
 module Families = Snapcc_hypergraph.Families
@@ -19,13 +19,14 @@ module Codec = Net.Codec
 module Delta = Net.Delta
 module Faults = Net.Faults
 module Systems = Snapcc_mc.Systems
+module Memo = Snapcc_runtime.Memo
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 (* Typed System.S instances of the paper's algorithms, sharing the state
    types of X.Cc1/Cc2/Cc3 through OCaml's applicative functors — the
-   bridge that lets the engines consume lib/mc's packed tables. *)
+   bridge that lets the engines consume lib/mc's packed hooks. *)
 module Cursor_off = struct
   let cursor = false
 end
@@ -56,6 +57,7 @@ struct
   module R = Driver.Make (A)
   module Pk = Snapcc_mc.Packed.Make (Sys)
 
+  (* Returns the packed run's memo hits and fallbacks. *)
   let run_pair ~name ~hooks ~mk_workload ~init ~seed ~steps h =
     let go packed =
       R.run ?packed ~seed ~init ~daemon:(Daemon.random_subset ())
@@ -72,16 +74,19 @@ struct
       (rc.Driver.violations = rp.Driver.violations);
     check (name ^ ": final configuration") true
       (Array.for_all2 Obs.equal rc.Driver.final_obs rp.Driver.final_obs);
-    match (rc.Driver.trace, rp.Driver.trace) with
-    | Some t1, Some t2 ->
-      check (name ^ ": step-for-step trace") true
-        (Trace.entries t1 = Trace.entries t2)
-    | _ -> Alcotest.fail (name ^ ": trace not recorded")
+    (match (rc.Driver.trace, rp.Driver.trace) with
+     | Some t1, Some t2 ->
+       check (name ^ ": step-for-step trace") true
+         (Trace.entries t1 = Trace.entries t2)
+     | _ -> Alcotest.fail (name ^ ": trace not recorded"));
+    let count key = List.assoc key rp.Driver.profile in
+    (count "engine_scan_hits", count "engine_scan_fallbacks")
 
-  (* full sweep on one topology: every input mode x init x seed *)
-  let sweep ?cap ~algo ~topo ~seeds ~steps h =
-    let pk = Pk.build ?cap h in
-    let hooks = Pk.hooks pk in
+  (* full sweep on one topology, every input mode x init x seed, on one
+     hooks value; returns the memo hits over the sweep *)
+  let sweep ~algo ~topo ~seeds ~steps h =
+    let hooks = Pk.hooks (Pk.build h) in
+    let hits = ref 0 in
     List.iter
       (fun (mode, mk_workload) ->
         List.iter
@@ -93,92 +98,127 @@ struct
                     (match init with `Canonical -> "canon" | `Random -> "rand")
                     seed
                 in
-                run_pair ~name ~hooks ~mk_workload ~init ~seed ~steps h)
+                let served, _ =
+                  run_pair ~name ~hooks ~mk_workload ~init ~seed ~steps h
+                in
+                hits := !hits + served)
               seeds)
           [ `Canonical; `Random ])
       (input_modes h);
-    pk
+    !hits
 end
 
 module P1 = Driver_parity (X.Cc1) (Sys_cc1)
 module P2 = Driver_parity (X.Cc2) (Sys_cc2)
 module P3 = Driver_parity (X.Cc3) (Sys_cc3)
 
+(* Each sweep must actually have exercised the memo. *)
+let driver_sweeps ~topo ~seeds ~steps h =
+  let served algo hits =
+    check (algo ^ "/" ^ topo ^ ": memo served scans") true (hits > 0)
+  in
+  served "cc1" (P1.sweep ~algo:"cc1" ~topo ~seeds ~steps h);
+  served "cc2" (P2.sweep ~algo:"cc2" ~topo ~seeds ~steps h);
+  served "cc3" (P3.sweep ~algo:"cc3" ~topo ~seeds ~steps h)
+
 let test_driver_parity_single2 () =
-  let h = Families.single 2 in
-  let seeds = [ 1; 5 ] and steps = 2_000 in
-  let pk1 = P1.sweep ~algo:"cc1" ~topo:"single2" ~seeds ~steps h in
-  let pk2 = P2.sweep ~algo:"cc2" ~topo:"single2" ~seeds ~steps h in
-  let pk3 = P3.sweep ~algo:"cc3" ~topo:"single2" ~seeds ~steps h in
-  (* the sweep above must actually have exercised the table path *)
-  check "cc1 tables built" true (P1.Pk.built pk1);
-  check "cc2 tables built" true (P2.Pk.built pk2);
-  check "cc3 tables built" true (P3.Pk.built pk3)
+  driver_sweeps ~topo:"single2" ~seeds:[ 1; 5 ] ~steps:2_000 (Families.single 2)
 
 let test_driver_parity_line3 () =
-  let h = Families.path 3 in
-  let seeds = [ 2 ] and steps = 1_500 in
-  let pk1 = P1.sweep ~algo:"cc1" ~topo:"line3" ~seeds ~steps h in
-  let pk2 = P2.sweep ~algo:"cc2" ~topo:"line3" ~seeds ~steps h in
-  let pk3 = P3.sweep ~algo:"cc3" ~topo:"line3" ~seeds ~steps h in
-  check "cc1 tables built" true (P1.Pk.built pk1);
-  check "cc2 tables built" true (P2.Pk.built pk2);
-  check "cc3 tables built" true (P3.Pk.built pk3)
+  driver_sweeps ~topo:"line3" ~seeds:[ 2 ] ~steps:1_500 (Families.path 3)
 
-(* Skipped tables (enumeration over the cap) must degrade to the guard
-   closures process by process, never change behaviour.  ring5/cc2 under a
-   tiny cap skips everything (pure fallback through the packed plumbing);
-   line3/cc1 probes for a cap that builds some processes but not others
-   (the mixed path: table hits and closure cells in the same run). *)
-let test_driver_parity_capped_fallback () =
-  let h5 = Families.by_name "ring5" in
-  let pk = P2.Pk.build ~cap:64 h5 in
-  check "ring5/cc2 capped build skips" true (P2.Pk.coverage pk < 1.0);
-  let mk_workload () = Workload.always_requesting h5 in
-  P2.run_pair ~name:"cc2/ring5/capped" ~hooks:(P2.Pk.hooks pk) ~mk_workload
-    ~init:`Random ~seed:3 ~steps:1_200 h5;
-  let h3 = Families.path 3 in
-  let mixed =
-    List.find_opt
-      (fun cap ->
-        let pk = P1.Pk.build ~cap h3 in
-        let c = P1.Pk.coverage pk in
-        c > 0.0 && c < 1.0)
-      [ 500; 5_000; 50_000; 500_000; 5_000_000 ]
+(* Hooks under a small bound must degrade to the guard closures, never
+   change behaviour.  [capped_pair] steps a closure engine and a packed
+   one from the same random start, corrupting every process of both at
+   the [faults] steps, and checks every report and observation.  It
+   returns where the packed engine dropped to closures — the step and
+   whether a corruption's re-intern or a step's did it, with the memo
+   hits at that point — and the memo hits at the end. *)
+module E2 = P2.R.E
+
+let capped_pair ~name ~hooks ~faults ~steps h =
+  let engine packed =
+    ( E2.create ~seed:3 ~init:`Random ?packed
+        ~daemon:(Daemon.random_subset ()) h,
+      Workload.always_requesting h )
   in
-  match mixed with
-  | None -> ()  (* no cap separates line3's processes; pure paths suffice *)
-  | Some cap ->
-    let pk = P1.Pk.build ~cap h3 in
-    let mk_workload () = Workload.always_requesting h3 in
-    P1.run_pair ~name:"cc1/line3/mixed" ~hooks:(P1.Pk.hooks pk) ~mk_workload
-      ~init:`Random ~seed:4 ~steps:1_500 h3
+  let ec, wc = engine None and ep, wp = engine (Some hooks) in
+  let hits () = List.assoc "engine_scan_hits" (E2.profile ep) in
+  let dropped = ref None in
+  let note i how =
+    if !dropped = None && E2.engine_kind ep = `Closure then
+      dropped := Some (i, how, hits ())
+  in
+  for i = 0 to steps - 1 do
+    if List.mem i faults then begin
+      let victims = List.init (H.n h) Fun.id in
+      E2.corrupt ec ~victims ();
+      E2.corrupt ep ~victims ();
+      note i `Corrupt
+    end;
+    let rc = E2.step ec ~inputs:(Workload.inputs wc (E2.obs ec)) in
+    let rp = E2.step ep ~inputs:(Workload.inputs wp (E2.obs ep)) in
+    if rc <> rp then Alcotest.failf "%s: step %d reports differ" name i;
+    Workload.observe wc ~step:i (E2.obs ec);
+    Workload.observe wp ~step:i (E2.obs ep);
+    if not (Array.for_all2 Obs.equal (E2.obs ec) (E2.obs ep)) then
+      Alcotest.failf "%s: step %d configurations differ" name i;
+    note i `Step
+  done;
+  (!dropped, hits ())
 
-(* Beyond 16 processes the tables cannot pack a configuration, and
-   [try_build] hands out interner-only hooks: no stored table, yet the
+(* (a) An interner bounded at [cap] states per process overflows mid-run,
+   in a step (Engine.step's handler) and in a corruption
+   (Engine.reintern's): the run stays identical, the engine reads
+   [`Closure] from then on, and the memo serves nothing more.  (b) A memo
+   of 4 entries per process stops storing (Memo.add's full table), so
+   more scans fall back than on the default memo, with the same trace. *)
+let test_capped_hooks () =
+  let h = Families.by_name "ring5" in
+  let steps = 1_200 in
+  let overflow ~name ~cap ~faults ~how =
+    let hooks = P2.Pk.hooks (P2.Pk.build ~cap h) in
+    match capped_pair ~name ~hooks ~faults ~steps h with
+    | None, _ -> Alcotest.failf "%s: the interner never overflowed" name
+    | Some (i, how', at_drop), at_end ->
+      check (name ^ ": dropped mid-run") true (i > 0 && i < steps - 1);
+      check (name ^ ": dropped where expected") true (how' = how);
+      check (name ^ ": memo served before") true (at_drop > 0);
+      check_int (name ^ ": memo serves nothing after") at_drop at_end
+  in
+  overflow ~name:"cc2/ring5/cap32" ~cap:32 ~faults:[] ~how:`Step;
+  overflow ~name:"cc2/ring5/cap128+faults" ~cap:128
+    ~faults:(List.init 100 (fun k -> 200 + (10 * k)))
+    ~how:`Corrupt;
+  let mk_workload () = Workload.always_requesting h in
+  let pair name hooks =
+    P2.run_pair ~name ~hooks ~mk_workload ~init:`Random ~seed:3 ~steps h
+  in
+  let _, fallbacks = pair "cc2/ring5/memo" (P2.Pk.hooks (P2.Pk.build h)) in
+  let small =
+    { (P2.Pk.hooks (P2.Pk.build h)) with Model.pk_memo = Memo.create ~cap:4 h }
+  in
+  let _, fallbacks_small = pair "cc2/ring5/memo-cap4" small in
+  check "a full memo falls back more" true (fallbacks_small > fallbacks)
+
+(* Any topology gets interner-only hooks, 24 processes included: the
    driver's memo serves scans on them, trace-identical to the closures. *)
 let test_driver_parity_beyond_16 () =
   let h = Families.pair_ring 24 in
-  let pk = P2.Pk.try_build h in
-  check "ring24: no tables" false (P2.Pk.has_tables pk);
-  check "ring24: coverage 0" true (P2.Pk.coverage pk = 0.0);
-  let hooks = P2.Pk.hooks pk in
-  check "ring24: no stored table" false
-    (List.exists hooks.Model.pk_built (List.init (H.n h) Fun.id));
-  let mk_workload () = Workload.always_requesting h in
-  P2.run_pair ~name:"cc2/ring24/interner-only" ~hooks ~mk_workload ~init:`Random
-    ~seed:6 ~steps:1_500 h;
-  let r =
-    P2.R.run ~packed:hooks ~seed:7 ~init:`Random ~daemon:(Daemon.random_subset ())
-      ~workload:(mk_workload ()) ~steps:300 h
+  let hits, _ =
+    P2.run_pair ~name:"cc2/ring24" ~hooks:(P2.Pk.hooks (P2.Pk.build h))
+      ~mk_workload:(fun () -> Workload.always_requesting h)
+      ~init:`Random ~seed:6 ~steps:1_500 h
   in
-  check "ring24: memo hits" true (List.assoc "engine_scan_hits" r.Driver.profile > 0)
+  check "ring24: memo hits" true (hits > 0)
 
 (* The ablation and the baselines take the packed engine through the same
-   catalog path as the paper's algorithms; their tables cover anywhere
-   from none to all of the processes under the interactive budget. *)
+   catalog path as the paper's algorithms.  Each algorithm's runs must
+   have been served by the memo, and some run must mix memo answers with
+   closure scans (misses, and scans that read beyond N[p] — Central's
+   coordinator — which are never stored). *)
 let test_driver_parity_catalog () =
-  let coverages = ref [] in
+  let mixed = ref false in
   List.iter
     (fun name ->
       let r =
@@ -188,89 +228,23 @@ let test_driver_parity_catalog () =
       in
       let (module S) = r.Systems.sys in
       let module P = Driver_parity (S) (S) in
-      List.iter
-        (fun topo ->
-          let h = Families.by_name topo in
-          let pk = P.Pk.build ~cap:Snapcc_mc.Packed.startup_cap h in
-          coverages := P.Pk.coverage pk :: !coverages;
-          P.run_pair ~name:(name ^ "/" ^ topo) ~hooks:(P.Pk.hooks pk)
-            ~mk_workload:(fun () -> Workload.always_requesting h)
-            ~init:`Random ~seed:3 ~steps:1_500 h)
-        [ "fig1"; "ring6"; "ring4" ])
-    [ "dining"; "central"; "token-only"; "cc1-no-token" ];
-  check "some run is fully table-driven" true (List.mem 1.0 !coverages);
-  check "some run falls back to closures" true
-    (List.exists (fun c -> c < 1.0) !coverages)
-
-(* ---- mp-engine parity ---- *)
-
-module Mp_parity
-    (A : Model.ALGO)
-    (Sys : Snapcc_mc.System.S with type state = A.state) =
-struct
-  module E = Snapcc_mp.Mp_engine.Make (A)
-  module Pk = Snapcc_mc.Packed.Make (Sys)
-
-  (* Two engines, same seed, each feeding its own workload from its own
-     observations; corrupt both mid-run.  Configurations must agree at
-     every comparison point, counters at the end. *)
-  let run_pair ~name ~hooks ~init ~seed ~steps h =
-    let go packed = E.create ?packed ~seed ~init h in
-    let ec = go None in
-    let ep = go (Some hooks) in
-    check (name ^ ": fast path on") true (E.engine_kind ep = `Packed);
-    let wc = Workload.always_requesting h in
-    let wp = Workload.always_requesting h in
-    for i = 1 to steps do
-      if i = steps / 2 then begin
-        E.corrupt ec ~victims:[ 0 ];
-        E.corrupt ep ~victims:[ 0 ]
-      end;
-      let e1 = E.step ec ~inputs:(Workload.inputs wc (E.obs ec)) in
-      let e2 = E.step ep ~inputs:(Workload.inputs wp (E.obs ep)) in
-      check (name ^ ": same event") true (e1 = e2);
-      Workload.observe wc ~step:i (E.obs ec);
-      Workload.observe wp ~step:i (E.obs ep);
-      if i mod 100 = 0 then
-        check (name ^ ": same configuration") true
-          (Array.for_all2 Obs.equal (E.obs ec) (E.obs ep))
-    done;
-    check (name ^ ": still packed") true (E.engine_kind ep = `Packed);
-    check_int (name ^ ": sends") (E.messages_sent ec) (E.messages_sent ep);
-    check_int (name ^ ": deliveries") (E.messages_delivered ec)
-      (E.messages_delivered ep);
-    check_int (name ^ ": staleness") (E.max_staleness ec) (E.max_staleness ep);
-    check (name ^ ": final configuration") true
-      (Array.for_all2 Obs.equal (E.obs ec) (E.obs ep))
-end
-
-module M1 = Mp_parity (X.Cc1) (Sys_cc1)
-module M2 = Mp_parity (X.Cc2) (Sys_cc2)
-module M3 = Mp_parity (X.Cc3) (Sys_cc3)
-
-let test_mp_parity () =
-  let h = Families.single 2 in
-  let hooks1 = M1.Pk.hooks (M1.Pk.build h) in
-  let hooks2 = M2.Pk.hooks (M2.Pk.build h) in
-  let hooks3 = M3.Pk.hooks (M3.Pk.build h) in
-  List.iter
-    (fun (seed, init) ->
-      let tag =
-        Printf.sprintf "seed%d/%s" seed
-          (match init with `Canonical -> "canon" | `Random -> "rand")
+      let hits =
+        List.fold_left
+          (fun acc topo ->
+            let h = Families.by_name topo in
+            let hits, fallbacks =
+              P.run_pair ~name:(name ^ "/" ^ topo)
+                ~hooks:(P.Pk.hooks (P.Pk.build h))
+                ~mk_workload:(fun () -> Workload.always_requesting h)
+                ~init:`Random ~seed:3 ~steps:1_500 h
+            in
+            if hits > 0 && fallbacks > 0 then mixed := true;
+            acc + hits)
+          0 [ "fig1"; "ring6"; "ring4" ]
       in
-      M1.run_pair ~name:("mp cc1 " ^ tag) ~hooks:hooks1 ~init ~seed
-        ~steps:3_000 h;
-      M2.run_pair ~name:("mp cc2 " ^ tag) ~hooks:hooks2 ~init ~seed
-        ~steps:3_000 h;
-      M3.run_pair ~name:("mp cc3 " ^ tag) ~hooks:hooks3 ~init ~seed
-        ~steps:3_000 h)
-    [ (1, `Canonical); (9, `Random) ]
-
-let test_mp_parity_line3 () =
-  let h = Families.path 3 in
-  let hooks = M1.Pk.hooks (M1.Pk.build h) in
-  M1.run_pair ~name:"mp cc1 line3" ~hooks ~init:`Random ~seed:7 ~steps:4_000 h
+      check (name ^ ": memo served scans") true (hits > 0))
+    [ "dining"; "central"; "token-only"; "cc1-no-token" ];
+  check "some run mixes memo answers and closure scans" true !mixed
 
 (* ---- networked wire parity ---- *)
 
@@ -568,12 +542,10 @@ let suite =
           test_driver_parity_line3;
         Alcotest.test_case "driver parity beyond 16 procs" `Quick
           test_driver_parity_beyond_16;
-        Alcotest.test_case "capped tables fall back soundly" `Slow
-          test_driver_parity_capped_fallback;
+        Alcotest.test_case "capped hooks fall back soundly" `Slow
+          test_capped_hooks;
         Alcotest.test_case "driver parity: ablation and baselines" `Slow
           test_driver_parity_catalog;
-        Alcotest.test_case "mp parity (all algorithms)" `Quick test_mp_parity;
-        Alcotest.test_case "mp parity on line3" `Slow test_mp_parity_line3;
         Alcotest.test_case "net wire parity, zero faults" `Quick
           test_net_parity_zero_fault;
         Alcotest.test_case "net wire parity, faulty soak" `Slow

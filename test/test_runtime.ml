@@ -190,6 +190,44 @@ let test_corrupt () =
   let outcome = Toy_engine.run eng ~steps:100 ~inputs_at:(fun _ -> Model.no_inputs) () in
   check "recovers to terminal" true (outcome = `Terminal)
 
+(* A rejected corruption is checked before the engine draws or writes
+   anything: after twenty steps, a call naming a missing process leaves
+   the rng, the fairness counters and the configuration as they were, so
+   the engine steps on exactly like one that never saw the call. *)
+module Cc2_engine = Snapcc_runtime.Engine.Make (Snapcc_experiments.Algos.Cc2)
+
+let test_corrupt_rejected () =
+  let module Workload = Snapcc_workload.Workload in
+  let h = Families.fig1 () in
+  let engine () =
+    ( Cc2_engine.create ~seed:3 ~init:`Random
+        ~daemon:(Daemon.random_subset ()) h,
+      Workload.always_requesting h )
+  in
+  let touched, w_t = engine () and clean, w_c = engine () in
+  let step eng w =
+    let inputs = Workload.inputs w (Cc2_engine.obs eng) in
+    let r = Cc2_engine.step eng ~inputs in
+    Workload.observe w ~step:r.Model.step (Cc2_engine.obs eng);
+    r
+  in
+  let same_obs () =
+    Array.for_all2 Obs.equal (Cc2_engine.obs touched) (Cc2_engine.obs clean)
+  in
+  for _ = 1 to 20 do
+    ignore (step touched w_t);
+    ignore (step clean w_c)
+  done;
+  (match Cc2_engine.corrupt touched ~victims:[ 0; 99 ] () with
+   | () -> Alcotest.fail "victim 99 must be rejected"
+   | exception Invalid_argument _ -> ());
+  check "observation untouched" true (same_obs ());
+  for i = 1 to 200 do
+    check (Printf.sprintf "step %d after the call: same report" i) true
+      (step touched w_t = step clean w_c)
+  done;
+  check "same final observation" true (same_obs ())
+
 let test_daemons_select_subset () =
   let daemons = Daemon.all_standard () in
   List.iter
@@ -271,6 +309,8 @@ let suite =
         Alcotest.test_case "daemon contract enforced" `Quick test_daemon_contract;
         Alcotest.test_case "locality checking" `Quick test_locality_check;
         Alcotest.test_case "fault injection and recovery" `Quick test_corrupt;
+        Alcotest.test_case "rejected corrupt changes nothing" `Quick
+          test_corrupt_rejected;
         Alcotest.test_case "standard daemons select subsets" `Quick
           test_daemons_select_subset;
         Alcotest.test_case "trace convene/terminate detection" `Quick
