@@ -15,10 +15,12 @@ module Make (Sys : System.S) = struct
     procs : proc_store array;
     dom : int array;  (** declared-domain sizes *)
     width : int array;  (** key bits per process *)
-    packed : bool;  (** total bits fit one word *)
+    off : int array;  (** first key bit of each process *)
+    kw : int;  (** key words *)
   }
 
   let n t = Array.length t.procs
+  let key_words t = t.kw
   let domain_count t p = t.dom.(p)
   let count t p = Vec.length t.procs.(p).states
   let state t p id = Vec.get t.procs.(p).states id
@@ -30,6 +32,20 @@ module Make (Sys : System.S) = struct
   let ceil_log2 x =
     let rec go w = if 1 lsl w >= x then w else go (w + 1) in
     go 0
+
+  (* A key is a bit string cut into words of [key_bits] bits; process [p]
+     owns bits [off.(p) .. off.(p) + width.(p) - 1] and may straddle two
+     words. *)
+  let key_bits = 62
+
+  let layout h procs dom width =
+    let n = Array.length width in
+    let off = Array.make n 0 in
+    for p = 1 to n - 1 do
+      off.(p) <- off.(p - 1) + width.(p - 1)
+    done;
+    let total = Array.fold_left ( + ) 0 width in
+    { h; procs; dom; width; off; kw = max 1 ((total + key_bits - 1) / key_bits) }
 
   let raw_intern t p s =
     let ps = t.procs.(p) in
@@ -59,8 +75,7 @@ module Make (Sys : System.S) = struct
     let dom = Array.map List.length domains in
     (* 4x headroom so a few escapees don't break the packing *)
     let width = Array.map (fun d -> ceil_log2 (4 * max 1 d)) dom in
-    let total = Array.fold_left ( + ) 0 width in
-    let t = { h; procs; dom; width; packed = total <= 62 } in
+    let t = layout h procs dom width in
     Array.iteri
       (fun p states ->
         List.iter (fun s -> ignore (raw_intern t p (Sys.canon h p s))) states;
@@ -71,12 +86,9 @@ module Make (Sys : System.S) = struct
 
   let on_demand ~width h =
     let n = H.n h in
-    { h;
-      procs =
-        Array.init n (fun _ -> { tbl = Tbl.create 256; states = Vec.create () });
-      dom = Array.make n 0;
-      width = Array.make n width;
-      packed = n * width <= 62 }
+    layout h
+      (Array.init n (fun _ -> { tbl = Tbl.create 256; states = Vec.create () }))
+      (Array.make n 0) (Array.make n width)
 
   let escapees t =
     List.concat
@@ -85,59 +97,110 @@ module Make (Sys : System.S) = struct
              (count t p - t.dom.(p))
              (fun i -> (p, state t p (t.dom.(p) + i)))))
 
-  type table = { mutable cnt : int; impl : impl }
-  and impl = P of (int, int) Hashtbl.t | W of (string, int) Hashtbl.t
+  (* Open addressing with linear probing.  A slot holds [-1] (empty) or
+     a configuration id in its low [cid_bits] bits under 22 bits of its
+     key's hash, so a probe that misses seldom reads a key.  [keys] holds
+     [kw] words per configuration id; [slots] doubles before it gets more
+     than three quarters full. *)
+  type table = {
+    enc : t;
+    key : int array;  (** the key being looked up or rehashed *)
+    keys : int Vec.t;
+    mutable slots : int array;
+    mutable cnt : int;
+  }
+
+  let cid_bits = 40
+  let cid_mask = (1 lsl cid_bits) - 1
+  let tag_mask = ((1 lsl (62 - cid_bits)) - 1) lsl cid_bits
 
   let table t =
-    { cnt = 0;
-      impl =
-        (if t.packed then P (Hashtbl.create (1 lsl 16))
-         else W (Hashtbl.create (1 lsl 16))) }
+    { enc = t; key = Array.make t.kw 0; keys = Vec.create ();
+      slots = Array.make 4096 (-1); cnt = 0 }
 
   let table_count tb = tb.cnt
 
-  let key_int t (cfg : int array) =
-    let key = ref 0 in
+  let pack tb cfg =
+    let t = tb.enc and key = tb.key in
+    Array.fill key 0 t.kw 0;
     for p = 0 to Array.length cfg - 1 do
-      key := (!key lsl t.width.(p)) lor cfg.(p)
-    done;
-    !key
+      let j = t.off.(p) / key_bits and s = t.off.(p) mod key_bits in
+      key.(j) <- key.(j) lor ((cfg.(p) lsl s) land ((1 lsl key_bits) - 1));
+      if s + t.width.(p) > key_bits then
+        key.(j + 1) <- key.(j + 1) lor (cfg.(p) lsr (key_bits - s))
+    done
 
-  let key_str t (cfg : int array) =
-    let buf = Buffer.create 16 in
-    let acc = ref 0 and bits = ref 0 in
-    for p = 0 to Array.length cfg - 1 do
-      acc := (!acc lsl t.width.(p)) lor cfg.(p);
-      bits := !bits + t.width.(p);
-      while !bits >= 8 do
-        bits := !bits - 8;
-        Buffer.add_char buf (Char.chr ((!acc lsr !bits) land 0xff))
-      done
-    done;
-    if !bits > 0 then Buffer.add_char buf (Char.chr (!acc land ((1 lsl !bits) - 1)));
-    Buffer.contents buf
+  let config_ids tb cid =
+    let t = tb.enc and base = cid * tb.enc.kw in
+    Array.init (Array.length t.width) (fun p ->
+        let j = t.off.(p) / key_bits and s = t.off.(p) mod key_bits in
+        let v = Vec.get tb.keys (base + j) lsr s in
+        let v =
+          if s + t.width.(p) > key_bits then
+            v lor (Vec.get tb.keys (base + j + 1) lsl (key_bits - s))
+          else v
+        in
+        v land ((1 lsl t.width.(p)) - 1))
 
-  let find_or_add t tb cfg =
-    let add_new () =
+  (* Multiplicative hashing of [tb.key], word by word, with the high bits
+     folded down before and after each multiplication. *)
+  let hash tb =
+    let x = ref 0 in
+    for j = 0 to tb.enc.kw - 1 do
+      let y = !x lxor tb.key.(j) in
+      let y = (y lxor (y lsr 32)) * 0x2545F4914F6CDD1D in
+      x := y lxor (y lsr 29)
+    done;
+    !x
+
+  let stored_key_is tb cid =
+    let base = cid * tb.enc.kw in
+    let j = ref 0 in
+    while !j < tb.enc.kw && Vec.get tb.keys (base + !j) = tb.key.(!j) do
+      incr j
+    done;
+    !j = tb.enc.kw
+
+  (* The slot holding [tb.key] (hashed to [x]), or the empty one where it
+     belongs. *)
+  let probe tb x =
+    let slots = tb.slots in
+    let mask = Array.length slots - 1 and tag = x land tag_mask in
+    let i = ref (x land mask) in
+    while
+      let c = slots.(!i) in
+      c >= 0
+      && not (c land tag_mask = tag && stored_key_is tb (c land cid_mask))
+    do
+      i := (!i + 1) land mask
+    done;
+    !i
+
+  let grow tb =
+    let kw = tb.enc.kw in
+    tb.slots <- Array.make (2 * Array.length tb.slots) (-1);
+    for cid = 0 to tb.cnt - 1 do
+      for j = 0 to kw - 1 do
+        tb.key.(j) <- Vec.get tb.keys ((cid * kw) + j)
+      done;
+      let x = hash tb in
+      tb.slots.(probe tb x) <- (x land tag_mask) lor cid
+    done
+
+  let find_or_add tb cfg =
+    pack tb cfg;
+    let x = hash tb in
+    let i = probe tb x in
+    let c = tb.slots.(i) in
+    if c >= 0 then c land cid_mask
+    else begin
       let cid = tb.cnt in
+      for j = 0 to tb.enc.kw - 1 do
+        Vec.push tb.keys tb.key.(j)
+      done;
       tb.cnt <- cid + 1;
-      `New cid
-    in
-    match tb.impl with
-    | P h -> (
-      let k = key_int t cfg in
-      match Hashtbl.find_opt h k with
-      | Some cid -> `Existing cid
-      | None ->
-        let r = add_new () in
-        Hashtbl.add h k (tb.cnt - 1);
-        r)
-    | W h -> (
-      let k = key_str t cfg in
-      match Hashtbl.find_opt h k with
-      | Some cid -> `Existing cid
-      | None ->
-        let r = add_new () in
-        Hashtbl.add h k (tb.cnt - 1);
-        r)
+      if 4 * tb.cnt > 3 * Array.length tb.slots then grow tb
+      else tb.slots.(i) <- (x land tag_mask) lor cid;
+      cid
+    end
 end

@@ -7,10 +7,11 @@
     declaration missed (a closure failure the checker reports).
 
     A configuration is the vector of its per-process state ids, packed into
-    a single key: each process contributes [ceil log2 (4 * domain_count)]
-    bits (headroom for escapees), and when the total fits a 62-bit word the
-    key is one boxed-free [int] — the common case on the small instances the
-    checker targets — with a byte-string fallback otherwise. *)
+    a key: each process contributes [ceil log2 (4 * domain_count)] bits
+    (headroom for escapees), and the key is cut into [ceil (bits / 62)]
+    words — one word on every catalog instance of at most 62 key bits.
+    The configuration table stores each key once, indexed by configuration
+    id, and finds it through an open-addressing table of ids. *)
 
 module Make (Sys : System.S) : sig
   type t
@@ -23,9 +24,6 @@ module Make (Sys : System.S) : sig
       is assigned on first sight (all of them escapees, to {!escapees}),
       and {!intern} raises [Failure] past [2^width] states of one
       process. *)
-
-  val n : t -> int
-  (** Number of processes. *)
 
   val domain_count : t -> int -> int
   val product_size : t -> float
@@ -49,14 +47,23 @@ module Make (Sys : System.S) : sig
   val escapees : t -> (int * Sys.state) list
   (** [(process, state)] pairs interned beyond the declared domain. *)
 
-  (** Configuration-key table: maps packed configurations to dense
-      configuration ids (assigned in discovery order). *)
+  val key_words : t -> int
+  (** Words per configuration key. *)
+
+  (** Configuration table: maps packed configurations to dense
+      configuration ids (assigned in discovery order) and back.  A lookup
+      allocates nothing; the keys grow in chunks and are never copied,
+      and the slot array doubles and is rehashed from them. *)
   type table
 
   val table : t -> table
   val table_count : table -> int
 
-  val find_or_add : t -> table -> int array -> [ `Existing of int | `New of int ]
-  (** Look the per-process id vector up, assigning the next configuration
-      id if new. *)
+  val find_or_add : table -> int array -> int
+  (** The configuration id of a per-process id vector.  A vector not seen
+      before gets the next id, which is [table_count] before the call. *)
+
+  val config_ids : table -> int -> int array
+  (** The per-process id vector of a configuration id, decoded from its
+      stored key. *)
 end

@@ -27,16 +27,21 @@ module Make (Sys : System.S) = struct
   module Enc = Encode.Make (Sys)
   module Tb = Tables.Make (Sys)
 
+  (* The store costs a few words per configuration: its key and table
+     slot in [table], then [par], [info], [meets] and [estart], plus one
+     word per in+out edge.  Which committees have every member waiting is
+     recomputed on demand: only terminal configurations and livelock
+     witnesses ask. *)
   type result = {
     h : H.t;
     enc : Enc.t;
-    configs : int Vec.t;  (** flat, [n] state ids per configuration *)
+    table : Enc.table;  (** configuration ids over packed keys *)
     meets : int Vec.t;  (** per cid: bitmask of meeting committees *)
-    waitm : int Vec.t;  (** per cid: bitmask of all-members-waiting committees *)
-    enab_inout : int Vec.t;  (** per cid: enabled procs under in+out *)
     par : int Vec.t;  (** per cid: parent cid, [-1] for roots *)
-    par_mode : int Vec.t;
-    par_sel : int Vec.t;
+    info : int Vec.t;
+        (** per cid: [(((enabled lsl n) lor sel) lsl 3) lor (mode + 1)],
+            [enabled] the in+out enabled mask (set once processed), [mode]
+            and [sel] the step from the parent ([-1] and [0] for roots) *)
     edges : int Vec.t;
         (** in+out words: [(((dst lsl 1) lor conv) lsl n) lor selmask],
             [conv] = the {e raw} transition convened a meeting *)
@@ -65,27 +70,34 @@ module Make (Sys : System.S) = struct
   let dead_actions r =
     List.filter_map (fun (l, c) -> if c = 0 then Some l else None) (action_counts r)
 
-  let config_ids r cid =
-    let n = Enc.n r.enc in
-    Array.init n (fun p -> Vec.get r.configs ((cid * n) + p))
+  let config_ids r cid = Enc.config_ids r.table cid
+  let states_of_ids enc ids = Array.mapi (fun p id -> Enc.state enc p id) ids
 
-  let states_of_config r cid =
-    Array.mapi (fun p id -> Enc.state r.enc p id) (config_ids r cid)
+  let obs_of_states h sts =
+    Array.init (Array.length sts) (fun p -> Sys.observe h sts p)
 
-  let obs_of_config r cid =
-    let sts = states_of_config r cid in
-    Array.init (Array.length sts) (fun p -> Sys.observe r.h sts p)
-
+  let states_of_config r cid = states_of_ids r.enc (config_ids r cid)
+  let obs_of_config r cid = obs_of_states r.h (states_of_config r cid)
   let domain_index r p s = Enc.find r.enc p s
   let domain_state r p id = Enc.state r.enc p id
-  let enabled_inout r cid = Vec.get r.enab_inout cid
+  let par_mode r cid = (Vec.get r.info cid land 7) - 1
+  let par_sel r cid = (Vec.get r.info cid lsr 3) land ((1 lsl H.n r.h) - 1)
+  let enabled_inout r cid = Vec.get r.info cid lsr (H.n r.h + 3)
   let meets_mask r cid = Vec.get r.meets cid
-  let committee_waiting r cid = Vec.get r.waitm cid <> 0
+
+  let committee_waiting r cid =
+    let obs = obs_of_config r cid in
+    let rec from e =
+      e < H.m r.h
+      && (Array.for_all (fun q -> Obs.is_waiting obs.(q)) (H.edge_members r.h e)
+         || from (e + 1))
+    in
+    from 0
 
   let succs_inout r cid =
     if cid >= Vec.length r.estart then []
     else begin
-      let n = Enc.n r.enc in
+      let n = H.n r.h in
       let lo = Vec.get r.estart cid in
       let hi =
         if cid + 1 < Vec.length r.estart then Vec.get r.estart (cid + 1)
@@ -97,7 +109,7 @@ module Make (Sys : System.S) = struct
     end
 
   let convening r src dst =
-    let n = Enc.n r.enc in
+    let n = H.n r.h in
     if src >= Vec.length r.estart then
       meets_mask r dst land lnot (meets_mask r src) <> 0
     else begin
@@ -137,14 +149,17 @@ module Make (Sys : System.S) = struct
     let root, chain = quotient_path r cid in
     let root_ids = config_ids r root in
     match r.grp with
-    | None -> (root_ids, List.map (fun (c, _) -> (Vec.get r.par_mode c, bits_list (Vec.get r.par_sel c))) chain, None)
+    | None ->
+        ( root_ids,
+          List.map (fun (c, _) -> (par_mode r c, bits_list (par_sel r c))) chain,
+          None )
     | Some grp ->
         let hp = ref grp.Symmetry.elems.(0) in
         let steps =
           List.map
             (fun (child, parent) ->
-              let mode = Vec.get r.par_mode child
-              and sel = Vec.get r.par_sel child in
+              let mode = par_mode r child
+              and sel = par_sel r child in
               let raw = r.raw_step (config_ids r parent) mode sel in
               let w =
                 if Symmetry.in_domain grp raw then
@@ -204,7 +219,7 @@ module Make (Sys : System.S) = struct
       i
     in
     let raw_step cfg mode selmask =
-      let sts = Array.mapi (fun p id -> Enc.state enc p id) cfg in
+      let sts = states_of_ids enc cfg in
       let read p = sts.(p) in
       let inputs = mode_inputs.(mode) in
       let out = Array.copy cfg in
@@ -223,13 +238,10 @@ module Make (Sys : System.S) = struct
     in
     let r =
       { h; enc;
-        configs = Vec.create ();
+        table = Enc.table enc;
         meets = Vec.create ();
-        waitm = Vec.create ();
-        enab_inout = Vec.create ();
         par = Vec.create ();
-        par_mode = Vec.create ();
-        par_sel = Vec.create ();
+        info = Vec.create ();
         edges = Vec.create ();
         estart = Vec.create ();
         counts = Array.make nact 0;
@@ -247,37 +259,29 @@ module Make (Sys : System.S) = struct
                (List.init e1 (fun e2 ->
                     if H.conflicting h e1 e2 then [ (e1, e2) ] else []))))
     in
-    let table = Enc.table enc in
-    let queue = Queue.create () in
     let capped = ref false in
     let stop = ref false in
-    let discover ~parent cfg =
-      if Enc.table_count table >= max_configs then begin
+    (* The configuration id of [cfg], storing it if new; [-1] once the
+       store is full.  Ids are handed out in discovery order, which is
+       also the BFS order: the queue is the range of stored but
+       unprocessed ids. *)
+    let discover ~mode ~sel ~parent cfg =
+      let cnt = Enc.table_count r.table in
+      if cnt >= max_configs then begin
         capped := true;
-        None
+        -1
       end
       else
-        match Enc.find_or_add enc table cfg with
-        | `Existing cid -> Some cid
-        | `New cid ->
-          Array.iter (fun id -> Vec.push r.configs id) cfg;
-          let obs = obs_of_config r cid in
-          let mm = ref 0 and wm = ref 0 in
+        let cid = Enc.find_or_add r.table cfg in
+        if cid = cnt then begin
+          let obs = obs_of_states h (states_of_ids enc cfg) in
+          let mm = ref 0 in
           for e = 0 to m - 1 do
-            if Obs.meets h obs e then mm := !mm lor (1 lsl e);
-            if
-              Array.for_all
-                (fun q -> Obs.is_waiting obs.(q))
-                (H.edge_members h e)
-            then wm := !wm lor (1 lsl e)
+            if Obs.meets h obs e then mm := !mm lor (1 lsl e)
           done;
           Vec.push r.meets !mm;
-          Vec.push r.waitm !wm;
-          Vec.push r.enab_inout 0;
-          let pc, pm, ps = parent in
-          Vec.push r.par pc;
-          Vec.push r.par_mode pm;
-          Vec.push r.par_sel ps;
+          Vec.push r.par parent;
+          Vec.push r.info ((sel lsl 3) lor (mode + 1));
           List.iter
             (fun (e1, e2) ->
               if !mm land (1 lsl e1) <> 0 && !mm land (1 lsl e2) <> 0 then begin
@@ -293,10 +297,11 @@ module Make (Sys : System.S) = struct
                   :: r.viols;
                 if stop_on_first then stop := true
               end)
-            conflicts;
-          Queue.add cid queue;
-          Some cid
+            conflicts
+        end;
+        cid
     in
+    let discover_root cfg = ignore (discover ~mode:(-1) ~sel:0 ~parent:(-1) cfg) in
     (* lazily streamed roots *)
     let root_cursor = Array.make n 0 in
     let roots_exhausted = ref false in
@@ -334,18 +339,13 @@ module Make (Sys : System.S) = struct
     let scratch = Array.make n 0 in
     let succ_ids = Array.make n 0 in
     let act_idx = Array.make n (-1) in
-    let obs_of_ids ids =
-      let sts = Array.mapi (fun p id -> Enc.state enc p id) ids in
-      Array.init n (fun p -> Sys.observe h sts p)
-    in
-    let processed = ref 0 in
     let process cid =
       assert (Vec.length r.estart = cid);
       Vec.push r.estart (Vec.length r.edges);
       let cfg = config_ids r cid in
-      let sts = states_of_config r cid in
+      let sts = states_of_ids enc cfg in
       let read p = sts.(p) in
-      let before_obs = lazy (obs_of_config r cid) in
+      let before_obs = lazy (obs_of_states h sts) in
       let bm = Vec.get r.meets cid in
       for mode = 0 to Array.length mode_inputs - 1 do
         if not !stop then begin
@@ -369,7 +369,8 @@ module Make (Sys : System.S) = struct
               if i >= 0 then enabled := !enabled lor (1 lsl p)
             end
           done;
-          if mode = inout_mode then Vec.set r.enab_inout cid !enabled;
+          if mode = inout_mode then
+            Vec.set r.info cid (Vec.get r.info cid lor (!enabled lsl (n + 3)));
           let full = !enabled in
           if full <> 0 then begin
             let sub = ref full in
@@ -393,9 +394,8 @@ module Make (Sys : System.S) = struct
                     (rep, gi)
                 | _ -> (scratch, 0)
               in
-              (match discover ~parent:(cid, mode, s) target with
-              | None -> ()
-              | Some dst ->
+              let dst = discover ~mode ~sel:s ~parent:cid target in
+              if dst >= 0 then begin
                 r.transitions <- r.transitions + 1;
                 for p = 0 to n - 1 do
                   if s land (1 lsl p) <> 0 then
@@ -414,13 +414,11 @@ module Make (Sys : System.S) = struct
                   Vec.push r.edges ((((dst lsl 1) lor conv) lsl n) lor s)
                 end;
                 if am <> bm then begin
-                  (* a meeting convened or broke up: judge the transition
-                     with the runtime monitor, before as initial (§2.5) *)
+                  (* a meeting convened or broke up: judge the raw
+                     transition with the runtime monitor, before as
+                     initial (§2.5) *)
                   let before = Lazy.force before_obs in
-                  let after =
-                    if gi <> 0 then obs_of_ids scratch
-                    else obs_of_config r dst
-                  in
+                  let after = obs_of_states h (states_of_ids enc scratch) in
                   let spec = Spec.create h ~initial:before in
                   Spec.on_step spec ~step:0
                     ~request_out:inputs.Model.request_out ~before ~after;
@@ -435,46 +433,42 @@ module Make (Sys : System.S) = struct
                         :: r.viols;
                       if stop_on_first then stop := true)
                     (Spec.violations spec)
-                end);
+                end
+              end;
               let nxt = (s - 1) land full in
               if nxt = 0 then continue_ := false else sub := nxt
             done
           end
         end
       done;
-      incr processed;
-      if !processed land 0x3fff = 0 then
+      if Vec.length r.estart land 0x3fff = 0 then
         Option.iter
           (fun f ->
-            f ~configs:(Enc.table_count table) ~transitions:r.transitions)
+            f ~configs:(Enc.table_count r.table) ~transitions:r.transitions)
           on_progress
     in
     let rec loop () =
       if !stop || !capped then ()
+      else if Vec.length r.estart < n_configs r then begin
+        process (Vec.length r.estart);
+        loop ()
+      end
       else
-        match Queue.take_opt queue with
-        | Some cid ->
-          process cid;
+        match next_root () with
+        | Some cfg ->
+          (match (grp, roots) with
+          | Some g, `Domain ->
+            (* the root odometer streams every orbit's lex-least member
+               itself, so non-canonical roots are skipped outright *)
+            let rep, _ = Symmetry.canonical g cfg in
+            if rep = cfg then discover_root cfg
+          | Some g, `States _ ->
+            discover_root
+              (if Symmetry.in_domain g cfg then fst (Symmetry.canonical g cfg)
+               else cfg)
+          | None, _ -> discover_root cfg);
           loop ()
-        | None -> (
-          match next_root () with
-          | Some cfg ->
-            (match (grp, roots) with
-            | Some g, `Domain ->
-              (* the root odometer streams every orbit's lex-least member
-                 itself, so non-canonical roots are skipped outright *)
-              let rep, _ = Symmetry.canonical g cfg in
-              if rep = cfg then ignore (discover ~parent:(-1, -1, 0) cfg)
-            | Some g, `States _ ->
-              let cfg =
-                if Symmetry.in_domain g cfg then
-                  fst (Symmetry.canonical g cfg)
-                else cfg
-              in
-              ignore (discover ~parent:(-1, -1, 0) cfg)
-            | None, _ -> ignore (discover ~parent:(-1, -1, 0) cfg));
-            loop ()
-          | None -> r.complete_ <- true)
+        | None -> r.complete_ <- true
     in
     loop ();
     r

@@ -63,8 +63,10 @@ let find_cycle ~succs ~in_comp witness =
 let analyze ~n ~n_configs ~succs ~convenes ~enabled_mask ~committee_waiting () =
   let idx = Array.make n_configs (-1) in
   let low = Array.make n_configs 0 in
-  let on = Array.make n_configs false in
+  (* a vertex leaves the stack exactly when [handle_scc] numbers it, so
+     it is on the stack iff it has an index and no component yet *)
   let sccid = Array.make n_configs (-1) in
+  let on_stack v = idx.(v) >= 0 && sccid.(v) < 0 in
   let stack = Vec.create () in
   let counter = ref 0 in
   let n_sccs = ref 0 in
@@ -120,7 +122,6 @@ let analyze ~n ~n_configs ~succs ~convenes ~enabled_mask ~committee_waiting () =
     low.(v0) <- !counter;
     incr counter;
     Vec.push stack v0;
-    on.(v0) <- true;
     let frames = ref [ (v0, ref (succs v0)) ] in
     while !frames <> [] do
       let v, rest = List.hd !frames in
@@ -132,10 +133,9 @@ let analyze ~n ~n_configs ~succs ~convenes ~enabled_mask ~committee_waiting () =
           low.(w) <- !counter;
           incr counter;
           Vec.push stack w;
-          on.(w) <- true;
           frames := (w, ref (succs w)) :: !frames
         end
-        else if on.(w) then low.(v) <- min low.(v) idx.(w)
+        else if on_stack w then low.(v) <- min low.(v) idx.(w)
       | [] ->
         frames := List.tl !frames;
         (match !frames with
@@ -146,7 +146,6 @@ let analyze ~n ~n_configs ~succs ~convenes ~enabled_mask ~committee_waiting () =
           let brk = ref false in
           while not !brk do
             let w = Vec.pop stack in
-            on.(w) <- false;
             comp := w :: !comp;
             if w = v then brk := true
           done;

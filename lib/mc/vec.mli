@@ -1,8 +1,16 @@
-(** Growable arrays (amortized O(1) push), the checker's workhorse store:
-    configurations, transition words and parent pointers all live in flat
-    vectors indexed by configuration id. *)
+(** Growable arrays, the checker's workhorse store: configuration keys,
+    per-state words, transition words and parent pointers all live in
+    vectors indexed by configuration id.
+
+    A vector grows in fixed chunks of {!chunk} slots, so a push never
+    copies a long vector and leaves less than one chunk of slack.  Only
+    the first chunk starts small (8 slots) and doubles up to {!chunk}, so
+    a short vector costs no more than a plain growable array. *)
 
 type 'a t
+
+val chunk : int
+(** Slots per chunk. *)
 
 val create : unit -> 'a t
 val length : 'a t -> int
@@ -10,7 +18,7 @@ val push : 'a t -> 'a -> unit
 
 val pop : 'a t -> 'a
 (** Remove and return the last element; raises [Invalid_argument] when
-    empty. *)
+    empty.  The chunk it leaves is kept for the next push. *)
 
 val get : 'a t -> int -> 'a
 val set : 'a t -> int -> 'a -> unit

@@ -141,6 +141,118 @@ let test_encode_roundtrip () =
   done;
   check "product counts the domain" true (Enc.product_size enc >= 2304.)
 
+(* ---- a key wider than one word ---- *)
+
+(* cc3 over the tree token on ring6 packs 64 key bits into two words.
+   The roots are the ones `ccsim check --sample 3 --seed 1` draws; the
+   counts are pinned from the former store, which keyed this instance by
+   byte strings. *)
+let test_wide_key () =
+  let entry = system "cc3" in
+  let module S = (val entry.Systems.make "tree") in
+  let module Enc = Encode.Make (S) in
+  let module Ex = Explore.Make (S) in
+  let h = Families.pair_ring 6 in
+  let enc = Enc.create h in
+  checki "two key words" 2 (Enc.key_words enc);
+  (* Process 5's field straddles the word boundary, and only ids in the
+     escapee headroom (up to 4x the domain) set its high bits: draw ids
+     over that whole range.  5000 keys also cross a rehash. *)
+  let tb = Enc.table enc in
+  let draw = Random.State.make [| 7 |] in
+  let cfgs =
+    List.init 5000 (fun _ ->
+        Array.init (H.n h) (fun p ->
+            Random.State.int draw (4 * Enc.domain_count enc p)))
+  in
+  List.iter (fun cfg -> ignore (Enc.find_or_add tb cfg)) cfgs;
+  checki "one id per distinct vector"
+    (List.length (List.sort_uniq compare cfgs))
+    (Enc.table_count tb);
+  List.iter
+    (fun cfg ->
+      check "key round-trip" true
+        (Enc.config_ids tb (Enc.find_or_add tb cfg) = cfg))
+    cfgs;
+  let rng = Random.State.make [| 1 |] in
+  let canonical = Array.init (H.n h) (S.init h) in
+  let roots =
+    `States
+      (canonical
+      :: List.init 3 (fun _ -> Array.init (H.n h) (fun p -> S.random_init h rng p)))
+  in
+  let r = Ex.explore ~max_configs:20_000 ~roots h in
+  check "capped, so incomplete" false (Ex.complete r);
+  checki "states" 20_000 (Ex.n_configs r);
+  checki "transitions" 641_402 (Ex.n_transitions r);
+  checki "violations" 0 (List.length (Ex.violations r));
+  let seen = Hashtbl.create 64 in
+  for k = 0 to 40 do
+    let cid = k * 487 in
+    let ids = Ex.config_ids r cid in
+    check "a distinct configuration per id" false (Hashtbl.mem seen ids);
+    Hashtbl.add seen ids ();
+    Array.iteri
+      (fun p id ->
+        check "ids round-trip" true
+          (Ex.domain_index r p (Ex.domain_state r p id) = Some id))
+      ids
+  done
+
+(* ---- the chunked vector against an array model ---- *)
+
+type vec_op = Push of int | Pop of int | Get of int | Set of int * int
+
+let vec_op_gen =
+  QCheck.Gen.(
+    frequency
+      [ (3, map (fun k -> Push k) (int_bound (Vec.chunk + 100)));
+        (2, map (fun k -> Pop k) (int_bound (Vec.chunk + 100)));
+        (2, map (fun i -> Get i) nat);
+        (2, map2 (fun i x -> Set (i, x)) nat int) ])
+
+(* Each program first pushes across two chunk boundaries, then runs
+   bulk pushes and pops (which cross boundaries both ways), reads and
+   writes; every step must agree with a plain array and a length. *)
+let prop_vec_model =
+  QCheck.Test.make ~name:"chunked vector agrees with an array model" ~count:40
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 12) vec_op_gen))
+    (fun ops ->
+      let cap = (Vec.chunk * 16) + 1024 in
+      let model = Array.make cap 0 and len = ref 0 in
+      let v = Vec.create () in
+      let push x =
+        Vec.push v x;
+        model.(!len) <- x;
+        incr len
+      in
+      let ok = ref true in
+      let agree i = if Vec.get v i <> model.(i) then ok := false in
+      let apply = function
+        | Push k ->
+          for _ = 1 to min k (cap - !len) do
+            push (!len * 7)
+          done
+        | Pop k ->
+          for _ = 1 to min k !len do
+            decr len;
+            if Vec.pop v <> model.(!len) then ok := false
+          done
+        | Get i -> if !len > 0 then agree (i mod !len)
+        | Set (i, x) ->
+          if !len > 0 then begin
+            Vec.set v (i mod !len) x;
+            model.(i mod !len) <- x
+          end
+      in
+      List.iter apply (Push ((2 * Vec.chunk) + 1) :: ops);
+      if Vec.length v <> !len then ok := false;
+      for i = 0 to !len - 1 do
+        agree i
+      done;
+      Vec.iteri (fun i x -> if x <> model.(i) then ok := false) v;
+      !ok)
+
 (* ---- fairness analysis on hand-built graphs ---- *)
 
 let test_fairness_deadlock () =
@@ -188,6 +300,21 @@ let test_fairness_convene_breaks_livelock () =
     (verdict.Fairness.livelocks = []);
   check "ok" true (Fairness.ok verdict)
 
+(* A cross edge into a finished component must not merge it into the
+   component on the stack: from 0, the sink 1 is numbered before 2 is
+   visited, and 2 → 1 is such an edge. *)
+let test_fairness_cross_edge () =
+  let succs = function 0 -> [ (1, 1); (2, 1) ] | 2 -> [ (1, 1) ] | _ -> [] in
+  let verdict =
+    Fairness.analyze ~n:1 ~n_configs:3 ~succs
+      ~convenes:(fun _ _ -> false)
+      ~enabled_mask:(fun _ -> 1)
+      ~committee_waiting:(fun _ -> false)
+      ()
+  in
+  checki "three components" 3 verdict.Fairness.sccs;
+  checki "none nontrivial" 0 verdict.Fairness.nontrivial_sccs
+
 (* ---- table-driven fast path: identical results to the closure path ---- *)
 
 let test_tables_parity () =
@@ -224,9 +351,13 @@ let suite =
         Alcotest.test_case "counterexample file round-trip" `Quick
           test_cex_file_roundtrip;
         Alcotest.test_case "encode round-trip" `Quick test_encode_roundtrip;
+        Alcotest.test_case "wide key: cc3 (tree) on ring6" `Quick test_wide_key;
+        QCheck_alcotest.to_alcotest ~long:false prop_vec_model;
         Alcotest.test_case "fairness: deadlock" `Quick test_fairness_deadlock;
         Alcotest.test_case "fairness: livelock" `Quick test_fairness_livelock;
         Alcotest.test_case "fairness: convene breaks livelock" `Quick
           test_fairness_convene_breaks_livelock;
+        Alcotest.test_case "fairness: cross edge into a finished component"
+          `Quick test_fairness_cross_edge;
         Alcotest.test_case "table-driven fast path parity" `Quick
           test_tables_parity ] ) ]
