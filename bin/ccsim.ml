@@ -18,7 +18,6 @@
 module H = Snapcc_hypergraph.Hypergraph
 module Families = Snapcc_hypergraph.Families
 module Matching = Snapcc_hypergraph.Matching
-module Model = Snapcc_runtime.Model
 module Obs = Snapcc_runtime.Obs
 module Trace = Snapcc_runtime.Trace
 module Spec = Snapcc_analysis.Spec
@@ -31,9 +30,6 @@ module Smc = Snapcc_smc
 open Cmdliner
 
 (* ---- shared arguments ---- *)
-
-(* [topology_arg] is defined below [resolve_topo] — every command's
-   topology option goes through the one shared converter. *)
 
 (* Shared validating converters (lib/cli — tested at the cmdliner level):
    every numeric option goes through one of these so `ccsim sim --steps
@@ -77,7 +73,7 @@ let workload_arg =
   Arg.(value & opt string "always" & info [ "w"; "workload" ] ~docv:"WL" ~doc)
 
 let disc_arg =
-  Arg.(value & opt int 2 & info [ "disc" ] ~docv:"D"
+  Arg.(value & opt nonneg_int_conv 2 & info [ "disc" ] ~docv:"D"
          ~doc:"Voluntary-discussion length in steps (maxDisc).")
 
 let random_init_arg =
@@ -96,36 +92,6 @@ let timeline_arg =
 let quick_arg =
   Arg.(value & flag & info [ "quick" ] ~doc:"Reduced sweeps (what the tests run).")
 
-(* Shared by `run', `smc', `net' and `check': which stepping machinery
-   to use.  `packed' serves `run' and `smc' guard scans from a memo of
-   closed-neighbourhood configurations, switches the `net' wire to
-   packed-id/XOR-delta snapshot frames, and has `check' explore over the
-   exact guard/footprint tables of lib/mc; whatever none of these covers
-   falls back to the guard closures automatically, so `packed' is always
-   safe to default to — behavior is identical either way, only speed and
-   wire bytes differ. *)
-let engine_conv : [ `Packed | `Closure ] Arg.conv =
-  Arg.enum [ ("packed", `Packed); ("closure", `Closure) ]
-
-let engine_arg =
-  Arg.(value & opt engine_conv `Packed
-       & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Stepping engine: packed|closure.  `packed' (default) \
-                 serves guard scans from a memo of neighbourhood \
-                 configurations (net: sends packed-id snapshot frames; \
-                 check: explores over the exact guard tables) and falls \
-                 back to the guard closures elsewhere; runs are \
-                 trace-identical across engines.")
-
-(* The packed engine's hooks for a resolved system: an interner and an
-   empty scan memo, on any topology. *)
-let packed_hooks (type s) (module S : Snapcc_mc.System.S with type state = s)
-    engine h : s Model.packed option =
-  let module Pk = Snapcc_mc.Packed.Make (S) in
-  match engine with
-  | `Closure -> None
-  | `Packed -> Some (Pk.hooks (Pk.build h))
-
 let or_die = function
   | Ok v -> v
   | Error msg ->
@@ -140,23 +106,21 @@ let workload name ~disc h =
   try Smc.Trial.workload_of name ~disc ~seed:7 h
   with Invalid_argument msg -> or_die (Error msg)
 
-(* ---- shared topology resolution ----
+(* ---- shared topology option ----
 
-   Every command resolves topologies through the one grammar in lib/cli
-   ([Cli.resolve_topo]): run/mp/net/bounds take the parse-time
-   [topo_conv]; lint's comma list and check/smc's --family/-n call
-   [resolve_topo] directly — so the commands cannot drift. *)
+   Every command names its topology with [-t] through the one converter
+   in lib/cli ([Cli.topo_conv]); lint's comma list resolves each name
+   with [Cli.topology] — so the commands cannot drift. *)
 let topology = Cli.topology
-let resolve_topo = Cli.resolve_topo
-let topo_conv = Cli.topo_conv
 
-let topology_arg =
+let topology_arg default =
   let doc =
     "Topology: fig1|fig2|fig3|fig4, ring<n>, path<n>, star<n>, clique<n>, \
-     single<k>, one of the named families (see `ccsim list'), or a path to \
-     a committee file (see lib/hypergraph/hypergraph_io.mli for the format)."
+     single<k>, line<n>, triangle3, one of the named families (see \
+     `ccsim list'), or a path to a committee file (see \
+     lib/hypergraph/hypergraph_io.mli for the format)."
   in
-  Arg.(value & opt topo_conv (or_die (resolve_topo "fig1"))
+  Arg.(value & opt Cli.topo_conv (default, or_die (topology default))
        & info [ "t"; "topology" ] ~docv:"TOPO" ~doc)
 
 (* ---- telemetry plumbing ---- *)
@@ -249,7 +213,7 @@ let emit_catapult_arg =
 (* ---- run ---- *)
 
 let run_cmd topo algo_name daemon_name workload_name steps seed disc random_init
-    fault_at trace timeline engine emit_trace emit_json emit_catapult =
+    fault_at trace timeline emit_trace emit_json emit_catapult =
   let _, h = (topo : string * H.t) in
   let daemon = daemon daemon_name in
   let workload = workload workload_name ~disc h in
@@ -269,18 +233,19 @@ let run_cmd topo algo_name daemon_name workload_name steps seed disc random_init
     make_hub ~emit_trace ~emit_json ~emit_catapult ()
   in
   let record_trace = trace || timeline in
-  let packed = packed_hooks (module S) engine h in
+  (* guard scans are served from a memo of neighbourhood configurations
+     over an interner, on any topology *)
+  let module Pk = Snapcc_mc.Packed.Make (S) in
+  let packed = Pk.hooks (Pk.build h) in
   let r =
-    R.run ~seed ~init ?faults ?telemetry ~record_trace ?packed ~daemon ~workload
+    R.run ~seed ~init ?faults ?telemetry ~record_trace ~packed ~daemon ~workload
       ~steps h
   in
   finish_telemetry ();
-  if Option.is_some packed then begin
-    let count key = List.assoc key r.Driver.profile in
-    let hits = count "engine_scan_hits" in
-    Format.printf "engine: packed (memo served %d of %d guard scans)@." hits
-      (hits + count "engine_scan_fallbacks")
-  end;
+  let count key = List.assoc key r.Driver.profile in
+  let hits = count "engine_scan_hits" in
+  Format.printf "engine: packed (memo served %d of %d guard scans)@." hits
+    (hits + count "engine_scan_fallbacks");
   Format.printf "%a@." Driver.pp_result r;
   if r.Driver.violations <> [] then begin
     Format.printf "@.violations:@.";
@@ -298,15 +263,14 @@ let run_cmd topo algo_name daemon_name workload_name steps seed disc random_init
 
 let run_term =
   Term.(
-    const run_cmd $ topology_arg $ algo_arg Systems.any $ daemon_arg
+    const run_cmd $ topology_arg "fig1" $ algo_arg Systems.any $ daemon_arg
     $ workload_arg $ steps_arg $ seed_arg $ disc_arg $ random_init_arg $ fault_arg $ trace_arg
-    $ timeline_arg $ engine_arg $ emit_trace_arg $ emit_json_arg
-    $ emit_catapult_arg)
+    $ timeline_arg $ emit_trace_arg $ emit_json_arg $ emit_catapult_arg)
 
 (* ---- mp (message-passing emulation) ---- *)
 
 let mp_cmd topo algo_name workload_name steps seed disc random_init bias
-    no_vclock emit_trace emit_json =
+    emit_trace emit_json =
   let _, h = (topo : string * H.t) in
   let workload = workload workload_name ~disc h in
   let telemetry, finish_telemetry =
@@ -318,7 +282,7 @@ let mp_cmd topo algo_name workload_name steps seed disc random_init bias
   let r, eng =
     R.run ~seed
       ~init:(if random_init then `Random else `Canonical)
-      ~deliver_bias:bias ~vclock:(not no_vclock) ?telemetry ~workload ~steps h
+      ~deliver_bias:bias ?telemetry ~workload ~steps h
   in
   finish_telemetry ();
   Format.printf "%s over message passing: %d steps, %d meetings, %d violations@."
@@ -347,18 +311,11 @@ let bias_arg =
            ~doc:"Probability in [0,1] that a step delivers a message rather \
                  than activating a process (lower = more staleness).")
 
-let no_vclock_arg =
-  Arg.(value & flag
-       & info [ "no-vclock" ]
-           ~doc:"Ablation: disable vector-clock stamping on the trace.  The \
-                 execution is unchanged (stamping never touches the rng); \
-                 `ccsim trace' will refuse the resulting trace.")
-
 let mp_term =
   Term.(
-    const mp_cmd $ topology_arg $ algo_arg Systems.wired $ workload_arg
+    const mp_cmd $ topology_arg "fig1" $ algo_arg Systems.wired $ workload_arg
     $ checked_steps_arg $ seed_arg $ disc_arg $ random_init_arg $ bias_arg
-    $ no_vclock_arg $ emit_trace_arg $ emit_json_arg)
+    $ emit_trace_arg $ emit_json_arg)
 
 (* ---- net (networked multi-process runtime) ---- *)
 
@@ -378,11 +335,6 @@ let faults_arg =
                  partition=FROM-TO (e.g. \
                  drop=0.05,delay=2,partition=100-400).  Deterministic \
                  under --seed.")
-
-let net_nprocs_arg =
-  Arg.(value & opt (some pos_int_conv) None
-       & info [ "n" ] ~docv:"N"
-           ~doc:"Shorthand for --topology ring<N> (N node processes).")
 
 let burst_arg = Cli.burst_arg
 let soak_arg = Cli.soak_arg
@@ -413,14 +365,10 @@ let live_interval_arg =
        & info [ "live-interval" ] ~docv:"SECONDS"
            ~doc:"Throttle for --dash/--prom refreshes (default 0.5s / 2s).")
 
-let net_cmd topo nprocs algo_name workload_name steps seed disc random_init
-    bias faults burst soak fork engine emit_trace emit_json emit_catapult dash
-    prom live_interval =
-  let h =
-    match nprocs with
-    | Some k -> snd (or_die (resolve_topo ~n:k "ring"))
-    | None -> snd (topo : string * H.t)
-  in
+let net_cmd topo algo_name workload_name steps seed disc random_init bias
+    faults burst soak fork emit_trace emit_json emit_catapult dash prom
+    live_interval =
+  let _, h = (topo : string * H.t) in
   let workload = workload workload_name ~disc h in
   let burst =
     or_die
@@ -449,14 +397,12 @@ let net_cmd topo nprocs algo_name workload_name steps seed disc random_init
   let cfg =
     { Net.Orchestrator.algo = algo_name; seed;
       init = (if random_init then `Random else `Canonical);
-      deliver_bias = bias; steps; plan = faults; burst; engine }
+      deliver_bias = bias; steps; plan = faults; burst; engine = `Packed }
   in
   let r = or_die (Net.Orchestrator.run ?telemetry ~mode ~workload cfg h) in
   finish_telemetry ();
-  Format.printf "%s over %d node processes (%s wire), faults: %a@." algo_name
-    (H.n h)
-    (match engine with `Packed -> "packed-delta" | `Closure -> "full-snapshot")
-    Net.Faults.pp faults;
+  Format.printf "%s over %d node processes (packed-delta wire), faults: %a@."
+    algo_name (H.n h) Net.Faults.pp faults;
   Format.printf "%a@." Net.Orchestrator.pp_result r;
   (match r.Net.Orchestrator.latencies_us with
    | [] -> ()
@@ -483,10 +429,10 @@ let net_cmd topo nprocs algo_name workload_name steps seed disc random_init
 
 let net_term =
   Term.(
-    const net_cmd $ topology_arg $ net_nprocs_arg $ algo_arg Systems.wired
+    const net_cmd $ topology_arg "fig1" $ algo_arg Systems.wired
     $ workload_arg $ checked_steps_arg $ seed_arg $ disc_arg $ random_init_arg $ bias_arg
-    $ faults_arg $ burst_arg $ soak_arg $ fork_arg $ engine_arg
-    $ emit_trace_arg $ emit_json_arg $ emit_catapult_arg $ dash_arg $ prom_arg
+    $ faults_arg $ burst_arg $ soak_arg $ fork_arg $ emit_trace_arg
+    $ emit_json_arg $ emit_catapult_arg $ dash_arg $ prom_arg
     $ live_interval_arg)
 
 (* ---- bounds ---- *)
@@ -498,7 +444,7 @@ let bounds_cmd topo =
     Format.printf "(%d committees: exact bounds may take a while)@." (H.m h);
   Format.printf "%a@." Matching.pp_bounds (Matching.bounds h)
 
-let bounds_term = Term.(const bounds_cmd $ topology_arg)
+let bounds_term = Term.(const bounds_cmd $ topology_arg "fig1")
 
 (* ---- experiment ---- *)
 
@@ -604,28 +550,28 @@ let lint_exact_json (r : Lint_report.t) (cov : Lint_exact.coverage)
            Tele.Json.List (List.map lint_finding_json unmatched)) ])
   | j -> j
 
-let lint_cmd topos algos seed seeds max_configs verbose emit_json exact token
+let split s = String.split_on_char ',' s |> List.filter (fun x -> x <> "")
+
+(* A comma-separated list of catalog names, or `all': every key the
+   command accepts, over its catalog token. *)
+let names_arg accepts = function "all" -> Systems.keys accepts | s -> split s
+
+let lint_cmd topos algos seed seeds max_configs verbose emit_json exact
     tables_dir table_cap symmetry orbits_dir =
   (* the symmetry analyzer proves against the exact tables, so --symmetry
      implies the exact tier *)
   let exact = exact || symmetry in
-  let names s = String.split_on_char ',' s |> List.filter (fun x -> x <> "") in
-  (* the sampled tier runs each key over its default token, the exact
-     tier over --token; a non-local composition (the centralized baseline,
-     whose coordinator reads everyone, or any algorithm over the vring
-     oracle) has its locality findings waived rather than fatal *)
+  (* both tiers run the resolved system; a non-local composition (the
+     centralized baseline, whose coordinator reads everyone, or any
+     algorithm over the vring oracle) has its locality findings waived
+     rather than fatal *)
   let targets =
-    let keys =
-      match algos with
-      | "all" -> Systems.names Systems.lintable
-      | s -> names s
-    in
     List.map
       (fun a -> (a, or_die (Systems.lookup ~what:"lint" Systems.lintable a)))
-      keys
+      (names_arg Systems.lintable algos)
   in
-  let allow (r : Systems.resolved) token =
-    if Systems.local_over r.Systems.entry token then []
+  let allow (r : Systems.resolved) =
+    if Systems.local_over r.Systems.entry r.Systems.token then []
     else [ Lint_report.Locality ]
   in
   let topos =
@@ -634,7 +580,7 @@ let lint_cmd topos algos seed seeds max_configs verbose emit_json exact token
       | Some s -> s
       | None -> if exact then lint_exact_default_topos else lint_default_topos
     in
-    List.map (fun t -> or_die (resolve_topo t)) (names s)
+    List.map (fun t -> (t, or_die (topology t))) (split s)
   in
   (* sampled tier, always: the exact tier judges its findings below *)
   let sampled =
@@ -642,7 +588,7 @@ let lint_cmd topos algos seed seeds max_configs verbose emit_json exact token
       (fun (key, r) ->
         let (module S : Snapcc_mc.System.S) = r.Systems.sys in
         let module An = Snapcc_statics.Analyze.Make (S) in
-        let allow = allow r r.Systems.token in
+        let allow = allow r in
         List.map
           (fun (topo, h) ->
             (key, topo, An.analyze ~seed ~seeds ~max_configs ~allow ~topo h))
@@ -656,10 +602,8 @@ let lint_cmd topos algos seed seeds max_configs verbose emit_json exact token
       let exacts =
         List.concat_map
           (fun (key, r) ->
-            let (module S : Snapcc_mc.System.S) =
-              r.Systems.entry.Systems.make token
-            in
-            let allow = allow r (Some token) in
+            let (module S : Snapcc_mc.System.S) = r.Systems.sys in
+            let allow = allow r in
             let module Ex = Lint_exact.Make (S) in
             let module Tb = Snapcc_mc.Tables.Make (S) in
             let module Sym = Lint_sym.Make (S) in
@@ -694,20 +638,11 @@ let lint_cmd topos algos seed seeds max_configs verbose emit_json exact token
               topos)
           targets
       in
-      (* the tiers only describe the same system when the exact tier's
-         token is the one the sampled tier ran over (or there is none) *)
-      let comparable key =
-        match Systems.find key with
-        | Some { Systems.token = Some t; _ } -> t = token
-        | _ -> true
-      in
       let sampled' =
         List.map
           (fun (key, topo, (s : Lint_report.t)) ->
             match
-              List.find_opt
-                (fun (k, t, _, _, _) -> k = key && t = topo && comparable key)
-                exacts
+              List.find_opt (fun (k, t, _, _, _) -> k = key && t = topo) exacts
             with
             | None -> s
             | Some (_, _, e, cov, _) ->
@@ -841,14 +776,6 @@ let lint_exact_arg =
                  tier, and reclassify sampled dead-action suspects as \
                  proven or unreached-in-sample.")
 
-let lint_token_arg =
-  Arg.(value & opt string "tree"
-       & info [ "token" ] ~docv:"TOKEN"
-           ~doc:"Token layer of the exact tier (vring|tree|null); \
-                 algorithms without one ignore it.  Sampled/exact \
-                 agreement is only checked where it is the layer the \
-                 sampled tier runs over (`tree' for cc1/cc2/cc3).")
-
 let lint_tables_arg =
   Arg.(value & opt (some dir) None
        & info [ "tables" ] ~docv:"DIR"
@@ -883,7 +810,7 @@ let lint_term =
   Term.(
     const lint_cmd $ lint_topos_arg $ lint_algos_arg $ seed_arg $ lint_seeds_arg
     $ lint_max_configs_arg $ lint_verbose_arg $ emit_json_arg $ lint_exact_arg
-    $ lint_token_arg $ lint_tables_arg $ lint_table_cap_arg
+    $ lint_tables_arg $ lint_table_cap_arg
     $ lint_symmetry_arg $ lint_orbits_arg)
 
 (* ---- orbits (certificate verifier) ---- *)
@@ -943,27 +870,14 @@ let mc_report_json (r : Mc_report.t) =
       ("seconds", Float r.Mc_report.seconds);
       ("states_per_sec", Float (Mc_report.states_per_sec r)) ]
 
-let check_one ~(entry : Systems.entry) ~token ~topo_name ~h ~max_states
-    ~keep_going ~sample ~seed ~cex_path ~progress ~engine ~symmetry ~telemetry
-    =
-  let module S = (val entry.Systems.make token) in
+let check_one ~(r : Systems.resolved) ~topo_name ~h ~max_states ~keep_going
+    ~sample ~seed ~cex_path ~progress ~symmetry ~telemetry =
+  let module S = (val r.Systems.sys) in
   let module Ex = Snapcc_mc.Explore.Make (S) in
-  let module Tb = Snapcc_mc.Tables.Make (S) in
   let module CexM = Snapcc_mc.Counterexample.Make (S) in
+  let algo = r.Systems.entry.Systems.key in
+  let token = Option.value r.Systems.token ~default:"-" in
   let t0 = Sys.time () in
-  (* the packed engine reuses the exploration budget: a process whose
-     table would dwarf the configuration cap falls back to closures *)
-  let tables =
-    match engine with
-    | `Closure -> None
-    | `Packed ->
-      let tb = Tb.build ~cap:(max 1 max_states * 8) h in
-      if progress then
-        Format.eprintf "  guard tables: %s@."
-          (if Tb.built tb then "built (packed fast path)"
-           else "partial (closure fallback for skipped processes)");
-      Some tb
-  in
   let roots =
     if sample = 0 then `Domain
     else begin
@@ -990,29 +904,34 @@ let check_one ~(entry : Systems.entry) ~token ~topo_name ~h ~max_states
             Tele.Hub.emit hub (Tele.Event.Mc_frontier { configs; transitions })
           | None -> ())
   in
-  (* static symmetry admission: lift hypergraph automorphisms and declared
-     internal symmetries over the exact tables, then explore the quotient *)
-  let sym_group =
-    match (symmetry, tables) with
-    | `Off, _ -> None
-    | `Auto, None ->
-      Format.printf
-        "  symmetry: skipped (needs the packed engine's exact tables)@.";
-      None
-    | `Auto, Some tb ->
+  (* static symmetry admission: build the exact guard tables, lift
+     hypergraph automorphisms and declared internal symmetries over them,
+     then explore the quotient.  The explorer reads its steps from the same
+     tables, since they are built; without symmetry it runs the guard
+     closures. *)
+  let tables, sym_group =
+    match symmetry with
+    | `Off -> (None, None)
+    | `Auto ->
+      (* the tables reuse the exploration budget: a process whose table
+         would dwarf the configuration cap is left to the closures *)
+      let module Tb = Snapcc_mc.Tables.Make (S) in
+      let tb = Tb.build ~cap:(max_states * 8) h in
+      if progress then
+        Format.eprintf "  guard tables: %s@."
+          (if Tb.built tb then "built"
+           else "partial (closure fallback for skipped processes)");
       let module Sym = Snapcc_statics.Symmetry.Make (S) in
       let so = Sym.run h ~tables:tb in
       let open Snapcc_statics.Symmetry in
       let ord = Snapcc_mc.Symmetry.order so.group in
-      if ord > 1 then begin
+      if ord > 1 then
         Format.printf
           "  symmetry: admitted group of order %d from %d candidate(s) [%s] \
            (%d pairs streamed, %.2fs)@."
           ord so.candidates
           (String.concat ", " so.admitted)
-          so.pairs so.seconds;
-        Some so.group
-      end
+          so.pairs so.seconds
       else begin
         Format.printf
           "  symmetry: only the trivial group admitted (%d candidate(s) \
@@ -1022,9 +941,9 @@ let check_one ~(entry : Systems.entry) ~token ~topo_name ~h ~max_states
           List.iter
             (fun (name, reason) ->
               Format.eprintf "    rejected %s: %s@." name reason)
-            so.rejected;
-        None
-      end
+            so.rejected
+      end;
+      (Some tb, if ord > 1 then Some so.group else None)
   in
   let result =
     Ex.explore ?on_progress ?tables ?symmetry:sym_group
@@ -1051,7 +970,7 @@ let check_one ~(entry : Systems.entry) ~token ~topo_name ~h ~max_states
     else None
   in
   let report =
-    { Mc_report.algo = entry.Systems.key;
+    { Mc_report.algo;
       token;
       topo = topo_name;
       product = Ex.product_size result;
@@ -1105,7 +1024,7 @@ let check_one ~(entry : Systems.entry) ~token ~topo_name ~h ~max_states
         else []
       in
       Some
-        (Cex.of_safety ~algo:entry.Systems.key ~token ~topo:topo_name
+        (Cex.of_safety ~algo ~token ~topo:topo_name
            ~rule:v.Mc_explore.rule ~detail:v.Mc_explore.detail ~init:root
            ~steps)
     | [] -> (
@@ -1113,13 +1032,13 @@ let check_one ~(entry : Systems.entry) ~token ~topo_name ~h ~max_states
       | Some { Mc_fairness.deadlocks = cid :: _; _ } ->
         let root, steps = Ex.path_to result cid in
         Some
-          (Cex.of_deadlock ~algo:entry.Systems.key ~token ~topo:topo_name
+          (Cex.of_deadlock ~algo ~token ~topo:topo_name
              ~detail:"terminal configuration with a fully waiting committee"
              ~init:root ~steps)
       | Some { Mc_fairness.livelocks = l :: _; _ } ->
         let root, steps = Ex.path_to result l.Mc_fairness.witness in
         Some
-          (Cex.of_livelock ~algo:entry.Systems.key ~token ~topo:topo_name
+          (Cex.of_livelock ~algo ~token ~topo:topo_name
              ~detail:
                (Printf.sprintf
                   "weakly fair convene-free cycle (SCC of %d configurations)"
@@ -1141,9 +1060,8 @@ let check_one ~(entry : Systems.entry) ~token ~topo_name ~h ~max_states
       Format.printf "WARNING: counterexample not executable: %s@." msg));
   report
 
-let check_cmd algos family n token max_states keep_going sample seed cex_path
-    progress engine symmetry emit_json =
-  let topo_name, h = or_die (resolve_topo ~n family) in
+let check_cmd algos (topo_name, h) max_states keep_going sample seed cex_path
+    progress symmetry emit_json =
   (* frontier samples arrive every ~16k explored configurations, so even a
      multi-million-state run fits a small ring *)
   let ring = Tele.Sink.ring ~capacity:65_536 in
@@ -1155,28 +1073,33 @@ let check_cmd algos family n token max_states keep_going sample seed cex_path
         hub)
       emit_json
   in
-  let keys =
-    match algos with
-    | "all" -> Systems.names Systems.checkable
-    | s -> String.split_on_char ',' s |> List.filter (fun x -> x <> "")
+  let systems =
+    List.map
+      (fun name -> or_die (Systems.lookup ~what:"check" Systems.checkable name))
+      (names_arg Systems.checkable algos)
+  in
+  (* one counterexample file per system: with several, each gets its
+     system's name before the extension *)
+  let cex_file (r : Systems.resolved) =
+    match systems with
+    | [ _ ] -> cex_path
+    | _ ->
+      Filename.remove_extension cex_path ^ "-" ^ r.Systems.name
+      ^ Filename.extension cex_path
   in
   let reports =
     List.map
-      (fun key ->
-        let entry =
-          (or_die (Systems.lookup ~what:"check" Systems.checkable key))
-            .Systems.entry
-        in
+      (fun r ->
         let res =
           try
             Ok
-              (check_one ~entry ~token ~topo_name ~h ~max_states ~keep_going
-                 ~sample ~seed ~cex_path ~progress ~engine ~symmetry ~telemetry)
+              (check_one ~r ~topo_name ~h ~max_states ~keep_going ~sample ~seed
+                 ~cex_path:(cex_file r) ~progress ~symmetry ~telemetry)
           with Invalid_argument msg | Failure msg -> Error msg
         in
         Format.printf "@.";
         or_die res)
-      keys
+      systems
   in
   if List.length reports > 1 then
     Format.printf "%a@." Table.pp (Mc_report.summary_table reports);
@@ -1209,27 +1132,12 @@ let check_algo_arg =
   in
   Arg.(value & opt string "cc1" & info [ "a"; "algo" ] ~docv:"ALGO" ~doc)
 
-let family_arg =
-  let doc =
-    "Topology family (line|triangle|ring|star|path|clique|single, combined \
-     with -n), or a full topology name as for --topology."
-  in
-  Arg.(value & opt string "triangle" & info [ "family" ] ~docv:"FAM" ~doc)
-
-let nprocs_arg =
-  Arg.(value & opt int 3 & info [ "n" ] ~docv:"N" ~doc:"Number of professors.")
-
-let check_token_arg =
-  Arg.(value & opt string "vring"
-       & info [ "token" ] ~docv:"TC"
-           ~doc:"Token substrate: vring|tree|null.")
-
 (* 8M default: with PR 6's packed single-word configuration keys this fits
    comfortably in memory, and it is what lets `--symmetry auto' finish
    instances (triangle3 cc3/vring: 23.9M configurations, 5.97M orbits
    under the admitted Z_4 counter gauge) whose full space stays capped. *)
 let max_states_arg =
-  Arg.(value & opt int 8_000_000
+  Arg.(value & opt pos_int_conv 8_000_000
        & info [ "max-states" ] ~docv:"N"
            ~doc:"Memory cap on stored configurations (exceeding it makes \
                  the verdict INCOMPLETE).")
@@ -1241,7 +1149,7 @@ let keep_going_arg =
                  (default: stop at the first one).")
 
 let sample_arg =
-  Arg.(value & opt int 0
+  Arg.(value & opt nonneg_int_conv 0
        & info [ "sample" ] ~docv:"K"
            ~doc:"Instead of all domain configurations, explore from the \
                  canonical initial configuration plus K seeded random \
@@ -1251,7 +1159,9 @@ let sample_arg =
 let cex_out_arg =
   Arg.(value & opt string "ccsim-cex.txt"
        & info [ "cex" ] ~docv:"FILE"
-           ~doc:"Where to write the minimized counterexample, if any.")
+           ~doc:"Where to write the minimized counterexample, if any.  \
+                 With several systems, each failing one writes its own \
+                 file, named $(docv) with -SYSTEM before the extension.")
 
 let check_progress_arg =
   Arg.(value & flag & info [ "progress" ]
@@ -1267,22 +1177,21 @@ let check_symmetry_arg =
                  symmetry group (`auto'): hypergraph automorphisms and \
                  declared internal symmetries are proven against the exact \
                  guard tables, then only one configuration per orbit is \
-                 stored.  Verdicts and counterexamples are unchanged \
-                 (paths are lifted back to concrete runs).  Requires the \
-                 packed engine.  Default `off'.")
+                 stored and the exploration steps over those tables.  \
+                 Verdicts and counterexamples are unchanged (paths are \
+                 lifted back to concrete runs).  Default `off'.")
 
 let check_term =
   Term.(
-    const check_cmd $ check_algo_arg $ family_arg $ nprocs_arg $ check_token_arg
-    $ max_states_arg $ keep_going_arg $ sample_arg $ seed_arg $ cex_out_arg
-    $ check_progress_arg $ engine_arg $ check_symmetry_arg $ emit_json_arg)
+    const check_cmd $ check_algo_arg $ topology_arg "triangle3" $ max_states_arg
+    $ keep_going_arg $ sample_arg $ seed_arg $ cex_out_arg $ check_progress_arg
+    $ check_symmetry_arg $ emit_json_arg)
 
 (* ---- smc (statistical model checking) ---- *)
 
-let smc_cmd family n algo_name daemon_name workload_name trials budget workers
-    seed confidence disc engine sprt sprt_delta sprt_within emit_trace
+let smc_cmd (topo_name, h) algo_name daemon_name workload_name trials budget
+    workers seed confidence disc sprt sprt_delta sprt_within emit_trace
     emit_json =
-  let topo_name, h = or_die (resolve_topo ?n family) in
   let telemetry, finish_telemetry =
     make_hub ~emit_trace ~emit_json:None ~emit_catapult:None ()
   in
@@ -1298,7 +1207,7 @@ let smc_cmd family n algo_name daemon_name workload_name trials budget workers
       workers;
       seed;
       confidence;
-      engine;
+      engine = `Packed;
       sprt;
       sprt_delta;
       sprt_within }
@@ -1311,18 +1220,6 @@ let smc_cmd family n algo_name daemon_name workload_name trials budget workers
    | None -> ());
   Format.printf "%a@." Smc.Report.pp report;
   if not (Smc.Report.ok report) then exit 1
-
-let smc_family_arg =
-  let doc =
-    "Topology family (ring|line|triangle|star|path|clique|single, combined \
-     with -n), or a full topology name as for --topology."
-  in
-  Arg.(value & opt string "ring" & info [ "family" ] ~docv:"FAM" ~doc)
-
-let smc_n_arg =
-  Arg.(value & opt (some pos_int_conv) None
-       & info [ "n" ] ~docv:"N" ~doc:"Number of professors (sizes --family).")
-
 
 let smc_trials_arg =
   Arg.(value & opt pos_int_conv 1000
@@ -1367,10 +1264,9 @@ let smc_sprt_within_arg =
 
 let smc_term =
   Term.(
-    const smc_cmd $ smc_family_arg $ smc_n_arg $ algo_arg Systems.any
-    $ daemon_arg
+    const smc_cmd $ topology_arg "ring9" $ algo_arg Systems.any $ daemon_arg
     $ workload_arg $ smc_trials_arg $ smc_budget_arg $ smc_workers_arg
-    $ seed_arg $ smc_confidence_arg $ disc_arg $ engine_arg $ smc_sprt_arg
+    $ seed_arg $ smc_confidence_arg $ disc_arg $ smc_sprt_arg
     $ smc_sprt_delta_arg $ smc_sprt_within_arg $ emit_trace_arg
     $ emit_json_arg)
 
@@ -1382,14 +1278,15 @@ let replay_cmd file =
     | c -> c
     | exception (Failure msg | Sys_error msg) -> or_die (Error msg)
   in
-  let entry =
-    (or_die (Systems.lookup ~what:"replay" Systems.checkable cex.Cex.algo))
-      .Systems.entry
+  let r =
+    or_die
+      (Systems.lookup ~what:"replay" Systems.checkable
+         (Systems.name_over cex.Cex.algo cex.Cex.token))
   in
   let h = or_die (topology cex.Cex.topo) in
   let res =
     try
-      let module S = (val entry.Systems.make cex.Cex.token) in
+      let module S = (val r.Systems.sys) in
       let module CexM = Snapcc_mc.Counterexample.Make (S) in
       Format.printf "%a@.@.replaying through engine + monitors:@." Cex.pp cex;
       Ok

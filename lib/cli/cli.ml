@@ -40,32 +40,13 @@ let topology name =
     | Invalid_argument msg -> Error msg
     | H.Invalid msg -> Error msg
 
-(* Every command resolves topologies through here: a bare name is a full
-   topology ("fig1", "ring6", a committee file path); with [?n] the family
-   stem is sized first ([--family triangle -n 3] tries "triangle3" before
-   "triangle").  run/mp/net/bounds take the parse-time [topo_conv]; lint's
-   comma list and check/smc's --family/-n call [resolve_topo] directly —
-   one grammar, so the commands cannot drift. *)
-let resolve_topo ?n family =
-  let sized = Option.map (fun k -> family ^ string_of_int k) n in
-  let cands = (match sized with Some s -> [ s ] | None -> []) @ [ family ] in
-  let found =
-    List.find_map
-      (fun name ->
-        match topology name with Ok h -> Some (name, h) | Error _ -> None)
-      cands
-  in
-  match found with
-  | Some v -> Ok v
-  | None -> (
-    match topology (List.hd cands) with
-    | Error e -> Error e
-    | Ok h -> Ok (List.hd cands, h))
-
+(* Every command names its topology with [-t]: a full topology name
+   ("fig1", "ring6", "triangle3") or a committee-file path, parsed here at
+   parse time, so the commands cannot drift. *)
 let topo_conv : (string * H.t) Arg.conv =
   Arg.conv ~docv:"TOPO"
     ( (fun s ->
-        match resolve_topo s with Ok v -> Ok v | Error e -> Error (`Msg e)),
+        match topology s with Ok h -> Ok (s, h) | Error e -> Error (`Msg e)),
       fun ppf (name, _) -> Format.pp_print_string ppf name )
 
 (* ---- soak-mode burst resolution (`ccsim net') ----

@@ -1,7 +1,7 @@
 (** Shared cmdliner plumbing for `ccsim' (and its tests).
 
-    The validating converters, the topology-resolution grammar and the
-    soak-mode burst resolution live here — outside [bin/] — so the
+    The validating converters, the topology converter and the soak-mode
+    burst resolution live here — outside [bin/] — so the
     cmdliner-level behavior (e.g. the [--burst-at]/[--soak] precedence)
     is testable with [Cmd.eval_value ~argv] without linking the
     executable. *)
@@ -19,14 +19,9 @@ val topology :
   string -> (Snapcc_hypergraph.Hypergraph.t, string) result
 (** A named family ("fig1", "ring6", ...) or a committee-file path. *)
 
-val resolve_topo :
-  ?n:int -> string -> (string * Snapcc_hypergraph.Hypergraph.t, string) result
-(** [resolve_topo ~n family] tries the sized name [family ^ n] first, then
-    the bare name; the error of the most specific candidate is reported.
-    Every ccsim command resolves topologies through this one grammar. *)
-
 val topo_conv : (string * Snapcc_hypergraph.Hypergraph.t) Cmdliner.Arg.conv
-(** Parse-time converter over {!resolve_topo} (bare names only). *)
+(** Parse-time converter over {!topology}: every [ccsim] command's [-t]
+    goes through it, keeping the name as given. *)
 
 val burst_arg : int option Cmdliner.Term.t
 (** [--burst-at STEP]: pin the soak-mode corruption burst. *)

@@ -136,6 +136,8 @@ let token_keys = [ "vring"; "tree"; "null" ]
    layer, which keeps the ablation's established spelling. *)
 let token_suffix = function "null" -> "no-token" | t -> t
 
+let name_over key token = key ^ "-" ^ token_suffix token
+
 let with_token (f : (module Layer.S) -> (module System.S)) token =
   match token with
   | "vring" -> f (module Token_vring)
@@ -220,7 +222,7 @@ let forms (e : entry) =
   (match e.token with
    | None -> []
    | Some _ ->
-     List.map (fun t -> (e.key ^ "-" ^ token_suffix t, Some t)) token_keys)
+     List.map (fun t -> (name_over e.key t, Some t)) token_keys)
 
 let resolve name =
   List.find_map
@@ -238,15 +240,12 @@ let of_tag tag =
 
 let any (_ : resolved) = true
 let wired r = r.tag <> None
-let key_form r = r.name = r.entry.key
 
 let checkable r =
-  key_form r
-  && match r.entry.role with Paper | Broken -> true | Ablation | Baseline -> false
+  match r.entry.role with Paper | Broken -> true | Ablation | Baseline -> false
 
 let lintable r =
-  key_form r
-  && match r.entry.role with Paper | Baseline -> true | Broken | Ablation -> false
+  match r.entry.role with Paper | Baseline -> true | Broken | Ablation -> false
 
 let names accepts =
   List.concat_map
@@ -256,9 +255,11 @@ let names accepts =
         (forms e))
     all
 
+let keys accepts = List.filter (fun n -> find n <> None) (names accepts)
+
 let describe accepts =
   let ns = names accepts in
-  let keys = List.filter (fun n -> find n <> None) ns in
+  let keys = keys accepts in
   let suffixes =
     List.filter_map
       (fun t ->
@@ -298,8 +299,7 @@ let pp_catalog ppf () =
         (match e.tag with Some t -> string_of_int t | None -> "-")
         e.title)
     all;
-  Format.fprintf ppf "@,names each command takes (check --token %s):"
-    (String.concat "|" token_keys);
+  Format.fprintf ppf "@,names each command takes:";
   List.iter
     (fun (cmds, accepts) ->
       Format.fprintf ppf "@,  @[<hov 15>%-14s@ %a@]" (cmds ^ ":")

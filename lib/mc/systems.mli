@@ -93,6 +93,11 @@ val resolve : string -> resolved option
     token-layer entry, [key-vring], [key-tree] or [key-no-token] (the
     null layer keeps the ablation's established spelling). *)
 
+val name_over : string -> string -> string
+(** [name_over key token]: the name of [key] over the token layer [token]
+    (["cc2"], ["vring"] give ["cc2-vring"]).  A counterexample file
+    records its system as such a pair. *)
+
 val of_tag : int -> resolved option
 (** The entry carrying a wire tag, over its default token. *)
 
@@ -107,16 +112,20 @@ val wired : resolved -> bool
 (** [ccsim mp] and [ccsim net]: names with a wire tag. *)
 
 val checkable : resolved -> bool
-(** [ccsim check] and [ccsim replay]: keys of paper and broken entries
-    (the token comes from [--token]; the checker's progress analysis
-    presumes the paper's committee observables). *)
+(** [ccsim check] and [ccsim replay]: the names of paper and broken
+    entries (the checker's progress analysis presumes the paper's
+    committee observables). *)
 
 val lintable : resolved -> bool
-(** [ccsim lint] (and its [-a all]): keys of the paper's algorithms and
-    the baselines; the exact tier takes its token from [--token]. *)
+(** [ccsim lint]: the names of the paper's algorithms and the baselines;
+    both of its tiers run the resolved system. *)
 
 val names : (resolved -> bool) -> string list
 (** Every accepted name, in catalog order, keys before their token forms. *)
+
+val keys : (resolved -> bool) -> string list
+(** The accepted keys alone (each entry over its default token): what
+    [ccsim check -a all] and [ccsim lint -a all] run. *)
 
 val describe : (resolved -> bool) -> string
 (** A compact rendering of {!names} for help texts and errors. *)

@@ -21,8 +21,9 @@ let resolve name =
   | None -> Alcotest.failf "%S does not resolve" name
 
 (* The typed instantiations each command ran before the catalog: the
-   run/mp/smc/lint names through [Algos], check's (key, token) pairs
-   through the token functors directly. *)
+   run/mp/smc/lint names through [Algos], check's (key, token) pairs —
+   now the names [key-vring|tree|no-token] — through the token functors
+   directly. *)
 let tokens : (string * (module Layer.S)) list =
   [ ("vring", (module Snapcc_token.Token_vring));
     ("tree", (module Snapcc_token.Token_tree));
@@ -89,19 +90,31 @@ let test_pinned_resolution () =
     (fun key ->
       let r = resolve key in
       check ("check takes " ^ key) true (Systems.checkable r);
+      (* a bare key is its catalog token *)
+      check_str ("check " ^ key)
+        (checked_name key (List.assoc "tree" tokens))
+        (sys_name r.Systems.sys);
       List.iter
         (fun (token, tok) ->
-          check_str
-            (Printf.sprintf "check %s --token %s" key token)
-            (checked_name key tok)
-            (sys_name (r.Systems.entry.Systems.make token)))
+          let name = Systems.name_over key token in
+          let r = resolve name in
+          check ("check takes " ^ name) true (Systems.checkable r);
+          check_str ("check " ^ name) (checked_name key tok)
+            (sys_name r.Systems.sys))
         tokens)
     check_keys;
   Alcotest.(check (list string)) "check all" check_keys
-    (Systems.names Systems.checkable);
+    (Systems.keys Systems.checkable);
   Alcotest.(check (list string)) "lint all"
     (List.map (fun (n, _, _) -> n) lint_names)
-    (Systems.names Systems.lintable);
+    (Systems.keys Systems.lintable);
+  List.iter
+    (fun (name, algo) ->
+      let r = resolve name in
+      check ("lint takes " ^ name) true (Systems.lintable r);
+      check_str ("lint " ^ name) algo (sys_name r.Systems.sys))
+    [ ("cc1-vring", X.Cc1_vring.name); ("cc2-vring", X.Cc2_vring.name);
+      ("cc3-vring", X.Cc3_vring.name) ];
   (* what mp and net rejected before, they still reject *)
   List.iter
     (fun name -> check ("mp/net reject " ^ name) false (Systems.wired (resolve name)))

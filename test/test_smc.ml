@@ -1,8 +1,9 @@
-(* The statistical tier: seed determinism, sequential-vs-parallel merge
-   equality, estimator coverage on known-probability fixtures, SPRT
-   accept/reject with early stopping, agreement with the exhaustive
-   checker on single2, and the cmdliner-level --burst-at/--soak
-   precedence and fault-step horizon contracts of lib/cli. *)
+(* The statistical tier: seed determinism, sequential-vs-parallel and
+   packed-vs-closure report equality, estimator coverage on
+   known-probability fixtures, SPRT accept/reject with early stopping,
+   agreement with the exhaustive checker on single2, and the
+   cmdliner-level --burst-at/--soak precedence and fault-step horizon
+   contracts of lib/cli. *)
 
 module H = Snapcc_hypergraph.Hypergraph
 module Families = Snapcc_hypergraph.Families
@@ -15,7 +16,7 @@ let check_int = Alcotest.(check int)
 
 let cfg ?(algo = "cc1") ?(topo = "single2") ?(workload = "always")
     ?(daemon = "random") ?(trials = 60) ?(budget = 200) ?(workers = 1)
-    ?(seed = 42) ?sprt ?sprt_within () =
+    ?(seed = 42) ?(engine = `Packed) ?sprt ?sprt_within () =
   { Smc.Runner.algo;
     topo_name = topo;
     topo = Families.by_name topo;
@@ -27,7 +28,7 @@ let cfg ?(algo = "cc1") ?(topo = "single2") ?(workload = "always")
     workers;
     seed;
     confidence = 0.95;
-    engine = `Packed;
+    engine;
     sprt;
     sprt_delta = 0.02;
     sprt_within }
@@ -92,6 +93,22 @@ let test_sequential_vs_parallel_report () =
   let r3 = report (cfg ~workers:3 ()) in
   Alcotest.(check string) "workers 1 and 3 merge to identical reports"
     (report_string r1) (report_string r3)
+
+(* ---- packed == closure ----
+
+   Each of 4 forked workers warms its own scan memo; the merged report
+   must still equal the closure engine's byte for byte, on the triangle
+   where cc2 over vring deadlocks. *)
+
+let test_packed_vs_closure_report () =
+  let run engine =
+    report_string
+      (report
+         (cfg ~algo:"cc2-vring" ~topo:"triangle3" ~trials:2000 ~budget:150
+            ~workers:4 ~seed:7 ~engine ()))
+  in
+  Alcotest.(check string) "packed and closure reports are byte-identical"
+    (run `Closure) (run `Packed)
 
 (* ---- estimator quantiles against table values ---- *)
 
@@ -231,8 +248,8 @@ let test_sprt_runner_early_stop () =
 
 (* ---- agreement with the exhaustive checker on single2 ----
 
-   `ccsim check --algo cc1,cc2,cc3 --token vring --family single -n 2'
-   (the tier-1 @check gate) verifies: no deadlock, no safety violation,
+   `ccsim check -a cc1-vring,cc2-vring,cc3-vring -t single2' (the tier-1
+   @check gate) verifies: no deadlock, no safety violation,
    from every initial configuration.  The sampler on the same system
    must agree: every trial stabilizes within a generous budget, zero
    deadlocks, zero monitor verdicts. *)
@@ -360,6 +377,8 @@ let suite =
           test_pool_merge_order;
         Alcotest.test_case "sequential == parallel report" `Quick
           test_sequential_vs_parallel_report;
+        Alcotest.test_case "packed == closure report" `Quick
+          test_packed_vs_closure_report;
         Alcotest.test_case "normal/t quantiles" `Quick test_quantiles;
         Alcotest.test_case "wilson coverage (Bernoulli fixture)" `Quick
           test_wilson_coverage;
