@@ -470,85 +470,17 @@ let experiment_term = Term.(const experiment_cmd $ experiment_id_arg $ quick_arg
 
 (* ---- lint (static analysis, lib/statics) ---- *)
 
+module Lint = Snapcc_statics.Lint
 module Lint_report = Snapcc_statics.Report
+module Lint_exact = Snapcc_statics.Exact
+module Lint_sym = Snapcc_statics.Symmetry
 
-let lint_default_topos = "fig1,ring6,path5,star5,single4"
+let lint_default_topos = [ "fig1"; "ring6"; "path5"; "star5"; "single4" ]
 
 (* The exact tier enumerates full domain products, so its default families
    are the small ones it finishes in seconds; triangle3 (minutes for CC3)
    stays opt-in via -t. *)
-let lint_exact_default_topos = "single2,line3"
-
-module Lint_exact = Snapcc_statics.Exact
-module Lint_artifact = Snapcc_statics.Artifact
-
-let lint_finding_json (f : Lint_report.finding) =
-  Tele.Json.Obj
-    [ ("rule", Tele.Json.String (Lint_report.rule_name f.Lint_report.rule));
-      ("action", Tele.Json.String f.Lint_report.action);
-      ("proc", Tele.Json.Int f.Lint_report.proc);
-      ("count", Tele.Json.Int f.Lint_report.count);
-      ("detail", Tele.Json.String f.Lint_report.detail) ]
-
-let lint_report_json (r : Lint_report.t) =
-  let strs xs = Tele.Json.List (List.map (fun s -> Tele.Json.String s) xs) in
-  Tele.Json.Obj
-    [ ("algo", Tele.Json.String r.Lint_report.algo);
-      ("topo", Tele.Json.String r.Lint_report.topo);
-      ("tier", Tele.Json.String r.Lint_report.tier);
-      ("ok", Tele.Json.Bool (Lint_report.ok r));
-      ("configs", Tele.Json.Int r.Lint_report.configs);
-      ("evals", Tele.Json.Int r.Lint_report.evals);
-      ("findings", Tele.Json.List (List.map lint_finding_json r.Lint_report.findings));
-      ("waived", Tele.Json.List (List.map lint_finding_json r.Lint_report.waived));
-      ("dead", strs r.Lint_report.dead);
-      ("dead_proven", strs r.Lint_report.dead_proven);
-      ("dead_unreached", strs r.Lint_report.dead_unreached) ]
-
-module Lint_sym = Snapcc_statics.Symmetry
-
-let lint_sym_json (so : Lint_sym.outcome) =
-  let open Tele.Json in
-  Obj
-    [ ("group_order", Int (Snapcc_mc.Symmetry.order so.Lint_sym.group));
-      ("generators", Int (List.length so.Lint_sym.group.Snapcc_mc.Symmetry.gens));
-      ("aut_order", Int so.Lint_sym.aut_order);
-      ("candidates", Int so.Lint_sym.candidates);
-      ("admitted", List (List.map (fun s -> String s) so.Lint_sym.admitted));
-      ("rejected",
-       List
-         (List.map
-            (fun (name, reason) ->
-              Obj [ ("name", String name); ("reason", String reason) ])
-            so.Lint_sym.rejected));
-      ("pairs", Int so.Lint_sym.pairs);
-      ("seconds", Float so.Lint_sym.seconds) ]
-
-let lint_exact_json (r : Lint_report.t) (cov : Lint_exact.coverage)
-    (unmatched : Lint_report.finding list) (sym : Lint_sym.outcome option) =
-  match lint_report_json r with
-  | Tele.Json.Obj fields ->
-    Tele.Json.Obj
-      (fields
-      @ (match sym with
-        | Some so -> [ ("symmetry", lint_sym_json so) ]
-        | None -> [])
-      @ [ ("cells", Tele.Json.Int cov.Lint_exact.cells);
-          ("seconds", Tele.Json.Float cov.Lint_exact.seconds);
-          ("complete", Tele.Json.Bool cov.Lint_exact.complete);
-          ("stored", Tele.Json.Bool cov.Lint_exact.stored);
-          ("tainted", Tele.Json.Bool cov.Lint_exact.tainted);
-          ("proc_status",
-           Tele.Json.List
-             (List.map
-                (fun (p, reason) ->
-                  Tele.Json.Obj
-                    [ ("proc", Tele.Json.Int p);
-                      ("reason", Tele.Json.String reason) ])
-                cov.Lint_exact.proc_status));
-          ("agreement_unmatched",
-           Tele.Json.List (List.map lint_finding_json unmatched)) ])
-  | j -> j
+let lint_exact_default_topos = [ "single2"; "line3" ]
 
 let split s = String.split_on_char ',' s |> List.filter (fun x -> x <> "")
 
@@ -557,108 +489,35 @@ let split s = String.split_on_char ',' s |> List.filter (fun x -> x <> "")
 let names_arg accepts = function "all" -> Systems.keys accepts | s -> split s
 
 let lint_cmd topos algos seed seeds max_configs verbose emit_json exact
-    tables_dir table_cap symmetry orbits_dir =
-  (* the symmetry analyzer proves against the exact tables, so --symmetry
-     implies the exact tier *)
-  let exact = exact || symmetry in
-  (* both tiers run the resolved system; a non-local composition (the
-     centralized baseline, whose coordinator reads everyone, or any
-     algorithm over the vring oracle) has its locality findings waived
-     rather than fatal *)
-  let targets =
+    tables table_cap symmetry orbits =
+  let cfg =
+    Lint.config ~seed ~seeds ~max_configs ~exact ~symmetry ?table_cap ?tables
+      ?orbits ()
+  in
+  let systems =
     List.map
-      (fun a -> (a, or_die (Systems.lookup ~what:"lint" Systems.lintable a)))
+      (fun a -> or_die (Systems.lookup ~what:"lint" Systems.lintable a))
       (names_arg Systems.lintable algos)
   in
-  let allow (r : Systems.resolved) =
-    if Systems.local_over r.Systems.entry r.Systems.token then []
-    else [ Lint_report.Locality ]
-  in
   let topos =
-    let s =
-      match topos with
-      | Some s -> s
-      | None -> if exact then lint_exact_default_topos else lint_default_topos
-    in
-    List.map (fun t -> (t, or_die (topology t))) (split s)
+    match topos with
+    | Some l -> l
+    | None ->
+      List.map
+        (fun t -> (t, or_die (topology t)))
+        (if cfg.Lint.exact then lint_exact_default_topos
+         else lint_default_topos)
   in
-  (* sampled tier, always: the exact tier judges its findings below *)
-  let sampled =
+  let cells =
     List.concat_map
-      (fun (key, r) ->
-        let (module S : Snapcc_mc.System.S) = r.Systems.sys in
-        let module An = Snapcc_statics.Analyze.Make (S) in
-        let allow = allow r in
-        List.map
-          (fun (topo, h) ->
-            (key, topo, An.analyze ~seed ~seeds ~max_configs ~allow ~topo h))
-          topos)
-      targets
+      (fun r -> List.map (fun (topo, h) -> Lint.run cfg r ~topo h) topos)
+      systems
   in
-  let disagreements = ref [] in
-  let sampled, exact_reports =
-    if not exact then (List.map (fun (_, _, r) -> r) sampled, [])
-    else begin
-      let exacts =
-        List.concat_map
-          (fun (key, r) ->
-            let (module S : Snapcc_mc.System.S) = r.Systems.sys in
-            let allow = allow r in
-            let module Ex = Lint_exact.Make (S) in
-            let module Tb = Snapcc_mc.Tables.Make (S) in
-            let module Sym = Lint_sym.Make (S) in
-            List.map
-              (fun (topo, h) ->
-                let report, cov, tb =
-                  Ex.run ?cap:table_cap ~allow ~algo:S.name ~topo h
-                in
-                (match tables_dir with
-                 | None -> ()
-                 | Some dir ->
-                   let file =
-                     Filename.concat dir
-                       (Printf.sprintf "tables-%s-%s.txt" key topo)
-                   in
-                   Lint_artifact.save file (Tb.to_portable ~algo:S.name ~topo tb));
-                let sym =
-                  if not symmetry then None
-                  else begin
-                    let so = Sym.run ?cap:table_cap h ~tables:tb in
-                    (match orbits_dir with
-                     | None -> ()
-                     | Some dir ->
-                       Lint_sym.save
-                         (Filename.concat dir
-                            (Printf.sprintf "orbits-%s-%s.txt" key topo))
-                         ~algo:S.name ~topo h so);
-                    Some so
-                  end
-                in
-                (key, topo, report, cov, sym))
-              topos)
-          targets
-      in
-      let sampled' =
-        List.map
-          (fun (key, topo, (s : Lint_report.t)) ->
-            match
-              List.find_opt (fun (k, t, _, _, _) -> k = key && t = topo) exacts
-            with
-            | None -> s
-            | Some (_, _, e, cov, _) ->
-              let unmatched = Lint_exact.agreement ~exact:e ~sampled:s in
-              if unmatched <> [] then
-                disagreements := (key, topo, unmatched) :: !disagreements;
-              (* reclassify sampled dead suspects on exact evidence *)
-              Lint_report.classify_dead ~proven:e.Lint_report.dead_proven
-                ~live:cov.Lint_exact.live s)
-          sampled
-      in
-      (sampled', exacts)
-    end
+  let exacts = List.filter_map (fun c -> c.Lint.exact) cells in
+  let reports =
+    List.map (fun c -> c.Lint.sampled) cells
+    @ List.map (fun e -> e.Lint.report) exacts
   in
-  let exact_plain = List.map (fun (_, _, r, _, _) -> r) exact_reports in
-  let reports = sampled @ exact_plain in
   Format.printf "%a@." Table.pp (Lint_report.summary_table reports);
   List.iter
     (fun r ->
@@ -666,86 +525,67 @@ let lint_cmd topos algos seed seeds max_configs verbose emit_json exact
         Format.printf "@.%a@." Table.pp (Lint_report.detail_table r))
     reports;
   List.iter
-    (fun (key, topo, _, cov, sym) ->
-      Format.printf
-        "exact %s on %s: %d (cell, mode) pairs in %.2fs%s%s@." key topo
-        cov.Lint_exact.cells cov.Lint_exact.seconds
-        (if cov.Lint_exact.complete then ", complete"
-         else ", INCOMPLETE (skipped passes)")
-        (if cov.Lint_exact.tainted then ", TAINTED" else "");
-      List.iter
-        (fun (p, reason) -> Format.printf "  proc %d: %s@." p reason)
-        cov.Lint_exact.proc_status;
-      match sym with
+    (fun (c : Lint.cell) ->
+      match c.Lint.exact with
       | None -> ()
-      | Some (so : Lint_sym.outcome) ->
-        Format.printf
-          "symmetry %s on %s: aut group %d%s, %d candidate(s), admitted \
-           group order %d%s (%d pairs, %.2fs)@."
-          key topo so.Lint_sym.aut_order
-          (if so.Lint_sym.aut_complete then "" else "+")
-          so.Lint_sym.candidates
-          (Snapcc_mc.Symmetry.order so.Lint_sym.group)
-          (match so.Lint_sym.admitted with
-          | [] -> ""
-          | l -> Printf.sprintf " [%s]" (String.concat ", " l))
-          so.Lint_sym.pairs so.Lint_sym.seconds;
-        if verbose then
-          List.iter
-            (fun (name, reason) ->
-              Format.printf "  rejected %s: %s@." name reason)
-            so.Lint_sym.rejected)
-    exact_reports;
+      | Some e ->
+        let cov = e.Lint.coverage in
+        Format.printf "exact %s on %s: %d (cell, mode) pairs in %.2fs%s%s@."
+          c.Lint.name c.Lint.topo cov.Lint_exact.cells cov.Lint_exact.seconds
+          (if cov.Lint_exact.complete then ", complete"
+           else ", INCOMPLETE (skipped passes)")
+          (if cov.Lint_exact.tainted then ", TAINTED" else "");
+        List.iter
+          (fun (p, reason) -> Format.printf "  proc %d: %s@." p reason)
+          cov.Lint_exact.proc_status;
+        (match e.Lint.symmetry with
+        | None -> ()
+        | Some (so : Lint_sym.outcome) ->
+          Format.printf
+            "symmetry %s on %s: aut group %d%s, %d candidate(s), admitted \
+             group order %d%s (%d pairs, %.2fs)@."
+            c.Lint.name c.Lint.topo so.Lint_sym.aut_order
+            (if so.Lint_sym.aut_complete then "" else "+")
+            so.Lint_sym.candidates
+            (Snapcc_mc.Symmetry.order so.Lint_sym.group)
+            (match so.Lint_sym.admitted with
+            | [] -> ""
+            | l -> Printf.sprintf " [%s]" (String.concat ", " l))
+            so.Lint_sym.pairs so.Lint_sym.seconds;
+          if verbose then
+            List.iter
+              (fun (name, reason) ->
+                Format.printf "  rejected %s: %s@." name reason)
+              so.Lint_sym.rejected))
+    cells;
   let lines = List.concat_map Lint_report.to_lines reports in
   if lines <> [] then begin
     Format.printf "@.";
     List.iter (fun l -> Format.printf "%s@." l) lines
   end;
   List.iter
-    (fun (key, topo, unmatched) ->
+    (fun (c : Lint.cell) ->
       List.iter
         (fun (f : Lint_report.finding) ->
           Format.printf
             "lint algo=%s topo=%s disagreement: sampled %s finding on \
              action=%s proc=%d not reproduced by the exact tier@."
-            key topo
+            c.Lint.name c.Lint.topo
             (Lint_report.rule_name f.Lint_report.rule)
             f.Lint_report.action f.Lint_report.proc)
-        unmatched)
-    !disagreements;
-  let ok = List.for_all Lint_report.ok reports && !disagreements = [] in
-  (match emit_json with
-   | None -> ()
-   | Some file ->
-     let exact_json =
-       List.map
-         (fun (key, topo, r, cov, sym) ->
-           let unmatched =
-             match
-               List.find_opt (fun (k, t, _) -> k = key && t = topo)
-                 !disagreements
-             with
-             | Some (_, _, u) -> u
-             | None -> []
-           in
-           lint_exact_json r cov unmatched sym)
-         exact_reports
-     in
-     write_json file
-       (Tele.Json.Obj
-          ([ ("ok", Tele.Json.Bool ok);
-             ("reports",
-              Tele.Json.List (List.map lint_report_json sampled)) ]
-          @ if exact then [ ("exact", Tele.Json.List exact_json) ] else [])));
-  if not ok then exit 1
+        (match c.Lint.exact with Some e -> e.Lint.unmatched | None -> []))
+    cells;
+  Option.iter (fun file -> write_json file (Lint.to_json cfg cells)) emit_json;
+  if not (List.for_all Lint.ok cells) then exit 1
 
 let lint_topos_arg =
-  Arg.(value & opt (some string) None
+  Arg.(value & opt (some (list Cli.topo_conv)) None
        & info [ "t"; "topologies" ] ~docv:"TOPOS"
            ~doc:(Printf.sprintf
                    "Comma-separated topologies to analyze (same names as \
-                    --topology).  Default %s, or %s with --exact."
-                   lint_default_topos lint_exact_default_topos))
+                    --topology).  Default %s, or %s with the exact tier."
+                   (String.concat "," lint_default_topos)
+                   (String.concat "," lint_exact_default_topos)))
 
 let lint_algos_arg =
   Arg.(value & opt string "all"
@@ -780,7 +620,7 @@ let lint_tables_arg =
   Arg.(value & opt (some dir) None
        & info [ "tables" ] ~docv:"DIR"
            ~doc:"Write one snapcc-tables artifact per (algorithm, topology) \
-                 into DIR (requires --exact).")
+                 into DIR (implies --exact).")
 
 let lint_table_cap_arg =
   Arg.(value & opt (some pos_int_conv) None
@@ -803,7 +643,7 @@ let lint_orbits_arg =
   Arg.(value & opt (some dir) None
        & info [ "orbits" ] ~docv:"DIR"
            ~doc:"Write one snapcc-orbits v1 certificate per (algorithm, \
-                 topology) into DIR (requires --symmetry); each certificate \
+                 topology) into DIR (implies --symmetry); each certificate \
                  passes `ccsim orbits'.")
 
 let lint_term =
@@ -841,69 +681,15 @@ let orbits_term = Term.(const orbits_cmd $ orbits_files_arg)
 
 (* ---- check (exhaustive model checker, lib/mc) ---- *)
 
-module Mc_explore = Snapcc_mc.Explore
-module Mc_fairness = Snapcc_mc.Fairness
 module Mc_report = Snapcc_mc.Report
 module Cex = Snapcc_mc.Counterexample
 
-let mc_report_json (r : Mc_report.t) =
-  let open Tele.Json in
-  Obj
-    [ ("algo", String r.Mc_report.algo);
-      ("token", String r.Mc_report.token);
-      ("topo", String r.Mc_report.topo);
-      ("outcome", String (Mc_report.outcome_name (Mc_report.outcome r)));
-      ("product", Float r.Mc_report.product);
-      ("configs", Int r.Mc_report.configs);
-      ("transitions", Int r.Mc_report.transitions);
-      ("complete", Bool r.Mc_report.complete);
-      ("escapees", Int r.Mc_report.escapees);
-      ("dead", List (List.map (fun s -> String s) r.Mc_report.dead));
-      ("safety_violations", Int r.Mc_report.safety_violations);
-      ("first_rule",
-       (match r.Mc_report.first_rule with None -> Null | Some s -> String s));
-      ("progress_checked", Bool r.Mc_report.progress_checked);
-      ("sccs", Int r.Mc_report.sccs);
-      ("largest_scc", Int r.Mc_report.largest_scc);
-      ("deadlocks", Int r.Mc_report.deadlocks);
-      ("livelocks", Int r.Mc_report.livelocks);
-      ("seconds", Float r.Mc_report.seconds);
-      ("states_per_sec", Float (Mc_report.states_per_sec r)) ]
-
 let check_one ~(r : Systems.resolved) ~topo_name ~h ~max_states ~keep_going
-    ~sample ~seed ~cex_path ~progress ~symmetry ~telemetry =
+    ~sample ~seed ~cex_path ~progress ~on_progress ~symmetry =
   let module S = (val r.Systems.sys) in
-  let module Ex = Snapcc_mc.Explore.Make (S) in
+  let module Check = Snapcc_mc.Check.Make (S) in
   let module CexM = Snapcc_mc.Counterexample.Make (S) in
-  let algo = r.Systems.entry.Systems.key in
-  let token = Option.value r.Systems.token ~default:"-" in
-  let t0 = Sys.time () in
-  let roots =
-    if sample = 0 then `Domain
-    else begin
-      let rng = Random.State.make [| seed |] in
-      let canonical = Array.init (H.n h) (S.init h) in
-      `States
-        (canonical
-        :: List.init sample (fun _ ->
-               Array.init (H.n h) (fun p -> S.random_init h rng p)))
-    end
-  in
-  (* progress goes to stderr (stdout stays machine-parseable); the same
-     hook feeds [mc_frontier] telemetry events when --emit-json asked *)
-  let on_progress =
-    if (not progress) && telemetry = None then None
-    else
-      Some
-        (fun ~configs ~transitions ->
-          if progress then
-            Format.eprintf "  ... %d states, %d transitions@." configs
-              transitions;
-          match telemetry with
-          | Some hub ->
-            Tele.Hub.emit hub (Tele.Event.Mc_frontier { configs; transitions })
-          | None -> ())
-  in
+  let since = Sys.time () in
   (* static symmetry admission: build the exact guard tables, lift
      hypergraph automorphisms and declared internal symmetries over them,
      then explore the quotient.  The explorer reads its steps from the same
@@ -945,133 +731,56 @@ let check_one ~(r : Systems.resolved) ~topo_name ~h ~max_states ~keep_going
       end;
       (Some tb, if ord > 1 then Some so.group else None)
   in
-  let result =
-    Ex.explore ?on_progress ?tables ?symmetry:sym_group
-      ~max_configs:max_states ~roots ~stop_on_first:(not keep_going) h
+  let c =
+    Check.run ~max_configs:max_states ~keep_going ~sample ~seed ?on_progress
+      ?tables ?symmetry:sym_group ~since ~algo:r.Systems.entry.Systems.key
+      ~token:(Option.value r.Systems.token ~default:"-") ~topo:topo_name h
   in
-  (match sym_group with
-  | Some g ->
-    Format.printf
-      "  symmetry: stored %d orbit representatives (quotient of order %d)@."
-      (Ex.n_configs result)
-      (Snapcc_mc.Symmetry.order g)
-  | None -> ());
-  let seconds = Sys.time () -. t0 in
-  let violations = Ex.violations result in
-  let verdict =
-    if Ex.complete result then
-      Some
-        (Mc_fairness.analyze ~n:(H.n h) ~n_configs:(Ex.n_configs result)
-           ~succs:(Ex.succs_inout result)
-           ~convenes:(Ex.convening result)
-           ~enabled_mask:(Ex.enabled_inout result)
-           ~committee_waiting:(Ex.committee_waiting result)
-           ())
-    else None
-  in
-  let report =
-    { Mc_report.algo;
-      token;
-      topo = topo_name;
-      product = Ex.product_size result;
-      configs = Ex.n_configs result;
-      transitions = Ex.n_transitions result;
-      complete = Ex.complete result;
-      escapees = List.length (Ex.escapees result);
-      dead = Ex.dead_actions result;
-      safety_violations = List.length violations;
-      first_rule =
-        (match violations with [] -> None | v :: _ -> Some v.Mc_explore.rule);
-      progress_checked = verdict <> None;
-      sccs = (match verdict with Some v -> v.Mc_fairness.sccs | None -> 0);
-      largest_scc =
-        (match verdict with Some v -> v.Mc_fairness.largest_scc | None -> 0);
-      deadlocks =
-        (match verdict with
-        | Some v -> List.length v.Mc_fairness.deadlocks
-        | None -> 0);
-      livelocks =
-        (match verdict with
-        | Some v -> List.length v.Mc_fairness.livelocks
-        | None -> 0);
-      seconds }
-  in
+  let report = c.Check.report in
+  Option.iter
+    (fun g ->
+      Format.printf
+        "  symmetry: stored %d orbit representatives (quotient of order %d)@."
+        report.Mc_report.configs (Snapcc_mc.Symmetry.order g))
+    sym_group;
   Format.printf "%a@." Mc_report.pp report;
   List.iteri
     (fun i (p, s) ->
       if i < 5 then
         Format.printf "  escapee: process %d state %a@." p S.pp_state s)
-    (Ex.escapees result);
+    c.Check.escapees;
   if report.Mc_report.dead <> [] then
     Format.printf
       "  note: action(s) never executed on any transition (suspect): %s@."
       (String.concat ", " report.Mc_report.dead);
-  (* build, minimize, persist and replay-confirm one counterexample *)
-  let cex =
-    match violations with
-    | v :: _ ->
-      let root, steps = Ex.path_to result v.Mc_explore.source in
-      let steps =
-        steps
-        @
-        if v.Mc_explore.mode >= 0 then
-          (* under --symmetry the recorded selection is relative to the
-             canonical configuration; re-express it at the endpoint of the
-             lifted path *)
-          [ (v.Mc_explore.mode,
-             Ex.lift_selection result v.Mc_explore.source v.Mc_explore.selected)
-          ]
-        else []
-      in
-      Some
-        (Cex.of_safety ~algo ~token ~topo:topo_name
-           ~rule:v.Mc_explore.rule ~detail:v.Mc_explore.detail ~init:root
-           ~steps)
-    | [] -> (
-      match verdict with
-      | Some { Mc_fairness.deadlocks = cid :: _; _ } ->
-        let root, steps = Ex.path_to result cid in
-        Some
-          (Cex.of_deadlock ~algo ~token ~topo:topo_name
-             ~detail:"terminal configuration with a fully waiting committee"
-             ~init:root ~steps)
-      | Some { Mc_fairness.livelocks = l :: _; _ } ->
-        let root, steps = Ex.path_to result l.Mc_fairness.witness in
-        Some
-          (Cex.of_livelock ~algo ~token ~topo:topo_name
-             ~detail:
-               (Printf.sprintf
-                  "weakly fair convene-free cycle (SCC of %d configurations)"
-                  l.Mc_fairness.scc_size)
-             ~init:root ~steps ~loop:l.Mc_fairness.cycle)
-      | _ -> None)
-  in
-  (match cex with
-  | None -> ()
-  | Some c ->
-    let c = CexM.minimize h c in
-    Cex.to_file cex_path c;
-    Format.printf "@.%a@.counterexample written to %s@." Cex.pp c cex_path;
-    (match CexM.replay h c with
-    | CexM.Reproduced msg -> Format.printf "replay confirms: %s@." msg
-    | CexM.Not_reproduced msg ->
-      Format.printf "WARNING: replay does not reproduce: %s@." msg
-    | CexM.Invalid msg ->
-      Format.printf "WARNING: counterexample not executable: %s@." msg));
+  (* persist and replay-confirm the minimized counterexample *)
+  Option.iter
+    (fun cex ->
+      Cex.to_file cex_path cex;
+      Format.printf "@.%a@.counterexample written to %s@." Cex.pp cex cex_path;
+      match CexM.replay h cex with
+      | CexM.Reproduced msg -> Format.printf "replay confirms: %s@." msg
+      | CexM.Not_reproduced msg ->
+        Format.printf "WARNING: replay does not reproduce: %s@." msg
+      | CexM.Invalid msg ->
+        Format.printf "WARNING: counterexample not executable: %s@." msg)
+    c.Check.cex;
   report
 
 let check_cmd algos (topo_name, h) max_states keep_going sample seed cex_path
     progress symmetry emit_json =
-  (* frontier samples arrive every ~16k explored configurations, so even a
-     multi-million-state run fits a small ring *)
-  let ring = Tele.Sink.ring ~capacity:65_536 in
-  let telemetry =
-    Option.map
-      (fun _ ->
-        let hub = Tele.Hub.create () in
-        Tele.Hub.add_sink hub ring;
-        hub)
-      emit_json
+  (* progress goes to stderr (stdout stays machine-parseable); the same
+     hook collects the frontier samples --emit-json writes *)
+  let frontier = ref [] in
+  let on_progress =
+    if (not progress) && emit_json = None then None
+    else
+      Some
+        (fun ~configs ~transitions ->
+          if progress then
+            Format.eprintf "  ... %d states, %d transitions@." configs
+              transitions;
+          frontier := (configs, transitions) :: !frontier)
   in
   let systems =
     List.map
@@ -1094,7 +803,7 @@ let check_cmd algos (topo_name, h) max_states keep_going sample seed cex_path
           try
             Ok
               (check_one ~r ~topo_name ~h ~max_states ~keep_going ~sample ~seed
-                 ~cex_path:(cex_file r) ~progress ~symmetry ~telemetry)
+                 ~cex_path:(cex_file r) ~progress ~on_progress ~symmetry)
           with Invalid_argument msg | Failure msg -> Error msg
         in
         Format.printf "@.";
@@ -1103,25 +812,11 @@ let check_cmd algos (topo_name, h) max_states keep_going sample seed cex_path
   in
   if List.length reports > 1 then
     Format.printf "%a@." Table.pp (Mc_report.summary_table reports);
-  (match emit_json with
-   | Some file ->
-     let frontier =
-       List.filter_map
-         (fun (s : Tele.Event.stamped) ->
-           match s.Tele.Event.ev with
-           | Tele.Event.Mc_frontier { configs; transitions } ->
-             Some
-               (Tele.Json.Obj
-                  [ ("configs", Tele.Json.Int configs);
-                    ("transitions", Tele.Json.Int transitions) ])
-           | _ -> None)
-         (Tele.Sink.ring_events ring)
-     in
-     write_json file
-       (Tele.Json.Obj
-          [ ("reports", Tele.Json.List (List.map mc_report_json reports));
-            ("frontier", Tele.Json.List frontier) ])
-   | None -> ());
+  Option.iter
+    (fun file ->
+      write_json file
+        (Snapcc_mc.Check.to_json ~frontier:(List.rev !frontier) reports))
+    emit_json;
   if List.exists (fun r -> Mc_report.outcome r = Mc_report.Fail) reports then
     exit 1
 

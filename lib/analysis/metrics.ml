@@ -6,8 +6,6 @@ type summary = {
   steps : int;
   rounds : int;
   convenes : int;
-  convene_per_edge : int array;
-  participation : int array;
   mean_concurrency : float;
   max_concurrency : int;
   completed_waits_steps : int list;
@@ -27,8 +25,6 @@ type t = {
   h : H.t;
   mutable steps : int;
   mutable convenes : int;
-  convene_per_edge : int array;
-  participation : int array;
   mutable concurrency_sum : int;
   mutable max_concurrency : int;
   waits : wait option array;
@@ -47,8 +43,7 @@ let emit t ev =
   match t.telemetry with Some hub -> Tele.Hub.emit hub ev | None -> ()
 
 let create ?telemetry h ~initial =
-  let n = H.n h in
-  let waits = Array.make n None in
+  let waits = Array.make (H.n h) None in
   Array.iteri
     (fun p (o : Obs.t) ->
       if Obs.is_waiting o then waits.(p) <- Some { since_step = 0; since_round = 0 })
@@ -57,8 +52,6 @@ let create ?telemetry h ~initial =
     h;
     steps = 0;
     convenes = 0;
-    convene_per_edge = Array.make (H.m h) 0;
-    participation = Array.make n 0;
     concurrency_sum = 0;
     max_concurrency = 0;
     waits;
@@ -94,11 +87,9 @@ let full_step t ~step ~round ~before ~after =
     (fun e ->
       if not (Obs.meets t.h before e) then begin
         t.convenes <- t.convenes + 1;
-        t.convene_per_edge.(e) <- t.convene_per_edge.(e) + 1;
         emit t (Tele.Event.Convene { step; round; eid = e });
         Array.iter
           (fun q ->
-            t.participation.(q) <- t.participation.(q) + 1;
             match t.waits.(q) with
             | None -> ()
             | Some w ->
@@ -184,8 +175,6 @@ let finish t ~step ~round =
     steps = t.steps;
     rounds = round;
     convenes = t.convenes;
-    convene_per_edge = Array.copy t.convene_per_edge;
-    participation = Array.copy t.participation;
     mean_concurrency =
       (if t.steps = 0 then 0.
        else float_of_int t.concurrency_sum /. float_of_int t.steps);

@@ -6,8 +6,6 @@ type summary = {
   steps : int;  (** transitions observed *)
   rounds : int;  (** rounds completed at the end of the run *)
   convenes : int;  (** meetings convened *)
-  convene_per_edge : int array;
-  participation : int array;  (** per professor *)
   mean_concurrency : float;  (** average number of simultaneous meetings *)
   max_concurrency : int;
   completed_waits_steps : int list;  (** durations of served waiting spans *)

@@ -9,6 +9,7 @@ type t = {
   transitions : int;
   complete : bool;
   escapees : int;
+  outside_roots : int;
   dead : string list;
   safety_violations : int;
   first_rule : string option;
@@ -22,10 +23,13 @@ type t = {
 
 type outcome = Pass | Fail | Incomplete
 
+let closure_judged r = r.outside_roots = 0
+
 let outcome r =
   if
-    r.safety_violations > 0 || r.escapees > 0 || r.deadlocks > 0
-    || r.livelocks > 0
+    r.safety_violations > 0
+    || (r.escapees > 0 && closure_judged r)
+    || r.deadlocks > 0 || r.livelocks > 0
   then Fail
   else if r.complete then Pass
   else Incomplete
@@ -73,7 +77,12 @@ let pp ppf r =
     (outcome_name (outcome r))
     r.product r.configs r.transitions
     (if r.complete then "" else " (capped: INCOMPLETE)")
-    (if r.escapees = 0 then "domain closed under all transitions"
+    (if not (closure_judged r) then
+       Printf.sprintf
+         "not judged (%d sampled root(s) outside the declared domain), %d \
+          escapee state(s)"
+         r.outside_roots r.escapees
+     else if r.escapees = 0 then "domain closed under all transitions"
      else Printf.sprintf "%d escapee state(s) outside the declared domain"
             r.escapees)
     (match (r.safety_violations, r.first_rule) with
@@ -87,3 +96,28 @@ let pp ppf r =
      else
        Printf.sprintf "%d deadlock(s), %d livelock(s)" r.deadlocks r.livelocks)
     (states_per_sec r) r.seconds
+
+let to_json r =
+  let open Snapcc_telemetry.Json in
+  Obj
+    [ ("algo", String r.algo);
+      ("token", String r.token);
+      ("topo", String r.topo);
+      ("outcome", String (outcome_name (outcome r)));
+      ("product", Float r.product);
+      ("configs", Int r.configs);
+      ("transitions", Int r.transitions);
+      ("complete", Bool r.complete);
+      ("escapees", Int r.escapees);
+      ("closure_judged", Bool (closure_judged r));
+      ("dead", List (List.map (fun s -> String s) r.dead));
+      ("safety_violations", Int r.safety_violations);
+      ("first_rule",
+       (match r.first_rule with None -> Null | Some s -> String s));
+      ("progress_checked", Bool r.progress_checked);
+      ("sccs", Int r.sccs);
+      ("largest_scc", Int r.largest_scc);
+      ("deadlocks", Int r.deadlocks);
+      ("livelocks", Int r.livelocks);
+      ("seconds", Float r.seconds);
+      ("states_per_sec", Float (states_per_sec r)) ]

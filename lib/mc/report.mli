@@ -11,6 +11,10 @@ type t = {
   transitions : int;
   complete : bool;
   escapees : int;  (** closure failures of the declared domain *)
+  outside_roots : int;
+      (** sampled roots outside the declared domain (0 for the domain
+          product); their own states are escapees, so closure is judged
+          only when there are none *)
   dead : string list;  (** actions never executed (suspect, non-fatal) *)
   safety_violations : int;
   first_rule : string option;
@@ -24,11 +28,19 @@ type t = {
 
 type outcome = Pass | Fail | Incomplete
 
+val closure_judged : t -> bool
+(** Every root lay in the declared domain ([outside_roots = 0]), so an
+    escapee is a closure failure. *)
+
 val outcome : t -> outcome
-(** [Fail] on any safety violation, escapee, deadlock or livelock;
-    [Incomplete] when the exploration was capped before a verdict. *)
+(** [Fail] on any safety violation, deadlock or livelock, or on an
+    escapee when {!closure_judged}; [Incomplete] when the exploration was
+    capped before a verdict. *)
 
 val outcome_name : outcome -> string
 val states_per_sec : t -> float
 val summary_table : t list -> Snapcc_experiments.Table.t
 val pp : Format.formatter -> t -> unit
+
+val to_json : t -> Snapcc_telemetry.Json.t
+(** One report as [ccsim check --emit-json] writes it. *)

@@ -34,41 +34,6 @@ let length t = t.count
 let final t =
   match t.rev_entries with [] -> t.initial | e :: _ -> e.obs
 
-(* Fault entries are configuration jumps, not algorithm steps: they reset
-   the comparison baseline without forming a transition, so a meeting
-   materialized by corruption is never reported as a convene (and one
-   destroyed by corruption never as a termination). *)
-let transitions t =
-  let rec go prev acc = function
-    | [] -> List.rev acc
-    | e :: rest ->
-      if e.fault then go e.obs acc rest
-      else go e.obs ((e.step, prev, e.obs) :: acc) rest
-  in
-  go t.initial [] (entries t)
-
-let convened t =
-  List.concat_map
-    (fun (step, before, after) ->
-      List.filter_map
-        (fun eid ->
-          if (not (Obs.meets t.h before eid)) && Obs.meets t.h after eid then
-            Some (step, eid)
-          else None)
-        (List.init (H.m t.h) Fun.id))
-    (transitions t)
-
-let terminated t =
-  List.concat_map
-    (fun (step, before, after) ->
-      List.filter_map
-        (fun eid ->
-          if Obs.meets t.h before eid && not (Obs.meets t.h after eid) then
-            Some (step, eid)
-          else None)
-        (List.init (H.m t.h) Fun.id))
-    (transitions t)
-
 let pp_timeline ?(width = 64) ppf t =
   let entries = entries t in
   let total = max 1 (List.length entries) in

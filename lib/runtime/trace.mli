@@ -18,10 +18,7 @@ val record : t -> Model.step_report -> Obs.t array -> unit
 
 val record_fault : t -> step:int -> Obs.t array -> unit
 (** Record a transient-fault boundary: [obs] is the corrupted configuration
-    before the step numbered [step].  The corrupted configuration becomes
-    the comparison baseline for the next step, so {!convened} and
-    {!terminated} never attribute a meeting materialized (or destroyed) by
-    the corruption itself to an algorithm step. *)
+    before the step numbered [step]. *)
 
 val initial : t -> Obs.t array
 val entries : t -> entry list
@@ -31,16 +28,6 @@ val length : t -> int
 (** Recorded entries, fault boundaries included. *)
 
 val final : t -> Obs.t array
-
-val convened : t -> (int * int) list
-(** [(step, eid)] for every committee meeting that convened during the
-    trace: [eid] did not meet in the previous configuration and meets after
-    the step (§4.2).  Fault boundaries are not steps: corruption never
-    fabricates a convene. *)
-
-val terminated : t -> (int * int) list
-(** Committee meetings that terminated (met before, not after).  Same
-    fault-boundary exemption as {!convened}. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -30,14 +30,9 @@ module Make (A : Model.ALGO) = struct
     let nact = Array.length actions in
     let evals = ref 0 in
     let guard_true = Array.make nact 0 in
-    let findings : (Report.rule * string * int, int * string) Hashtbl.t =
-      Hashtbl.create 16
-    in
+    let findings = Report.tally () in
     let record rule ~action ~proc detail =
-      let key = (rule, action, proc) in
-      match Hashtbl.find_opt findings key with
-      | Some (c, d) -> Hashtbl.replace findings key (c + 1, d)
-      | None -> Hashtbl.replace findings key (1, detail)
+      Report.note findings { Report.rule; action; proc; count = 1; detail }
     in
     let overlaps : (string list, int * int) Hashtbl.t = Hashtbl.create 16 in
     let interference : (string * string, int) Hashtbl.t = Hashtbl.create 16 in
@@ -233,49 +228,17 @@ module Make (A : Model.ALGO) = struct
         input_modes
     done;
 
-    let all_findings =
-      Hashtbl.fold
-        (fun (rule, action, proc) (count, detail) acc ->
-          { Report.rule; action; proc; count; detail } :: acc)
-        findings []
-      |> List.sort compare
-    in
-    let waived, violations =
-      List.partition (fun f -> List.mem f.Report.rule allow) all_findings
-    in
-    let overlaps =
-      Hashtbl.fold
-        (fun labels (times, example_proc) acc ->
-          { Report.labels; times; example_proc } :: acc)
-        overlaps []
-      |> List.sort (fun (a : Report.overlap) (b : Report.overlap) ->
-             compare (b.times, a.labels) (a.times, b.labels))
-    in
-    let interference =
-      Hashtbl.fold
-        (fun (writer, reader) times acc -> { Report.writer; reader; times } :: acc)
-        interference []
-      |> List.sort (fun (a : Report.interference) (b : Report.interference) ->
-             compare (b.times, a.writer, a.reader) (a.times, b.writer, b.reader))
-    in
-    let dead =
-      List.filter_map
-        (fun i ->
-          if guard_true.(i) = 0 then Some actions.(i).Model.label else None)
-        (List.init nact Fun.id)
-    in
-    {
-      Report.algo = A.name;
-      topo;
-      tier = "sampled";
-      configs = !analyzed;
-      evals = !evals;
-      findings = violations;
-      waived;
-      overlaps;
-      interference;
-      dead;
-      dead_proven = [];
-      dead_unreached = [];
-    }
+    Report.build ~algo:A.name ~topo ~tier:"sampled" ~configs:!analyzed
+      ~evals:!evals ~allow ~proven:false
+      ~labels:(Array.map (fun a -> a.Model.label) actions)
+      ~guard_true
+      ~overlaps:
+        (Hashtbl.fold
+           (fun labels (times, example) acc -> (labels, times, example) :: acc)
+           overlaps [])
+      ~interference:
+        (Hashtbl.fold
+           (fun (writer, reader) times acc -> (writer, reader, times) :: acc)
+           interference [])
+      findings
 end

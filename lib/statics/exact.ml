@@ -87,73 +87,21 @@ module Make (Sys : Snapcc_mc.System.S) = struct
     let t = Tb.build ~verify ?cap ?store_cap h in
     let n = H.n h in
     let labels = Tb.labels t in
-    (* aggregate incidents by (rule, action, proc), keeping the first
-       detail as the exhibit *)
-    let agg : (Report.rule * string * int, int * string) Hashtbl.t =
-      Hashtbl.create 16
-    in
+    let findings = Report.tally () in
     List.iter
-      (fun (i, count) ->
-        let f = finding_of_incident i count in
-        let key = (f.Report.rule, f.Report.action, f.Report.proc) in
-        match Hashtbl.find_opt agg key with
-        | Some (c, d) -> Hashtbl.replace agg key (c + f.Report.count, d)
-        | None -> Hashtbl.add agg key (f.Report.count, f.Report.detail))
+      (fun (i, count) -> Report.note findings (finding_of_incident i count))
       (Tb.incidents t);
-    let all_findings =
-      Hashtbl.fold
-        (fun (rule, action, proc) (count, detail) acc ->
-          { Report.rule; action; proc; count; detail } :: acc)
-        agg []
-      |> List.sort compare
-    in
-    let findings, waived =
-      List.partition
-        (fun (f : Report.finding) -> not (List.mem f.Report.rule allow))
-        all_findings
-    in
-    let overlaps =
-      List.map
-        (fun (labels, times, example_proc) ->
-          { Report.labels; times; example_proc })
-        (Tb.overlaps t)
-      |> List.sort (fun (a : Report.overlap) (b : Report.overlap) ->
-             compare (b.times, a.labels) (a.times, b.labels))
-    in
-    let interference =
-      List.map
-        (fun (writer, reader, times) -> { Report.writer; reader; times })
-        (Tb.interference ?cap:interference_cap t)
-      |> List.sort (fun (a : Report.interference) (b : Report.interference) ->
-             compare (b.times, a.writer, a.reader) (a.times, b.writer, b.reader))
-    in
     let complete = Tb.complete t in
     let guard_true = Tb.guard_true t in
-    let never =
-      List.filter_map
-        (fun i -> if guard_true.(i) = 0 then Some labels.(i) else None)
-        (List.init (Array.length labels) Fun.id)
+    let report =
+      Report.build ~algo ~topo ~tier:"exact" ~configs:(Tb.cells t)
+        ~evals:(Tb.cells t) ~allow ~proven:complete ~labels ~guard_true
+        ~overlaps:(Tb.overlaps t)
+        ~interference:(Tb.interference ?cap:interference_cap t)
+        findings
     in
     let live =
-      List.filter_map
-        (fun i -> if guard_true.(i) > 0 then Some labels.(i) else None)
-        (List.init (Array.length labels) Fun.id)
-    in
-    let report =
-      { Report.algo;
-        topo;
-        tier = "exact";
-        configs = Tb.cells t;
-        evals = Tb.cells t;
-        findings;
-        waived;
-        overlaps;
-        interference;
-        (* without full enumeration a never-true guard is only a suspect *)
-        dead = (if complete then [] else never);
-        dead_proven = (if complete then never else []);
-        dead_unreached = [];
-      }
+      List.filteri (fun i _ -> guard_true.(i) > 0) (Array.to_list labels)
     in
     let proc_status =
       List.filter_map

@@ -36,6 +36,53 @@ type t = {
 
 let ok t = t.findings = []
 
+(* findings by (rule, action, proc): the summed count and the first detail *)
+type tally = (rule * string * int, int * string) Hashtbl.t
+
+let tally () : tally = Hashtbl.create 16
+
+let note (tl : tally) (f : finding) =
+  let key = (f.rule, f.action, f.proc) in
+  match Hashtbl.find_opt tl key with
+  | Some (c, d) -> Hashtbl.replace tl key (c + f.count, d)
+  | None -> Hashtbl.add tl key (f.count, f.detail)
+
+let build ~algo ~topo ~tier ~configs ~evals ~allow ~proven ~labels ~guard_true
+    ~overlaps ~interference (tl : tally) =
+  let waived, findings =
+    Hashtbl.fold
+      (fun (rule, action, proc) (count, detail) acc ->
+        { rule; action; proc; count; detail } :: acc)
+      tl []
+    |> List.sort compare
+    |> List.partition (fun f -> List.mem f.rule allow)
+  in
+  let never =
+    List.filteri (fun i _ -> guard_true.(i) = 0) (Array.to_list labels)
+  in
+  { algo;
+    topo;
+    tier;
+    configs;
+    evals;
+    findings;
+    waived;
+    overlaps =
+      List.map
+        (fun (labels, times, example_proc) -> { labels; times; example_proc })
+        overlaps
+      |> List.sort (fun (a : overlap) (b : overlap) ->
+             compare (b.times, a.labels) (a.times, b.labels));
+    interference =
+      List.map (fun (writer, reader, times) -> { writer; reader; times })
+        interference
+      |> List.sort (fun (a : interference) (b : interference) ->
+             compare (b.times, a.writer, a.reader)
+               (a.times, b.writer, b.reader));
+    dead = (if proven then [] else never);
+    dead_proven = (if proven then never else []);
+    dead_unreached = [] }
+
 let classify_dead ~proven ~live t =
   let dead_proven, rest =
     List.partition (fun a -> List.mem a proven) t.dead

@@ -77,6 +77,40 @@ type t = {
 val ok : t -> bool
 (** No violations ([findings = []]; waived findings do not count). *)
 
+(** {2 Building a report}
+
+    Both tiers ({!Analyze}, {!Exact}) note their findings in a {!tally} and
+    turn it into a report with {!build}, so aggregation, the allow list,
+    the statistic orders and the dead lists are decided in one place. *)
+
+type tally
+
+val tally : unit -> tally
+
+val note : tally -> finding -> unit
+(** Count a finding under its (rule, action, process), adding
+    [finding.count]; the first detail noted is kept as the exhibit. *)
+
+val build :
+  algo:string ->
+  topo:string ->
+  tier:string ->
+  configs:int ->
+  evals:int ->
+  allow:rule list ->
+  proven:bool ->
+  labels:string array ->
+  guard_true:int array ->
+  overlaps:(string list * int * int) list ->
+  interference:(string * string * int) list ->
+  tally ->
+  t
+(** Findings sorted and split on [allow] (matching rules are waived);
+    [overlaps] ([(labels, times, example_proc)]) and [interference]
+    ([(writer, reader, times)]) sorted by frequency, descending.  An action
+    [i] with [guard_true.(i) = 0] is dead: a proof when [proven] (the
+    exact tier's complete enumeration), a suspect otherwise. *)
+
 val classify_dead : proven:string list -> live:string list -> t -> t
 (** Split [t.dead] on exact evidence: suspects in [proven] move to
     [dead_proven], suspects in [live] to [dead_unreached], and anything the

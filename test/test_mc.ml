@@ -23,25 +23,21 @@ let system key =
 let exhaust key token h =
   let entry = system key in
   let module S = (val entry.Systems.make token) in
-  let module Ex = Explore.Make (S) in
-  let r = Ex.explore h in
-  check (key ^ " exploration complete") true (Ex.complete r);
+  let module C = Check.Make (S) in
+  let c = C.run ~algo:key ~token ~topo:"-" h in
+  let r = c.C.report in
+  check (key ^ " exploration complete") true r.Report.complete;
   check (key ^ " explored the whole domain")
     true
-    (float_of_int (Ex.n_configs r) >= Ex.product_size r);
-  check (key ^ " domain closed under transitions") true (Ex.escapees r = []);
-  check (key ^ " no safety violation") true (Ex.violations r = []);
-  let verdict =
-    Fairness.analyze ~n:(H.n h) ~n_configs:(Ex.n_configs r)
-      ~succs:(Ex.succs_inout r)
-      ~convenes:(fun src dst ->
-        Ex.meets_mask r dst land lnot (Ex.meets_mask r src) <> 0)
-      ~enabled_mask:(Ex.enabled_inout r)
-      ~committee_waiting:(Ex.committee_waiting r)
-      ()
-  in
-  check (key ^ " no deadlock") true (verdict.Fairness.deadlocks = []);
-  check (key ^ " no livelock") true (verdict.Fairness.livelocks = [])
+    (float_of_int r.Report.configs >= r.Report.product);
+  check (key ^ " domain closed under transitions") true
+    (r.Report.escapees = 0 && Report.closure_judged r);
+  check (key ^ " no safety violation") true (r.Report.safety_violations = 0);
+  check (key ^ " progress checked") true r.Report.progress_checked;
+  check (key ^ " no deadlock") true (r.Report.deadlocks = 0);
+  check (key ^ " no livelock") true (r.Report.livelocks = 0);
+  check (key ^ " passes without a counterexample") true
+    (Report.outcome r = Report.Pass && c.C.cex = None)
 
 let test_clean_cc1 () = exhaust "cc1" "vring" single2
 let test_clean_cc2 () = exhaust "cc2" "vring" single2
@@ -121,6 +117,48 @@ let test_cex_file_roundtrip () =
   let back = Counterexample.of_file file in
   Sys.remove file;
   check "counterexample file round-trips" true (cex = back)
+
+(* ---- Check: the witness of a failing run, and --sample roots ---- *)
+
+let test_check_broken () =
+  let entry = system "cc1-noready" in
+  let module S = (val entry.Systems.make "vring") in
+  let module C = Check.Make (S) in
+  let module CexM = Counterexample.Make (S) in
+  let c = C.run ~algo:"cc1-noready" ~token:"vring" ~topo:"single2" single2 in
+  check "fails" true (Report.outcome c.C.report = Report.Fail);
+  match c.C.cex with
+  | None -> Alcotest.fail "no counterexample"
+  | Some cex ->
+    check "a synchronization witness" true
+      (cex.Counterexample.kind = Counterexample.Safety "synchronization");
+    check "already minimized" true (CexM.minimize single2 cex = cex);
+    check "replays" true
+      (match CexM.replay single2 cex with
+      | CexM.Reproduced _ -> true
+      | _ -> false)
+
+(* A tree system's domain is the legitimate spanning tree with every wave
+   position; [random_init] draws corrupted trees outside it, whose states
+   are escapees of the roots, not closure failures.  Both instances pass
+   exhaustively with no escapee; sampled, they must not fail on their own
+   roots.  The counts are what `ccsim check --sample K --seed S` prints. *)
+let test_sample_closure () =
+  List.iter
+    (fun (key, topo, h, sample, seed, escapees) ->
+      let tag = Printf.sprintf "%s on %s, --sample %d" key topo sample in
+      let entry = system key in
+      let module S = (val entry.Systems.make "tree") in
+      let module C = Check.Make (S) in
+      let r = (C.run ~sample ~seed ~algo:key ~token:"tree" ~topo h).C.report in
+      check (tag ^ ": roots outside the domain") true
+        (r.Report.outside_roots > 0);
+      check (tag ^ ": closure not judged") false (Report.closure_judged r);
+      checki (tag ^ ": escapees kept") escapees r.Report.escapees;
+      checki (tag ^ ": no safety violation") 0 r.Report.safety_violations;
+      check (tag ^ ": passes") true (Report.outcome r = Report.Pass))
+    [ ("cc1", "single2", single2, 3, 1, 30);
+      ("cc2", "triangle3", triangle, 5, 3, 332) ]
 
 (* ---- encoding: intern/find round-trip over the whole domain ---- *)
 
@@ -350,6 +388,10 @@ let suite =
           test_broken_found_and_replays;
         Alcotest.test_case "counterexample file round-trip" `Quick
           test_cex_file_roundtrip;
+        Alcotest.test_case "check: broken witness minimized" `Quick
+          test_check_broken;
+        Alcotest.test_case "check: sampled roots outside the domain" `Quick
+          test_sample_closure;
         Alcotest.test_case "encode round-trip" `Quick test_encode_roundtrip;
         Alcotest.test_case "wide key: cc3 (tree) on ring6" `Quick test_wide_key;
         QCheck_alcotest.to_alcotest ~long:false prop_vec_model;

@@ -20,14 +20,20 @@ let h () = Families.fig2 ()
 let test_waiting_span () =
   let h = h () in
   let t = Metrics.create h ~initial:(Array.make 5 idle) in
+  (* the convene ledger is Spec's, fed the same transitions *)
+  let spec = Spec.create h ~initial:(Array.make 5 idle) in
+  let on_step ~step ~round ~before ~after =
+    Metrics.on_step t ~step ~round ~before ~after;
+    Spec.on_step spec ~step ~request_out:(fun _ -> false) ~before ~after
+  in
   (* v2 and v3 start waiting at step 1 *)
   let s1 = [| idle; idle; looking; looking; idle |] in
-  Metrics.on_step t ~step:1 ~round:1 ~before:(Array.make 5 idle) ~after:s1;
+  on_step ~step:1 ~round:1 ~before:(Array.make 5 idle) ~after:s1;
   let s2 = [| idle; idle; member Obs.Looking 2; member Obs.Looking 2; idle |] in
-  Metrics.on_step t ~step:2 ~round:1 ~before:s1 ~after:s2;
+  on_step ~step:2 ~round:1 ~before:s1 ~after:s2;
   (* convene at step 5, round 3 *)
   let s3 = [| idle; idle; member Obs.Waiting 2; member Obs.Waiting 2; idle |] in
-  Metrics.on_step t ~step:5 ~round:3 ~before:s2 ~after:s3;
+  on_step ~step:5 ~round:3 ~before:s2 ~after:s3;
   let s = Metrics.finish t ~step:6 ~round:3 in
   check_int "one convene" 1 s.Metrics.convenes;
   check_int "two served waits" 2 (List.length s.Metrics.completed_waits_steps);
@@ -35,7 +41,7 @@ let test_waiting_span () =
     (List.for_all (fun d -> d = 4) s.Metrics.completed_waits_steps);
   check "waits of 2 rounds" true
     (List.for_all (fun d -> d = 2) s.Metrics.completed_waits_rounds);
-  check_int "participations v2" 1 s.Metrics.participation.(2);
+  check_int "participations v2" 1 (Spec.participations spec).(2);
   check_int "max concurrency" 1 s.Metrics.max_concurrency
 
 let test_open_waits_and_starvation () =

@@ -143,6 +143,37 @@ module Deadish = struct
   let state_symmetries _ = []
 end
 
+(* ---- fixture: a non-local read only outside the declared domain ----
+
+   Every process's guard reads the far end of the path, but only from
+   state 3, which [random_init] draws and [domain] omits: the sampled tier
+   sees the read, the exact tier (over the domain) cannot. *)
+
+module Hidden_read = struct
+  type state = int
+
+  let name = "fixture-hidden-read"
+  let pp_state = Format.pp_print_int
+  let equal_state = Int.equal
+  let init _ _ = 0
+  let random_init _ rng _ = Random.State.int rng 4
+
+  let actions h =
+    [ { Model.label = "peek";
+        guard =
+          (fun ctx ->
+            ctx.Model.read ctx.Model.self = 3
+            && ctx.Model.read (H.n h - 1) >= 0);
+        apply = (fun _ -> 0) };
+    ]
+
+  let observe _ _ _ = Obs.make Obs.Idle
+  let domain _ _ = [ 0; 1; 2 ]
+  let canon _ _ s = s
+  let rename _ ~pi:_ ~eperm:_ _ s = s
+  let state_symmetries _ = []
+end
+
 let test_nonlocal_fires () =
   let module An = Snapcc_statics.Analyze.Make (Nonlocal) in
   let r = An.analyze ~seeds:4 ~max_configs:40 ~topo:"path4" (Families.path 4) in
@@ -290,44 +321,88 @@ let test_exact_dead_classification () =
        (Report.to_lines s'))
 
 (* ---- exact vs sampled agreement: CC1/CC2/CC3 over single2 and line3
-   (the acceptance families).  Every sampled violation must be reproduced
-   by the exact tier (here: both are clean), and with a complete exact
-   pass every sampled dead suspect must classify as proven or
-   unreached-in-sample. ---- *)
+   (the acceptance families), one Lint cell each.  Every sampled violation
+   must be reproduced by the exact tier (here: both are clean), and with a
+   complete exact pass every sampled dead suspect must classify as proven
+   or unreached-in-sample. ---- *)
+
+module Lint = Snapcc_statics.Lint
+module Systems = Snapcc_mc.Systems
+
+let resolve name =
+  match Systems.resolve name with
+  | Some r -> r
+  | None -> Alcotest.failf "unknown system %s" name
+
+let exact_cfg = Lint.config ~seeds:8 ~max_configs:80 ~exact:true ()
+
+let exact_of (c : Lint.cell) =
+  match c.Lint.exact with
+  | Some e -> e
+  | None -> Alcotest.fail "the exact tier did not run"
 
 let test_exact_agreement () =
   List.iter
     (fun key ->
-      let entry = Option.get (Snapcc_mc.Systems.find key) in
-      let module S = (val entry.Snapcc_mc.Systems.make "tree") in
-      let module An = Snapcc_statics.Analyze.Make (S) in
-      let module Ex = Snapcc_statics.Exact.Make (S) in
       List.iter
         (fun (topo, h) ->
           let tag = key ^ " on " ^ topo in
-          let sampled = An.analyze ~seeds:8 ~max_configs:80 ~topo h in
-          let exact, cov, _ = Ex.run ~algo:S.name ~topo h in
-          check (tag ^ ": sampled clean") true (Report.ok sampled);
-          check (tag ^ ": exact clean") true (Report.ok exact);
+          let c = Lint.run exact_cfg (resolve key) ~topo h in
+          let e = exact_of c in
+          check (tag ^ ": sampled clean") true (Report.ok c.Lint.sampled);
+          check (tag ^ ": exact clean") true (Report.ok e.Lint.report);
           check (tag ^ ": exact pass complete") true
-            cov.Snapcc_statics.Exact.complete;
-          check (tag ^ ": tiers agree") true
-            (Snapcc_statics.Exact.agreement ~exact ~sampled = []);
-          let s' =
-            Report.classify_dead ~proven:exact.Report.dead_proven
-              ~live:cov.Snapcc_statics.Exact.live sampled
-          in
+            e.Lint.coverage.Snapcc_statics.Exact.complete;
+          check (tag ^ ": tiers agree") true (e.Lint.unmatched = []);
+          check (tag ^ ": cell ok") true (Lint.ok c);
           check (tag ^ ": every dead suspect classified") true
-            (s'.Report.dead = []))
+            (c.Lint.sampled.Report.dead = []))
         [ ("single2", Families.single 2); ("line3", Families.path 3) ])
     [ "cc1"; "cc2"; "cc3" ]
+
+(* ---- the agreement gate's failing path: the sampled tier's locality
+   finding lies outside the declared domain, so the exact tier cannot
+   reproduce it; the cell lists it as unmatched and is not ok ---- *)
+
+let test_agreement_gate_fails () =
+  let entry =
+    { Systems.key = Hidden_read.name;
+      title = "non-local read outside the declared domain";
+      role = Systems.Paper;
+      token = None;
+      tag = None;
+      local = true;
+      make = (fun _ -> (module Hidden_read : Snapcc_mc.System.S)) }
+  in
+  let r =
+    { Systems.name = entry.Systems.key;
+      entry;
+      token = None;
+      tag = None;
+      sys = entry.Systems.make "" }
+  in
+  check "a local composition waives nothing" true (Lint.waiver r = []);
+  let c = Lint.run exact_cfg r ~topo:"path4" (Families.path 4) in
+  let e = exact_of c in
+  check "sampled tier reports locality" true
+    (has_rule c.Lint.sampled Report.Locality);
+  check "exact tier is clean over the domain" true (Report.ok e.Lint.report);
+  check "the exact pass completed" true
+    e.Lint.coverage.Snapcc_statics.Exact.complete;
+  check "the finding is unmatched" true
+    (e.Lint.unmatched <> []
+    && List.for_all
+         (fun (f : Report.finding) -> f.Report.rule = Report.Locality)
+         e.Lint.unmatched);
+  check "unmatched = the sampled findings" true
+    (e.Lint.unmatched = c.Lint.sampled.Report.findings);
+  check "the cell is not ok" false (Lint.ok c)
 
 (* ---- the locality waiver follows the token composition: over vring
    (a non-local oracle) cc1's process 0 reads process 2 of line3, so the
    exact tier waives those findings; over tree nothing is waived ---- *)
 
 let test_exact_vring_waived () =
-  let module Systems = Snapcc_mc.Systems in
   let entry = Option.get (Systems.find "cc1") in
   let central = Option.get (Systems.find "central") in
   let dining = Option.get (Systems.find "dining") in
@@ -336,14 +411,17 @@ let test_exact_vring_waived () =
   check "dining ignores the token" true
     (Systems.local_over dining (Some "vring"));
   check "central is never local" false (Systems.local_over central None);
+  check "central's waiver" true
+    (Lint.waiver (resolve "central") = [ Report.Locality ]);
+  let cfg = Lint.config ~seeds:4 ~max_configs:40 ~exact:true () in
   List.iter
     (fun token ->
-      let module S = (val entry.Systems.make token) in
-      let module Ex = Snapcc_statics.Exact.Make (S) in
-      let allow =
-        if Systems.local_over entry (Some token) then [] else [ Report.Locality ]
-      in
-      let r, _, _ = Ex.run ~allow ~algo:S.name ~topo:"line3" (Families.path 3) in
+      let r = resolve ("cc1-" ^ token) in
+      check ("cc1 over " ^ token ^ ": locality waived iff vring")
+        (token = "vring")
+        (Lint.waiver r = [ Report.Locality ]);
+      let c = Lint.run cfg r ~topo:"line3" (Families.path 3) in
+      let r = (exact_of c).Lint.report in
       check ("cc1 over " ^ token ^ ": verdict ok") true (Report.ok r);
       check ("cc1 over " ^ token ^ ": no violation") true (r.Report.findings = []);
       check ("cc1 over " ^ token ^ ": waived iff vring") (token = "vring")
@@ -353,6 +431,46 @@ let test_exact_vring_waived () =
            (fun (f : Report.finding) -> f.rule = Report.Locality && f.proc = 0)
            r.Report.waived))
     [ "vring"; "tree" ]
+
+(* ---- an artifact directory implies the tier that writes it ---- *)
+
+let with_temp_dir f =
+  let dir = Filename.temp_dir "snapcc-lint" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun x -> Sys.remove (Filename.concat dir x)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+let test_artifact_flags_imply_tiers () =
+  let single2 = Families.single 2 in
+  with_temp_dir (fun dir ->
+      let cfg = Lint.config ~seeds:4 ~max_configs:40 ~tables:dir () in
+      check "--tables implies the exact tier" true cfg.Lint.exact;
+      check "--tables alone runs no admission" false cfg.Lint.symmetry;
+      let c = Lint.run cfg (resolve "cc1") ~topo:"single2" single2 in
+      check "the exact tier ran" true (c.Lint.exact <> None);
+      match
+        Snapcc_statics.Artifact.load
+          (Filename.concat dir "tables-cc1-single2.txt")
+      with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "table artifact: %s" e);
+  with_temp_dir (fun dir ->
+      let cfg = Lint.config ~seeds:4 ~max_configs:40 ~orbits:dir () in
+      check "--orbits implies the admission" true cfg.Lint.symmetry;
+      check "--orbits implies the exact tier" true cfg.Lint.exact;
+      let c = Lint.run cfg (resolve "cc1") ~topo:"single2" single2 in
+      check "the admission ran" true
+        (match c.Lint.exact with
+        | Some e -> e.Lint.symmetry <> None
+        | None -> false);
+      match
+        Snapcc_statics.Symmetry.verify_file
+          (Filename.concat dir "orbits-cc1-single2.txt")
+      with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "orbit certificate: %s" e)
 
 (* ---- table artifacts round-trip ---- *)
 
@@ -401,6 +519,10 @@ let suite =
           test_exact_agreement;
         Alcotest.test_case "exact tier: vring locality findings are waived"
           `Quick test_exact_vring_waived;
+        Alcotest.test_case "agreement gate fails on an unmatched finding"
+          `Quick test_agreement_gate_fails;
+        Alcotest.test_case "artifact flags imply their tier" `Quick
+          test_artifact_flags_imply_tiers;
         Alcotest.test_case "table artifact round-trip" `Quick
           test_artifact_round_trip;
       ] );
