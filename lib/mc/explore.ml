@@ -209,13 +209,14 @@ module Make (Sys : System.S) = struct
           Some g
       | _ -> None
     in
-    (* The step of [p] over the guard closures, for a configuration the
-       tables do not cover: the action [Model.priority] picks ([-1] for
-       none), whose interned successor goes to [succ.(p)]. *)
-    let closure_step inputs read succ p =
-      let ctx = { Model.h; inputs; read; self = p } in
+    (* The step of [ctx.self] over the guard closures, for a configuration
+       the tables do not cover: the action [Model.priority] picks ([-1] for
+       none), whose interned successor goes to [succ.(ctx.self)]. *)
+    let closure_step ctx succ =
       let i = Model.priority actions ctx in
-      if i >= 0 then succ.(p) <- Enc.intern enc p (actions.(i).Model.apply ctx);
+      if i >= 0 then
+        succ.(ctx.Model.self) <-
+          Enc.intern enc ctx.Model.self (actions.(i).Model.apply ctx);
       i
     in
     let raw_step cfg mode selmask =
@@ -231,7 +232,8 @@ module Make (Sys : System.S) = struct
             | None -> -2
           in
           if e >= 0 then out.(p) <- Tables.entry_succ e
-          else if e = -2 then ignore (closure_step inputs read out p)
+          else if e = -2 then
+            ignore (closure_step { Model.h; inputs; read; self = p } out)
         end
       done;
       out
@@ -336,106 +338,222 @@ module Make (Sys : System.S) = struct
           pending_roots := rest;
           Some (Array.init n (fun p -> Enc.intern enc p sts.(p))))
     in
+    (* Per input mode, the step each process takes: its action ([-1]:
+       none), its interned successor and, over the guard closures, the
+       input predicates its scan and statement consulted as mode bits
+       (bit 0 [request_in], bit 1 [request_out], the bits of
+       {!Model.mode_of} that index [mode_inputs]).  The recording
+       contexts read the configuration being processed, [cur]. *)
+    let nmodes = Array.length mode_inputs in
+    let act = Array.init nmodes (fun _ -> Array.make n (-1)) in
+    let succ = Array.init nmodes (fun _ -> Array.make n 0) in
+    let consulted = Array.init nmodes (fun _ -> Array.make n 0) in
+    let enabled = Array.make nmodes 0 in
+    let cur = ref [||] in
+    let inputs_read = ref 0 in
+    let ctxs =
+      let read q = !cur.(q) in
+      Array.map
+        (fun (base : Model.inputs) ->
+          let inputs =
+            { Model.request_in =
+                (fun q ->
+                  inputs_read := !inputs_read lor 1;
+                  base.Model.request_in q);
+              request_out =
+                (fun q ->
+                  inputs_read := !inputs_read lor 2;
+                  base.Model.request_out q) }
+          in
+          Array.init n (fun p -> { Model.h; inputs; read; self = p }))
+        mode_inputs
+    in
+    (* The step of [p] under [mode] over the guard closures.  Guards and
+       statements are deterministic in what they read, so an earlier mode
+       agreeing on every input predicate its scan consulted already took
+       it. *)
+    let closure_scan mode p =
+      let from = ref (-1) in
+      for m' = mode - 1 downto 0 do
+        if (mode lxor m') land consulted.(m').(p) = 0 then from := m'
+      done;
+      let m' = !from in
+      if m' >= 0 then begin
+        act.(mode).(p) <- act.(m').(p);
+        succ.(mode).(p) <- succ.(m').(p);
+        consulted.(mode).(p) <- consulted.(m').(p)
+      end
+      else begin
+        inputs_read := 0;
+        act.(mode).(p) <- closure_step ctxs.(mode).(p) succ.(mode);
+        consulted.(mode).(p) <- !inputs_read
+      end
+    in
+    (* Modes [m1] and [m2] enable the same processes with the same
+       successors, so every subset steps to the same configuration. *)
+    let same_step m1 m2 =
+      let en = enabled.(m1) in
+      let same = ref (en = enabled.(m2)) in
+      for p = 0 to n - 1 do
+        if en land (1 lsl p) <> 0 && succ.(m1).(p) <> succ.(m2).(p) then
+          same := false
+      done;
+      !same
+    in
+    (* Per mode and per enabled subset, in enumeration order: destination
+       id, meets mask of the raw successor and Spec verdicts.  A mode whose
+       step repeats an earlier mode's reads the destinations and meets
+       masks of the first such mode ([ds]); its transitions repeat the
+       verdicts of the first such mode that agrees on RequestOut ([vs]),
+       since Spec judges from (before, after, [request_out]) alone.  The
+       slabs grow to the most subsets any configuration enables. *)
+    let dsts = Array.make nmodes [||] and ams = Array.make nmodes [||] in
+    let vios = Array.make nmodes [||] in
+    let reserve mode k =
+      if Array.length dsts.(mode) < k then begin
+        let k = max k (2 * Array.length dsts.(mode)) in
+        dsts.(mode) <- Array.make k 0;
+        ams.(mode) <- Array.make k 0;
+        vios.(mode) <- Array.make k []
+      end
+    in
+    let rec subsets en = if en = 0 then 1 else 2 * subsets (en land (en - 1)) in
     let scratch = Array.make n 0 in
-    let succ_ids = Array.make n 0 in
-    let act_idx = Array.make n (-1) in
+    (* [scratch] := the raw successor of [cfg] when [s] steps under [mode]. *)
+    let step_into cfg mode s =
+      Array.blit cfg 0 scratch 0 n;
+      for p = 0 to n - 1 do
+        if s land (1 lsl p) <> 0 then scratch.(p) <- succ.(mode).(p)
+      done
+    in
+    let rec record cid mode s = function
+      | [] -> ()
+      | (v : Spec.violation) :: rest ->
+        r.viols <-
+          { rule = v.Spec.rule;
+            detail = v.Spec.detail;
+            source = cid;
+            mode;
+            selected = bits_list s }
+          :: r.viols;
+        if stop_on_first then stop := true;
+        record cid mode s rest
+    in
     let process cid =
       assert (Vec.length r.estart = cid);
       Vec.push r.estart (Vec.length r.edges);
       let cfg = config_ids r cid in
       let sts = states_of_ids enc cfg in
-      let read p = sts.(p) in
+      cur := sts;
       let before_obs = lazy (obs_of_states h sts) in
       let bm = Vec.get r.meets cid in
-      for mode = 0 to Array.length mode_inputs - 1 do
+      for mode = 0 to nmodes - 1 do
         if not !stop then begin
-          let inputs = mode_inputs.(mode) in
-          let enabled = ref 0 in
+          let acts = act.(mode) in
+          let en = ref 0 in
           for p = 0 to n - 1 do
             let e =
               match tables with
               | Some tb -> Tb.entry tb ~mode ~proc:p cfg
               | None -> -2
             in
-            if e = -1 then act_idx.(p) <- -1
-            else if e >= 0 then begin
-              act_idx.(p) <- Tables.entry_act e;
-              enabled := !enabled lor (1 lsl p);
-              succ_ids.(p) <- Tables.entry_succ e
+            if e >= 0 then begin
+              acts.(p) <- Tables.entry_act e;
+              succ.(mode).(p) <- Tables.entry_succ e
             end
-            else begin
-              let i = closure_step inputs read succ_ids p in
-              act_idx.(p) <- i;
-              if i >= 0 then enabled := !enabled lor (1 lsl p)
+            else if e = -1 then acts.(p) <- -1
+            else closure_scan mode p;
+            if acts.(p) >= 0 then en := !en lor (1 lsl p)
+          done;
+          let en = !en in
+          enabled.(mode) <- en;
+          if mode = inout_mode then
+            Vec.set r.info cid (Vec.get r.info cid lor (en lsl (n + 3)));
+          let ds = ref mode and vs = ref mode in
+          for m' = mode - 1 downto 0 do
+            if same_step m' mode then begin
+              ds := m';
+              if (m' lxor mode) land 2 = 0 then vs := m'
             end
           done;
-          if mode = inout_mode then
-            Vec.set r.info cid (Vec.get r.info cid lor (!enabled lsl (n + 3)));
-          let full = !enabled in
-          if full <> 0 then begin
-            let sub = ref full in
+          let ds = !ds and vs = !vs in
+          if en <> 0 then begin
+            reserve mode (subsets en - 1);
+            let dst_of = dsts.(ds) and am_of = ams.(ds) in
+            let sub = ref en and j = ref 0 in
             let continue_ = ref true in
             while !continue_ && (not !stop) && not !capped do
-              let s = !sub in
-              Array.blit cfg 0 scratch 0 n;
-              for p = 0 to n - 1 do
-                if s land (1 lsl p) <> 0 then scratch.(p) <- succ_ids.(p)
-              done;
-              (* quotient mode: store the lex-least orbit representative,
-                 but judge the RAW transition — the witness's inverse edge
-                 permutation pulls the canonical meets mask back to the raw
-                 successor's.  Escapee configurations bypass
-                 canonicalization (their transport is undefined) and are
-                 explored concretely, exactly as without symmetry. *)
-              let target, gi =
-                match grp with
-                | Some g when Symmetry.in_domain g scratch ->
-                    let rep, gi = Symmetry.canonical g scratch in
-                    (rep, gi)
-                | _ -> (scratch, 0)
+              let s = !sub and i = !j in
+              let dst =
+                if ds <> mode then
+                  (* the store caps exactly where discovery would *)
+                  if Enc.table_count r.table >= max_configs then begin
+                    capped := true;
+                    -1
+                  end
+                  else dst_of.(i)
+                else begin
+                  step_into cfg mode s;
+                  (* quotient mode: store the lex-least orbit
+                     representative, but judge the RAW transition — the
+                     witness's inverse edge permutation pulls the canonical
+                     meets mask back to the raw successor's.  Escapee
+                     configurations bypass canonicalization (their
+                     transport is undefined) and are explored concretely,
+                     exactly as without symmetry. *)
+                  let d =
+                    match grp with
+                    | Some g when Symmetry.in_domain g scratch ->
+                      let rep, gi = Symmetry.canonical g scratch in
+                      let d = discover ~mode ~sel:s ~parent:cid rep in
+                      if d >= 0 then
+                        am_of.(i) <-
+                          (if gi = 0 then Vec.get r.meets d
+                           else
+                             Symmetry.inverse_map_mask
+                               g.Symmetry.elems.(gi).Symmetry.eperm
+                               (Vec.get r.meets d));
+                      d
+                    | _ ->
+                      let d = discover ~mode ~sel:s ~parent:cid scratch in
+                      if d >= 0 then am_of.(i) <- Vec.get r.meets d;
+                      d
+                  in
+                  dst_of.(i) <- d;
+                  d
+                end
               in
-              let dst = discover ~mode ~sel:s ~parent:cid target in
               if dst >= 0 then begin
                 r.transitions <- r.transitions + 1;
                 for p = 0 to n - 1 do
                   if s land (1 lsl p) <> 0 then
-                    r.counts.(act_idx.(p)) <- r.counts.(act_idx.(p)) + 1
+                    r.counts.(acts.(p)) <- r.counts.(acts.(p)) + 1
                 done;
-                let am =
-                  match grp with
-                  | Some g when gi <> 0 ->
-                      Symmetry.inverse_map_mask
-                        g.Symmetry.elems.(gi).Symmetry.eperm
-                        (Vec.get r.meets dst)
-                  | _ -> Vec.get r.meets dst
-                in
+                let am = am_of.(i) in
                 if mode = inout_mode then begin
                   let conv = if am land lnot bm <> 0 then 1 else 0 in
                   Vec.push r.edges ((((dst lsl 1) lor conv) lsl n) lor s)
                 end;
-                if am <> bm then begin
-                  (* a meeting convened or broke up: judge the raw
-                     transition with the runtime monitor, before as
-                     initial (§2.5) *)
-                  let before = Lazy.force before_obs in
-                  let after = obs_of_states h (states_of_ids enc scratch) in
-                  let spec = Spec.create h ~initial:before in
-                  Spec.on_step spec ~step:0
-                    ~request_out:inputs.Model.request_out ~before ~after;
-                  List.iter
-                    (fun (v : Spec.violation) ->
-                      r.viols <-
-                        { rule = v.Spec.rule;
-                          detail = v.Spec.detail;
-                          source = cid;
-                          mode;
-                          selected = bits_list s }
-                        :: r.viols;
-                      if stop_on_first then stop := true)
-                    (Spec.violations spec)
-                end
+                if am <> bm then
+                  if vs <> mode then record cid mode s vios.(vs).(i)
+                  else begin
+                    (* a meeting convened or broke up: judge the raw
+                       transition with the runtime monitor, before as
+                       initial (§2.5) *)
+                    if ds <> mode then step_into cfg mode s;
+                    let before = Lazy.force before_obs in
+                    let after = obs_of_states h (states_of_ids enc scratch) in
+                    let spec = Spec.create h ~initial:before in
+                    Spec.on_step spec ~step:0
+                      ~request_out:mode_inputs.(mode).Model.request_out ~before
+                      ~after;
+                    let found = Spec.violations spec in
+                    vios.(mode).(i) <- found;
+                    record cid mode s found
+                  end
               end;
-              let nxt = (s - 1) land full in
+              incr j;
+              let nxt = (s - 1) land en in
               if nxt = 0 then continue_ := false else sub := nxt
             done
           end

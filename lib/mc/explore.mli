@@ -17,7 +17,14 @@
     (arbitrary) source state — exactly the per-state reading of §2.5.
     Exclusion is additionally checked on every {e configuration} as it is
     discovered.  The transition graph under the [in+out] mode is retained
-    for the progress analysis ({!Fairness}). *)
+    for the progress analysis ({!Fairness}).
+
+    Each distinct input-mode behaviour of a configuration is computed
+    once: a process's step is reused by a later mode that agrees on the
+    input predicates it consulted, a mode with an earlier mode's enabled
+    set and successors reuses its destinations, and a repeated transition
+    under the same [RequestOut] reuses its verdicts.  Every transition is
+    still counted, and recorded under its own mode. *)
 
 type violation = {
   rule : string;  (** {!Snapcc_analysis.Spec} rule name, e.g. ["synchronization"] *)

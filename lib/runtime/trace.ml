@@ -27,12 +27,8 @@ let record_fault t ~step obs =
   t.rev_entries <- { step; executed = []; obs; fault = true } :: t.rev_entries;
   t.count <- t.count + 1
 
-let initial t = t.initial
 let entries t = List.rev t.rev_entries
 let length t = t.count
-
-let final t =
-  match t.rev_entries with [] -> t.initial | e :: _ -> e.obs
 
 let pp_timeline ?(width = 64) ppf t =
   let entries = entries t in

@@ -20,14 +20,11 @@ val record_fault : t -> step:int -> Obs.t array -> unit
 (** Record a transient-fault boundary: [obs] is the corrupted configuration
     before the step numbered [step]. *)
 
-val initial : t -> Obs.t array
 val entries : t -> entry list
 (** In chronological order (fault boundaries included). *)
 
 val length : t -> int
 (** Recorded entries, fault boundaries included. *)
-
-val final : t -> Obs.t array
 
 val pp : Format.formatter -> t -> unit
 

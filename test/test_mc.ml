@@ -355,7 +355,14 @@ let test_fairness_cross_edge () =
 
 (* ---- table-driven fast path: identical results to the closure path ---- *)
 
+(* Both paths share each configuration's scans, successors and verdicts
+   across the input modes that behave alike, so beyond the totals they
+   must agree on every configuration's in+out enabled set and
+   transitions, and those must be the §2.2 step taken straight from the
+   guard closures: every non-empty subset of the enabled processes, each
+   selected process executing its priority action. *)
 let test_tables_parity () =
+  let module Model = Snapcc_runtime.Model in
   List.iter
     (fun (key, token) ->
       let entry = system key in
@@ -363,6 +370,41 @@ let test_tables_parity () =
       let module Tb = Tables.Make (S) in
       let module Ex = Explore.Make (S) in
       let tag = key ^ "/" ^ token in
+      let actions = Array.of_list (S.actions single2) in
+      let inputs = Explore.mode_inputs.(Explore.inout_mode) in
+      let wrong_steps r =
+        let wrong = ref 0 in
+        for cid = 0 to Ex.n_configs r - 1 do
+          let sts = Ex.states_of_config r cid in
+          let ctx p =
+            { Model.h = single2; inputs; read = Array.get sts; self = p }
+          in
+          let acts =
+            Array.init (H.n single2) (fun p -> Model.priority actions (ctx p))
+          in
+          let en = ref 0 in
+          Array.iteri (fun p i -> if i >= 0 then en := !en lor (1 lsl p)) acts;
+          let succs = Ex.succs_inout r cid in
+          let subsets =
+            List.filter (fun s -> s land !en = s) (List.init !en succ)
+          in
+          if Ex.enabled_inout r cid <> !en
+             || List.sort compare (List.map snd succs) <> subsets
+          then incr wrong;
+          List.iter
+            (fun (dst, sel) ->
+              Array.iteri
+                (fun p id ->
+                  let s =
+                    if sel land (1 lsl p) = 0 then sts.(p)
+                    else actions.(acts.(p)).Model.apply (ctx p)
+                  in
+                  if Ex.domain_index r p s <> Some id then incr wrong)
+                (Ex.config_ids r dst))
+            succs
+        done;
+        !wrong
+      in
       let r0 = Ex.explore single2 in
       let tb = Tb.build single2 in
       check (tag ^ " tables stored for every process") true (Tb.built tb);
@@ -374,8 +416,61 @@ let test_tables_parity () =
         (Ex.action_counts r0 = Ex.action_counts r1);
       check (tag ^ " same violations") true
         (Ex.violations r0 = Ex.violations r1);
-      check (tag ^ " both complete") true (Ex.complete r0 && Ex.complete r1))
-    [ ("cc1", "vring"); ("cc1", "tree"); ("cc3", "vring") ]
+      check (tag ^ " both complete") true (Ex.complete r0 && Ex.complete r1);
+      let differ = ref 0 in
+      for cid = 0 to Ex.n_configs r0 - 1 do
+        if
+          Ex.enabled_inout r0 cid <> Ex.enabled_inout r1 cid
+          || Ex.succs_inout r0 cid <> Ex.succs_inout r1 cid
+        then incr differ
+      done;
+      checki (tag ^ " same in+out graph, configuration by configuration") 0
+        !differ;
+      checki (tag ^ " in+out transitions are the closures' steps") 0
+        (wrong_steps r0))
+    [ ("cc1", "vring"); ("cc1", "tree"); ("cc2", "vring"); ("cc3", "vring");
+      ("cc1-noready", "vring") ]
+
+(* ---- a full exploration with violations under every mode, pinned ---- *)
+
+(* cc1-noready on single2, explored to the end over both paths: every
+   mode repeats the synchronization failure, so the shared scans,
+   successors and verdicts must still be recorded under each mode with
+   that mode's own actions.  The figures come from expanding every mode
+   afresh. *)
+let test_noready_full () =
+  let entry = system "cc1-noready" in
+  let module S = (val entry.Systems.make "vring") in
+  let module Tb = Tables.Make (S) in
+  let module Ex = Explore.Make (S) in
+  let per_mode r =
+    List.init 5 (fun i ->
+        List.length
+          (List.filter
+             (fun (v : Explore.violation) -> v.Explore.mode = i - 1)
+             (Ex.violations r)))
+  in
+  List.iter
+    (fun (path, r) ->
+      checki (path ^ " configurations") 2_304 (Ex.n_configs r);
+      checki (path ^ " transitions") 23_805 (Ex.n_transitions r);
+      checki (path ^ " violations") 576 (List.length (Ex.violations r));
+      check (path ^ " complete") true (Ex.complete r);
+      check (path ^ " all synchronization") true
+        (List.for_all
+           (fun (v : Explore.violation) -> v.Explore.rule = "synchronization")
+           (Ex.violations r));
+      Alcotest.(check (list int))
+        (path ^ " violations per mode (configuration-local, then 0..3)")
+        [ 0; 144; 144; 144; 144 ] (per_mode r);
+      Alcotest.(check (list (pair string int)))
+        (path ^ " action counts")
+        [ ("Step1", 567); ("Step21", 216); ("Step22", 108); ("Token1", 4_689);
+          ("Token2", 4_572); ("Step31", 2_160); ("Step32", 1_008);
+          ("Step4", 1_386); ("Stab1", 4_356); ("Stab2", 12_060) ]
+        (Ex.action_counts r))
+    [ ("closure", Ex.explore single2);
+      ("tables", Ex.explore ~tables:(Tb.build single2) single2) ]
 
 let suite =
   [ ( "mc",
@@ -402,4 +497,6 @@ let suite =
         Alcotest.test_case "fairness: cross edge into a finished component"
           `Quick test_fairness_cross_edge;
         Alcotest.test_case "table-driven fast path parity" `Quick
-          test_tables_parity ] ) ]
+          test_tables_parity;
+        Alcotest.test_case "full exploration: cc1-noready on single2" `Quick
+          test_noready_full ] ) ]
