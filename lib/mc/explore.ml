@@ -304,26 +304,34 @@ module Make (Sys : System.S) = struct
         cid
     in
     let discover_root cfg = ignore (discover ~mode:(-1) ~sel:0 ~parent:(-1) cfg) in
-    (* lazily streamed roots *)
+    (* quotient mode: the orbit representative and a candidate image *)
+    let rep = Array.make n 0 and cand = Array.make n 0 in
+    (* lazily streamed roots; in quotient mode the odometer streams every
+       orbit's lex-least member itself, so the others are skipped before
+       they are copied *)
     let root_cursor = Array.make n 0 in
     let roots_exhausted = ref false in
-    let next_domain_root () =
-      if !roots_exhausted then None
+    let rec adv p =
+      if p < 0 then roots_exhausted := true
       else begin
-        let cfg = Array.copy root_cursor in
-        let rec adv p =
-          if p < 0 then roots_exhausted := true
-          else begin
-            root_cursor.(p) <- root_cursor.(p) + 1;
-            if root_cursor.(p) >= Enc.domain_count enc p then begin
-              root_cursor.(p) <- 0;
-              adv (p - 1)
-            end
-          end
-        in
-        adv (n - 1);
-        Some cfg
+        root_cursor.(p) <- root_cursor.(p) + 1;
+        if root_cursor.(p) >= Enc.domain_count enc p then begin
+          root_cursor.(p) <- 0;
+          adv (p - 1)
+        end
       end
+    in
+    let rec next_domain_root () =
+      if !roots_exhausted then None
+      else
+        match grp with
+        | Some g when Symmetry.canonical_into g root_cursor ~rep ~cand <> 0 ->
+          adv (n - 1);
+          next_domain_root ()
+        | _ ->
+          let cfg = Array.copy root_cursor in
+          adv (n - 1);
+          Some cfg
     in
     let pending_roots =
       ref (match roots with `States l -> l | `Domain -> [])
@@ -419,6 +427,9 @@ module Make (Sys : System.S) = struct
     in
     let rec subsets en = if en = 0 then 1 else 2 * subsets (en land (en - 1)) in
     let scratch = Array.make n 0 in
+    (* per process, the row code of its cell in the configuration being
+       processed: one table lookup serves every mode *)
+    let codes = Array.make n (-1) in
     (* [scratch] := the raw successor of [cfg] when [s] steps under [mode]. *)
     let step_into cfg mode s =
       Array.blit cfg 0 scratch 0 n;
@@ -447,6 +458,12 @@ module Make (Sys : System.S) = struct
       cur := sts;
       let before_obs = lazy (obs_of_states h sts) in
       let bm = Vec.get r.meets cid in
+      (match tables with
+      | Some tb ->
+        for p = 0 to n - 1 do
+          codes.(p) <- Tb.row_code tb ~proc:p cfg
+        done
+      | None -> ());
       for mode = 0 to nmodes - 1 do
         if not !stop then begin
           let acts = act.(mode) in
@@ -454,7 +471,7 @@ module Make (Sys : System.S) = struct
           for p = 0 to n - 1 do
             let e =
               match tables with
-              | Some tb -> Tb.entry tb ~mode ~proc:p cfg
+              | Some tb -> Tb.entry_of_code tb ~proc:p ~code:codes.(p) ~mode
               | None -> -2
             in
             if e >= 0 then begin
@@ -504,7 +521,7 @@ module Make (Sys : System.S) = struct
                   let d =
                     match grp with
                     | Some g when Symmetry.in_domain g scratch ->
-                      let rep, gi = Symmetry.canonical g scratch in
+                      let gi = Symmetry.canonical_into g scratch ~rep ~cand in
                       let d = discover ~mode ~sel:s ~parent:cid rep in
                       if d >= 0 then
                         am_of.(i) <-
@@ -575,16 +592,9 @@ module Make (Sys : System.S) = struct
         match next_root () with
         | Some cfg ->
           (match (grp, roots) with
-          | Some g, `Domain ->
-            (* the root odometer streams every orbit's lex-least member
-               itself, so non-canonical roots are skipped outright *)
-            let rep, _ = Symmetry.canonical g cfg in
-            if rep = cfg then discover_root cfg
-          | Some g, `States _ ->
-            discover_root
-              (if Symmetry.in_domain g cfg then fst (Symmetry.canonical g cfg)
-               else cfg)
-          | None, _ -> discover_root cfg);
+          | Some g, `States _ when Symmetry.in_domain g cfg ->
+            discover_root (fst (Symmetry.canonical g cfg))
+          | _ -> discover_root cfg);
           loop ()
         | None -> r.complete_ <- true
     in

@@ -99,36 +99,51 @@ let apply g x =
   y
 
 let in_domain grp x =
-  let id = grp.elems.(0) in
+  let sigma = grp.elems.(0).sigma in
   let ok = ref true in
-  Array.iteri
-    (fun p i -> if i >= Array.length id.sigma.(p) then ok := false)
-    x;
+  for p = 0 to Array.length x - 1 do
+    if x.(p) >= Array.length sigma.(p) then ok := false
+  done;
   !ok
 
-let canonical grp x =
+(* [a] before [b] lexicographically, from position [p] on. *)
+let rec lex_less (a : int array) (b : int array) p =
+  p < Array.length a
+  && (a.(p) < b.(p) || (a.(p) = b.(p) && lex_less a b (p + 1)))
+
+let canonical_into grp x ~rep ~cand =
   let n = Array.length x in
-  let best = Array.copy x and cand = Array.make n 0 in
-  let best_i = ref 0 in
+  Array.blit x 0 rep 0 n;
+  let best = ref 0 in
   (* elems.(0) is the identity: start from x itself *)
   for gi = 1 to Array.length grp.elems - 1 do
     let g = grp.elems.(gi) in
     for p = 0 to n - 1 do
       cand.(g.pi.(p)) <- g.sigma.(p).(x.(p))
     done;
-    if compare cand best < 0 then begin
-      Array.blit cand 0 best 0 n;
-      best_i := gi
+    if lex_less cand rep 0 then begin
+      Array.blit cand 0 rep 0 n;
+      best := gi
     end
   done;
-  (best, !best_i)
+  !best
+
+let canonical grp x =
+  let n = Array.length x in
+  let rep = Array.make n 0 in
+  let gi = canonical_into grp x ~rep ~cand:(Array.make n 0) in
+  (rep, gi)
 
 let map_mask eperm mask =
   let r = ref 0 in
-  Array.iteri (fun e e' -> if mask land (1 lsl e) <> 0 then r := !r lor (1 lsl e')) eperm;
+  for e = 0 to Array.length eperm - 1 do
+    if mask land (1 lsl e) <> 0 then r := !r lor (1 lsl eperm.(e))
+  done;
   !r
 
 let inverse_map_mask eperm mask =
   let r = ref 0 in
-  Array.iteri (fun e e' -> if mask land (1 lsl e') <> 0 then r := !r lor (1 lsl e)) eperm;
+  for e = 0 to Array.length eperm - 1 do
+    if mask land (1 lsl eperm.(e)) <> 0 then r := !r lor (1 lsl e)
+  done;
   !r

@@ -58,6 +58,14 @@ val canonical : group -> int array -> int array * int
     orbit of [x] plus the index [gi] into [grp.elems] of a witness with
     [apply grp.elems.(gi) x = canonical].  [x] must be within domain. *)
 
+val canonical_into :
+  group -> int array -> rep:int array -> cand:int array -> int
+(** [canonical_into grp x ~rep ~cand] writes [fst (canonical grp x)] into
+    [rep] and returns the same witness index, allocating nothing; [cand]
+    is scratch.  [rep] and [cand] have the length of [x] and are distinct
+    from it.  The witness is [0] exactly when [x] is its orbit's
+    representative. *)
+
 val map_mask : int array -> int -> int
 (** [map_mask eperm mask] pushes a bitmask over edge ids through [eperm]. *)
 

@@ -12,12 +12,16 @@
    Evidence is accumulated as incidents (locality, write-ownership,
    determinism, crash-freedom), per-action guard-true counts (dead-action
    proofs), priority-overlap occurrences, and — for processes whose product
-   fits the storage cap — packed per-(process, mode) entry tables keyed by
-   dense state ids, which {!Explore} can execute by lookup instead of
-   re-running the guard closures per transition. *)
+   fits the storage cap — a packed table keyed by dense state ids, which
+   {!Explore} can execute by lookup instead of re-running the guard
+   closures per transition.  A cell's {e row} is its [nmodes] packed
+   entries; few distinct rows occur (193–217 per cc1∘vring triangle3
+   process), so a table stores one 16-bit row code per cell and each
+   distinct row once. *)
 
 module H = Snapcc_hypergraph.Hypergraph
 module Model = Snapcc_runtime.Model
+module Masks = Hashtbl.Make (Int)
 
 let nmodes = Array.length Model.input_modes
 
@@ -49,8 +53,113 @@ type proc_tbl = {
   support : int array;  (** processes read, ascending; includes the owner *)
   sizes : int array;  (** domain size per support process *)
   strides : int array;  (** row-major, last support process fastest *)
-  entries : int array array;  (** per input mode, [Π sizes] packed entries *)
+  codes : Bytes.t;  (** per cell, its row code: 16 bits, little-endian *)
+  rows : int array;  (** per row code, its [nmodes] packed entries *)
 }
+
+let max_rows = 1 lsl 16
+
+(* The one accessor of a stored table: a cell's row code, then an entry of
+   that row. *)
+let ncells tb = Bytes.length tb.codes / 2
+let cell_code tb cell = Bytes.get_uint16_le tb.codes (2 * cell)
+let code_entry tb code ~mode = tb.rows.((code * nmodes) + mode)
+
+(* Numbers distinct rows in first-occurrence order: [rows] holds [nmodes]
+   entries per code, [slots] is an open-addressing index of the codes
+   (code + 1, [0] = empty) kept at most half full. *)
+module Coder = struct
+  type t = {
+    mutable rows : int array;
+    mutable count : int;
+    mutable slots : int array;
+  }
+
+  let create () =
+    { rows = Array.make (16 * nmodes) 0; count = 0; slots = Array.make 32 0 }
+
+  let reset c =
+    c.count <- 0;
+    Array.fill c.slots 0 (Array.length c.slots) 0
+
+  let hash rows base =
+    let h = ref 0 in
+    for m = 0 to nmodes - 1 do
+      h := (!h + rows.(base + m)) * 0x2545F4914F6CDD1D
+    done;
+    !h lxor (!h lsr 29)
+
+  let same c code row =
+    let base = code * nmodes in
+    let eq = ref true in
+    for m = 0 to nmodes - 1 do
+      if c.rows.(base + m) <> row.(m) then eq := false
+    done;
+    !eq
+
+  let rec slot_of c row i =
+    let s = c.slots.(i) in
+    if s = 0 || same c (s - 1) row then i
+    else slot_of c row ((i + 1) land (Array.length c.slots - 1))
+
+  let grow c =
+    let slots = Array.make (2 * Array.length c.slots) 0 in
+    c.slots <- slots;
+    let mask = Array.length slots - 1 in
+    for code = 0 to c.count - 1 do
+      let i = ref (hash c.rows (code * nmodes) land mask) in
+      while slots.(!i) <> 0 do
+        i := (!i + 1) land mask
+      done;
+      slots.(!i) <- code + 1
+    done
+
+  (* The code of [row] ([nmodes] entries), the next one on first sight;
+     [-1] once all [max_rows] codes are taken. *)
+  let code c row =
+    let i = slot_of c row (hash row 0 land (Array.length c.slots - 1)) in
+    let s = c.slots.(i) in
+    if s > 0 then s - 1
+    else if c.count = max_rows then -1
+    else begin
+      let code = c.count in
+      if (code + 1) * nmodes > Array.length c.rows then begin
+        let rows = Array.make (2 * Array.length c.rows) 0 in
+        Array.blit c.rows 0 rows 0 (code * nmodes);
+        c.rows <- rows
+      end;
+      Array.blit row 0 c.rows (code * nmodes) nmodes;
+      c.count <- code + 1;
+      if 2 * c.count > Array.length c.slots then grow c
+      else c.slots.(i) <- code + 1;
+      code
+    end
+
+  let rows c = Array.sub c.rows 0 (c.count * nmodes)
+end
+
+let of_rows ~support ~sizes ~strides entry =
+  let n = Array.fold_left ( * ) 1 sizes in
+  let c = Coder.create () in
+  let codes = Bytes.create (2 * n) in
+  let row = Array.make nmodes 0 in
+  let rec go cell =
+    if cell = n then Ok { support; sizes; strides; codes; rows = Coder.rows c }
+    else begin
+      for mode = 0 to nmodes - 1 do
+        row.(mode) <- entry ~cell ~mode
+      done;
+      match Coder.code c row with
+      | -1 ->
+        Error
+          (Printf.sprintf "more than %d distinct rows: past the 16-bit row codes"
+             max_rows)
+      | code ->
+        Bytes.set_uint16_le codes (2 * cell) code;
+        go (cell + 1)
+    end
+  in
+  go 0
 
 (** Functor-free image of the tables, for serialization ({!Snapcc_statics}
     artifacts) and cross-module transport. *)
@@ -141,9 +250,9 @@ module Make (Sys : System.S) = struct
            match tb with Ok _ -> true | Error _ -> t.streamed.(p))
          t.tables)
 
-  let entry t ~mode ~proc cfg =
+  let row_code t ~proc cfg =
     match t.tables.(proc) with
-    | Error _ -> -2
+    | Error _ -> -1
     | Ok tb ->
       let k = Array.length tb.support in
       let idx = ref 0 in
@@ -153,7 +262,15 @@ module Make (Sys : System.S) = struct
         if id >= tb.sizes.(j) then ok := false
         else idx := !idx + (id * tb.strides.(j))
       done;
-      if !ok then tb.entries.(mode).(!idx) else -2
+      if !ok then cell_code tb !idx else -1
+
+  let entry_of_code t ~proc ~code ~mode =
+    match t.tables.(proc) with
+    | Ok tb when code >= 0 -> code_entry tb code ~mode
+    | _ -> -2
+
+  let entry t ~mode ~proc cfg =
+    entry_of_code t ~proc ~code:(row_code t ~proc cfg) ~mode
 
   let domain_states h enc =
     Array.init (H.n h) (fun p ->
@@ -346,7 +463,7 @@ module Make (Sys : System.S) = struct
     let fps = if verify then Array.map (Array.map fp) dom else [||] in
     let guard_true = Array.make nact 0 in
     let incidents : (incident, int) Hashtbl.t = Hashtbl.create 32 in
-    let overlaps : (int, int * int) Hashtbl.t = Hashtbl.create 32 in
+    let overlaps : (int * int) Masks.t = Masks.create 32 in
     let supports = Array.make n [||] in
     let tables = Array.make n (Error "not built") in
     let streamed = Array.make n false in
@@ -357,21 +474,27 @@ module Make (Sys : System.S) = struct
         (c + Option.value ~default:0 (Hashtbl.find_opt tbl key))
     in
     (* What the current (re)start of a pass found, added to the totals only
-       once the pass completes, so that a restart counts nothing twice;
-       [entries] stays empty when the product exceeds [store_cap]. *)
+       once the pass completes, so that a restart counts nothing twice.  A
+       cell is coded once its last mode is evaluated; [codes] stays empty
+       when the product exceeds [store_cap], and is dropped when the rows
+       outgrow the code space ([full]). *)
     let l_guard_true = Array.make nact 0 in
     let l_incidents : (incident, int) Hashtbl.t = Hashtbl.create 8 in
-    let l_overlaps : (int, int) Hashtbl.t = Hashtbl.create 8 in
-    let entries = ref [||] in
+    let l_overlaps : int ref Masks.t = Masks.create 8 in
+    let coder = Coder.create () in
+    let cell_row = Array.make nmodes 0 in
+    let codes = ref Bytes.empty in
+    let full = ref false in
     let start ~support:_ ~sizes =
       Array.fill l_guard_true 0 nact 0;
       Hashtbl.reset l_incidents;
-      Hashtbl.reset l_overlaps;
+      Masks.reset l_overlaps;
+      Coder.reset coder;
+      full := false;
       let ncells = int_of_float (product sizes) in
-      entries :=
-        if ncells * nmodes <= store_cap then
-          Array.init nmodes (fun _ -> Array.make ncells (-1))
-        else [||]
+      codes :=
+        if ncells * nmodes <= store_cap then Bytes.create (2 * ncells)
+        else Bytes.empty
     in
     let incident i = add l_incidents i 1 in
     let cell ~index ~mode ~ids:_ ~enabled ~entry =
@@ -379,8 +502,19 @@ module Make (Sys : System.S) = struct
         if enabled land (1 lsl i) <> 0 then
           l_guard_true.(i) <- l_guard_true.(i) + 1
       done;
-      if enabled land (enabled - 1) <> 0 then add l_overlaps enabled 1;
-      if Array.length !entries > 0 then (!entries).(mode).(index) <- entry
+      (if enabled land (enabled - 1) <> 0 then
+         match Masks.find l_overlaps enabled with
+         | c -> incr c
+         | exception Not_found -> Masks.add l_overlaps enabled (ref 1));
+      if Bytes.length !codes > 0 then begin
+        cell_row.(mode) <- entry;
+        if mode = nmodes - 1 then
+          match Coder.code coder cell_row with
+          | -1 ->
+            codes := Bytes.empty;
+            full := true
+          | code -> Bytes.set_uint16_le !codes (2 * index) code
+      end
     in
     for p = 0 to n - 1 do
       match
@@ -418,37 +552,45 @@ module Make (Sys : System.S) = struct
         let sizes = Array.map (Enc.domain_count enc) support in
         let ncells = Array.fold_left ( * ) 1 sizes in
         supports.(p) <- support;
-        (if Array.length !entries > 0 then begin
+        (if Bytes.length !codes > 0 then begin
            let k = Array.length support in
            let strides = Array.make k 1 in
            for j = k - 2 downto 0 do
              strides.(j) <- strides.(j + 1) * sizes.(j + 1)
            done;
-           tables.(p) <- Ok { support; sizes; strides; entries = !entries }
+           tables.(p) <-
+             Ok { support; sizes; strides; codes = !codes;
+                  rows = Coder.rows coder }
          end
          else begin
            (* the pass itself completed: verdicts are exact, only the packed
-              entries were too large to keep *)
+              entries could not be kept *)
            streamed.(p) <- true;
            tables.(p) <-
              Error
-               (Printf.sprintf
-                  "streamed: %d cells x %d modes exceeds the table storage \
-                   cap %d"
-                  ncells nmodes store_cap)
+               (if !full then
+                  Printf.sprintf
+                    "streamed: %d cells hold more than %d distinct rows, the \
+                     16-bit row codes"
+                    ncells max_rows
+                else
+                  Printf.sprintf
+                    "streamed: %d cells x %d modes exceeds the table storage \
+                     cap %d"
+                    ncells nmodes store_cap)
          end);
         Array.iteri (fun i c -> guard_true.(i) <- guard_true.(i) + c) l_guard_true;
         Hashtbl.iter (add incidents) l_incidents;
-        Hashtbl.iter
+        Masks.iter
           (fun m c ->
-            match Hashtbl.find_opt overlaps m with
-            | Some (c0, ex) -> Hashtbl.replace overlaps m (c0 + c, ex)
-            | None -> Hashtbl.replace overlaps m (c, p))
+            match Masks.find_opt overlaps m with
+            | Some (c0, ex) -> Masks.replace overlaps m (c0 + !c, ex)
+            | None -> Masks.replace overlaps m (!c, p))
           l_overlaps;
         cells := !cells + (ncells * nmodes)
     done;
     let overlaps =
-      Hashtbl.fold
+      Masks.fold
         (fun mask (c, ex) acc ->
           (List.map (fun i -> labels.(i)) (bits_of_mask mask), c, ex) :: acc)
         overlaps []
@@ -472,9 +614,10 @@ module Make (Sys : System.S) = struct
         init ~support:tb.support ~sizes:tb.sizes;
         let ids = Array.make (Array.length tb.support) 0 in
         (* the cell counter is the row-major index *)
-        for c = 0 to Array.length tb.entries.(0) - 1 do
+        for c = 0 to ncells tb - 1 do
+          let code = cell_code tb c in
           for mode = 0 to nmodes - 1 do
-            emit ~mode ~ids ~entry:tb.entries.(mode).(c)
+            emit ~mode ~ids ~entry:(code_entry tb code ~mode)
           done;
           ignore (advance ids tb.sizes (Array.length ids - 1))
         done;
@@ -535,10 +678,11 @@ module Make (Sys : System.S) = struct
               let ip = ref 0 and iq = ref 0 in
               let continue_ = ref true in
               while !continue_ do
+                let kp = cell_code tp !ip and kq = cell_code tq !iq in
                 for mode = 0 to nmodes - 1 do
-                  let ep = tp.entries.(mode).(!ip) in
+                  let ep = code_entry tp kp ~mode in
                   if ep >= 0 && entry_changes ep then begin
-                    let eq = tq.entries.(mode).(!iq) in
+                    let eq = code_entry tq kq ~mode in
                     if eq >= 0 && entry_reads eq land (1 lsl p) <> 0 then begin
                       let key =
                         (t.labels.(entry_act ep), t.labels.(entry_act eq))

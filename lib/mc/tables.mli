@@ -15,8 +15,13 @@
     Two caps keep instances honest rather than silently truncated: a pass
     whose product exceeds the {e enumeration} cap is skipped outright (the
     process is reported as such — no verdicts are claimed for it), and a
-    completed pass is additionally {e stored} as packed per-(process, mode)
-    entry tables only when it fits the storage cap.  Stored tables drive
+    completed pass is additionally {e stored} as a per-process table only
+    when it fits the storage cap.  A cell's {e row} is its packed entries
+    under the [nmodes] input modes; a stored table keeps one 16-bit row
+    code per cell and each distinct row once (cc1∘vring on triangle3: 2
+    bytes per cell and 193–217 rows per process, against 32 bytes per cell
+    as four per-mode word arrays), so a process whose cells hold more than
+    {!max_rows} distinct rows is streamed.  Stored tables drive
     {!Explore.Make.explore}'s lookup fast path and serialize via
     {!portable} (see [Snapcc_statics.Artifact]). *)
 
@@ -56,12 +61,41 @@ val entry_changes : int -> bool
 val entry_reads : int -> int
 val entry_succ : int -> int
 
-type proc_tbl = {
+type proc_tbl = private {
   support : int array;  (** processes read, ascending; includes the owner *)
   sizes : int array;  (** domain size per support process *)
   strides : int array;  (** row-major, last support process fastest *)
-  entries : int array array;  (** per input mode, [Π sizes] packed entries *)
+  codes : Bytes.t;
+      (** per cell (row-major index), the code of its row: 16 bits,
+          little-endian; codes are numbered in first-occurrence order over
+          the cells *)
+  rows : int array;  (** per row code, the [nmodes] packed entries of the row *)
 }
+(** One process's stored table.  Read it through {!cell_code} and
+    {!code_entry}. *)
+
+val max_rows : int
+(** Row codes per table: [2^16]. *)
+
+val ncells : proc_tbl -> int
+(** [Π sizes]. *)
+
+val cell_code : proc_tbl -> int -> int
+(** [cell_code tb cell] — the row code of a cell, by row-major index. *)
+
+val code_entry : proc_tbl -> int -> mode:int -> int
+(** [code_entry tb code ~mode] — the packed entry of row [code] under
+    [mode]. *)
+
+val of_rows :
+  support:int array ->
+  sizes:int array ->
+  strides:int array ->
+  (cell:int -> mode:int -> int) ->
+  (proc_tbl, string) result
+(** The table whose entry on [cell] under [mode] is [entry ~cell ~mode],
+    asked cell by cell in row-major order, modes innermost.  [Error] when
+    the cells hold more than {!max_rows} distinct rows. *)
 
 type portable = {
   p_algo : string;
@@ -88,8 +122,10 @@ module Make (Sys : System.S) : sig
       (write-ownership) — the exact-lint configuration; leave it off when
       only the fast-path tables are wanted.  [cap] (default [2^27]) bounds
       the (cell, mode) pairs {e enumerated} per process; [store_cap]
-      (default [2^24]) bounds the entries {e stored} per process.  Both
-      overruns surface as [`Skipped] statuses, never as silent truncation.
+      (default [2^24]) bounds the entries {e stored} per process.  Overruns
+      surface as statuses, never as silent truncation: [`Skipped] past
+      [cap], [`Streamed] past [store_cap] or past {!max_rows} distinct
+      rows.
 
       Statement crashes yield a disabled entry (the engine would have
       crashed); in-place mutation marks the result {!tainted} (the
@@ -106,8 +142,8 @@ module Make (Sys : System.S) : sig
   val status : t -> int -> [ `Built | `Streamed of string | `Skipped of string ]
   (** [`Built] = enumerated and stored; [`Streamed reason] = the pass
       completed (verdicts are exact) but the entries exceeded the storage
-      cap; [`Skipped reason] = not enumerated — no verdicts are claimed for
-      this process. *)
+      cap or the row codes; [`Skipped reason] = not enumerated — no
+      verdicts are claimed for this process. *)
 
   val built : t -> bool
   (** All processes stored ([`Built]). *)
@@ -118,7 +154,17 @@ module Make (Sys : System.S) : sig
 
   val entry : t -> mode:int -> proc:int -> int array -> int
   (** [entry t ~mode ~proc cfg] — packed entry for the configuration given
-      as dense per-process state ids; [-2] if unavailable. *)
+      as dense per-process state ids; [-2] if unavailable.  Equal to
+      [entry_of_code t ~proc ~code:(row_code t ~proc cfg) ~mode]. *)
+
+  val row_code : t -> proc:int -> int array -> int
+  (** [row_code t ~proc cfg] — the row code of [proc]'s cell in [cfg];
+      [-1] if [proc] has no stored table or [cfg] holds an escapee id in
+      its support.  The row serves every mode. *)
+
+  val entry_of_code : t -> proc:int -> code:int -> mode:int -> int
+  (** The packed entry of row [code] of [proc] under [mode]; [-2] when
+      [code < 0]. *)
 
   val guard_true : t -> int array
   (** Per action: (cell, mode) pairs on which the guard held, summed over

@@ -7,7 +7,7 @@
    bench and tests diff the files directly. *)
 
 module Json = Snapcc_telemetry.Json
-module Metrics = Snapcc_analysis.Metrics
+module Registry = Snapcc_telemetry.Registry
 
 type dist = {
   samples : int;
@@ -40,22 +40,27 @@ type t = {
   sprt : Sprt.outcome option;
 }
 
+(* The mean, sd and interval sum the samples in record order; the ranks
+   and the maximum read one sorted copy, under the nearest-rank rule of
+   [Metrics.percentile]. *)
 let dist_of ~confidence samples =
   match samples with
   | [] -> None
   | _ ->
     let floats = List.map float_of_int samples in
     let mean, ci = Estimator.student_t_ci ~confidence floats in
-    let pc q = Metrics.percentile q samples in
+    let sorted = Array.of_list samples in
+    Array.stable_sort Int.compare sorted;
+    let pc q = Registry.nearest_rank_sorted q sorted in
     Some
-      { samples = List.length samples;
+      { samples = Array.length sorted;
         mean;
         sd = Estimator.sd floats;
         ci;
         p50 = pc 0.50;
         p90 = pc 0.90;
         p99 = pc 0.99;
-        max = Metrics.maximum samples }
+        max = sorted.(Array.length sorted - 1) }
 
 let proportion_of ~confidence ~count ~trials =
   let p, ci = Estimator.wilson ~confidence ~successes:count ~trials in

@@ -41,6 +41,11 @@ type t = {
   sprt : Sprt.outcome option;
 }
 
+val dist_of : confidence:float -> int list -> dist option
+(** The distribution of the samples, [None] when there are none.  The
+    ranks and the maximum equal [Metrics.percentile] and
+    [Metrics.maximum] of the same list. *)
+
 val build :
   algo:string ->
   topo:string ->

@@ -13,19 +13,19 @@ let ints_line prefix xs =
   prefix
   ^ (Array.to_list xs |> List.map string_of_int |> String.concat " ")
 
-(* run-length encoding of an entry row: "value*count" words *)
-let rle_words (xs : int array) =
+(* run-length encoding of the [n] values [v 0], ..., [v (n - 1)]:
+   "value*count" words *)
+let rle_words n v =
   let buf = Buffer.create 256 in
-  let n = Array.length xs in
   let i = ref 0 in
   while !i < n do
-    let v = xs.(!i) in
-    let j = ref !i in
-    while !j < n && xs.(!j) = v do
+    let x = v !i in
+    let j = ref (!i + 1) in
+    while !j < n && v !j = x do
       incr j
     done;
     if Buffer.length buf > 0 then Buffer.add_char buf ' ';
-    Buffer.add_string buf (string_of_int v);
+    Buffer.add_string buf (string_of_int x);
     if !j - !i > 1 then begin
       Buffer.add_char buf '*';
       Buffer.add_string buf (string_of_int (!j - !i))
@@ -53,17 +53,24 @@ let to_lines (p : Tables.portable) =
         push (ints_line "support " tb.Tables.support);
         push (ints_line "sizes " tb.Tables.sizes);
         push (ints_line "strides " tb.Tables.strides);
-        push (Printf.sprintf "nmodes %d" (Array.length tb.Tables.entries));
-        Array.iter
-          (fun row ->
-            push (Printf.sprintf "mode %d" (Array.length row));
-            push (rle_words row))
-          tb.Tables.entries)
+        push (Printf.sprintf "nmodes %d" Tables.nmodes);
+        let n = Tables.ncells tb in
+        for mode = 0 to Tables.nmodes - 1 do
+          push (Printf.sprintf "mode %d" n);
+          push
+            (rle_words n (fun c ->
+                 Tables.code_entry tb (Tables.cell_code tb c) ~mode))
+        done)
     p.Tables.p_procs;
   push "end";
   List.rev !lines
 
 exception Bad of string
+
+(* The most (cell, mode) pairs a table may declare: [Tables.build]'s
+   default enumeration cap, so no table a default pass stores is refused,
+   while a hostile size cannot make the decoder allocate without bound. *)
+let max_pairs = 1 lsl 27
 
 let of_lines lines =
   let lines = ref lines in
@@ -95,6 +102,84 @@ let of_lines lines =
            | None -> raise (Bad (Printf.sprintf "non-integer in %s row" key)))
     |> Array.of_list
   in
+  (* One mode row: its runs as values and cumulative ends. *)
+  let runs count =
+    let words =
+      next "rle row" |> String.split_on_char ' ' |> List.filter (fun s -> s <> "")
+    in
+    let pos = ref 0 in
+    let parsed =
+      List.map
+        (fun w ->
+          let v, c =
+            match String.index_opt w '*' with
+            | None -> (int_of_string_opt w, 1)
+            | Some st ->
+              ( int_of_string_opt (String.sub w 0 st),
+                Option.value ~default:0
+                  (int_of_string_opt
+                     (String.sub w (st + 1) (String.length w - st - 1))) )
+          in
+          match v with
+          | None -> raise (Bad (Printf.sprintf "bad RLE word %S" w))
+          | Some v ->
+            if c <= 0 || c > count - !pos then
+              raise (Bad "RLE run overflows the declared length");
+            pos := !pos + c;
+            (v, !pos))
+        words
+    in
+    if !pos <> count then raise (Bad "RLE rows shorter than the declared length");
+    (Array.of_list (List.map fst parsed), Array.of_list (List.map snd parsed))
+  in
+  (* A stored table: its shape is checked before any row is read, and the
+     rows are coded straight from their runs. *)
+  let table ~n ~proc =
+    let support = ints_field "support" in
+    let sizes = ints_field "sizes" in
+    let strides = ints_field "strides" in
+    let k = Array.length support in
+    if Array.length sizes <> k || Array.length strides <> k then
+      raise (Bad "support/sizes/strides length mismatch");
+    Array.iteri
+      (fun j q ->
+        if q < 0 || q >= n || (j > 0 && q <= support.(j - 1)) then
+          raise (Bad "support is not ascending within the processes"))
+      support;
+    if not (Array.mem proc support) then
+      raise (Bad "support lacks its process");
+    let ncells =
+      Array.fold_left
+        (fun acc s ->
+          if s <= 0 || acc > max_pairs / Tables.nmodes / s then
+            raise (Bad "sizes are not positive, or their product is too large");
+          acc * s)
+        1 sizes
+    in
+    for j = k - 1 downto 0 do
+      if strides.(j) <> (if j = k - 1 then 1 else strides.(j + 1) * sizes.(j + 1))
+      then raise (Bad "strides are not row-major over sizes")
+    done;
+    if int_field "nmodes" <> Tables.nmodes then
+      raise (Bad (Printf.sprintf "nmodes is not %d" Tables.nmodes));
+    let rows =
+      Array.init Tables.nmodes (fun _ ->
+          if int_field "mode" <> ncells then
+            raise (Bad "mode row length differs from the product of sizes");
+          runs ncells)
+    in
+    let at = Array.make Tables.nmodes 0 in
+    let entry ~cell ~mode =
+      let vals, ends = rows.(mode) in
+      while ends.(at.(mode)) <= cell do
+        at.(mode) <- at.(mode) + 1
+      done;
+      vals.(at.(mode))
+    in
+    match Tables.of_rows ~support ~sizes ~strides entry with
+    | Ok _ as tb -> tb
+    | Error e -> raise (Bad e)
+  in
   try
     (match next "magic" with
     | l when l = magic -> ()
@@ -103,7 +188,8 @@ let of_lines lines =
     let p_topo = field "topo" in
     let p_n = int_field "n" in
     let nlabels = int_field "nlabels" in
-    let p_labels = Array.init nlabels (fun _ -> next "label") in
+    if nlabels < 0 then raise (Bad "negative nlabels");
+    let p_labels = Array.of_list (List.init nlabels (fun _ -> next "label")) in
     let p_dom = ints_field "dom" in
     if Array.length p_dom <> p_n then raise (Bad "dom row length <> n");
     let p_procs =
@@ -116,50 +202,7 @@ let of_lines lines =
             if int_of_string_opt idx <> Some i then
               raise (Bad (Printf.sprintf "proc lines out of order at %d" i));
             let rest = String.sub l (sp + 1) (String.length l - sp - 1) in
-            if rest = "table" then begin
-              let support = ints_field "support" in
-              let sizes = ints_field "sizes" in
-              let strides = ints_field "strides" in
-              let nmodes = int_field "nmodes" in
-              let entries =
-                Array.init nmodes (fun _ ->
-                    let count = int_field "mode" in
-                    let row = Array.make count 0 in
-                    let words =
-                      next "rle row" |> String.split_on_char ' '
-                      |> List.filter (fun s -> s <> "")
-                    in
-                    let pos = ref 0 in
-                    List.iter
-                      (fun w ->
-                        let v, c =
-                          match String.index_opt w '*' with
-                          | None -> (int_of_string_opt w, 1)
-                          | Some st ->
-                            ( int_of_string_opt (String.sub w 0 st),
-                              Option.value ~default:0
-                                (int_of_string_opt
-                                   (String.sub w (st + 1)
-                                      (String.length w - st - 1))) )
-                        in
-                        match v with
-                        | None -> raise (Bad (Printf.sprintf "bad RLE word %S" w))
-                        | Some v ->
-                          if c <= 0 || !pos + c > count then
-                            raise (Bad "RLE run overflows the declared length");
-                          Array.fill row !pos c v;
-                          pos := !pos + c)
-                      words;
-                    if !pos <> count then
-                      raise (Bad "RLE rows shorter than the declared length");
-                    row)
-              in
-              if
-                Array.length support <> Array.length sizes
-                || Array.length support <> Array.length strides
-              then raise (Bad "support/sizes/strides length mismatch");
-              Ok { Tables.support; sizes; strides; entries }
-            end
+            if rest = "table" then table ~n:p_n ~proc:i
             else
               match String.index_opt rest ' ' with
               | Some sp2 when String.sub rest 0 sp2 = "skipped" ->

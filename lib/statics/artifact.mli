@@ -13,7 +13,13 @@ val magic : string
 
 val to_lines : Snapcc_mc.Tables.portable -> string list
 val of_lines : string list -> (Snapcc_mc.Tables.portable, string) result
-(** Inverse of {!to_lines}; [Error] describes the first malformation. *)
+(** Inverse of {!to_lines}; [Error] describes the first malformation and
+    no input raises.  A table's shape is checked before its rows are read
+    (support ascending within the processes and holding its own, sizes
+    positive with at most [2^27] (cell, mode) pairs, row-major strides,
+    [Tables.nmodes] mode rows each of length [Π sizes]), and its rows are
+    coded from their runs: more than [Tables.max_rows] distinct rows is an
+    [Error]. *)
 
 val save : string -> Snapcc_mc.Tables.portable -> unit
 val load : string -> (Snapcc_mc.Tables.portable, string) result

@@ -48,14 +48,16 @@ let observe h v =
 let hist_count h = h.len
 let hist_values h = Array.to_list (Array.sub h.samples 0 h.len)
 
-let nearest_rank q samples =
-  let len = Array.length samples in
+let nearest_rank_sorted q sorted =
+  let len = Array.length sorted in
   if len = 0 then 0
-  else begin
-    Array.sort Int.compare samples;
+  else
     let rank = int_of_float (ceil (q *. float_of_int len)) in
-    samples.(max 0 (min (len - 1) (rank - 1)))
-  end
+    sorted.(max 0 (min (len - 1) (rank - 1)))
+
+let nearest_rank q samples =
+  Array.sort Int.compare samples;
+  nearest_rank_sorted q samples
 
 let percentile q h = nearest_rank q (Array.sub h.samples 0 h.len)
 

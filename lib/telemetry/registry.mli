@@ -36,6 +36,10 @@ val nearest_rank : float -> int array -> int
 (** [nearest_rank q samples]: the sample of rank [ceil (q * n)] (clamped to
     [1..n]) once [samples] is sorted ascending — in place; [0] when empty. *)
 
+val nearest_rank_sorted : float -> int array -> int
+(** {!nearest_rank} over samples already sorted ascending: no sort, no
+    copy, so several ranks of one sample set cost one sort. *)
+
 val percentile : float -> histogram -> int
 (** {!nearest_rank} over all observed samples. *)
 

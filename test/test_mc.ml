@@ -431,6 +431,102 @@ let test_tables_parity () =
     [ ("cc1", "vring"); ("cc1", "tree"); ("cc2", "vring"); ("cc3", "vring");
       ("cc1-noready", "vring") ]
 
+(* ---- row codes hand back every entry ---- *)
+
+(* Rows that differ in one mode only: cell c sets mode (c mod nmodes) to
+   c / nmodes and leaves the other modes at -1, so a coder comparing rows
+   on fewer than every mode merges some of them. *)
+let test_row_codes_round_trip () =
+  let nm = Tables.nmodes and k = 2048 in
+  let entry ~cell ~mode = if cell mod nm = mode then cell / nm else -1 in
+  match
+    Tables.of_rows ~support:[| 0 |] ~sizes:[| k * nm |] ~strides:[| 1 |] entry
+  with
+  | Error e -> Alcotest.failf "coding failed: %s" e
+  | Ok tb ->
+    checki "one code per distinct row" (k * nm)
+      (Array.length tb.Tables.rows / nm);
+    let wrong = ref 0 and order = ref 0 in
+    for cell = 0 to Tables.ncells tb - 1 do
+      let code = Tables.cell_code tb cell in
+      if code <> cell then incr order;
+      for mode = 0 to nm - 1 do
+        if Tables.code_entry tb code ~mode <> entry ~cell ~mode then incr wrong
+      done
+    done;
+    checki "codes in first-occurrence order" 0 !order;
+    checki "every entry comes back" 0 !wrong
+
+(* ---- a table past the row codes is streamed, and explored by closure ---- *)
+
+(* Every cell of this fixture is a row of its own: on single2 each process
+   has 260 states and one always-enabled action whose successor under
+   input mode m is (a + m * b) mod 260, [a] its own state and [b] its
+   partner's, so the 67,600 cells of a process hold 67,600 distinct rows,
+   past the 65,536 row codes. *)
+module Wide = struct
+  module Model = Snapcc_runtime.Model
+  module Obs = Snapcc_runtime.Obs
+
+  type state = int
+
+  let size = 260
+  let name = "fixture-wide"
+  let pp_state = Format.pp_print_int
+  let equal_state = Int.equal
+  let init _ _ = 0
+  let random_init _ rng _ = Random.State.int rng size
+
+  let actions _ =
+    [ { Model.label = "spin";
+        guard = (fun _ -> true);
+        apply =
+          (fun ctx ->
+            let p = ctx.Model.self in
+            let a = ctx.Model.read p and b = ctx.Model.read (1 - p) in
+            (a + (Model.mode_of ctx.Model.inputs p * b)) mod size) } ]
+
+  let observe _ _ _ = Obs.make Obs.Idle
+  let domain _ _ = List.init size Fun.id
+  let canon _ _ s = s
+  let rename _ ~pi:_ ~eperm:_ _ s = s
+  let state_symmetries _ = []
+end
+
+let test_rows_past_the_codes () =
+  let module Tb = Tables.Make (Wide) in
+  let module Ex = Explore.Make (Wide) in
+  let tb = Tb.build single2 in
+  for p = 0 to 1 do
+    match Tb.status tb p with
+    | `Streamed reason ->
+      check
+        (Printf.sprintf "p%d streamed for its rows: %s" p reason)
+        true
+        (contains reason "more than 65536 distinct rows")
+    | `Built -> Alcotest.failf "p%d stored past the row codes" p
+    | `Skipped r -> Alcotest.failf "p%d skipped: %s" p r
+  done;
+  check "every pass complete" true (Tb.complete tb);
+  check "no table stored" false (Tb.built tb);
+  checki "no entry served" (-2) (Tb.entry tb ~mode:1 ~proc:0 [| 3; 5 |]);
+  let r0 = Ex.explore single2 in
+  let r1 = Ex.explore ~tables:tb single2 in
+  checki "every configuration" (Wide.size * Wide.size) (Ex.n_configs r1);
+  checki "same configurations" (Ex.n_configs r0) (Ex.n_configs r1);
+  checki "same transitions" (Ex.n_transitions r0) (Ex.n_transitions r1);
+  check "same action counts" true (Ex.action_counts r0 = Ex.action_counts r1);
+  check "same violations" true (Ex.violations r0 = Ex.violations r1);
+  check "both complete" true (Ex.complete r0 && Ex.complete r1);
+  let differ = ref 0 in
+  for cid = 0 to Ex.n_configs r0 - 1 do
+    if
+      Ex.enabled_inout r0 cid <> Ex.enabled_inout r1 cid
+      || Ex.succs_inout r0 cid <> Ex.succs_inout r1 cid
+    then incr differ
+  done;
+  checki "same in+out graph, configuration by configuration" 0 !differ
+
 (* ---- a full exploration with violations under every mode, pinned ---- *)
 
 (* cc1-noready on single2, explored to the end over both paths: every
@@ -498,5 +594,9 @@ let suite =
           `Quick test_fairness_cross_edge;
         Alcotest.test_case "table-driven fast path parity" `Quick
           test_tables_parity;
+        Alcotest.test_case "row codes hand back every entry" `Quick
+          test_row_codes_round_trip;
+        Alcotest.test_case "rows past the 16-bit codes: streamed" `Quick
+          test_rows_past_the_codes;
         Alcotest.test_case "full exploration: cc1-noready on single2" `Quick
           test_noready_full ] ) ]

@@ -368,6 +368,31 @@ let test_burst_soak_precedence () =
     (burst [| "--steps"; "100"; "--soak" |] = Ok (Some 50));
   check "no fault step" true (fault [||] = Ok None && burst [||] = Ok None)
 
+(* ---- the report's ranks read one sorted copy ---- *)
+
+let prop_dist_ranks =
+  let module Metrics = Snapcc_analysis.Metrics in
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [ list_size (0 -- 400) (int_range (-20) 5000);
+          map2 (fun k x -> List.init k (fun _ -> x)) (0 -- 50) small_nat;
+          map (fun x -> [ x ]) small_int;
+          return [] ])
+  in
+  QCheck.Test.make ~name:"report ranks = Metrics.percentile and maximum"
+    ~count:500
+    (QCheck.make ~print:QCheck.Print.(list int) gen)
+    (fun samples ->
+      match Smc.Report.dist_of ~confidence:0.95 samples with
+      | None -> samples = []
+      | Some d ->
+        d.Smc.Report.samples = List.length samples
+        && d.Smc.Report.p50 = Metrics.percentile 0.50 samples
+        && d.Smc.Report.p90 = Metrics.percentile 0.90 samples
+        && d.Smc.Report.p99 = Metrics.percentile 0.99 samples
+        && d.Smc.Report.max = Metrics.maximum samples)
+
 let suite =
   [ ( "smc",
       [ Alcotest.test_case "derived seeds distinct" `Quick
@@ -397,4 +422,5 @@ let suite =
         Alcotest.test_case "smc_trial event round-trip" `Quick
           test_event_roundtrip;
         Alcotest.test_case "--burst-at/--soak precedence (cmdliner)" `Quick
-          test_burst_soak_precedence ] ) ]
+          test_burst_soak_precedence;
+        QCheck_alcotest.to_alcotest ~long:false prop_dist_ranks ] ) ]

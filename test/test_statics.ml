@@ -497,6 +497,70 @@ let test_artifact_round_trip () =
   | Ok _ -> Alcotest.fail "bad magic accepted"
   | Error _ -> ())
 
+(* ---- the table decoder is total on hostile input ---- *)
+
+(* One table over two processes of two states each (process 0's), its
+   mode rows given as (declared length, RLE row). *)
+let artifact ?(n = 2) ?(support = "0 1") ?(sizes = "2 2") ?(strides = "2 1")
+    ?(nmodes = 4) ?(nlabels = "1") rows =
+  let module A = Snapcc_statics.Artifact in
+  [ A.magic; "algo fixture"; "topo pair"; Printf.sprintf "n %d" n;
+    "nlabels " ^ nlabels; "act";
+    "dom " ^ String.concat " " (List.init n (fun _ -> "2"));
+    "proc 0 table"; "support " ^ support; "sizes " ^ sizes;
+    "strides " ^ strides; Printf.sprintf "nmodes %d" nmodes ]
+  @ List.concat_map (fun (len, row) -> [ Printf.sprintf "mode %d" len; row ]) rows
+  @ List.init (n - 1) (fun i -> Printf.sprintf "proc %d skipped fixture" (i + 1))
+  @ [ "end" ]
+
+let test_artifact_hostile () =
+  let module A = Snapcc_statics.Artifact in
+  let quiet = List.init 4 (fun _ -> (4, "-1*4")) in
+  let decodes what lines =
+    match A.of_lines lines with
+    | Ok _ -> true
+    | Error _ -> false
+    | exception e ->
+      Alcotest.failf "%s: the decoder raised %s" what (Printexc.to_string e)
+  in
+  check "the fixture decodes" true (decodes "fixture" (artifact quiet));
+  List.iter
+    (fun (what, lines) ->
+      check (what ^ ": Error") false (decodes what lines))
+    [ ( "mode rows of different lengths",
+        artifact [ (4, "-1*4"); (3, "-1*3"); (4, "-1*4"); (4, "-1*4") ] );
+      ("mode rows shorter than the sizes' product",
+       artifact (List.init 4 (fun _ -> (3, "-1*3"))));
+      ("mode rows longer than the sizes' product",
+       artifact (List.init 4 (fun _ -> (5, "-1*5"))));
+      ("three modes", artifact ~nmodes:3 (List.init 3 (fun _ -> (4, "-1*4"))));
+      ("a negative mode length",
+       artifact (List.init 4 (fun _ -> (-4, "-1*4"))));
+      ("an RLE row past its length",
+       artifact [ (4, "-1*5"); (4, "-1*4"); (4, "-1*4"); (4, "-1*4") ]);
+      ("a zero size", artifact ~sizes:"0 2" ~strides:"2 1" quiet);
+      ("a negative size", artifact ~sizes:"-2 -2" ~strides:"-2 1" quiet);
+      ("a product past the decoder's bound",
+       artifact ~sizes:"4611686018427387903 2" ~strides:"2 1" quiet);
+      ("strides that are not row-major", artifact ~strides:"1 2" quiet);
+      ("a support outside the processes", artifact ~support:"0 2" quiet);
+      ("a support out of order", artifact ~support:"1 0" quiet);
+      ("a support without its process",
+       artifact ~n:3 ~support:"1 2" quiet);
+      ("a negative label count", artifact ~nlabels:"-1" quiet);
+      ("a label count past the file", artifact ~nlabels:"1000000000000" quiet) ];
+  (* a table holding one more distinct row than there are row codes *)
+  let wide k =
+    artifact ~n:1 ~support:"0" ~sizes:(string_of_int k) ~strides:"1"
+      ((k, String.concat " " (List.init k string_of_int))
+       :: List.init 3 (fun _ -> (k, Printf.sprintf "-1*%d" k)))
+  in
+  let codes = Snapcc_mc.Tables.max_rows in
+  check "as many distinct rows as row codes decode" true
+    (decodes "all the row codes" (wide codes));
+  check "one distinct row past the row codes: Error" false
+    (decodes "past the row codes" (wide (codes + 1)))
+
 let suite =
   [ ( "statics",
       [ Alcotest.test_case "non-local read fires locality" `Quick test_nonlocal_fires;
@@ -525,5 +589,7 @@ let suite =
           test_artifact_flags_imply_tiers;
         Alcotest.test_case "table artifact round-trip" `Quick
           test_artifact_round_trip;
+        Alcotest.test_case "table artifact decoder is total" `Quick
+          test_artifact_hostile;
       ] );
   ]
