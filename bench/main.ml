@@ -313,8 +313,9 @@ module Net = Snapcc_net
    process per professor, lossy links (drop + delay + dup + corrupt) and a
    mid-run corruption burst, the same soak the CI job runs.  Snapshots/s
    and bytes/s count deliveries through the link layer; the handoff
-   latency is wall-clock µs from the link-layer send to the node's
-   [Delivered] acknowledgement, i.e. one full frame round-trip. *)
+   latency is wall-clock µs from the link-layer send to the frame's
+   hand-off to the node's connection (the node's [Delivered] is checked
+   later, before its next activation). *)
 let run_net_bench () =
   let n, steps = if quick then (5, 2_000) else (9, 10_000) in
   let h = Families.pair_ring n in

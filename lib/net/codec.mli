@@ -50,8 +50,9 @@ type msg =
           new true core — the full-state snapshot that the link layer
           fans out to the neighbors — and the node's vector clock
           ({!Snapcc_telemetry.Vclock.encode_full}), which the orchestrator
-          cross-checks against its mirror (a protocol invariant under
-          lockstep). *)
+          cross-checks against its mirror (a protocol invariant: the
+          replies to every frame sent before the [Activate] are checked
+          first). *)
   | Deliver of { src : int; state : string; clock : string }
       (** orchestrator → node: a neighbor's snapshot reached you
           (version-2 full-marshal form, still used by the closure engine).

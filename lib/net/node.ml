@@ -4,6 +4,13 @@ module Vclock = Snapcc_telemetry.Vclock
 
 let fail fmt = Printf.ksprintf failwith fmt
 
+(* The next frame from the orchestrator.  Replies stay queued while
+   requests are buffered and leave together, just before the node would
+   block: the orchestrator reads them only when it needs them. *)
+let next c =
+  if not (Wire.has_frame c) then Wire.flush c;
+  Wire.read c
+
 module Work (A : Snapcc_mc.System.S) = struct
   module V = Snapcc_mp.Mp_view.Make (A)
   module Enc = Snapcc_mc.Encode.Make (A)
@@ -29,7 +36,7 @@ module Work (A : Snapcc_mc.System.S) = struct
       end
     | _ -> None
 
-  let run fd ~id ~tag ~h ~core ~cache =
+  let run c ~id ~tag ~h ~core ~cache =
     let enc = Enc.create h in
     let core : A.state = Marshal.from_string core 0 in
     let cache : A.state array = Marshal.from_string cache 0 in
@@ -49,7 +56,17 @@ module Work (A : Snapcc_mc.System.S) = struct
     let pay_clock = Array.make deg [||] in
     let frames = ref 1 (* the Init frame *) in
     let decode_errors = ref 0 in
-    let send msg = Wire.write fd (Codec.encode ~algo:tag msg) in
+    let send msg = Wire.queue c (Codec.encode ~algo:tag msg) in
+    (* A snapshot was refused since the last activation request.  The
+       orchestrator reads a reply only when it needs one, so its
+       retransmission may still be on its way behind the next [Activate]:
+       that request is refused too, and repeated once the retransmission
+       is queued, so the node never acts on a view missing a frame. *)
+    let owed = ref false in
+    let resync reason =
+      owed := true;
+      send (Codec.Resync { reason })
+    in
     let accept ~slot ~seq ~form ~payload ~clock st =
       V.refresh view ~slot st;
       pay_seq.(slot) <- seq;
@@ -63,8 +80,9 @@ module Work (A : Snapcc_mc.System.S) = struct
     send Codec.Ready;
     let stop = ref false in
     while not !stop do
-      match Wire.read fd with
+      match next c with
       | Error `Eof -> stop := true
+      | Error `Truncated -> fail "node %d: connection closed inside a frame" id
       | Error (`Oversized len) -> fail "node %d: oversized frame (%d bytes)" id len
       | Ok body -> (
         incr frames;
@@ -72,6 +90,9 @@ module Work (A : Snapcc_mc.System.S) = struct
         | Error e ->
           incr decode_errors;
           send (Codec.Decode_error { reason = Codec.error_to_string e })
+        | Ok (_, Codec.Activate _) when !owed ->
+          owed := false;
+          send (Codec.Resync { reason = "a refused snapshot is owed" })
         | Ok (_, Codec.Activate { step = _; req_in; req_out }) ->
           let pred a q = q >= 0 && q < Array.length a && a.(q) in
           let inputs =
@@ -98,26 +119,26 @@ module Work (A : Snapcc_mc.System.S) = struct
         | Ok (_, Codec.Deliver_full { src; seq; form; payload; clock }) -> (
           let slot = V.slot view src in
           match Vclock.decode_wire clock with
-          | None -> send (Codec.Resync { reason = "bad clock trailer" })
+          | None -> resync "bad clock trailer"
           | Some c -> (
             match payload_state enc ~src ~form payload with
             | Some st -> accept ~slot ~seq ~form ~payload ~clock:c st
-            | None -> send (Codec.Resync { reason = "unknown packed id" })))
+            | None -> resync "unknown packed id"))
         | Ok (_, Codec.Deliver_delta { src; seq; base_seq; delta; clock }) -> (
           let slot = V.slot view src in
           if pay_seq.(slot) <> base_seq then
-            send (Codec.Resync { reason = "base out of sync" })
+            resync "base out of sync"
           else
             match Vclock.decode_wire ~base:pay_clock.(slot) clock with
-            | None -> send (Codec.Resync { reason = "bad clock trailer" })
+            | None -> resync "bad clock trailer"
             | Some c -> (
               match Delta.apply ~base:pay.(slot) delta with
-              | None -> send (Codec.Resync { reason = "delta does not apply" })
+              | None -> resync "delta does not apply"
               | Some target -> (
                 let form = pay_form.(slot) in
                 match payload_state enc ~src ~form target with
                 | Some st -> accept ~slot ~seq ~form ~payload:target ~clock:c st
-                | None -> send (Codec.Resync { reason = "unknown packed id" }))))
+                | None -> resync "unknown packed id")))
         | Ok (_, Codec.Corrupt { core; cache }) ->
           let core : A.state = Marshal.from_string core 0 in
           let cache : A.state array = Marshal.from_string cache 0 in
@@ -130,6 +151,7 @@ module Work (A : Snapcc_mc.System.S) = struct
           send
             (Codec.Bye_ack
                { frames = !frames; decode_errors = !decode_errors });
+          Wire.flush c;
           stop := true
         | Ok
             ( _,
@@ -143,9 +165,11 @@ end
 
 let serve ~id fd =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  Wire.write fd (Codec.encode ~algo:0 (Codec.Hello { id }));
-  match Wire.read fd with
+  let c = Wire.conn fd in
+  Wire.queue c (Codec.encode ~algo:0 (Codec.Hello { id }));
+  match next c with
   | Error `Eof -> ()
+  | Error `Truncated -> fail "node %d: connection closed inside the init frame" id
   | Error (`Oversized len) -> fail "node %d: oversized init frame (%d bytes)" id len
   | Ok body -> (
     match Codec.decode body with
@@ -158,5 +182,5 @@ let serve ~id fd =
         | Error e -> fail "node %d: bad topology: %s" id e
         | Ok h ->
           let module W = Work (S) in
-          W.run fd ~id ~tag ~h ~core ~cache))
+          W.run c ~id ~tag ~h ~core ~cache))
     | Ok (_, _) -> fail "node %d: expected init frame" id)

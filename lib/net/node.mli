@@ -6,6 +6,9 @@
     single descriptor to the orchestrator.  It sends [Hello], waits for
     [Init] (whose frame tag selects the algorithm), replies [Ready], and
     then serves [Activate]/[Deliver]/[Corrupt] requests until [Bye].
+    Replies are queued ({!Wire.queue}) and leave together just before
+    the node blocks for its next request, so a batch of requests costs
+    it one read and one write.
 
     Strictness as fault tolerance: a frame that fails {!Codec.decode} is
     answered with [Decode_error] and otherwise ignored — the snapshot it

@@ -9,7 +9,9 @@
     cached view and re-broadcasts its state through the link layer) or
     delivers one in-flight snapshot.  The orchestrator checks each node's
     echoed clock against the semantics' copy and fails on a mismatch.
-    Under a fault-free plan the links coalesce exactly like
+    Deliveries do not wait for their reply: the orchestrator predicts it
+    and checks it later ({!Peers}), so node processes work while it
+    schedules.  Under a fault-free plan the links coalesce exactly like
     [Mp_engine]'s single-slot channels, so a zero-fault networked run
     replays the [ccsim mp] run of the same seed event for event —
     [lib/mp] is the executable reference model of this runtime.
@@ -79,9 +81,80 @@ type result = {
   stabilized_in : int option;  (** recover_step - burst_step *)
   node_frames : int;  (** frames received across nodes (from [Bye_ack]) *)
   node_decode_errors : int;
+  round_trips : int;
+      (** times the orchestrator waited for a node's reply
+          ({!Peers.round_trips}) *)
   wall_s : float;
   final_obs : Snapcc_runtime.Obs.t array;
 }
+
+(** The orchestrator's side of its node connections.  A frame whose
+    reply the link bookkeeping predicts — [Delivered] for a clean
+    delivery, [Decode_error] for a corrupted frame — is queued with that
+    prediction ({!deliver}, {!reject}) and not waited for.  The node answers in
+    request order, so the deferred replies are read and checked when the
+    answer to a later request is needed ({!request}, {!reply}: [Init],
+    [Activate], [Corrupt], [Bye]), or when the node holds {!window} of
+    them ({!drain}): every frame a node received before an activation has
+    been checked when the activation's answer is read, as if every reply
+    had been awaited.  Every node's write queue is flushed before the
+    orchestrator blocks on one, so node processes run while it waits. *)
+module Peers : sig
+  type t
+
+  val window : int
+  (** Deferred replies per node (256); reaching it drains the node. *)
+
+  val create :
+    tag:int ->
+    resend:
+      (int -> slot:int -> step:int -> clock:Snapcc_telemetry.Vclock.t ->
+       string) ->
+    Wire.conn array ->
+    t
+  (** Over {!Spawn.launch}'s connections; [tag] is the algorithm's wire
+      tag.  When node [p] answers a {!deliver}ed frame with [Resync],
+      [resend p ~slot ~step ~clock] returns the full frame that replaces
+      it, queued at once; its own reply must be [Delivered]. *)
+
+  val deliver :
+    t -> int -> string -> slot:int -> step:int ->
+    clock:Snapcc_telemetry.Vclock.t -> unit
+  (** Queue a snapshot frame from the node's neighbour [slot], delivered
+      at [step] with [clock].  Its reply must be [Delivered], or a
+      [Resync] that [resend] recovers. *)
+
+  val reject : t -> int -> string -> unit
+  (** Queue a corrupted frame: its reply must be [Decode_error]. *)
+
+  val drain : t -> int -> unit
+  (** Read and check every deferred reply of the node, recovering
+      [Resync]s; any other mismatch raises [Failure]. *)
+
+  val request : t -> int -> Codec.msg -> unit
+  (** Queue a message whose answer is needed, behind the node's deferred
+      frames. *)
+
+  val reply : t -> int -> Codec.msg
+  (** The answer to the node's last {!request}, after checking the
+      deferred replies queued before it.  When they are not all buffered,
+      flush every node's queue and block for them (one round trip). *)
+
+  val exchange : t -> int -> Codec.msg -> Codec.msg
+  (** {!request} then {!reply}.  A node that has answered [Resync] since
+      its last [Activate] refuses the next one with [Resync], because the
+      retransmission may still be behind it: the request is then queued
+      again, behind the retransmissions, and a second refusal raises
+      [Failure]. *)
+
+  val pending : t -> int -> int
+  (** Deferred replies not yet read for the node. *)
+
+  val round_trips : t -> int
+  (** Waits so far: {!reply} and {!drain} calls that had to read a
+      node's socket because the replies they check were not all
+      buffered. *)
+end
 
 val run :
   ?telemetry:Snapcc_telemetry.Hub.t ->

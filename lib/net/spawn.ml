@@ -5,9 +5,9 @@ type node = { id : int; pid : int; fd : Unix.file_descr }
 let fail fmt = Printf.ksprintf failwith fmt
 
 (* Consume the node's [Hello] and check it names the expected id. *)
-let handshake fd ~expect =
-  match Wire.read fd with
-  | Error `Eof -> fail "net: node closed the connection before hello"
+let handshake c ~expect =
+  match Wire.read c with
+  | Error (`Eof | `Truncated) -> fail "net: node closed the connection before hello"
   | Error (`Oversized len) -> fail "net: oversized hello frame (%d bytes)" len
   | Ok body -> (
     match Codec.decode body with
@@ -39,8 +39,9 @@ let fork_pool ~n ~serve =
 
 let launch_fork n =
   let arr = fork_pool ~n ~serve:(fun ~id fd -> Node.serve ~id fd) in
-  Array.iter (fun nd -> ignore (handshake nd.fd ~expect:(Some nd.id))) arr;
-  arr
+  let conns = Array.map (fun nd -> Wire.conn nd.fd) arr in
+  Array.iteri (fun id c -> ignore (handshake c ~expect:(Some id))) conns;
+  (arr, conns)
 
 let launch_exec exe n =
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -65,12 +66,19 @@ let launch_exec exe n =
       let nodes = Array.make n None in
       for _ = 1 to n do
         let fd, _addr = Unix.accept sock in
-        let id = handshake fd ~expect:None in
+        (* a queued frame must leave at its flush, not wait for the
+           reply to the previous one *)
+        Unix.setsockopt fd Unix.TCP_NODELAY true;
+        let c = Wire.conn fd in
+        let id = handshake c ~expect:None in
         if id < 0 || id >= n then fail "net: hello from unknown node %d" id;
         if nodes.(id) <> None then fail "net: duplicate hello from node %d" id;
-        nodes.(id) <- Some { id; pid = pids.(id); fd }
+        nodes.(id) <- Some ({ id; pid = pids.(id); fd }, c)
       done;
-      Array.map (function Some nd -> nd | None -> fail "net: missing node") nodes)
+      let nodes =
+        Array.map (function Some nc -> nc | None -> fail "net: missing node") nodes
+      in
+      (Array.map fst nodes, Array.map snd nodes))
 
 let launch mode ~n =
   match mode with Fork -> launch_fork n | Exec exe -> launch_exec exe n
@@ -78,6 +86,7 @@ let launch mode ~n =
 let connect ~port =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  Unix.setsockopt fd Unix.TCP_NODELAY true;
   fd
 
 let shutdown nodes =

@@ -11,14 +11,17 @@
       [exe = Sys.executable_name]).
 
     In both modes {!launch} completes the [Hello] handshake, so the
-    returned descriptors are ready for the [Init] exchange. *)
+    returned connections are ready for the [Init] exchange. *)
 
 type mode = Fork | Exec of string
 
 type node = { id : int; pid : int; fd : Unix.file_descr }
 
-val launch : mode -> n:int -> node array
-(** Indexed by node id.  Raises [Failure] if a node fails to come up. *)
+val launch : mode -> n:int -> node array * Wire.conn array
+(** The nodes and a buffered connection over each node's descriptor,
+    both indexed by node id.  In [Exec] mode both ends of every TCP
+    connection set [TCP_NODELAY].  Raises [Failure] if a node fails to
+    come up. *)
 
 val fork_pool :
   n:int -> serve:(id:int -> Unix.file_descr -> unit) -> node array
@@ -31,7 +34,8 @@ val fork_pool :
     {!shutdown}. *)
 
 val connect : port:int -> Unix.file_descr
-(** Node-side dial for [Exec] mode ([ccsim node --connect PORT]). *)
+(** Node-side dial for [Exec] mode ([ccsim node --connect PORT]), with
+    [TCP_NODELAY] set. *)
 
 val shutdown : node array -> unit
 (** Close every descriptor and reap every pid (idempotent, never

@@ -413,6 +413,11 @@ let is_perm a =
       x >= 0 && x < n && not seen.(x) && (seen.(x) <- true; true))
     a
 
+(* The verifier allocates one transport entry per domain state and
+   process for each group element it closes; the certificates the
+   catalog's systems produce declare a few thousand in all. *)
+let max_domain_total = 1 lsl 24
+
 let verify lines =
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
   let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e in
@@ -529,6 +534,20 @@ let verify lines =
           else err "edge count %d does not match m %d" (Hashtbl.length edges) m
         in
         let domains = !domains in
+        let* () =
+          (* before anything is sized by them *)
+          let total =
+            Array.fold_left
+              (fun acc d ->
+                if d < 1 || acc > max_domain_total - d then max_int
+                else acc + d)
+              0 domains
+          in
+          if total <= max_domain_total then Ok ()
+          else
+            err "domain sizes must be at least 1 and total at most %d"
+              max_domain_total
+        in
         let gens = List.rev !gens in
         let* () =
           match !complete with

@@ -77,7 +77,9 @@ val certificate :
     admission metadata. *)
 
 val verify : string list -> (unit, string) result
-(** Independent structural verifier (see the module preamble). *)
+(** Independent structural verifier (see the module preamble).  Total on
+    hostile input: a certificate whose domain sizes are below 1 or total
+    more than 2^24 is an [Error] before anything is allocated. *)
 
 val save : string -> algo:string -> topo:string ->
   Snapcc_hypergraph.Hypergraph.t -> outcome -> unit

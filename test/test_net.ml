@@ -139,6 +139,110 @@ let prop_corrupt_changes_frame =
     (fun (body, seed) ->
       Codec.corrupt_body (Random.State.make [| seed |]) body <> body)
 
+(* ---- buffered framing ---- *)
+
+module Wire = Net.Wire
+
+let framed bodies =
+  let b = Buffer.create 1024 in
+  List.iter
+    (fun body ->
+      Buffer.add_int32_be b (Int32.of_int (String.length body));
+      Buffer.add_string b body)
+    bodies;
+  Buffer.contents b
+
+let write_string fd s =
+  let off = ref 0 in
+  while !off < String.length s do
+    off := !off + Unix.write_substring fd s !off (String.length s - !off)
+  done
+
+(* Bodies straddle the connection's 512-byte initial buffer and the
+   64 KiB a single read returns; the byte stream is cut at random
+   points. *)
+let frames_arb =
+  let open QCheck.Gen in
+  let body =
+    frequency
+      [ (2, return 0); (6, int_range 1 1_500); (1, int_range 65_536 70_000) ]
+    >>= fun len -> string_size ~gen:char (return len)
+  in
+  QCheck.make
+    ~print:(fun (bodies, cut) ->
+      Printf.sprintf "%d bodies of %s bytes, cut seed %d" (List.length bodies)
+        (String.concat "," (List.map (fun b -> string_of_int (String.length b)) bodies))
+        cut)
+    (pair (list_size (int_range 0 8) body) int)
+
+(* Another process writes the frames in random chunks; the reader must
+   hand back the same bodies in order, then [`Eof] at the close. *)
+let prop_framing_roundtrip =
+  QCheck.Test.make ~name:"buffered reader returns the bodies written by a peer"
+    ~count:40 frames_arb
+    (fun (bodies, cut) ->
+      let stream = framed bodies in
+      let rng = Random.State.make [| cut |] in
+      let rec chunks off acc =
+        if off >= String.length stream then List.rev acc
+        else
+          let len =
+            min (String.length stream - off)
+              (1 + Random.State.int rng (if Random.State.bool rng then 16 else 9_000))
+          in
+          chunks (off + len) (String.sub stream off len :: acc)
+      in
+      let chunks = chunks 0 [] in
+      let nodes =
+        Net.Spawn.fork_pool ~n:1 ~serve:(fun ~id:_ fd ->
+            List.iter (write_string fd) chunks)
+      in
+      let c = Wire.conn nodes.(0).Net.Spawn.fd in
+      let rec collect acc =
+        match Wire.read c with
+        | Ok body -> collect (body :: acc)
+        | Error `Eof -> Ok (List.rev acc)
+        | Error `Truncated -> Error "truncated"
+        | Error (`Oversized n) -> Error (Printf.sprintf "oversized %d" n)
+      in
+      let got = collect [] in
+      Net.Spawn.shutdown nodes;
+      got = Ok bodies)
+
+let test_framing_errors () =
+  let pair () = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (* a close inside a frame, in its length and in its body *)
+  List.iter
+    (fun (what, bytes) ->
+      let w, r = pair () in
+      write_string w bytes;
+      Unix.close w;
+      let c = Wire.conn r in
+      let rec last () =
+        match Wire.read c with Ok _ -> last () | Error _ as e -> e
+      in
+      (match last () with
+       | Error `Truncated -> ()
+       | _ -> Alcotest.failf "%s: expected a truncated frame" what);
+      Unix.close r)
+    [ ("close inside the length", "\000\000");
+      ("close inside the body", framed [ "hello" ] ^ "\000\000\000\100" ^ String.make 50 'x') ];
+  (* an oversized length is refused from the header alone: no body
+     follows, and a read attempt would fail after the timeout instead of
+     blocking *)
+  let w, r = pair () in
+  Unix.setsockopt_float r Unix.SO_RCVTIMEO 5.;
+  let len = Wire.max_frame + 1 in
+  let b = Buffer.create 4 in
+  Buffer.add_int32_be b (Int32.of_int len);
+  write_string w (Buffer.contents b);
+  let c = Wire.conn r in
+  (match Wire.read c with
+   | Error (`Oversized n) -> check_int "reported length" len n
+   | _ -> Alcotest.fail "expected an oversized frame");
+  Unix.close w;
+  Unix.close r
+
 (* ---- fault plan parsing ---- *)
 
 let test_faults_parse () =
@@ -434,6 +538,8 @@ let suite =
         Alcotest.test_case "strict decoder rejects corruption" `Quick
           test_codec_strictness;
         QCheck_alcotest.to_alcotest ~long:false prop_corrupt_changes_frame;
+        QCheck_alcotest.to_alcotest ~long:false prop_framing_roundtrip;
+        Alcotest.test_case "framing errors are typed" `Quick test_framing_errors;
         Alcotest.test_case "fault plan parsing" `Quick test_faults_parse;
         Alcotest.test_case "partition splits the node range" `Quick
           test_partition_split;

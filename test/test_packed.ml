@@ -430,11 +430,12 @@ let test_node_resync_protocol () =
   (* the packed ids the node decodes: the interned state domain *)
   let module Enc = Snapcc_mc.Encode.Make (A) in
   let enc = Enc.create h in
-  let nodes = Net.Spawn.launch Net.Spawn.Fork ~n:1 in
-  let fd = nodes.(0).Net.Spawn.fd in
-  let send msg = Net.Wire.write fd (Codec.encode ~algo:tag msg) in
+  let nodes, conns = Net.Spawn.launch Net.Spawn.Fork ~n:1 in
+  let c = conns.(0) in
+  let send_raw body = Net.Wire.queue c body; Net.Wire.flush c in
+  let send msg = send_raw (Codec.encode ~algo:tag msg) in
   let recv () =
-    match Net.Wire.read fd with
+    match Net.Wire.read c with
     | Error _ -> Alcotest.fail "node hung up"
     | Ok body -> (
       match Codec.decode ~expect:tag body with
@@ -522,7 +523,7 @@ let test_node_resync_protocol () =
   (match recv () with
    | Codec.Delivered -> ()
    | _ -> Alcotest.fail "v1 deliver still works");
-  Net.Wire.write fd (Codec.corrupt_body rng frame);
+  send_raw (Codec.corrupt_body rng frame);
   (match recv () with
    | Codec.Decode_error _ -> ()
    | _ -> Alcotest.fail "corrupt frame must be a decode error");
@@ -531,6 +532,124 @@ let test_node_resync_protocol () =
    | Codec.Bye_ack { decode_errors; _ } ->
      (* resyncs were transient faults, not decode errors *)
      check_int "only the corrupt frame counted" 1 decode_errors
+   | _ -> Alcotest.fail "expected Bye_ack");
+  Net.Spawn.shutdown nodes
+
+(* ---- orchestrator: deferred replies ---- *)
+
+(* The orchestrator's deferral code ([Orchestrator.Peers]) against a
+   forked node, on the paths no measured run reaches: more deliveries
+   than the window before one activation, with a corrupted frame among
+   them, and a delta on a base the node never acknowledged, whose
+   [Resync] must be recovered before the node acts.  The node's echoed
+   clock counts every snapshot it applied. *)
+let test_deferred_replies () =
+  let module Peers = Net.Orchestrator.Peers in
+  let module Vclock = Snapcc_telemetry.Vclock in
+  let h = Families.single 2 in
+  let r =
+    match Systems.resolve "cc1" with
+    | Some r -> r
+    | None -> Alcotest.fail "cc1 missing from the catalog"
+  in
+  let tag =
+    match r.Systems.tag with
+    | Some t -> t
+    | None -> Alcotest.fail "cc1 has no wire tag"
+  in
+  let (module A) = r.Systems.sys in
+  let module Enc = Snapcc_mc.Encode.Make (A) in
+  let enc = Enc.create h in
+  let nodes, conns = Net.Spawn.launch Net.Spawn.Fork ~n:1 in
+  (* a write or read that would block for good fails instead *)
+  Unix.setsockopt_float nodes.(0).Net.Spawn.fd Unix.SO_SNDTIMEO 10.;
+  Unix.setsockopt_float nodes.(0).Net.Spawn.fd Unix.SO_RCVTIMEO 10.;
+  let encode msg = Codec.encode ~algo:tag msg in
+  let core = A.init h 0 and nb = A.init h 1 in
+  let id =
+    match Enc.find enc 1 nb with
+    | Some id -> id
+    | None -> Alcotest.fail "initial state must be in the interned domain"
+  in
+  let full ~seq ~k =
+    encode
+      (Codec.Deliver_full
+         { src = 1; seq; form = 1; payload = le64 id;
+           clock = Vclock.encode_wire [| 1; k |] })
+  in
+  let resent = ref [] in
+  let peers =
+    Peers.create ~tag conns ~resend:(fun p ~slot ~step ~clock ->
+        resent := (p, slot, step) :: !resent;
+        full ~seq:1_000 ~k:clock.(1))
+  in
+  Peers.request peers 0
+    (Codec.Init
+       { seed = 0; topo = Snapcc_hypergraph.Hypergraph_io.to_string h;
+         core = Marshal.to_string core [];
+         cache = Marshal.to_string [| nb |] [] });
+  (match Peers.reply peers 0 with
+   | Codec.Ready -> ()
+   | _ -> Alcotest.fail "expected Ready");
+  let activate () =
+    match
+      Peers.exchange peers 0
+        (Codec.Activate { step = 0; req_in = [| false; false |];
+                          req_out = [| false; false |] })
+    with
+    | Codec.Activated { label; clock; _ } -> (
+      match Vclock.decode_full clock with
+      | Some c -> (label <> None, c)
+      | None -> Alcotest.fail "bad clock echo")
+    | _ -> Alcotest.fail "expected Activated"
+  in
+  (* [window + 40] snapshots and one corrupted frame, all deferred *)
+  let deliveries = Peers.window + 40 in
+  let rng = Random.State.make [| 5 |] in
+  let deliver body k = Peers.deliver peers 0 body ~slot:0 ~step:k ~clock:[| 1; k |] in
+  for k = 1 to deliveries do
+    deliver (full ~seq:k ~k) k;
+    if k = 100 then
+      Peers.reject peers 0 (Codec.corrupt_body rng (full ~seq:0 ~k));
+    check "never more than a window deferred" true
+      (Peers.pending peers 0 <= Peers.window)
+  done;
+  check "the window drained the node" true
+    (Peers.pending peers 0 < deliveries);
+  let acted, c = activate () in
+  check_int "every deferred reply read" 0 (Peers.pending peers 0);
+  let ticks = 1 + deliveries + Bool.to_int acted in
+  check "the node applied every snapshot before acting" true
+    (c = [| ticks; deliveries |]);
+  (* a delta on a base the node never acknowledged: the node answers
+     [Resync], refuses the next activation, and acts once the full frame
+     has been sent again *)
+  let k = deliveries + 1 in
+  deliver
+    (encode
+       (Codec.Deliver_delta
+          { src = 1; seq = k; base_seq = 999; delta = "";
+            clock = Vclock.encode_wire [| 1; k |] }))
+    k;
+  let acted2, c = activate () in
+  check "the resync was recovered once, from its own record" true
+    (!resent = [ (0, 0, k) ]);
+  check_int "and its retransmission checked" 0 (Peers.pending peers 0);
+  check "the retransmitted snapshot was applied before acting" true
+    (c = [| ticks + 1 + Bool.to_int acted2; k |]);
+  (* a reply other than the predicted one fails the run *)
+  Peers.reject peers 0 (full ~seq:(k + 2) ~k);
+  (match Peers.drain peers 0 with
+   | () -> Alcotest.fail "an accepted frame predicted corrupt must fail"
+   | exception Failure _ -> ());
+  Peers.request peers 0 Codec.Bye;
+  (match Peers.reply peers 0 with
+   | Codec.Bye_ack { frames; decode_errors } ->
+     (* Init, the deliveries, the corrupted frame, three activation
+        requests, the stale delta, its retransmission, one more
+        delivery and Bye *)
+     check_int "frames the node received" (deliveries + 9) frames;
+     check_int "only the corrupted frame failed to decode" 1 decode_errors
    | _ -> Alcotest.fail "expected Bye_ack");
   Net.Spawn.shutdown nodes
 
@@ -555,5 +674,7 @@ let suite =
           test_delta_roundtrip_domain_states;
         Alcotest.test_case "delta rejects corruption" `Quick
           test_delta_rejects_corruption;
+        Alcotest.test_case "orchestrator deferred replies" `Quick
+          test_deferred_replies;
         Alcotest.test_case "node resync discipline" `Quick
           test_node_resync_protocol ] ) ]

@@ -330,7 +330,23 @@ let test_certificate_tamper_rejected () =
            l ^ " " ^ last
          | None -> l));
   rejects "a truncated certificate"
-    (List.filter (fun l -> l <> "end") lines)
+    (List.filter (fun l -> l <> "end") lines);
+  (* sizes that would reach Array.make/Array.init: an Error, never an
+     exception, on the group-carrying and on the trivial certificate *)
+  let trivial = cert_of "cc1" "null" triangle "triangle3" in
+  List.iter
+    (fun (cert, domains) ->
+      let l = tampered cert ~pre:"domains " ~subst:(fun _ -> domains) in
+      match Sym.verify l with
+      | Error _ -> ()
+      | Ok () -> Alcotest.failf "verifier accepted %S" domains
+      | exception e ->
+        Alcotest.failf "verifier raised %s on %S" (Printexc.to_string e)
+          domains)
+    [ (lines, "domains -1 48"); (lines, "domains 0 48");
+      (trivial, "domains 4611686018427387903 144 72");
+      (trivial, "domains -1 144 72");
+      (trivial, "domains 16777216 1 1") ]
 
 let suite =
   [ ( "symmetry",
