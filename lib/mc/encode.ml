@@ -1,5 +1,7 @@
 module H = Snapcc_hypergraph.Hypergraph
 
+let id_bits = 40
+
 module Make (Sys : System.S) = struct
   module Tbl = Hashtbl.Make (struct
     type t = Sys.state
@@ -15,7 +17,7 @@ module Make (Sys : System.S) = struct
     procs : proc_store array;
     dom : int array;  (** declared-domain sizes *)
     width : int array;  (** key bits per process *)
-    off : int array;  (** first key bit of each process *)
+    key : Bitpack.layout;  (** one field per process *)
     kw : int;  (** key words *)
   }
 
@@ -33,19 +35,11 @@ module Make (Sys : System.S) = struct
     let rec go w = if 1 lsl w >= x then w else go (w + 1) in
     go 0
 
-  (* A key is a bit string cut into words of [key_bits] bits; process [p]
-     owns bits [off.(p) .. off.(p) + width.(p) - 1] and may straddle two
-     words. *)
-  let key_bits = 62
-
+  (* A key is a {!Bitpack} record with one field per process, which may
+     straddle two words. *)
   let layout h procs dom width =
-    let n = Array.length width in
-    let off = Array.make n 0 in
-    for p = 1 to n - 1 do
-      off.(p) <- off.(p - 1) + width.(p - 1)
-    done;
-    let total = Array.fold_left ( + ) 0 width in
-    { h; procs; dom; width; off; kw = max 1 ((total + key_bits - 1) / key_bits) }
+    let key = Bitpack.layout width in
+    { h; procs; dom; width; key; kw = Bitpack.words key }
 
   let raw_intern t p s =
     let ps = t.procs.(p) in
@@ -98,7 +92,7 @@ module Make (Sys : System.S) = struct
              (fun i -> (p, state t p (t.dom.(p) + i)))))
 
   (* Open addressing with linear probing.  A slot holds [-1] (empty) or
-     a configuration id in its low [cid_bits] bits under 22 bits of its
+     a configuration id in its low [id_bits] bits under 22 bits of its
      key's hash, so a probe that misses seldom reads a key.  [keys] holds
      [kw] words per configuration id; [slots] doubles before it gets more
      than three quarters full. *)
@@ -110,9 +104,8 @@ module Make (Sys : System.S) = struct
     mutable cnt : int;
   }
 
-  let cid_bits = 40
-  let cid_mask = (1 lsl cid_bits) - 1
-  let tag_mask = ((1 lsl (62 - cid_bits)) - 1) lsl cid_bits
+  let cid_mask = (1 lsl id_bits) - 1
+  let tag_mask = ((1 lsl (62 - id_bits)) - 1) lsl id_bits
 
   let table t =
     { enc = t; key = Array.make t.kw 0; keys = Vec.create ();
@@ -120,27 +113,8 @@ module Make (Sys : System.S) = struct
 
   let table_count tb = tb.cnt
 
-  let pack tb cfg =
-    let t = tb.enc and key = tb.key in
-    Array.fill key 0 t.kw 0;
-    for p = 0 to Array.length cfg - 1 do
-      let j = t.off.(p) / key_bits and s = t.off.(p) mod key_bits in
-      key.(j) <- key.(j) lor ((cfg.(p) lsl s) land ((1 lsl key_bits) - 1));
-      if s + t.width.(p) > key_bits then
-        key.(j + 1) <- key.(j + 1) lor (cfg.(p) lsr (key_bits - s))
-    done
-
-  let config_ids tb cid =
-    let t = tb.enc and base = cid * tb.enc.kw in
-    Array.init (Array.length t.width) (fun p ->
-        let j = t.off.(p) / key_bits and s = t.off.(p) mod key_bits in
-        let v = Vec.get tb.keys (base + j) lsr s in
-        let v =
-          if s + t.width.(p) > key_bits then
-            v lor (Vec.get tb.keys (base + j + 1) lsl (key_bits - s))
-          else v
-        in
-        v land ((1 lsl t.width.(p)) - 1))
+  let pack tb cfg = Bitpack.pack tb.enc.key tb.key cfg
+  let config_ids tb cid = Bitpack.unpack tb.enc.key tb.keys cid
 
   (* Multiplicative hashing of [tb.key], word by word, with the high bits
      folded down before and after each multiplication. *)

@@ -7,11 +7,16 @@
     declaration missed (a closure failure the checker reports).
 
     A configuration is the vector of its per-process state ids, packed into
-    a key: each process contributes [ceil log2 (4 * domain_count)] bits
-    (headroom for escapees), and the key is cut into [ceil (bits / 62)]
-    words — one word on every catalog instance of at most 62 key bits.
+    a key (a {!Bitpack} record): each process contributes
+    [ceil log2 (4 * domain_count)] bits (headroom for escapees), and the
+    key is cut into [ceil (bits / 62)] words — one word on every catalog
+    instance of at most 62 key bits.
     The configuration table stores each key once, indexed by configuration
     id, and finds it through an open-addressing table of ids. *)
+
+val id_bits : int
+(** Configuration ids are below [2^id_bits] (40): a table slot keeps an id
+    in that many bits. *)
 
 module Make (Sys : System.S) : sig
   type t

@@ -27,25 +27,35 @@ module Make (Sys : System.S) = struct
   module Enc = Encode.Make (Sys)
   module Tb = Tables.Make (Sys)
 
+  (* The fields of a configuration's record: the parent cid + 1 ([0] for
+     roots), the parent step's mode + 1 and selection ([0] and [0] for
+     roots), the in+out enabled mask and the offset of the in+out edges
+     (both set once processed), and the mask of meeting committees. *)
+  let f_parent = 0
+  let f_mode = 1
+  let f_sel = 2
+  let f_enabled = 3
+  let f_meets = 4
+  let f_estart = 5
+
   (* The store costs a few words per configuration: its key and table
-     slot in [table], then [par], [info], [meets] and [estart], plus one
-     word per in+out edge.  Which committees have every member waiting is
-     recomputed on demand: only terminal configurations and livelock
-     witnesses ask. *)
+     slot in [table], then one packed record and its in+out edges, each
+     packed in as many bits as [max_configs], n and m call for.  Which
+     committees have every member waiting is recomputed on demand: only
+     terminal configurations and livelock witnesses ask. *)
   type result = {
     h : H.t;
     enc : Enc.t;
     table : Enc.table;  (** configuration ids over packed keys *)
-    meets : int Vec.t;  (** per cid: bitmask of meeting committees *)
-    par : int Vec.t;  (** per cid: parent cid, [-1] for roots *)
-    info : int Vec.t;
-        (** per cid: [(((enabled lsl n) lor sel) lsl 3) lor (mode + 1)],
-            [enabled] the in+out enabled mask (set once processed), [mode]
-            and [sel] the step from the parent ([-1] and [0] for roots) *)
+    layout : Bitpack.layout;  (** the record, fields [f_parent .. f_estart] *)
+    recs : int Vec.t;  (** one record per cid *)
+    ew : int;  (** bits per edge *)
     edges : int Vec.t;
-        (** in+out words: [(((dst lsl 1) lor conv) lsl n) lor selmask],
-            [conv] = the {e raw} transition convened a meeting *)
-    estart : int Vec.t;  (** per processed cid: offset into [edges] *)
+        (** in+out edges, an item stream of [ew]-bit items
+            [(((dst lsl 1) lor conv) lsl n) lor selmask], [conv] = the
+            {e raw} transition convened a meeting *)
+    mutable n_edges : int;
+    mutable processed : int;  (** cids [0 .. processed - 1] are processed *)
     counts : int array;
     labels : string array;
     grp : Symmetry.group option;  (** quotient mode, when order > 1 *)
@@ -57,7 +67,7 @@ module Make (Sys : System.S) = struct
   }
 
   let complete r = r.complete_
-  let n_configs r = Vec.length r.meets
+  let n_configs r = Enc.table_count r.table
   let n_transitions r = r.transitions
   let violations r = List.rev r.viols
   let escapees r = Enc.escapees r.enc
@@ -80,10 +90,11 @@ module Make (Sys : System.S) = struct
   let obs_of_config r cid = obs_of_states r.h (states_of_config r cid)
   let domain_index r p s = Enc.find r.enc p s
   let domain_state r p id = Enc.state r.enc p id
-  let par_mode r cid = (Vec.get r.info cid land 7) - 1
-  let par_sel r cid = (Vec.get r.info cid lsr 3) land ((1 lsl H.n r.h) - 1)
-  let enabled_inout r cid = Vec.get r.info cid lsr (H.n r.h + 3)
-  let meets_mask r cid = Vec.get r.meets cid
+  let field r cid f = Bitpack.get r.layout r.recs cid f
+  let par_mode r cid = field r cid f_mode - 1
+  let par_sel r cid = field r cid f_sel
+  let enabled_inout r cid = field r cid f_enabled
+  let meets_mask r cid = field r cid f_meets
 
   let committee_waiting r cid =
     let obs = obs_of_config r cid in
@@ -94,48 +105,44 @@ module Make (Sys : System.S) = struct
     in
     from 0
 
+  (* [f] folded over the in+out edges of a processed [cid], in order. *)
+  let fold_edges r cid f acc =
+    let hi =
+      if cid + 1 < r.processed then field r (cid + 1) f_estart else r.n_edges
+    in
+    Bitpack.fold_items r.edges ~width:r.ew (field r cid f_estart) hi f acc
+
   let succs_inout r cid =
-    if cid >= Vec.length r.estart then []
-    else begin
+    if cid >= r.processed then []
+    else
       let n = H.n r.h in
-      let lo = Vec.get r.estart cid in
-      let hi =
-        if cid + 1 < Vec.length r.estart then Vec.get r.estart (cid + 1)
-        else Vec.length r.edges
-      in
-      List.init (hi - lo) (fun i ->
-          let w = Vec.get r.edges (lo + i) in
-          (w lsr (n + 1), w land ((1 lsl n) - 1)))
-    end
+      fold_edges r cid
+        (fun e acc -> (e lsr (n + 1), e land ((1 lsl n) - 1)) :: acc)
+        []
 
   let convening r src dst =
     let n = H.n r.h in
-    if src >= Vec.length r.estart then
-      meets_mask r dst land lnot (meets_mask r src) <> 0
-    else begin
-      let lo = Vec.get r.estart src in
-      let hi =
-        if src + 1 < Vec.length r.estart then Vec.get r.estart (src + 1)
-        else Vec.length r.edges
-      in
-      let found = ref false and all = ref true in
-      for i = lo to hi - 1 do
-        let w = Vec.get r.edges i in
-        if w lsr (n + 1) = dst then begin
-          found := true;
-          if (w lsr n) land 1 = 0 then all := false
-        end
-      done;
-      if !found then !all
-      else meets_mask r dst land lnot (meets_mask r src) <> 0
-    end
+    (* 0: no transition to [dst] recorded; 1: each one convened; 2: one
+       did not *)
+    let seen =
+      if src >= r.processed then 0
+      else
+        fold_edges r src
+          (fun e seen ->
+            if e lsr (n + 1) <> dst then seen
+            else if (e lsr n) land 1 = 0 then 2
+            else max seen 1)
+          0
+    in
+    if seen = 0 then meets_mask r dst land lnot (meets_mask r src) <> 0
+    else seen = 1
 
   let symmetry_order r =
     match r.grp with None -> 1 | Some g -> Symmetry.order g
 
   let quotient_path r cid =
     let rec up cid acc =
-      let p = Vec.get r.par cid in
+      let p = field r cid f_parent - 1 in
       if p < 0 then (cid, acc) else up p ((cid, p) :: acc)
     in
     up cid []
@@ -193,6 +200,17 @@ module Make (Sys : System.S) = struct
     let n = H.n h and m = H.m h in
     if n > 16 then failwith "Mc.Explore: more than 16 processes unsupported";
     if m > 62 then failwith "Mc.Explore: more than 62 committees unsupported";
+    let nmodes = Array.length mode_inputs in
+    (* Each width derives from n, m and [max_configs], which cannot pass
+       the ids {!Encode} hands out: a parent cid + 1 is at most
+       [max_configs], and a configuration records at most [2^n - 1] in+out
+       edges. *)
+    let max_configs = max 0 (min max_configs ((1 lsl Encode.id_bits) - 1)) in
+    let layout =
+      Bitpack.layout
+        [| Bitpack.width max_configs; Bitpack.width nmodes; n; n; m;
+           Bitpack.width (max_configs * ((1 lsl n) - 1)) |]
+    in
     (* adopt the tables' interner so their packed successor ids are valid
        here; a fresh one is only built when running closure-only *)
     let enc = match tables with Some tb -> Tb.enc tb | None -> Enc.create h in
@@ -241,11 +259,12 @@ module Make (Sys : System.S) = struct
     let r =
       { h; enc;
         table = Enc.table enc;
-        meets = Vec.create ();
-        par = Vec.create ();
-        info = Vec.create ();
+        layout;
+        recs = Vec.create ();
+        ew = Bitpack.width (max 0 (max_configs - 1)) + 1 + n;
         edges = Vec.create ();
-        estart = Vec.create ();
+        n_edges = 0;
+        processed = 0;
         counts = Array.make nact 0;
         labels = Array.map (fun (a : _ Model.action) -> a.Model.label) actions;
         grp;
@@ -281,9 +300,11 @@ module Make (Sys : System.S) = struct
           for e = 0 to m - 1 do
             if Obs.meets h obs e then mm := !mm lor (1 lsl e)
           done;
-          Vec.push r.meets !mm;
-          Vec.push r.par parent;
-          Vec.push r.info ((sel lsl 3) lor (mode + 1));
+          Bitpack.push layout r.recs;
+          Bitpack.set layout r.recs cid f_parent (parent + 1);
+          Bitpack.set layout r.recs cid f_mode (mode + 1);
+          Bitpack.set layout r.recs cid f_sel sel;
+          Bitpack.set layout r.recs cid f_meets !mm;
           List.iter
             (fun (e1, e2) ->
               if !mm land (1 lsl e1) <> 0 && !mm land (1 lsl e2) <> 0 then begin
@@ -352,7 +373,6 @@ module Make (Sys : System.S) = struct
        (bit 0 [request_in], bit 1 [request_out], the bits of
        {!Model.mode_of} that index [mode_inputs]).  The recording
        contexts read the configuration being processed, [cur]. *)
-    let nmodes = Array.length mode_inputs in
     let act = Array.init nmodes (fun _ -> Array.make n (-1)) in
     let succ = Array.init nmodes (fun _ -> Array.make n 0) in
     let consulted = Array.init nmodes (fun _ -> Array.make n 0) in
@@ -451,13 +471,14 @@ module Make (Sys : System.S) = struct
         record cid mode s rest
     in
     let process cid =
-      assert (Vec.length r.estart = cid);
-      Vec.push r.estart (Vec.length r.edges);
+      assert (r.processed = cid);
+      r.processed <- cid + 1;
+      Bitpack.set layout r.recs cid f_estart r.n_edges;
       let cfg = config_ids r cid in
       let sts = states_of_ids enc cfg in
       cur := sts;
       let before_obs = lazy (obs_of_states h sts) in
-      let bm = Vec.get r.meets cid in
+      let bm = meets_mask r cid in
       (match tables with
       | Some tb ->
         for p = 0 to n - 1 do
@@ -484,8 +505,7 @@ module Make (Sys : System.S) = struct
           done;
           let en = !en in
           enabled.(mode) <- en;
-          if mode = inout_mode then
-            Vec.set r.info cid (Vec.get r.info cid lor (en lsl (n + 3)));
+          if mode = inout_mode then Bitpack.set layout r.recs cid f_enabled en;
           let ds = ref mode and vs = ref mode in
           for m' = mode - 1 downto 0 do
             if same_step m' mode then begin
@@ -525,15 +545,15 @@ module Make (Sys : System.S) = struct
                       let d = discover ~mode ~sel:s ~parent:cid rep in
                       if d >= 0 then
                         am_of.(i) <-
-                          (if gi = 0 then Vec.get r.meets d
+                          (if gi = 0 then meets_mask r d
                            else
                              Symmetry.inverse_map_mask
                                g.Symmetry.elems.(gi).Symmetry.eperm
-                               (Vec.get r.meets d));
+                               (meets_mask r d));
                       d
                     | _ ->
                       let d = discover ~mode ~sel:s ~parent:cid scratch in
-                      if d >= 0 then am_of.(i) <- Vec.get r.meets d;
+                      if d >= 0 then am_of.(i) <- meets_mask r d;
                       d
                   in
                   dst_of.(i) <- d;
@@ -549,7 +569,9 @@ module Make (Sys : System.S) = struct
                 let am = am_of.(i) in
                 if mode = inout_mode then begin
                   let conv = if am land lnot bm <> 0 then 1 else 0 in
-                  Vec.push r.edges ((((dst lsl 1) lor conv) lsl n) lor s)
+                  Bitpack.add_item r.edges ~width:r.ew r.n_edges
+                    ((((dst lsl 1) lor conv) lsl n) lor s);
+                  r.n_edges <- r.n_edges + 1
                 end;
                 if am <> bm then
                   if vs <> mode then record cid mode s vios.(vs).(i)
@@ -576,7 +598,7 @@ module Make (Sys : System.S) = struct
           end
         end
       done;
-      if Vec.length r.estart land 0x3fff = 0 then
+      if r.processed land 0x3fff = 0 then
         Option.iter
           (fun f ->
             f ~configs:(Enc.table_count r.table) ~transitions:r.transitions)
@@ -584,8 +606,8 @@ module Make (Sys : System.S) = struct
     in
     let rec loop () =
       if !stop || !capped then ()
-      else if Vec.length r.estart < n_configs r then begin
-        process (Vec.length r.estart);
+      else if r.processed < n_configs r then begin
+        process r.processed;
         loop ()
       end
       else

@@ -60,26 +60,60 @@ let find_cycle ~succs ~in_comp witness =
     in
     up last [ bits_list sel_last ]
 
+(* The members of the component rooted at [root], in the order the
+   search visited them.  A search from the root that enters members only
+   visits them in that order: a member is never reached through a
+   non-member, since that one would then be a member too. *)
+let visit_order ~succs ~in_comp root =
+  let seen = Hashtbl.create 64 in
+  Hashtbl.add seen root ();
+  let order = ref [ root ] in
+  let stack = ref [ ref (succs root) ] in
+  while !stack <> [] do
+    let rest = List.hd !stack in
+    match !rest with
+    | [] -> stack := List.tl !stack
+    | (w, _) :: tl ->
+      rest := tl;
+      if in_comp w && not (Hashtbl.mem seen w) then begin
+        Hashtbl.add seen w ();
+        order := w :: !order;
+        stack := ref (succs w) :: !stack
+      end
+  done;
+  List.rev !order
+
+(* A vertex on the search path: the successors it has yet to try, and
+   whether it is still the root of its component. *)
+type frame = { v : int; mutable rest : (int * int) list; mutable root : bool }
+
+(* Pearce's single-array search for strongly connected components
+   ("A space-efficient algorithm for finding strongly connected
+   components", IPL 2016), made iterative.  [rindex.(v)] is 0 until [v]
+   is visited, then its visit index (from 1), lowered to the least index
+   it reaches while its component is open, and once the component is
+   complete the component's id, counting down from [n_configs - 1]: ids
+   stay above every open index, so edges into complete components change
+   nothing.  The last component may get id 0, the unvisited value, but
+   only once every vertex is visited.  Components complete in the order
+   Tarjan's algorithm finds them. *)
 let analyze ~n ~n_configs ~succs ~convenes ~enabled_mask ~committee_waiting () =
-  let idx = Array.make n_configs (-1) in
-  let low = Array.make n_configs 0 in
-  (* a vertex leaves the stack exactly when [handle_scc] numbers it, so
-     it is on the stack iff it has an index and no component yet *)
-  let sccid = Array.make n_configs (-1) in
-  let on_stack v = idx.(v) >= 0 && sccid.(v) < 0 in
+  let rindex = Array.make n_configs 0 in
+  (* visited vertices that are no root, their component still open *)
   let stack = Vec.create () in
-  let counter = ref 0 in
+  let index = ref 1 in
+  let next_id = ref (n_configs - 1) in
   let n_sccs = ref 0 in
   let largest = ref 0 in
   let nontrivial = ref 0 in
   let livelocks = ref [] in
-  let handle_scc comp =
-    let id = !n_sccs in
+  let handle_scc id comp =
     incr n_sccs;
-    List.iter (fun v -> sccid.(v) <- id) comp;
     let size = List.length comp in
     if size > !largest then largest := size;
-    let in_comp v = sccid.(v) = id in
+    (* only members' successors are asked: those are members or in
+       complete components, whose ids differ *)
+    let in_comp v = rindex.(v) = id in
     let internal = ref [] in
     let has_convene = ref false in
     List.iter
@@ -105,56 +139,69 @@ let analyze ~n ~n_configs ~succs ~convenes ~enabled_mask ~committee_waiting () =
                    !internal)
             (List.init n Fun.id)
         in
-        let witness = List.find_opt committee_waiting comp in
-        match (fair, witness) with
-        | true, Some w ->
-          livelocks :=
-            { witness = w;
-              scc_size = size;
-              cycle = find_cycle ~succs ~in_comp w }
-            :: !livelocks
-        | _ -> ()
+        if fair then
+          match
+            List.find_opt committee_waiting
+              (visit_order ~succs ~in_comp (List.hd comp))
+          with
+          | Some w ->
+            livelocks :=
+              { witness = w;
+                scc_size = size;
+                cycle = find_cycle ~succs ~in_comp w }
+              :: !livelocks
+          | None -> ()
       end
     end
   in
-  let dfs v0 =
-    idx.(v0) <- !counter;
-    low.(v0) <- !counter;
-    incr counter;
-    Vec.push stack v0;
-    let frames = ref [ (v0, ref (succs v0)) ] in
+  let enter v =
+    rindex.(v) <- !index;
+    incr index;
+    { v; rest = succs v; root = true }
+  in
+  (* [u] reaches [w]'s index *)
+  let lower u w =
+    if rindex.(w) < rindex.(u.v) then begin
+      rindex.(u.v) <- rindex.(w);
+      u.root <- false
+    end
+  in
+  (* [v] is done: a root closes its component, the vertices of the
+     stack down to its index, numbering them with the next id *)
+  let finish { v; root; _ } =
+    if not root then Vec.push stack v
+    else begin
+      let id = !next_id in
+      let comp = ref [] in
+      let top () = Vec.get stack (Vec.length stack - 1) in
+      while Vec.length stack > 0 && rindex.(v) <= rindex.(top ()) do
+        let w = Vec.pop stack in
+        rindex.(w) <- id;
+        decr index;
+        comp := w :: !comp
+      done;
+      rindex.(v) <- id;
+      decr index;
+      decr next_id;
+      handle_scc id (v :: !comp)
+    end
+  in
+  let search v0 =
+    let frames = ref [ enter v0 ] in
     while !frames <> [] do
-      let v, rest = List.hd !frames in
-      match !rest with
+      let f = List.hd !frames in
+      match f.rest with
       | (w, _sel) :: tl ->
-        rest := tl;
-        if idx.(w) = -1 then begin
-          idx.(w) <- !counter;
-          low.(w) <- !counter;
-          incr counter;
-          Vec.push stack w;
-          frames := (w, ref (succs w)) :: !frames
-        end
-        else if on_stack w then low.(v) <- min low.(v) idx.(w)
+        f.rest <- tl;
+        if rindex.(w) = 0 then frames := enter w :: !frames else lower f w
       | [] ->
         frames := List.tl !frames;
-        (match !frames with
-        | (u, _) :: _ -> low.(u) <- min low.(u) low.(v)
-        | [] -> ());
-        if low.(v) = idx.(v) then begin
-          let comp = ref [] in
-          let brk = ref false in
-          while not !brk do
-            let w = Vec.pop stack in
-            comp := w :: !comp;
-            if w = v then brk := true
-          done;
-          handle_scc !comp
-        end
+        finish f;
+        (match !frames with u :: _ -> lower u f.v | [] -> ())
     done
   in
   for v = 0 to n_configs - 1 do
-    if idx.(v) = -1 then dfs v
+    if rindex.(v) = 0 then search v
   done;
   (* deadlocks *)
   let deadlocks = ref [] in

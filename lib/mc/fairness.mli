@@ -15,11 +15,15 @@
     the witnesses into one fair cycle).
 
     The analysis is exact for the explored graph: it must only be run on a
-    {e complete} exploration ({!Explore.Make.complete}). *)
+    {e complete} exploration ({!Explore.Make.complete}).  Components are
+    found by Pearce's single-array search, one word per configuration. *)
 
 type livelock = {
-  witness : int;  (** a configuration of the component satisfying the
-                      progress hypothesis *)
+  witness : int;
+      (** the configuration of the component satisfying the progress
+          hypothesis that a depth-first search over the configurations
+          in id order, taking successors in {!analyze}'s [succs] order,
+          visits first *)
   scc_size : int;
   cycle : int list list;
       (** daemon selections of a convene-free cycle witness → … → witness *)

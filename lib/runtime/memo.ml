@@ -42,10 +42,12 @@ let key t ~ids ~modes p =
     !k
   end
 
-(* Multiplicative hashing, with the high bits folded onto the low ones
-   the mask keeps. *)
+(* Multiplicative hashing, with the high bits folded down before the
+   multiplication (so the first member of N[p], at the top of the key,
+   reaches every slot bit) and after it onto the low ones the mask
+   keeps. *)
 let hash key mask =
-  let x = key * 0x2545F4914F6CDD1D in
+  let x = (key lxor (key lsr 31)) * 0x2545F4914F6CDD1D in
   (x lxor (x lsr 29)) land mask
 
 (* The slot holding [key], or the empty one where it belongs. *)

@@ -554,6 +554,39 @@ let test_memo_seeded_defect () =
   in
   Alcotest.(check bool) "memo run diverges from closures" true (o.L_lk_blind.diverged <> None)
 
+(* Keys that differ only in the first member of N[p] (p's own id and
+   mode, the key's top bits) must stay apart as p's table doubles: every
+   key added so far is found after each power of two, and an absent one
+   is not. *)
+let test_memo_first_member_keys () =
+  let h = Families.pair_ring 5 in
+  Alcotest.(check int) "three members in N[0]" 2 (Array.length (H.neighbors h 0));
+  let memo = Memo.create ~cap:max_int h in
+  let ids = Array.make (H.n h) 3 and modes = Array.make (H.n h) 1 in
+  let key id mode =
+    ids.(0) <- id;
+    modes.(0) <- mode;
+    Memo.key memo ~ids ~modes 0
+  in
+  let answer id mode = ((4 * id) + mode) mod 5 - 1 in
+  let verify upto =
+    for id = 0 to upto do
+      for mode = 0 to 3 do
+        Alcotest.(check int)
+          (Printf.sprintf "id %d, mode %d" id mode)
+          (answer id mode)
+          (Memo.find memo 0 (key id mode))
+      done
+    done
+  in
+  for id = 0 to 4095 do
+    for mode = 0 to 3 do
+      Memo.add memo 0 (key id mode) (answer id mode)
+    done;
+    if id land (id + 1) = 0 then verify id
+  done;
+  Alcotest.(check int) "absent key" (-2) (Memo.find memo 0 (key 4096 0))
+
 let suite =
   [ ( "engine cache",
       [ Alcotest.test_case "pinned grid digests" `Quick test_pinned_digests;
@@ -566,4 +599,6 @@ let suite =
         Alcotest.test_case "profile counts reused entries" `Quick test_profile_reuse;
         Alcotest.test_case "memo shared across engines" `Quick test_memo_shared_hooks;
         Alcotest.test_case "memo stores local cells only" `Quick test_memo_nonlocal_reads;
-        Alcotest.test_case "memo exposes a lossy canon" `Quick test_memo_seeded_defect ] ) ]
+        Alcotest.test_case "memo exposes a lossy canon" `Quick test_memo_seeded_defect;
+        Alcotest.test_case "memo keys differing in the first member" `Quick
+          test_memo_first_member_keys ] ) ]

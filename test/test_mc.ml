@@ -353,6 +353,285 @@ let test_fairness_cross_edge () =
   checki "three components" 3 verdict.Fairness.sccs;
   checki "none nontrivial" 0 verdict.Fairness.nontrivial_sccs
 
+(* ---- the SCC pass against a naive reference ---- *)
+
+(* A random in+out graph: successors with selections (duplicates to one
+   destination allowed), a convene flag per (source, destination), and
+   per vertex an enabled mask and whether a committee waits. *)
+type graph = {
+  procs : int;
+  adj : (int * int) list array;
+  conv : (int * int, unit) Hashtbl.t;
+  enabled : int array;
+  waiting : bool array;
+}
+
+let shapes = [| "random"; "singletons"; "self-loops"; "one cycle"; "clusters" |]
+
+let build_graph (shape, size, seed) =
+  let rng = Random.State.make [| seed |] in
+  let int k = Random.State.int rng k in
+  let procs = 1 + int 3 in
+  let adj = Array.make size [] in
+  let edge u w = adj.(u) <- (w, 1 + int ((1 lsl procs) - 1)) :: adj.(u) in
+  let random_edges k =
+    Array.iteri (fun u _ -> for _ = 1 to int k do edge u (int size) done) adj
+  in
+  (match shapes.(shape) with
+  | "random" -> random_edges 4
+  | "singletons" ->
+    (* edges only to lower ids: every vertex its own component *)
+    Array.iteri (fun u _ -> if u > 0 then for _ = 1 to int 4 do edge u (int u) done) adj
+  | "self-loops" ->
+    random_edges 3;
+    Array.iteri (fun u _ -> if int 3 = 0 then edge u u) adj
+  | "one cycle" ->
+    Array.iteri (fun u _ -> edge u ((u + 1) mod size)) adj;
+    random_edges 2
+  | _ ->
+    (* cycles of consecutive vertices, and edges from each cycle to later
+       ones only: the search finishes many cycles before an edge from
+       another branch reaches them *)
+    let last = Array.make size 0 in
+    let u = ref 0 in
+    while !u < size do
+      let len = min (1 + int 5) (size - !u) in
+      for v = !u to !u + len - 1 do
+        last.(v) <- !u + len - 1;
+        if len > 1 then edge v (if v = !u + len - 1 then !u else v + 1)
+      done;
+      u := !u + len
+    done;
+    Array.iteri
+      (fun v _ ->
+        for _ = 1 to int 3 do
+          if last.(v) + 1 < size then edge v (last.(v) + 1 + int (size - last.(v) - 1))
+        done)
+      adj);
+  let density = [| 0; 3; 40 |].(int 3) in
+  let conv = Hashtbl.create 64 in
+  Array.iteri
+    (fun u succs ->
+      List.iter
+        (fun (w, _) -> if int 100 < density then Hashtbl.replace conv (u, w) ())
+        succs)
+    adj;
+  { procs;
+    adj;
+    conv;
+    enabled = Array.init size (fun _ -> if int 4 = 0 then 0 else int (1 lsl procs));
+    waiting = Array.init size (fun _ -> int 2 = 0) }
+
+let analyze g =
+  Fairness.analyze ~n:g.procs ~n_configs:(Array.length g.adj)
+    ~succs:(fun v -> g.adj.(v))
+    ~convenes:(fun u w -> Hashtbl.mem g.conv (u, w))
+    ~enabled_mask:(fun v -> g.enabled.(v))
+    ~committee_waiting:(fun v -> g.waiting.(v))
+    ()
+
+(* Components from mutual reachability; a livelock's witness is the
+   member a depth-first search over the vertices in order, taking
+   successors in order, visits first among those with a waiting
+   committee. *)
+let reference g =
+  let size = Array.length g.adj in
+  let reach =
+    Array.init size (fun s ->
+        let seen = Array.make size false in
+        let rec go v =
+          if not seen.(v) then begin
+            seen.(v) <- true;
+            List.iter (fun (w, _) -> go w) g.adj.(v)
+          end
+        in
+        go s;
+        seen)
+  in
+  let all = List.init size Fun.id in
+  let comp v = List.filter (fun w -> reach.(v).(w) && reach.(w).(v)) all in
+  let rep = Array.init size (fun v -> List.hd (comp v)) in
+  let pre = Array.make size (-1) and clock = ref 0 in
+  let rec visit v =
+    if pre.(v) < 0 then begin
+      pre.(v) <- !clock;
+      incr clock;
+      List.iter (fun (w, _) -> visit w) g.adj.(v)
+    end
+  in
+  for v = 0 to size - 1 do
+    visit v
+  done;
+  let reps = List.filter (fun v -> rep.(v) = v) all in
+  let internal c =
+    List.concat_map
+      (fun u ->
+        List.filter_map
+          (fun (w, sel) -> if rep.(w) = c then Some (u, w, sel) else None)
+          g.adj.(u))
+      (comp c)
+  in
+  let livelock c =
+    let members = comp c and edges = internal c in
+    let fair p =
+      List.exists (fun v -> g.enabled.(v) land (1 lsl p) = 0) members
+      || List.exists (fun (_, _, sel) -> sel land (1 lsl p) <> 0) edges
+    in
+    let waiting = List.filter (fun v -> g.waiting.(v)) members in
+    if edges = [] || waiting = []
+       || List.exists (fun (u, w, _) -> Hashtbl.mem g.conv (u, w)) edges
+       || not (List.for_all fair (List.init g.procs Fun.id))
+    then None
+    else
+      let first a b = if pre.(a) <= pre.(b) then a else b in
+      Some (List.fold_left first (List.hd waiting) waiting, List.length members)
+  in
+  ( List.length reps,
+    List.fold_left (fun acc c -> max acc (List.length (comp c))) 0 reps,
+    List.length (List.filter (fun c -> internal c <> []) reps),
+    List.filter (fun v -> g.enabled.(v) = 0 && g.waiting.(v)) all,
+    List.sort compare (List.filter_map livelock reps),
+    rep )
+
+(* The selections of [cycle] lead from [w] back to [w] inside its
+   component. *)
+let closes g rep w cycle =
+  let step from sel =
+    let mask = List.fold_left (fun m p -> m lor (1 lsl p)) 0 sel in
+    List.sort_uniq compare
+      (List.concat_map
+         (fun u ->
+           List.filter_map
+             (fun (v, s) -> if s = mask && rep.(v) = rep.(w) then Some v else None)
+             g.adj.(u))
+         from)
+  in
+  cycle <> [] && List.mem w (List.fold_left step [ w ] cycle)
+
+let prop_scc_reference =
+  QCheck.Test.make ~name:"SCC pass = mutual-reachability reference" ~count:300
+    (QCheck.make
+       ~print:(fun (shape, size, seed) ->
+         Printf.sprintf "%s, %d vertices, seed %d" shapes.(shape) size seed)
+       QCheck.Gen.(
+         triple
+           (int_bound (Array.length shapes - 1))
+           (int_range 1 300) (int_bound 1_000_000)))
+    (fun spec ->
+      let g = build_graph spec in
+      let v = analyze g in
+      let sccs, largest, nontrivial, deadlocks, livelocks, rep = reference g in
+      v.Fairness.sccs = sccs
+      && v.Fairness.largest_scc = largest
+      && v.Fairness.nontrivial_sccs = nontrivial
+      && v.Fairness.deadlocks = deadlocks
+      && List.sort compare
+           (List.map
+              (fun l -> (l.Fairness.witness, l.Fairness.scc_size))
+              v.Fairness.livelocks)
+         = livelocks
+      && List.for_all
+           (fun l -> closes g rep l.Fairness.witness l.Fairness.cycle)
+           v.Fairness.livelocks)
+
+(* ---- packed fields ---- *)
+
+(* A value of [w] bits, all ones a quarter of the time. *)
+let draw_bits rng w =
+  let ones = (1 lsl w) - 1 in
+  if Random.State.int rng 4 = 0 then ones
+  else
+    let bits = Random.State.bits in
+    (bits rng lor (bits rng lsl 30) lor (bits rng lsl 60)) land ones
+
+(* Records of random layouts, whose widths sum past one and two words:
+   pushed with every field but two, those two set in place once every
+   record is pushed (as the explorer sets a configuration's enabled mask
+   and edge offset when it processes it), then fields overwritten at
+   random.  Every field reads back what was last stored in it, a record
+   unpacks to its fields, and packed into a scratch array it holds the
+   same words. *)
+let prop_bitpack_records =
+  QCheck.Test.make ~name:"packed records round-trip" ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(triple (list int) int int)
+       QCheck.Gen.(
+         triple (list_size (int_range 1 9) (int_range 0 62)) (int_range 1 300) int))
+    (fun (widths, nrec, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let widths = Array.of_list widths in
+      let nf = Array.length widths in
+      let l = Bitpack.layout widths in
+      let v = Vec.create () in
+      let model = Array.make_matrix nrec nf 0 in
+      let late f = f = nf - 1 || f = nf / 2 in
+      let store i f =
+        let x = draw_bits rng widths.(f) in
+        Bitpack.set l v i f x;
+        model.(i).(f) <- x
+      in
+      for i = 0 to nrec - 1 do
+        Bitpack.push l v;
+        for f = 0 to nf - 1 do
+          if not (late f) then store i f
+        done
+      done;
+      for i = 0 to nrec - 1 do
+        for f = 0 to nf - 1 do
+          if late f then store i f
+        done
+      done;
+      let agree () =
+        let ok = ref (Vec.length v = nrec * Bitpack.words l) in
+        for i = 0 to nrec - 1 do
+          for f = 0 to nf - 1 do
+            if Bitpack.get l v i f <> model.(i).(f) then ok := false
+          done
+        done;
+        !ok
+      in
+      let pushed = agree () in
+      for _ = 1 to 2 * nrec do
+        store (Random.State.int rng nrec) (Random.State.int rng nf)
+      done;
+      let i = Random.State.int rng nrec in
+      let scratch = Array.make (Bitpack.words l) (-1) in
+      Bitpack.pack l scratch model.(i);
+      pushed && agree ()
+      && Bitpack.unpack l v i = model.(i)
+      && Array.for_all2 ( = ) scratch
+           (Array.init (Bitpack.words l) (fun j ->
+                Vec.get v ((i * Bitpack.words l) + j))))
+
+(* The widest edges the explorer packs: n = 16 and ids up to Encode's
+   limit make 57-bit items, most of them straddling two words; every run
+   of them reads back in order. *)
+let prop_bitpack_edges =
+  QCheck.Test.make ~name:"57-bit edges round-trip" ~count:100
+    (QCheck.make ~print:QCheck.Print.(pair int int)
+       QCheck.Gen.(pair (int_range 1 2000) int))
+    (fun (count, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let width = Bitpack.width ((1 lsl Encode.id_bits) - 2) + 1 + 16 in
+      let v = Vec.create () in
+      let items =
+        Array.init count (fun i ->
+            let x =
+              (((draw_bits rng Encode.id_bits lsl 1) lor Random.State.int rng 2) lsl 16)
+              lor draw_bits rng 16
+            in
+            Bitpack.add_item v ~width i x;
+            x)
+      in
+      let run lo hi = Bitpack.fold_items v ~width lo hi List.cons [] in
+      let ok = ref (width = 57 && Vec.length v = ((count * width) + 61) / 62) in
+      for _ = 1 to 20 do
+        let lo = Random.State.int rng count in
+        let hi = lo + Random.State.int rng (count - lo + 1) in
+        if run lo hi <> Array.to_list (Array.sub items lo (hi - lo)) then ok := false
+      done;
+      !ok && run 0 count = Array.to_list items)
+
 (* ---- table-driven fast path: identical results to the closure path ---- *)
 
 (* Both paths share each configuration's scans, successors and verdicts
@@ -592,6 +871,9 @@ let suite =
           test_fairness_convene_breaks_livelock;
         Alcotest.test_case "fairness: cross edge into a finished component"
           `Quick test_fairness_cross_edge;
+        QCheck_alcotest.to_alcotest ~long:false prop_scc_reference;
+        QCheck_alcotest.to_alcotest ~long:false prop_bitpack_records;
+        QCheck_alcotest.to_alcotest ~long:false prop_bitpack_edges;
         Alcotest.test_case "table-driven fast path parity" `Quick
           test_tables_parity;
         Alcotest.test_case "row codes hand back every entry" `Quick
