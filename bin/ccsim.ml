@@ -301,10 +301,6 @@ let mp_cmd topo algo_name workload_name steps seed disc random_init bias
 
 (* validated argument converters, shared by `ccsim mp' and `ccsim net' *)
 
-let checked_steps_arg =
-  Arg.(value & opt pos_int_conv 10_000
-       & info [ "steps" ] ~docv:"N" ~doc:"Step horizon (positive).")
-
 let bias_arg =
   Arg.(value & opt probability_conv 0.5
        & info [ "deliver-bias" ] ~docv:"P"
@@ -314,7 +310,7 @@ let bias_arg =
 let mp_term =
   Term.(
     const mp_cmd $ topology_arg "fig1" $ algo_arg Systems.wired $ workload_arg
-    $ checked_steps_arg $ seed_arg $ disc_arg $ random_init_arg $ bias_arg
+    $ steps_arg $ seed_arg $ disc_arg $ random_init_arg $ bias_arg
     $ emit_trace_arg $ emit_json_arg)
 
 (* ---- net (networked multi-process runtime) ---- *)
@@ -430,7 +426,7 @@ let net_cmd topo algo_name workload_name steps seed disc random_init bias
 let net_term =
   Term.(
     const net_cmd $ topology_arg "fig1" $ algo_arg Systems.wired
-    $ workload_arg $ checked_steps_arg $ seed_arg $ disc_arg $ random_init_arg $ bias_arg
+    $ workload_arg $ steps_arg $ seed_arg $ disc_arg $ random_init_arg $ bias_arg
     $ faults_arg $ burst_arg $ soak_arg $ fork_arg $ emit_trace_arg
     $ emit_json_arg $ emit_catapult_arg $ dash_arg $ prom_arg
     $ live_interval_arg)
@@ -737,12 +733,10 @@ let check_one ~(r : Systems.resolved) ~topo_name ~h ~max_states ~keep_going
       ~token:(Option.value r.Systems.token ~default:"-") ~topo:topo_name h
   in
   let report = c.Check.report in
-  Option.iter
-    (fun g ->
-      Format.printf
-        "  symmetry: stored %d orbit representatives (quotient of order %d)@."
-        report.Mc_report.configs (Snapcc_mc.Symmetry.order g))
-    sym_group;
+  if report.Mc_report.symmetry_order > 1 then
+    Format.printf
+      "  symmetry: stored %d orbit representatives (quotient of order %d)@."
+      report.Mc_report.configs report.Mc_report.symmetry_order;
   Format.printf "%a@." Mc_report.pp report;
   List.iteri
     (fun i (p, s) ->

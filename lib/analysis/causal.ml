@@ -43,14 +43,12 @@ type t = {
 let hypergraph t = t.h
 let processes t = t.n
 let events t = t.order
-let initial_obs t = Array.copy t.init_obs
 let horizon t = t.horizon
 let violations t = t.violations
 let convened t = t.convened
 let fault_iters t = t.fault_iters
 let recover_iter t = t.recover_iter
 let stabilized_in t = t.stabilized_in
-let meeting_spans t = t.spans
 let dfc_schedule t = t.dfc_schedule
 let mean_concurrency t = t.mean_concurrency
 let dfc_causal t = t.dfc_causal

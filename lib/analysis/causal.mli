@@ -65,7 +65,6 @@ val events : t -> node array
 (** The causal linearization (initial-configuration stamps excluded); its
     [i]-th prefix is the [i]-th consistent cut of {!iter_cuts}. *)
 
-val initial_obs : t -> Snapcc_runtime.Obs.t array
 val horizon : t -> int
 (** Scheduler iterations covered ([run_end] steps when present). *)
 
@@ -79,8 +78,6 @@ val fault_iters : t -> int list
 val recover_iter : t -> int option
 val stabilized_in : t -> int option
 (** [recover - first fault], when both exist. *)
-
-val meeting_spans : t -> span list
 
 val dfc_schedule : t -> int
 (** Maximum number of simultaneous meetings along the replay — the

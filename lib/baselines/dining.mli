@@ -22,9 +22,6 @@ include Snapcc_runtime.Model.ALGO with type state := state
 val host : Snapcc_hypergraph.Hypergraph.t -> int -> int
 (** Host (philosopher site) of a committee: its minimum-identifier member. *)
 
-val hosted : Snapcc_hypergraph.Hypergraph.t -> int -> int list
-(** Committees hosted at a professor. *)
-
 val domain : Snapcc_hypergraph.Hypergraph.t -> int -> state list
 (** Exhaustive per-process domain ([status × owner × choice], [disc]
     pinned to 0) — makes the baseline a {!Snapcc_mc.System.S}. *)

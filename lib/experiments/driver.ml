@@ -79,8 +79,7 @@ module Make (A : Model.ALGO) = struct
      by the dynamic-hypergraph experiment to carry states across changes) *)
   let run_with_states ?(seed = 0) ?(init : [ `Canonical | `Random ] = `Canonical)
       ?init_states ?(check_locality = false) ?packed ?faults
-      ?(stop_when = fun _ -> false)
-      ?(on_obs = fun ~step:_ _ -> ()) ?(record_trace = false)
+      ?(stop_when = fun _ -> false) ?(record_trace = false)
       ?(stutter_limit = 1000) ?telemetry ~daemon ~workload ~steps h =
     let init =
       match init_states with
@@ -158,7 +157,6 @@ module Make (A : Model.ALGO) = struct
              after;
            Workload.observe workload ~step:report.Model.step after;
            (match trace with Some tr -> Trace.record tr report after | None -> ());
-           on_obs ~step:report.Model.step after;
            if stop_when after then begin
              outcome := `Stopped;
              raise Exit
@@ -173,12 +171,11 @@ module Make (A : Model.ALGO) = struct
       E.states eng )
 
   let run ?seed ?init ?init_states ?check_locality ?packed ?faults ?stop_when
-      ?on_obs ?record_trace ?stutter_limit ?telemetry ~daemon ~workload ~steps
-      h =
+      ?record_trace ?stutter_limit ?telemetry ~daemon ~workload ~steps h =
     fst
       (run_with_states ?seed ?init ?init_states ?check_locality ?packed
-         ?faults ?stop_when ?on_obs ?record_trace ?stutter_limit ?telemetry
-         ~daemon ~workload ~steps h)
+         ?faults ?stop_when ?record_trace ?stutter_limit ?telemetry ~daemon
+         ~workload ~steps h)
 end
 
 module Mp (A : Model.ALGO) = struct

@@ -45,7 +45,6 @@ module Make (A : Snapcc_runtime.Model.ALGO) : sig
     ?packed:A.state Snapcc_runtime.Model.packed ->
     ?faults:(step:int -> int list) ->
     ?stop_when:(Snapcc_runtime.Obs.t array -> bool) ->
-    ?on_obs:(step:int -> Snapcc_runtime.Obs.t array -> unit) ->
     ?record_trace:bool ->
     ?stutter_limit:int ->
     ?telemetry:Snapcc_telemetry.Hub.t ->
@@ -82,7 +81,6 @@ module Make (A : Snapcc_runtime.Model.ALGO) : sig
     ?packed:A.state Snapcc_runtime.Model.packed ->
     ?faults:(step:int -> int list) ->
     ?stop_when:(Snapcc_runtime.Obs.t array -> bool) ->
-    ?on_obs:(step:int -> Snapcc_runtime.Obs.t array -> unit) ->
     ?record_trace:bool ->
     ?stutter_limit:int ->
     ?telemetry:Snapcc_telemetry.Hub.t ->

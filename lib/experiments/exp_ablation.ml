@@ -82,7 +82,7 @@ let run ?(quick = false) () : result =
   let sel_steps = if quick then 6_000 else 20_000 in
   let topos =
     [ ("fig1", Families.fig1 ());
-      ("rand12", Families.random ~seed:42 ~n:12 ~m:10 ());
+      ("rand12", Families.random ~seed:42 ~n:12 ~m:10);
     ]
   in
   let selection =

@@ -38,7 +38,7 @@ let topologies ~quick () =
     [ ("fig1", Families.fig1 ());
       ("ring9", Families.pair_ring 9);
       ("triring9", Families.k_uniform_ring ~n:9 ~k:3);
-      ("rand12", Families.random ~seed:42 ~n:12 ~m:10 ());
+      ("rand12", Families.random ~seed:42 ~n:12 ~m:10);
     ]
 
 let run ?(quick = false) () : result =

@@ -27,7 +27,7 @@ let topologies ~quick () =
   else
     [ Families.fig1 (); Families.fig2 (); Families.fig4 ();
       Families.pair_ring 6; Families.k_uniform_ring ~n:7 ~k:3;
-      Families.random ~seed:5 ~n:10 ~m:8 ();
+      Families.random ~seed:5 ~n:10 ~m:8;
       Families.with_shuffled_ids ~seed:9 (Families.fig1 ());
     ]
 

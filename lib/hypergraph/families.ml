@@ -47,13 +47,12 @@ let single k =
 (* Random committees, then repair coverage and connectivity: any professor
    left uncovered, or any disconnected component, is patched with a bridging
    pair committee.  Repairs are deterministic in the seed. *)
-let random ~seed ~n ~m ?(min_k = 2) ?(max_k = 4) () =
-  if n < 2 then invalid_arg "random: need n >= 2";
-  if min_k < 2 || max_k < min_k || max_k > n then invalid_arg "random: bad k range";
+let random ~seed ~n ~m =
+  if n < 4 then invalid_arg "random: need n >= 4";
   let rng = Random.State.make [| seed; n; m |] in
   let seen = Hashtbl.create m in
   let draw () =
-    let k = min_k + Random.State.int rng (max_k - min_k + 1) in
+    let k = 2 + Random.State.int rng 3 in
     let members = Hashtbl.create k in
     while Hashtbl.length members < k do
       Hashtbl.replace members (Random.State.int rng n) ()
@@ -132,14 +131,16 @@ let all_named () =
     ("clique4", clique 4);
     ("triring9", k_uniform_ring ~n:9 ~k:3);
     ("single4", single 4);
-    ("rand12", random ~seed:42 ~n:12 ~m:10 ());
+    ("rand12", random ~seed:42 ~n:12 ~m:10);
   ]
 
 let by_name name =
   match List.assoc_opt name (all_named ()) with
   | Some h -> h
   | None ->
-    let parse prefix mk =
+    (* [m k]: how many committees the family has with [k] professors;
+       both counts are checked against the caps before anything is built *)
+    let parse prefix ~m mk =
       if String.length name > String.length prefix
          && String.sub name 0 (String.length prefix) = prefix
       then
@@ -148,16 +149,26 @@ let by_name name =
             (String.sub name (String.length prefix)
                (String.length name - String.length prefix))
         with
+        | Some k
+          when k > Hypergraph.max_professors || m k > Hypergraph.max_committees ->
+          invalid_arg
+            (Printf.sprintf
+               "Families.by_name: %S is past the cap of %d professors and %d \
+                committees"
+               name Hypergraph.max_professors Hypergraph.max_committees)
         | Some k -> Some (mk k)
         | None -> None
       else None
     in
+    let pairs k = k - 1 in
     let candidates =
-      [ parse "triangle" (fun k ->
+      [ parse "triangle" ~m:Fun.id (fun k ->
             if k = 3 then pair_ring 3
             else invalid_arg "Families.by_name: triangle has exactly 3 professors");
-        parse "ring" pair_ring; parse "path" path; parse "line" path;
-        parse "star" star; parse "clique" clique; parse "single" single ]
+        parse "ring" ~m:Fun.id pair_ring; parse "path" ~m:pairs path;
+        parse "line" ~m:pairs path; parse "star" ~m:pairs star;
+        parse "clique" ~m:(fun k -> k * pairs k / 2) clique;
+        parse "single" ~m:(fun _ -> 1) single ]
     in
     (match List.find_map Fun.id candidates with
      | Some h -> h

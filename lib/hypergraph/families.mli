@@ -39,12 +39,11 @@ val k_uniform_ring : n:int -> k:int -> Hypergraph.t
 val single : int -> Hypergraph.t
 (** [single k] (k >= 2): one committee containing all [k] professors. *)
 
-val random :
-  seed:int -> n:int -> m:int -> ?min_k:int -> ?max_k:int -> unit -> Hypergraph.t
-(** [random ~seed ~n ~m ()] draws [m] distinct random committees of sizes in
-    [[min_k, max_k]] (defaults 2..4), then patches the result so that every
-    professor is covered and the underlying network is connected (which may
-    add a few extra committees).  Deterministic in [seed]. *)
+val random : seed:int -> n:int -> m:int -> Hypergraph.t
+(** [random ~seed ~n ~m] ([n >= 4]) draws [m] distinct random committees
+    of 2 to 4 members, then patches the result so that every professor is
+    covered and the underlying network is connected (which may add a few
+    extra committees).  Deterministic in [seed]. *)
 
 val with_shuffled_ids : seed:int -> Hypergraph.t -> Hypergraph.t
 (** Same structure, identifiers permuted deterministically: exercises the
@@ -58,4 +57,6 @@ val by_name : string -> Hypergraph.t
 (** Look up one of {!all_named} (plus [ring<n>]/[path<n>]/[line<n>]/
     [star<n>]/[clique<n>]/[single<n>] parsed forms, e.g. ["ring12"];
     ["line<n>"] is an alias of ["path<n>"], and ["triangle"]/["triangle3"]
-    of ["ring3"]).  Raises [Invalid_argument] on unknown names. *)
+    of ["ring3"]).  Raises [Invalid_argument] on unknown names and on
+    parsed forms past {!Hypergraph.max_professors} or
+    {!Hypergraph.max_committees}. *)

@@ -58,6 +58,9 @@ let build_tables ~n ~edges =
   in
   (incident, neighbors, min_edges)
 
+let max_professors = 1 lsl 20
+let max_committees = 1 lsl 20
+
 let create ?ids ~n edge_lists =
   if n < 1 then invalid "hypergraph must have at least one vertex (got %d)" n;
   let ids = match ids with None -> Array.init n (fun v -> v) | Some a -> a in
@@ -131,13 +134,6 @@ let conflicting h e1 e2 =
 
 let degree h v = Array.length h.incident.(v)
 let graph_degree h v = Array.length h.neighbors.(v)
-
-let max_degree h =
-  let d = ref 0 in
-  for v = 0 to h.n - 1 do
-    if degree h v > !d then d := degree h v
-  done;
-  !d
 
 let min_edge_size h v =
   Array.fold_left

@@ -28,6 +28,13 @@ val create : ?ids:int array -> n:int -> int list list -> t
     committee read each other, so an isolated professor cannot coordinate).
     [ids], when given, assigns distinct identifiers to vertices. *)
 
+val max_professors : int
+val max_committees : int
+(** [2^20] each: the largest system {!Families.by_name} and
+    {!Hypergraph_io.parse} build from a name or a file, which come from
+    outside the program (a counterexample's [topo] line, a committee
+    file).  Past either cap they fail before allocating. *)
+
 val n : t -> int
 (** Number of vertices (professors). *)
 
@@ -63,7 +70,6 @@ val degree : t -> int -> int
 val graph_degree : t -> int -> int
 (** Number of neighbors of a vertex in the underlying network. *)
 
-val max_degree : t -> int
 val min_edge_size : t -> int -> int
 (** [min_edge_size h v] is [minEp]: the minimum length of a hyperedge
     incident to [v] (§5.3). *)

@@ -48,6 +48,14 @@ let parse text =
     (match !n with
      | None -> Error "missing `n <count>' line"
      | Some n when n < 1 -> Error "n must be positive"
+     | Some n when n > Hypergraph.max_professors ->
+       Error
+         (Printf.sprintf "n = %d is past the cap of %d professors" n
+            Hypergraph.max_professors)
+     | Some _ when List.length committees > Hypergraph.max_committees ->
+       Error
+         (Printf.sprintf "more than the cap of %d committees"
+            Hypergraph.max_committees)
      | Some n ->
        let ids =
          match !ids with
@@ -60,12 +68,12 @@ let parse text =
               (List.length ids) n)
        else begin
          let ids = Array.of_list ids in
-         let vertex_of id =
-           let rec find v =
-             if v >= n then None else if ids.(v) = id then Some v else find (v + 1)
-           in
-           find 0
-         in
+         (* the first vertex carrying each identifier *)
+         let vertex = Hashtbl.create n in
+         for v = n - 1 downto 0 do
+           Hashtbl.replace vertex ids.(v) v
+         done;
+         let vertex_of = Hashtbl.find_opt vertex in
          let exception Bad of string in
          try
            let committees =

@@ -17,7 +17,8 @@
 
 val parse : string -> (Hypergraph.t, string) result
 (** Parse the format from a string; the error mentions the offending
-    line. *)
+    line, or the cap ({!Hypergraph.max_professors},
+    {!Hypergraph.max_committees}) the system is past. *)
 
 val load : string -> (Hypergraph.t, string) result
 (** Read and {!parse} a file. *)

@@ -76,11 +76,6 @@ let maximal_matchings h =
   iter_maximal_matchings h (fun m -> acc := m :: !acc);
   List.rev !acc
 
-let count_maximal_matchings h =
-  let c = ref 0 in
-  iter_maximal_masks h (fun _ -> incr c);
-  !c
-
 let is_matching h eids =
   let rec go = function
     | [] -> true

@@ -13,7 +13,6 @@ val iter_maximal_matchings : Hypergraph.t -> (int list -> unit) -> unit
 (** Enumerates every maximal matching exactly once (edge ids, sorted). *)
 
 val maximal_matchings : Hypergraph.t -> int list list
-val count_maximal_matchings : Hypergraph.t -> int
 
 val min_maximal_matching : Hypergraph.t -> int
 (** [minMM]: size of the smallest maximal matching. *)

@@ -7,6 +7,13 @@ let width v =
   let rec go w = if v lsr w = 0 then w else go (w + 1) in
   go 0
 
+let bits_list mask =
+  let rec go p m acc =
+    if m = 0 then List.rev acc
+    else go (p + 1) (m lsr 1) (if m land 1 = 1 then p :: acc else acc)
+  in
+  go 0 mask []
+
 (* Word [j] of [v], read and written through the vector's chunks: the
    explorer reaches a field once per transition, and a module compiled
    with [-opaque] (dune's dev profile) never inlines [Vec.get]. *)

@@ -18,6 +18,9 @@ val width : int -> int
 (** [width v]: the bits a field needs to hold every value in [0 .. v]
     ([0] for [v = 0]); [Invalid_argument] for a negative [v]. *)
 
+val bits_list : int -> int list
+(** The positions of the set bits of a non-negative mask, ascending. *)
+
 (** {2 Records} *)
 
 type layout

@@ -73,6 +73,7 @@ module Make (S : System.S) = struct
         topo;
         product = Ex.product_size result;
         configs = Ex.n_configs result;
+        symmetry_order = Ex.symmetry_order result;
         transitions = Ex.n_transitions result;
         complete = Ex.complete result;
         escapees = List.length (Ex.escapees result);

@@ -145,12 +145,6 @@ module Make (Sys : System.S) = struct
     | Not_reproduced of string
     | Invalid of string
 
-  let committee_waiting h obs =
-    List.exists
-      (fun e ->
-        Array.for_all (fun q -> Obs.is_waiting obs.(q)) (H.edge_members h e))
-      (List.init (H.m h) Fun.id)
-
   let conflicting_meetings h obs =
     let ms = Obs.meetings h obs in
     List.exists
@@ -211,48 +205,60 @@ module Make (Sys : System.S) = struct
       in
       List.iteri do_step c.steps;
       let spec = Observer.spec observer in
-      match c.kind with
-      | Safety rule -> (
-        match
-          List.filter
-            (fun (v : Spec.violation) -> v.Spec.rule = rule)
-            (Spec.violations spec)
-        with
-        | v :: _ -> Reproduced (Format.asprintf "%a" Spec.pp_violation v)
-        | [] ->
-          if rule = "exclusion" && conflicting_meetings h (Eng.obs eng) then
-            Reproduced "conflicting committees meet in the final configuration"
+      let verdict =
+        match c.kind with
+        | Safety rule -> (
+          match
+            List.filter
+              (fun (v : Spec.violation) -> v.Spec.rule = rule)
+              (Spec.violations spec)
+          with
+          | v :: _ -> Reproduced (Format.asprintf "%a" Spec.pp_violation v)
+          | [] ->
+            if rule = "exclusion" && conflicting_meetings h (Eng.obs eng) then
+              Reproduced
+                "conflicting committees meet in the final configuration"
+            else
+              Not_reproduced
+                (match Spec.violations spec with
+                | [] -> "no monitor violation on replay"
+                | v :: _ -> "different rule on replay: " ^ v.Spec.rule))
+        | Deadlock ->
+          let inputs = Explore.mode_inputs.(Explore.inout_mode) in
+          if not (Eng.is_terminal eng ~inputs) then
+            Not_reproduced "final configuration is not terminal under in+out"
+          else if Obs.committee_waiting h (Eng.obs eng) then
+            Reproduced "terminal configuration with a fully waiting committee"
           else
-            Not_reproduced
-              (match Spec.violations spec with
-              | [] -> "no monitor violation on replay"
-              | v :: _ -> "different rule on replay: " ^ v.Spec.rule))
-      | Deadlock ->
-        let inputs = Explore.mode_inputs.(Explore.inout_mode) in
-        if not (Eng.is_terminal eng ~inputs) then
-          Not_reproduced "final configuration is not terminal under in+out"
-        else if committee_waiting h (Eng.obs eng) then
-          Reproduced "terminal configuration with a fully waiting committee"
-        else Not_reproduced "terminal, but no committee has all members waiting"
-      | Livelock ->
-        if c.loop = [] then Invalid "livelock counterexample without a loop"
-        else begin
-          let entry = Eng.states eng in
-          let n0 = List.length (Spec.convened spec) in
-          List.iteri (fun i st -> do_step (List.length c.steps + i) st) c.loop;
-          let exit_ = Eng.states eng in
-          let same =
-            Array.for_all2 (fun a b -> Sys.equal_state a b) entry exit_
-          in
-          let convened = List.length (Spec.convened spec) - n0 in
-          if same && convened = 0 then
-            Reproduced
-              (Printf.sprintf "fair convene-free cycle of %d steps"
-                 (List.length c.loop))
-          else if not same then
-            Not_reproduced "loop does not return to its entry configuration"
-          else Not_reproduced "a meeting convened inside the loop"
-        end
+            Not_reproduced "terminal, but no committee has all members waiting"
+        | Livelock ->
+          if c.loop = [] then Invalid "livelock counterexample without a loop"
+          else begin
+            let entry = Eng.states eng in
+            let n0 = List.length (Spec.convened spec) in
+            List.iteri
+              (fun i st -> do_step (List.length c.steps + i) st)
+              c.loop;
+            let exit_ = Eng.states eng in
+            let same =
+              Array.for_all2 (fun a b -> Sys.equal_state a b) entry exit_
+            in
+            let convened = List.length (Spec.convened spec) - n0 in
+            if same && convened = 0 then
+              Reproduced
+                (Printf.sprintf "fair convene-free cycle of %d steps"
+                   (List.length c.loop))
+            else if not same then
+              Not_reproduced "loop does not return to its entry configuration"
+            else Not_reproduced "a meeting convened inside the loop"
+          end
+      in
+      Option.iter
+        (fun ppf ->
+          Format.fprintf ppf "  final configuration:@.  %a@." (Obs.pp_snapshot h)
+            (Eng.obs eng))
+        trace;
+      verdict
     with Failure msg | Invalid_argument msg -> Invalid msg
 
   let reproduces h c =

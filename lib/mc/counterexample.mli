@@ -61,7 +61,9 @@ module Make (Sys : System.S) : sig
       {!Snapcc_analysis.Spec} monitor; [Safety] reproduces iff the monitor
       reports the recorded rule, [Deadlock] iff the final configuration is
       terminal under in+out with a fully waiting committee, [Livelock] iff
-      the loop returns to its entry configuration without convening. *)
+      the loop returns to its entry configuration without convening.
+      [trace] receives one line per executed step, then the configuration
+      the replay ends in ({!Snapcc_runtime.Obs.pp_snapshot}). *)
 
   val minimize : Snapcc_hypergraph.Hypergraph.t -> t -> t
   (** Replay-validated prefix shifting and selection shrinking, iterated

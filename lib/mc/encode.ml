@@ -30,11 +30,6 @@ module Make (Sys : System.S) = struct
   let product_size t =
     Array.fold_left (fun acc d -> acc *. float_of_int d) 1.0 t.dom
 
-  (* Smallest [w] with [1 lsl w >= x]. *)
-  let ceil_log2 x =
-    let rec go w = if 1 lsl w >= x then w else go (w + 1) in
-    go 0
-
   (* A key is a {!Bitpack} record with one field per process, which may
      straddle two words. *)
   let layout h procs dom width =
@@ -68,7 +63,7 @@ module Make (Sys : System.S) = struct
     let domains = Array.init n (fun p -> Sys.domain h p) in
     let dom = Array.map List.length domains in
     (* 4x headroom so a few escapees don't break the packing *)
-    let width = Array.map (fun d -> ceil_log2 (4 * max 1 d)) dom in
+    let width = Array.map (fun d -> Bitpack.width ((4 * max 1 d) - 1)) dom in
     let t = layout h procs dom width in
     Array.iteri
       (fun p states ->

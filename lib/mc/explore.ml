@@ -16,13 +16,6 @@ let mode_names = Array.map fst Model.input_modes
 let mode_name i = if i < 0 || i >= Array.length mode_names then "-" else mode_names.(i)
 let inout_mode = 3
 
-let bits_list mask =
-  let rec go p m acc =
-    if m = 0 then List.rev acc
-    else go (p + 1) (m lsr 1) (if m land 1 = 1 then p :: acc else acc)
-  in
-  go 0 mask []
-
 module Make (Sys : System.S) = struct
   module Enc = Encode.Make (Sys)
   module Tb = Tables.Make (Sys)
@@ -72,7 +65,6 @@ module Make (Sys : System.S) = struct
   let violations r = List.rev r.viols
   let escapees r = Enc.escapees r.enc
   let product_size r = Enc.product_size r.enc
-  let hyper r = r.h
 
   let action_counts r =
     Array.to_list (Array.map2 (fun l c -> (l, c)) r.labels r.counts)
@@ -87,7 +79,6 @@ module Make (Sys : System.S) = struct
     Array.init (Array.length sts) (fun p -> Sys.observe h sts p)
 
   let states_of_config r cid = states_of_ids r.enc (config_ids r cid)
-  let obs_of_config r cid = obs_of_states r.h (states_of_config r cid)
   let domain_index r p s = Enc.find r.enc p s
   let domain_state r p id = Enc.state r.enc p id
   let field r cid f = Bitpack.get r.layout r.recs cid f
@@ -97,13 +88,7 @@ module Make (Sys : System.S) = struct
   let meets_mask r cid = field r cid f_meets
 
   let committee_waiting r cid =
-    let obs = obs_of_config r cid in
-    let rec from e =
-      e < H.m r.h
-      && (Array.for_all (fun q -> Obs.is_waiting obs.(q)) (H.edge_members r.h e)
-         || from (e + 1))
-    in
-    from 0
+    Obs.committee_waiting r.h (obs_of_states r.h (states_of_config r cid))
 
   (* [f] folded over the in+out edges of a processed [cid], in order. *)
   let fold_edges r cid f acc =
@@ -158,7 +143,9 @@ module Make (Sys : System.S) = struct
     match r.grp with
     | None ->
         ( root_ids,
-          List.map (fun (c, _) -> (par_mode r c, bits_list (par_sel r c))) chain,
+          List.map
+            (fun (c, _) -> (par_mode r c, Bitpack.bits_list (par_sel r c)))
+            chain,
           None )
     | Some grp ->
         let hp = ref grp.Symmetry.elems.(0) in
@@ -181,7 +168,7 @@ module Make (Sys : System.S) = struct
                   csel := !csel lor (1 lsl pi.(p))
               done;
               hp := Symmetry.compose !hp (Symmetry.invert w);
-              (mode, bits_list !csel))
+              (mode, Bitpack.bits_list !csel))
             chain
         in
         (root_ids, steps, Some !hp)
@@ -331,27 +318,22 @@ module Make (Sys : System.S) = struct
        orbit's lex-least member itself, so the others are skipped before
        they are copied *)
     let root_cursor = Array.make n 0 in
+    let domain_sizes = Array.init n (Enc.domain_count enc) in
     let roots_exhausted = ref false in
-    let rec adv p =
-      if p < 0 then roots_exhausted := true
-      else begin
-        root_cursor.(p) <- root_cursor.(p) + 1;
-        if root_cursor.(p) >= Enc.domain_count enc p then begin
-          root_cursor.(p) <- 0;
-          adv (p - 1)
-        end
-      end
+    let adv () =
+      if Tables.advance root_cursor domain_sizes (n - 1) < 0 then
+        roots_exhausted := true
     in
     let rec next_domain_root () =
       if !roots_exhausted then None
       else
         match grp with
         | Some g when Symmetry.canonical_into g root_cursor ~rep ~cand <> 0 ->
-          adv (n - 1);
+          adv ();
           next_domain_root ()
         | _ ->
           let cfg = Array.copy root_cursor in
-          adv (n - 1);
+          adv ();
           Some cfg
     in
     let pending_roots =
@@ -465,7 +447,7 @@ module Make (Sys : System.S) = struct
             detail = v.Spec.detail;
             source = cid;
             mode;
-            selected = bits_list s }
+            selected = Bitpack.bits_list s }
           :: r.viols;
         if stop_on_first then stop := true;
         record cid mode s rest

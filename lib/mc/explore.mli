@@ -101,10 +101,8 @@ module Make (Sys : System.S) : sig
 
   (** {2 Configuration access} *)
 
-  val hyper : result -> Snapcc_hypergraph.Hypergraph.t
   val config_ids : result -> int -> int array
   val states_of_config : result -> int -> Sys.state array
-  val obs_of_config : result -> int -> Snapcc_runtime.Obs.t array
   val domain_index : result -> int -> Sys.state -> int option
   (** Dense id of a (canonicalized) per-process state, if interned. *)
 
@@ -146,6 +144,6 @@ module Make (Sys : System.S) : sig
   (** Bitmask of committees meeting in the configuration. *)
 
   val committee_waiting : result -> int -> bool
-  (** Some committee has {e all} members waiting (status Looking/Waiting):
-      the hypothesis of the progress property (§2.3). *)
+  (** {!Snapcc_runtime.Obs.committee_waiting} of the configuration: the
+      hypothesis of the progress property (§2.3). *)
 end

@@ -10,13 +10,6 @@ type verdict = {
 
 let ok v = v.deadlocks = [] && v.livelocks = []
 
-let bits_list mask =
-  let rec go p m acc =
-    if m = 0 then List.rev acc
-    else go (p + 1) (m lsr 1) (if m land 1 = 1 then p :: acc else acc)
-  in
-  go 0 mask []
-
 (* A convene-free cycle witness -> ... -> witness (>= 1 edge) inside the
    component, by BFS over internal edges. *)
 let find_cycle ~succs ~in_comp witness =
@@ -56,9 +49,9 @@ let find_cycle ~succs ~in_comp witness =
       if v = witness then acc
       else
         let u, sel = Hashtbl.find pred v in
-        up u (bits_list sel :: acc)
+        up u (Bitpack.bits_list sel :: acc)
     in
-    up last [ bits_list sel_last ]
+    up last [ Bitpack.bits_list sel_last ]
 
 (* The members of the component rooted at [root], in the order the
    search visited them.  A search from the root that enters members only

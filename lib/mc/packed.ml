@@ -17,8 +17,7 @@ module Make (Sys : System.S) = struct
 
   (* The interner holds [2^width >= cap] states per process. *)
   let build ?(cap = startup_cap) h =
-    let rec width w = if 1 lsl w >= cap then w else width (w + 1) in
-    { h; enc = Enc.on_demand ~width:(width 0) h; cap }
+    { h; enc = Enc.on_demand ~width:(Bitpack.width (max 0 (cap - 1))) h; cap }
 
   let coverage _ = 0.
 

@@ -6,6 +6,7 @@ type t = {
   topo : string;
   product : float;
   configs : int;
+  symmetry_order : int;
   transitions : int;
   complete : bool;
   escapees : int;
@@ -106,6 +107,7 @@ let to_json r =
       ("outcome", String (outcome_name (outcome r)));
       ("product", Float r.product);
       ("configs", Int r.configs);
+      ("symmetry_order", Int r.symmetry_order);
       ("transitions", Int r.transitions);
       ("complete", Bool r.complete);
       ("escapees", Int r.escapees);

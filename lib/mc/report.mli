@@ -8,6 +8,9 @@ type t = {
   topo : string;
   product : float;  (** initial configurations (domain product) *)
   configs : int;  (** configurations explored *)
+  symmetry_order : int;
+      (** order of the group the exploration was quotiented by: [configs]
+          counts orbit representatives when above 1 (1 = no quotient) *)
   transitions : int;
   complete : bool;
   escapees : int;  (** closure failures of the declared domain *)
@@ -37,8 +40,6 @@ val outcome : t -> outcome
     escapee when {!closure_judged}; [Incomplete] when the exploration was
     capped before a verdict. *)
 
-val outcome_name : outcome -> string
-val states_per_sec : t -> float
 val summary_table : t list -> Snapcc_experiments.Table.t
 val pp : Format.formatter -> t -> unit
 

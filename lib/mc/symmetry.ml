@@ -43,8 +43,6 @@ let invert g =
   Array.iteri (fun p s -> sigma.(g.pi.(p)) <- inv s) g.sigma;
   { name = g.name ^ "'"; pi = inv g.pi; eperm = inv g.eperm; sigma }
 
-let equal_elem a b = a.pi = b.pi && a.eperm = b.eperm && a.sigma = b.sigma
-
 let close ?(cap = 4096) ~n ~m ~domains gens =
   let id = identity ~n ~m ~domains in
   let tbl = Hashtbl.create 64 in

@@ -35,8 +35,6 @@ val compose : elem -> elem -> elem
 (** [compose g f] acts as [g] after [f]. *)
 
 val invert : elem -> elem
-val equal_elem : elem -> elem -> bool
-val is_identity : elem -> bool
 
 val close : ?cap:int -> n:int -> m:int -> domains:int array -> elem list -> group
 (** Subgroup generated by the given elements (breadth-first products,

@@ -172,13 +172,6 @@ type portable = {
   p_procs : (proc_tbl, string) result array;  (** [Error reason] = skipped *)
 }
 
-let bits_of_mask m =
-  let rec go p m acc =
-    if m = 0 then List.rev acc
-    else go (p + 1) (m lsr 1) (if m land 1 = 1 then p :: acc else acc)
-  in
-  go 0 m []
-
 (* [p] and its neighbors, as a process mask: the support a pass starts
    from, and the reads that are local. *)
 let closed_neighborhood h p =
@@ -188,9 +181,6 @@ let closed_neighborhood h p =
    to enumerate still compares with a cap. *)
 let product sizes = Array.fold_left (fun a s -> a *. float_of_int s) 1.0 sizes
 
-(* One odometer step over [sizes], last digit fastest: the lowest digit
-   that changed (every later one wrapped to 0), or [-1] once the whole
-   product has been visited. *)
 let rec advance ids sizes j =
   if j < 0 then -1
   else begin
@@ -297,7 +287,7 @@ module Make (Sys : System.S) = struct
     let label i = actions.(i).Model.label in
     let closed = closed_neighborhood h p in
     let attempt mask =
-      let support = Array.of_list (bits_of_mask mask) in
+      let support = Array.of_list (Bitpack.bits_list mask) in
       let sizes = Array.map (Enc.domain_count enc) support in
       if product sizes *. float_of_int nmodes > float_of_int cap then
         (support, false)
@@ -592,7 +582,8 @@ module Make (Sys : System.S) = struct
     let overlaps =
       Masks.fold
         (fun mask (c, ex) acc ->
-          (List.map (fun i -> labels.(i)) (bits_of_mask mask), c, ex) :: acc)
+          (List.map (fun i -> labels.(i)) (Bitpack.bits_list mask), c, ex)
+          :: acc)
         overlaps []
       |> List.sort compare
     in
@@ -644,7 +635,7 @@ module Make (Sys : System.S) = struct
      union of their supports and count the cells where the writer's chosen
      action changes its state while the reader's evaluation (scan +
      statement) reads the writer. *)
-  let interference ?(cap = 1 lsl 27) t =
+  let interference t =
     let n = H.n t.h in
     let acc : (string * string, int) Hashtbl.t = Hashtbl.create 32 in
     for p = 0 to n - 1 do
@@ -661,7 +652,8 @@ module Make (Sys : System.S) = struct
             let sizes =
               Array.map (fun r -> Enc.domain_count t.enc r) union
             in
-            if product sizes *. float_of_int nmodes <= float_of_int cap then begin
+            if product sizes *. float_of_int nmodes <= float_of_int (1 lsl 27)
+            then begin
               (* per-table index increments per union digit *)
               let contrib tb =
                 Array.map
@@ -692,21 +684,17 @@ module Make (Sys : System.S) = struct
                     end
                   end
                 done;
-                let rec adv j =
-                  if j < 0 then continue_ := false
-                  else begin
-                    ids.(j) <- ids.(j) + 1;
-                    ip := !ip + cp.(j);
-                    iq := !iq + cq.(j);
-                    if ids.(j) >= sizes.(j) then begin
-                      ip := !ip - (sizes.(j) * cp.(j));
-                      iq := !iq - (sizes.(j) * cq.(j));
-                      ids.(j) <- 0;
-                      adv (j - 1)
-                    end
-                  end
-                in
-                adv (k - 1)
+                let c = advance ids sizes (k - 1) in
+                if c < 0 then continue_ := false
+                else begin
+                  (* digit [c] went up by one, every later one wrapped *)
+                  ip := !ip + cp.(c);
+                  iq := !iq + cq.(c);
+                  for j = c + 1 to k - 1 do
+                    ip := !ip - ((sizes.(j) - 1) * cp.(j));
+                    iq := !iq - ((sizes.(j) - 1) * cq.(j))
+                  done
+                end
               done
             end
           | _ -> ()

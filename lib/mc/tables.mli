@@ -28,6 +28,12 @@
 val nmodes : int
 (** Number of uniform input modes (= [Array.length Model.input_modes]). *)
 
+val advance : int array -> int array -> int -> int
+(** [advance ids sizes j]: one step of the odometer over the product of
+    [sizes], digits [0 .. j], digit [j] fastest.  Returns the lowest digit
+    that changed (every later one wrapped to 0), or [-1] once the whole
+    product has been visited (every digit back at 0). *)
+
 (** Structural side-condition evidence observed during enumeration.
     Occurrence counts are (cell, mode) pairs. *)
 type incident =
@@ -198,12 +204,12 @@ module Make (Sys : System.S) : sig
       when the product exceeds [cap] (default [2^27]) or the pass failed;
       nothing is claimed in that case. *)
 
-  val interference :
-    ?cap:int -> t -> (string * string * int) list
+  val interference : t -> (string * string * int) list
   (** [(writer, reader, cells)]: over the joint product of each ordered
       neighbor pair with stored tables, cells where the writer's chosen
       action changes its state while the reader's evaluation reads the
-      writer.  Pairs whose joint product exceeds [cap] are omitted. *)
+      writer.  Pairs whose joint product exceeds [2^27] (cell, mode)
+      pairs are omitted. *)
 
   val to_portable : algo:string -> topo:string -> t -> portable
 end

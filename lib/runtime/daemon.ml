@@ -28,12 +28,12 @@ let central () =
   in
   { name = "central"; select }
 
-let random_subset ?(p = 0.5) ?(fairness_bound = 64) () =
+let random_subset ?(p = 0.5) () =
   let select ~rng ~step:_ ~enabled ~continuously_enabled =
     match enabled with
     | [] -> []
     | _ ->
-      let forced = List.filter (fun q -> continuously_enabled q >= fairness_bound) enabled in
+      let forced = List.filter (fun q -> continuously_enabled q >= 64) enabled in
       let coin = List.filter (fun _ -> Random.State.float rng 1.0 < p) enabled in
       let chosen = List.sort_uniq Int.compare (forced @ coin) in
       if chosen = [] then [ List.nth enabled (Random.State.int rng (List.length enabled)) ]
@@ -41,12 +41,12 @@ let random_subset ?(p = 0.5) ?(fairness_bound = 64) () =
   in
   { name = Printf.sprintf "random(p=%.2f)" p; select }
 
-let adversarial ?(fairness_bound = 256) ~name ~score () =
+let adversarial ~name ~score =
   let select ~rng:_ ~step:_ ~enabled ~continuously_enabled =
     match enabled with
     | [] -> []
     | _ ->
-      (match List.filter (fun q -> continuously_enabled q >= fairness_bound) enabled with
+      (match List.filter (fun q -> continuously_enabled q >= 256) enabled with
        | q :: _ -> [ q ]
        | [] ->
          let best =

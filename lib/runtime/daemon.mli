@@ -24,18 +24,16 @@ val central : unit -> t
 (** Selects exactly one process, rotating round-robin over process indices
     (stateful: create one per run). *)
 
-val random_subset : ?p:float -> ?fairness_bound:int -> unit -> t
+val random_subset : ?p:float -> unit -> t
 (** Each enabled process is selected independently with probability [p]
     (default 0.5); if the coin leaves the set empty, one enabled process is
-    drawn uniformly.  Any process continuously enabled for [fairness_bound]
-    steps (default 64) is force-selected, making the daemon weakly fair. *)
+    drawn uniformly.  Any process continuously enabled for 64 steps is
+    force-selected, making the daemon weakly fair. *)
 
-val adversarial :
-  ?fairness_bound:int -> name:string -> score:(int -> int) -> unit -> t
+val adversarial : name:string -> score:(int -> int) -> t
 (** Selects the single enabled process with the highest [score] (ties to the
-    smallest index), but force-selects starving processes after
-    [fairness_bound] steps (default 256).  Used to build the worst-case
-    schedules of the impossibility experiment. *)
+    smallest index), but force-selects starving processes after 256
+    steps. *)
 
 val of_fun : name:string -> (step:int -> enabled:int list -> int list) -> t
 (** Fully scripted daemon: the function must return a non-empty subset of

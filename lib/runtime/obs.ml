@@ -65,9 +65,6 @@ let pp ppf o =
 
 let is_waiting o = match o.status with Looking | Waiting -> true | Idle | Done -> false
 
-let attends obs ~vertex ~eid =
-  is_waiting obs.(vertex) && obs.(vertex).pointer = Some eid
-
 (* Members [i..] of [eid] all point at it with status waiting or done;
    matching on the pointer allocates no [Some eid] and calls no
    polymorphic equality. *)
@@ -80,6 +77,14 @@ let rec all_meet obs members eid i =
   && all_meet obs members eid (i + 1)
 
 let meets h obs eid = all_meet obs (H.edge_members h eid) eid 0
+
+let committee_waiting h obs =
+  let rec from e =
+    e < H.m h
+    && (Array.for_all (fun q -> is_waiting obs.(q)) (H.edge_members h e)
+       || from (e + 1))
+  in
+  from 0
 
 let meetings h obs =
   List.filter (meets h obs) (List.init (H.m h) Fun.id)

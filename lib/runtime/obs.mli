@@ -38,12 +38,13 @@ val is_waiting : t -> bool
 (** Waiting in the sense of the original problem (§4.2): status is
     [Looking] or [Waiting]. *)
 
-val attends : t array -> vertex:int -> eid:int -> bool
-(** [p] is waiting and points at committee [eid] (§4.2). *)
-
 val meets : Snapcc_hypergraph.Hypergraph.t -> t array -> int -> bool
 (** A committee meets iff every member points at it with status in
     [{Waiting; Done}] (§4.2). *)
+
+val committee_waiting : Snapcc_hypergraph.Hypergraph.t -> t array -> bool
+(** Some committee has every member waiting ({!is_waiting}): the
+    hypothesis of the progress property (§2.3). *)
 
 val meetings : Snapcc_hypergraph.Hypergraph.t -> t array -> int list
 (** Committees currently meeting, ascending edge ids. *)

@@ -28,10 +28,6 @@ type cfg = {
   sprt_within : int option;  (** success horizon; default [budget] *)
 }
 
-val sprt_batch : int
-(** Trials per pool invocation in SPRT mode — fixed (never derived from
-    [workers]) so the consumed-trial count is worker-independent. *)
-
 val run :
   ?telemetry:Snapcc_telemetry.Hub.t -> cfg -> (Report.t, string) result
 (** Errors on unknown algo/daemon/workload names; raises [Failure] if a

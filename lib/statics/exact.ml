@@ -82,8 +82,7 @@ module Make (Sys : Snapcc_mc.System.S) = struct
             (match what with `Guard -> "guard" | `Apply -> "statement")
             exn }
 
-  let run ?(verify = true) ?cap ?store_cap ?interference_cap
-      ?(allow = []) ~algo ~topo h =
+  let run ?(verify = true) ?cap ?store_cap ?(allow = []) ~algo ~topo h =
     let t = Tb.build ~verify ?cap ?store_cap h in
     let n = H.n h in
     let labels = Tb.labels t in
@@ -97,7 +96,7 @@ module Make (Sys : Snapcc_mc.System.S) = struct
       Report.build ~algo ~topo ~tier:"exact" ~configs:(Tb.cells t)
         ~evals:(Tb.cells t) ~allow ~proven:complete ~labels ~guard_true
         ~overlaps:(Tb.overlaps t)
-        ~interference:(Tb.interference ?cap:interference_cap t)
+        ~interference:(Tb.interference t)
         findings
     in
     let live =

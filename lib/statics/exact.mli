@@ -47,7 +47,6 @@ module Make (Sys : Snapcc_mc.System.S) : sig
     ?verify:bool ->
     ?cap:int ->
     ?store_cap:int ->
-    ?interference_cap:int ->
     ?allow:Report.rule list ->
     algo:string ->
     topo:string ->

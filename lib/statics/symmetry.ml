@@ -15,18 +15,6 @@ type outcome = {
   seconds : float;
 }
 
-let trivial_outcome h ~domains ~reason =
-  {
-    group = Sy.trivial ~n:(H.n h) ~m:(H.m h) ~domains;
-    admitted = [];
-    rejected = [ ("(all)", reason) ];
-    candidates = 0;
-    aut_order = 1;
-    aut_complete = false;
-    pairs = 0;
-    seconds = 0.;
-  }
-
 (* Order-independent accumulation: per (cell, mode) pair a strong mix of
    every admission-relevant component, summed per target process.  63-bit
    wrap-around sums; a collision would need two different multisets of cell
@@ -142,13 +130,13 @@ module Make (Sys : Snapcc_mc.System.S) = struct
     Printf.sprintf "aut<%s>"
       (String.concat "," (Array.to_list (Array.map string_of_int pi)))
 
-  let run ?(cap = 1 lsl 27) ?(max_group = 4096) ?(aut_cap = 720) h ~tables =
+  let run ?(cap = 1 lsl 27) h ~tables =
     let t0 = Unix.gettimeofday () in
     let enc = Tb.enc tables in
     let n = H.n h and m = H.m h in
     let domains = Array.init n (fun p -> Enc.domain_count enc p) in
     let idp = Array.init n Fun.id and ide = Array.init m Fun.id in
-    let auts, aut_complete = Auto.group ~cap:aut_cap h in
+    let auts, aut_complete = Auto.group ~cap:720 h in
     let aut_order = List.length auts in
     let rejected = ref [] in
     let mk name pi eperm f =
@@ -314,7 +302,7 @@ module Make (Sys : Snapcc_mc.System.S) = struct
     in
     let group =
       if gens = [] then Sy.trivial ~n ~m ~domains
-      else Sy.close ~cap:max_group ~n ~m ~domains gens
+      else Sy.close ~n ~m ~domains gens
     in
     let group, admitted_names =
       if group.Sy.complete then (group, List.map (fun c -> c.c_name) admitted)

@@ -43,22 +43,17 @@ type outcome = {
   seconds : float;
 }
 
-val trivial_outcome :
-  Snapcc_hypergraph.Hypergraph.t -> domains:int array -> reason:string -> outcome
-
 module Make (Sys : Snapcc_mc.System.S) : sig
   val run :
     ?cap:int ->
-    ?max_group:int ->
-    ?aut_cap:int ->
     Snapcc_hypergraph.Hypergraph.t ->
     tables:Snapcc_mc.Tables.Make(Sys).t ->
     outcome
   (** [cap] bounds the (cell, mode) pairs re-enumerated per process
       (default [2^27], like the exact tier); a process over the cap
-      rejects every candidate (no claims without proof).  [max_group]
-      (default 4096) caps the closure; [aut_cap] (default 720) caps the
-      structural candidates taken from the automorphism group. *)
+      rejects every candidate (no claims without proof).  The closure
+      stops at 4096 elements, and at most 720 structural candidates are
+      taken from the automorphism group. *)
 end
 
 (** {2 Certificates} *)

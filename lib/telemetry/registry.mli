@@ -29,8 +29,6 @@ val gauge_value : gauge -> float
 val histogram : t -> string -> histogram
 val observe : histogram -> int -> unit
 val hist_count : histogram -> int
-val hist_values : histogram -> int list
-(** In observation order. *)
 
 val nearest_rank : float -> int array -> int
 (** [nearest_rank q samples]: the sample of rank [ceil (q * n)] (clamped to
@@ -51,17 +49,13 @@ val to_json : t -> Json.t
 (** {2 Delivery-latency buckets}
 
     The single definition of the latency histogram edges shared by the net
-    summary, [ccsim stats], bench and the live dashboards. *)
-
-val latency_buckets_us : int array
-(** Upper-bound edges in µs, overflow bucket ([max_int]) last. *)
-
-val bucket_label : int -> string
-(** Label of edge [i]: ["<=250us"], ..., [">10000us"] for the overflow. *)
+    summary, [ccsim stats], bench and the live dashboards: 50, 100, 250,
+    500, 1000, 2500, 5000 and 10000 µs, then an overflow bucket. *)
 
 val bucket_counts : int list -> (string * int) list
-(** Bucketize latency samples against {!latency_buckets_us}; every bucket
-    is present (zeros included) and the counts sum to the sample count. *)
+(** Bucketize latency samples against the edges, labelled ["<=50us"], ...,
+    ["<=10000us"] and [">10000us"]; every bucket is present (zeros
+    included) and the counts sum to the sample count. *)
 
 val to_prometheus : ?prefix:string -> t -> string
 (** Prometheus text exposition: counters and gauges verbatim, histograms as

@@ -51,14 +51,10 @@ val encode_full : t -> string
 val decode_full : string -> t option
 (** Strict: trailing bytes, truncation and oversized counts are [None]. *)
 
-val encode_delta : base:t -> t -> string option
-(** [None] when some component shrank relative to [base] (link reordering)
-    or the lengths differ. *)
-
-val apply_delta : base:t -> string -> t option
-
 val encode_wire : ?base:t -> t -> string
-(** Delta form against [base] when expressible and no larger, else full. *)
+(** Delta form against [base] when expressible and no larger, else full.
+    No delta is expressible when some component shrank relative to [base]
+    (link reordering) or the lengths differ. *)
 
 val decode_wire : ?base:t -> string -> t option
 (** Inverse of {!encode_wire}; delta-form input without [base] is [None]. *)

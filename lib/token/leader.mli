@@ -27,17 +27,6 @@ val candidate :
     process: its own self-root claim or a neighbor's claim at distance +1
     (claims at distance [>= n] are ghosts and ignored). *)
 
-val computed_children :
-  Snapcc_hypergraph.Hypergraph.t -> (int -> 's) -> ('s -> t) -> int -> int array
-(** Neighbors currently pointing at the process with consistent
-    lead/distance. *)
-
-val tree_ok : Snapcc_hypergraph.Hypergraph.t -> (int -> 's) -> ('s -> t) -> int -> bool
-(** The claim is the {!candidate}; allocates nothing. *)
-
-val childs_ok : Snapcc_hypergraph.Hypergraph.t -> (int -> 's) -> ('s -> t) -> int -> bool
-(** The published list is the {!computed_children}; allocates nothing. *)
-
 val stable : Snapcc_hypergraph.Hypergraph.t -> (int -> t) -> bool
 (** Global legitimacy: every process agrees with its candidate and
     publishes exactly its computed children — the terminal predicate of

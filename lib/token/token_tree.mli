@@ -18,9 +18,3 @@ type state = {
 }
 
 include Layer.S with type state := state
-
-val engaged_ok :
-  Snapcc_hypergraph.Hypergraph.t -> read:(int -> 's) -> get:('s -> state) ->
-  int -> bool
-(** The parent chain names this process (always true for a local root):
-    the consistency link whose global composition pins the unique token. *)

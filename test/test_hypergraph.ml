@@ -113,7 +113,7 @@ let test_families_validity () =
 
 let test_random_family () =
   for seed = 0 to 9 do
-    let h = Families.random ~seed ~n:10 ~m:8 () in
+    let h = Families.random ~seed ~n:10 ~m:8 in
     check "covered and connected" true (H.n h = 10 && H.m h >= 8)
   done
 
@@ -157,6 +157,31 @@ let test_io_parse () =
   expect_error "singleton committee" "n 2\ncommittee 0\n";
   expect_error "ids arity" "n 3\nids 1 2\ncommittee 1 2\n";
   expect_error "disconnected" "n 4\ncommittee 0 1\ncommittee 2 3\n"
+
+(* Topology names and committee files come from outside the program (a
+   counterexample's [topo] line, a file given to [-t]): both parsers refuse
+   a system past the caps before building it, where [List.init n] alone
+   would not finish. *)
+let test_size_caps () =
+  let refused name =
+    match Families.by_name name with
+    | _ -> Alcotest.failf "%s: expected a refusal" name
+    | exception Invalid_argument _ -> ()
+  in
+  (* clique2000 has 2000 professors but 1,999,000 committees *)
+  List.iter refused
+    [ "ring99999999999"; "path1048578"; "line1048578"; "star1048578";
+      "single1048577"; "clique2000"; "ring" ^ string_of_int max_int ];
+  check "small parsed forms still build" true
+    (H.equal (Families.by_name "clique5") (Families.clique 5));
+  let refused_file label text =
+    match Io.parse text with
+    | Ok _ -> Alcotest.failf "%s: expected an error" label
+    | Error _ -> ()
+  in
+  refused_file "n far past the cap" "n 99999999999\ncommittee 0 1\n";
+  refused_file "n one past the cap"
+    (Printf.sprintf "n %d\ncommittee 0 1\n" (H.max_professors + 1))
 
 let test_io_file () =
   let path = Filename.temp_file "snapcc" ".committees" in
@@ -370,22 +395,22 @@ let qcheck_suite =
   in
   [ QCheck.Test.make ~name:"maximal matchings are maximal matchings" ~count:60 gen_h
       (fun (seed, n, m) ->
-        let h = Families.random ~seed ~n ~m () in
+        let h = Families.random ~seed ~n ~m in
         List.for_all (Matching.is_maximal_matching h) (Matching.maximal_matchings h));
     QCheck.Test.make ~name:"minMM is the min over the enumeration" ~count:60 gen_h
       (fun (seed, n, m) ->
-        let h = Families.random ~seed ~n ~m () in
+        let h = Families.random ~seed ~n ~m in
         let mms = Matching.maximal_matchings h in
         let min_sz = List.fold_left (fun a l -> min a (List.length l)) max_int mms in
         Matching.min_maximal_matching h = min_sz);
     QCheck.Test.make ~name:"greedy matching size between minMM and maxM" ~count:60 gen_h
       (fun (seed, n, m) ->
-        let h = Families.random ~seed ~n ~m () in
+        let h = Families.random ~seed ~n ~m in
         let g = List.length (Matching.greedy_maximal_matching h) in
         Matching.min_maximal_matching h <= g && g <= Matching.max_matching h);
     QCheck.Test.make ~name:"io round-trips every generated family" ~count:120 gen_h
       (fun (seed, n, m) ->
-        let h = Families.with_shuffled_ids ~seed (Families.random ~seed ~n ~m ()) in
+        let h = Families.with_shuffled_ids ~seed (Families.random ~seed ~n ~m) in
         match Snapcc_hypergraph.Hypergraph_io.parse
                 (Snapcc_hypergraph.Hypergraph_io.to_string h)
         with
@@ -394,14 +419,14 @@ let qcheck_suite =
     QCheck.Test.make ~name:"automorphisms preserved by id shuffling" ~count:20
       QCheck.(make ~print:string_of_int Gen.(int_bound 1000))
       (fun seed ->
-        let h = Families.random ~seed ~n:6 ~m:5 () in
+        let h = Families.random ~seed ~n:6 ~m:5 in
         let elems, _ = Auto.group h in
         let elems', _ = Auto.group (Families.with_shuffled_ids ~seed h) in
         List.length elems = List.length elems'
         && List.for_all (Auto.is_automorphism h) elems);
     QCheck.Test.make ~name:"restrict preserves membership" ~count:60 gen_h
       (fun (seed, n, m) ->
-        let h = Families.random ~seed ~n ~m () in
+        let h = Families.random ~seed ~n ~m in
         match H.restrict h ~removed:[ 0 ] with
         | None -> true
         | Some h' ->
@@ -424,6 +449,7 @@ let suite =
         Alcotest.test_case "file format roundtrip" `Quick test_io_roundtrip;
         Alcotest.test_case "file format parsing" `Quick test_io_parse;
         Alcotest.test_case "file format on disk" `Quick test_io_file;
+        Alcotest.test_case "topology size caps" `Quick test_size_caps;
         Alcotest.test_case "automorphism golden orders" `Quick test_auto_golden_orders;
         Alcotest.test_case "automorphism generators and orbits" `Quick
           test_auto_generators_and_orbits;

@@ -160,6 +160,38 @@ let test_sample_closure () =
     [ ("cc1", "single2", single2, 3, 1, 30);
       ("cc2", "triangle3", triangle, 5, 3, 332) ]
 
+(* `ccsim check --symmetry auto` stores one representative per orbit: the
+   report and its JSON name the group order, so [configs] does not read as
+   a full run of a quarter of the space.  cc1-vring on line3 admits the
+   order-4 vring gauge. *)
+let test_report_quotient () =
+  let entry = system "cc1" in
+  let module S = (val entry.Systems.make "vring") in
+  let module C = Check.Make (S) in
+  let module Tb = Tables.Make (S) in
+  let module Adm = Snapcc_statics.Symmetry.Make (S) in
+  let h = Families.by_name "line3" in
+  let run ?tables ?symmetry () =
+    (C.run ?tables ?symmetry ~algo:"cc1" ~token:"vring" ~topo:"line3" h)
+      .C.report
+  in
+  let json_order r =
+    Option.bind
+      (Snapcc_telemetry.Json.member "symmetry_order" (Report.to_json r))
+      Snapcc_telemetry.Json.to_int
+  in
+  let tables = Tb.build h in
+  let group = (Adm.run h ~tables).Snapcc_statics.Symmetry.group in
+  let quot = run ~tables ~symmetry:group () in
+  checki "quotient: order" 4 quot.Report.symmetry_order;
+  checki "quotient: orbit representatives" 98_304 quot.Report.configs;
+  check "quotient: passes" true (Report.outcome quot = Report.Pass);
+  Alcotest.(check (option int)) "quotient: JSON order" (Some 4) (json_order quot);
+  let full = run () in
+  checki "plain run: order" 1 full.Report.symmetry_order;
+  checki "plain run: configurations" 393_216 full.Report.configs;
+  Alcotest.(check (option int)) "plain run: JSON order" (Some 1) (json_order full)
+
 (* ---- encoding: intern/find round-trip over the whole domain ---- *)
 
 let test_encode_roundtrip () =
@@ -862,6 +894,8 @@ let suite =
           test_check_broken;
         Alcotest.test_case "check: sampled roots outside the domain" `Quick
           test_sample_closure;
+        Alcotest.test_case "check: the report names its quotient" `Quick
+          test_report_quotient;
         Alcotest.test_case "encode round-trip" `Quick test_encode_roundtrip;
         Alcotest.test_case "wide key: cc3 (tree) on ring6" `Quick test_wide_key;
         QCheck_alcotest.to_alcotest ~long:false prop_vec_model;

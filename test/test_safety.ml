@@ -30,7 +30,7 @@ let daemon_of = function
   | _ -> Daemon.random_subset ()
 
 let run_case c =
-  let h = Families.random ~seed:c.seed ~n:c.n ~m:c.m () in
+  let h = Families.random ~seed:c.seed ~n:c.n ~m:c.m in
   let (module A) = (List.nth (X.paper_algorithms ()) c.algo_ix).X.algo in
   let module R = Driver.Make (A) in
   R.run ~seed:c.seed ~init:`Random ~daemon:(daemon_of c.daemon_ix)
@@ -59,7 +59,7 @@ let prop_fairness =
        QCheck.Gen.(
          tup4 (int_bound 100_000) (int_range 4 8) (int_range 3 6) bool))
     (fun (seed, n, m, use_cc3) ->
-      let h = Families.random ~seed ~n ~m () in
+      let h = Families.random ~seed ~n ~m in
       let (module A) =
         (List.nth (X.paper_algorithms ()) (if use_cc3 then 2 else 1)).X.algo
       in
@@ -75,7 +75,7 @@ let prop_two_phase_counters =
   QCheck.Test.make ~name:"random systems: one discussion per participation"
     ~count:30 gen_case
     (fun c ->
-      let h = Families.random ~seed:c.seed ~n:c.n ~m:c.m () in
+      let h = Families.random ~seed:c.seed ~n:c.n ~m:c.m in
       let (module A) = (List.nth (X.paper_algorithms ()) c.algo_ix).X.algo in
       let module R = Driver.Make (A) in
       (* canonical start so counters begin at zero *)

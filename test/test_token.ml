@@ -251,7 +251,7 @@ let qcheck_tree_stabilizes =
        ~print:(fun (s, n, m) -> Printf.sprintf "seed=%d n=%d m=%d" s n m)
        QCheck.Gen.(triple (int_bound 10_000) (int_range 4 8) (int_range 3 6)))
     (fun (seed, n, m) ->
-      let h = Families.random ~seed ~n ~m () in
+      let h = Families.random ~seed ~n ~m in
       let unique, everyone =
         Tree_checks.circulation ~laps:2 ~seed ~daemon:(Daemon.random_subset ()) h
       in
